@@ -8,134 +8,4 @@ sequences over configurable scenarios, and checks recorded traces against
 declarative sequence templates.
 """
 
-from .conformance import (
-    SEQUENCE_NAMES,
-    Precedence,
-    SequenceTemplate,
-    TEMPLATES,
-    Verdict,
-    check,
-    check_auto,
-    check_trace,
-    infer_variant,
-    load_trace,
-    parse_trace,
-    segment_contexts,
-)
-from .core import (
-    FE_DAEMON,
-    FE_ENVIRONMENT,
-    FE_FLOW_MANAGEMENT,
-    FE_HOLM,
-    FE_MRRM,
-    FE_PATH_SELECTION,
-    FUNCTIONAL_ENTITIES,
-    AccessId,
-    AccessSets,
-    Locator,
-    QosSpec,
-    Rating,
-    Result,
-    primitive_from_params,
-    primitive_name,
-    qos_satisfies,
-)
-from .environment import Cell, Environment, Trajectory, clamp_qos
-from .flowmgmt import FlowManagement, FlowRecord, FlowTable
-from .holm import (
-    HandoverContext,
-    Holm,
-    Phase,
-    Tool,
-    interruption_time,
-    select_tool,
-)
-from .mrrm import Mrrm, MrrmPolicy, build_das, decide_handover, select_cas_aas
-from .path_selection import PathModel, PathSelection, rate_access
-from .protocols import DaemonHost, FmipDaemon, MipDaemon
-from .scenario import (
-    FlowSpec,
-    ScenarioConfig,
-    ScenarioError,
-    load_scenario,
-    parse_scenario,
-)
-from .simkernel import (
-    Kernel,
-    SimEvent,
-    SimulationError,
-    TraceRecord,
-    TraceRecorder,
-)
-from .simulation import Simulation, SimulationResult, build_metrics, run_scenario
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccessId",
-    "AccessSets",
-    "Cell",
-    "DaemonHost",
-    "Environment",
-    "FE_DAEMON",
-    "FE_ENVIRONMENT",
-    "FE_FLOW_MANAGEMENT",
-    "FE_HOLM",
-    "FE_MRRM",
-    "FE_PATH_SELECTION",
-    "FUNCTIONAL_ENTITIES",
-    "FlowManagement",
-    "FlowRecord",
-    "FlowSpec",
-    "FlowTable",
-    "FmipDaemon",
-    "HandoverContext",
-    "Holm",
-    "Kernel",
-    "Locator",
-    "MipDaemon",
-    "Mrrm",
-    "MrrmPolicy",
-    "PathModel",
-    "PathSelection",
-    "Phase",
-    "Precedence",
-    "QosSpec",
-    "Rating",
-    "Result",
-    "SEQUENCE_NAMES",
-    "ScenarioConfig",
-    "ScenarioError",
-    "SequenceTemplate",
-    "SimEvent",
-    "Simulation",
-    "SimulationError",
-    "SimulationResult",
-    "TEMPLATES",
-    "Tool",
-    "TraceRecord",
-    "TraceRecorder",
-    "Trajectory",
-    "Verdict",
-    "build_das",
-    "build_metrics",
-    "check",
-    "check_auto",
-    "check_trace",
-    "clamp_qos",
-    "decide_handover",
-    "infer_variant",
-    "interruption_time",
-    "load_scenario",
-    "load_trace",
-    "parse_scenario",
-    "parse_trace",
-    "primitive_from_params",
-    "primitive_name",
-    "qos_satisfies",
-    "rate_access",
-    "run_scenario",
-    "segment_contexts",
-    "select_cas_aas",
-    "select_tool",
-]

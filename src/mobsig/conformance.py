@@ -17,7 +17,7 @@ snapshots, rating queries, flow-setup traffic) are ignored by the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import PRIMITIVE_TYPES
 from .simkernel import TraceRecord
@@ -69,9 +69,8 @@ class AmbiguousTraceError(ValueError):
 
     def __init__(self, record: TraceRecord, index: int) -> None:
         where = f"line {record.line}" if record.line else f"record {index}"
-        super().__init__(
-            f"{where}: {record.name} carries no flow id while several handovers are open"
-        )
+        self.detail = f"{record.name} carries no flow id while several handovers are open"
+        super().__init__(f"{where}: {self.detail}")
         self.record = record
         self.index = index
 
@@ -403,61 +402,36 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
     )
 
 
-def _globalize(context: SequenceContext, verdict: Verdict) -> Verdict:
-    """Rewrite a slice-local failure index as a full-trace index."""
-    assert verdict.index is not None
-    return Verdict(
-        ok=False,
-        template=verdict.template,
-        record=verdict.record,
-        index=context.entries[verdict.index][0],
-        rule=verdict.rule,
-        detail=verdict.detail,
-    )
-
-
-def _ambiguity_verdict(exc: AmbiguousTraceError, template: str) -> Verdict:
-    return Verdict(
-        ok=False,
-        template=template,
-        record=exc.record,
-        index=exc.index,
-        rule="ambiguous-attribution",
-        detail=str(exc),
-    )
+def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
+    """Check a trace against one named template, or per-variant with "auto"."""
+    if template != "auto" and template not in TEMPLATES:
+        raise KeyError(f"unknown template {template!r}")
+    try:
+        contexts = segment_contexts(records)
+    except AmbiguousTraceError as exc:
+        return Verdict(
+            ok=False,
+            template=template,
+            record=exc.record,
+            index=exc.index,
+            rule="ambiguous-attribution",
+            detail=exc.detail,
+        )
+    for context in contexts:
+        slice_records = context.records
+        if template == "auto":
+            variant = infer_variant(slice_records)
+            chosen = [t for t in TEMPLATES.values() if variant in t.applies_to]
+        else:
+            chosen = [TEMPLATES[template]]
+        for candidate in chosen:
+            verdict = check(slice_records, candidate)
+            if not verdict.ok:
+                # Rewrite the slice-local failure index as a full-trace index.
+                return replace(verdict, index=context.entries[verdict.index][0])
+    return Verdict(ok=True, template=template)
 
 
 def check_auto(records: list[TraceRecord]) -> Verdict:
-    """Segment a full trace and check each context with its matching templates."""
-    try:
-        contexts = segment_contexts(records)
-    except AmbiguousTraceError as exc:
-        return _ambiguity_verdict(exc, "auto")
-    for context in contexts:
-        slice_records = context.records
-        variant = infer_variant(slice_records)
-        for template in TEMPLATES.values():
-            if variant not in template.applies_to:
-                continue
-            verdict = check(slice_records, template)
-            if not verdict.ok:
-                return _globalize(context, verdict)
-    return Verdict(ok=True, template="auto")
-
-
-def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
-    """Check a trace against one named template, or per-variant with "auto"."""
-    if template == "auto":
-        return check_auto(records)
-    if template not in TEMPLATES:
-        raise KeyError(f"unknown template {template!r}")
-    chosen = TEMPLATES[template]
-    try:
-        contexts = segment_contexts(records)
-    except AmbiguousTraceError as exc:
-        return _ambiguity_verdict(exc, template)
-    for context in contexts:
-        verdict = check(context.records, chosen)
-        if not verdict.ok:
-            return _globalize(context, verdict)
-    return Verdict(ok=True, template=template)
+    """Check each context against its variant's templates: check_trace(records, "auto")."""
+    return check_trace(records, "auto")

@@ -9,8 +9,9 @@ trace name is its class name, and its trace parameters are produced by
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 # Functional-entity identifiers, used for event attribution and diagram columns.
 FE_MRRM = "MRRM"
@@ -166,137 +167,87 @@ class Result:
 
 
 # --------------------------------------------------------------------------
-# Parameter rendering. Each primitive field has one codec keyed by field
-# name; params() concatenates the rendered fragments with sorted keys so a
-# given primitive always renders to the same JSON object.
+# Parameter rendering. Each primitive class gets one (name, render, parse)
+# triple per field, built once at import from the field's declared type;
+# params() renders the fields into a JSON object with sorted keys.
 # --------------------------------------------------------------------------
 
 
-def _render_access(access: AccessId) -> dict[str, Any]:
-    return {"cell_id": access.cell_id, "network_id": access.network_id, "rat": access.rat}
+def _same(value: Any) -> Any:
+    return value
 
 
-def _parse_access(obj: Any) -> AccessId:
-    return AccessId(cell_id=obj["cell_id"], network_id=obj["network_id"], rat=obj["rat"])
+@functools.cache
+def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """(render, parse) between a value of declared type tp and its JSON form.
+
+    tp is a scalar, ``X | None``, ``tuple[X, ...]`` or a dataclass. Rating is
+    the one dataclass with its own wire form.
+    """
+    args = get_args(tp)
+    if type(None) in args:
+        render, parse = _codec(next(arg for arg in args if arg is not type(None)))
+        return (
+            lambda value: None if value is None else render(value),
+            lambda raw: None if raw is None else parse(raw),
+        )
+    if get_origin(tp) is tuple:
+        render, parse = _codec(args[0])
+        return (
+            lambda values: [render(value) for value in values],
+            lambda raw: tuple(parse(item) for item in raw),
+        )
+    if tp is Rating:
+        # The wire carries the path rating only; radio ranking is node-internal.
+        render, parse = _codec(AccessId)
+        return (
+            lambda rating: {**render(rating.access), "rating": rating.path_score},
+            lambda raw: Rating(access=parse(raw), path_score=raw["rating"], radio_score=0.0),
+        )
+    if dataclasses.is_dataclass(tp):
+        plan = _field_codecs(tp)
+
+        def render_object(value: Any) -> dict[str, Any]:
+            if value is None:
+                raise ValueError(f"a {tp.__name__} field must not be None")
+            return {name: render(getattr(value, name)) for name, render, _ in plan}
+
+        return render_object, lambda raw: tp(**{name: parse(raw[name]) for name, _, parse in plan})
+    return _same, _same
 
 
-def _render_qos(qos: QosSpec) -> dict[str, Any]:
-    return {"bandwidth_kbps": qos.bandwidth_kbps, "max_latency_ms": qos.max_latency_ms}
-
-
-def _parse_qos(obj: Any) -> QosSpec:
-    return QosSpec(bandwidth_kbps=obj["bandwidth_kbps"], max_latency_ms=obj["max_latency_ms"])
-
-
-def _render_locator(locator: Locator) -> dict[str, Any]:
-    return {
-        "access": _render_access(locator.access),
-        "address": locator.address,
-        "kind": locator.kind,
-    }
-
-
-def _parse_locator(obj: Any) -> Locator:
-    return Locator(address=obj["address"], access=_parse_access(obj["access"]), kind=obj["kind"])
-
-
-def _render_rating(rating: Rating) -> dict[str, Any]:
-    # The wire carries the path rating only; radio ranking is node-internal.
-    rendered = _render_access(rating.access)
-    rendered["rating"] = rating.path_score
-    return rendered
-
-
-def _parse_rating(obj: Any) -> Rating:
-    return Rating(access=_parse_access(obj), path_score=obj["rating"], radio_score=0.0)
-
-
-class _Codec:
-    """Render one primitive field into params fragments and back."""
-
-    def __init__(
-        self,
-        render: Callable[[str, Any], dict[str, Any]],
-        parse: Callable[[str, dict[str, Any]], Any],
-    ) -> None:
-        self.render = render
-        self.parse = parse
-
-
-def _scalar_codec() -> _Codec:
-    return _Codec(lambda key, v: {key: v}, lambda key, params: params[key])
-
-
-def _object_codec(render: Callable, parse: Callable, optional: bool = False) -> _Codec:
-    def do_render(key: str, value: Any) -> dict[str, Any]:
-        if value is None:
-            if not optional:
-                raise ValueError(f"field {key!r} must not be None")
-            return {key: None}
-        return {key: render(value)}
-
-    def do_parse(key: str, params: dict[str, Any]) -> Any:
-        raw = params[key]
-        return None if raw is None else parse(raw)
-
-    return _Codec(do_render, do_parse)
-
-
-def _sequence_codec(render: Callable, parse: Callable) -> _Codec:
-    return _Codec(
-        lambda key, values: {key: [render(v) for v in values]},
-        lambda key, params: tuple(parse(v) for v in params[key]),
-    )
-
-
-def _result_codec() -> _Codec:
-    def render(_key: str, value: Result) -> dict[str, Any]:
-        if value.ok:
-            return {"result": "success"}
-        return {"result": "failure", "reason": value.reason}
-
-    def parse(_key: str, params: dict[str, Any]) -> Result:
-        if params["result"] == "success":
-            return Result.success()
-        return Result.failure(params["reason"])
-
-    return _Codec(render, parse)
-
-
-_FIELD_CODECS: dict[str, _Codec] = {
-    "flow": _scalar_codec(),
-    "mbb_flag": _scalar_codec(),
-    "fmip_flag": _scalar_codec(),
-    "target": _object_codec(_render_access, _parse_access),
-    "current": _object_codec(_render_access, _parse_access, optional=True),
-    "candidates": _sequence_codec(_render_access, _parse_access),
-    "ratings": _sequence_codec(_render_rating, _parse_rating),
-    "requested_qos": _object_codec(_render_qos, _parse_qos),
-    "granted_qos": _object_codec(_render_qos, _parse_qos, optional=True),
-    "provided_qos": _object_codec(_render_qos, _parse_qos),
-    "locator": _object_codec(_render_locator, _parse_locator),
-    "new_locator": _object_codec(_render_locator, _parse_locator, optional=True),
-    "result": _result_codec(),
-}
+def _field_codecs(cls: type) -> tuple[tuple[str, Callable, Callable], ...]:
+    # Resolved against this module's namespace: the annotations are strings.
+    hints = get_type_hints(cls, globals())
+    return tuple((f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True)
 class Primitive:
-    """Base class for every signaling message; trace name = class name."""
+    """Base class for every signaling message; trace name = class name.
+
+    A ``result`` field renders flat: ``result`` is "success" or "failure",
+    and a failure adds its ``reason``.
+    """
+
+    _codecs = ()  # (name, render, parse) of every field but `result`
+    _has_result = False
 
     def params(self) -> dict[str, Any]:
-        rendered: dict[str, Any] = {}
-        for field in dataclasses.fields(self):
-            codec = _FIELD_CODECS[field.name]
-            rendered.update(codec.render(field.name, getattr(self, field.name)))
+        rendered = {name: render(getattr(self, name)) for name, render, _ in self._codecs}
+        if self._has_result:
+            result = self.result
+            rendered["result"] = "success" if result.ok else "failure"
+            if not result.ok:
+                rendered["reason"] = result.reason
         return dict(sorted(rendered.items()))
 
     @classmethod
     def from_params(cls, params: dict[str, Any]) -> "Primitive":
-        kwargs = {
-            field.name: _FIELD_CODECS[field.name].parse(field.name, params)
-            for field in dataclasses.fields(cls)
-        }
+        kwargs = {name: parse(params[name]) for name, _, parse in cls._codecs}
+        if cls._has_result:
+            ok = params["result"] == "success"
+            kwargs["result"] = Result.success() if ok else Result.failure(params["reason"])
         return cls(**kwargs)
 
 
@@ -464,39 +415,14 @@ class TunnelStop(Primitive):
     flow: FlowId
 
 
-# Messages on the four service access points.
-SAP_PRIMITIVES: tuple[type[Primitive], ...] = (
-    ConstraintRequest,
-    ConstraintResponse,
-    HOExecutionRequest,
-    HOComplete,
-    LinkAttachRequest,
-    LinkSwitchRequest,
-    LinkAttachResponse,
-    LinkSwitchResponse,
-    LinkDetachRequest,
-    LinkDetachResponse,
-    PathSelect,
-    PathSelected,
-    AccessFlowSetup,
-    AccessFlowSetupResponse,
-    HandoverOccurred,
-    HandoverOccurredResponse,
-)
+def _with_codecs(cls: type[Primitive]) -> type[Primitive]:
+    cls._has_result = "result" in cls.__dataclass_fields__
+    cls._codecs = tuple(codec for codec in _field_codecs(cls) if codec[0] != "result")
+    return cls
 
-# Protocol-internal messages (daemon traffic), traced like primitives.
-INTERNAL_PRIMITIVES: tuple[type[Primitive], ...] = (
-    ProxyRouterAdvertisement,
-    FastBindingUpdate,
-    FastBindingAck,
-    BindingUpdate,
-    BindingAck,
-    TunnelStart,
-    TunnelStop,
-)
 
 PRIMITIVE_TYPES: dict[str, type[Primitive]] = {
-    cls.__name__: cls for cls in SAP_PRIMITIVES + INTERNAL_PRIMITIVES
+    cls.__name__: _with_codecs(cls) for cls in Primitive.__subclasses__()
 }
 
 

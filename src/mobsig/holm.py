@@ -3,23 +3,26 @@
 One HandoverContext tracks each execution request from arrival to its single
 HOComplete. Three tools are orchestrated:
 
-* mip_mbb  - attach the new link first, rebind, then free the old link
-             (needs simultaneous radio transmissions); service never breaks.
-* mip_bbm  - free the old link first, then attach, configure a locator and
-             rebind; service is down for the whole tail of the sequence.
-* fmip     - prepare the target over the old link, pick the locator before
-             attaching, switch radios and tunnel until the binding completes.
+* mbb   - attach the new link first, rebind, then free the old link
+          (needs simultaneous radio transmissions); service never breaks.
+* bbm   - free the old link first, then attach, configure a locator and
+          rebind; service is down for the whole tail of the sequence.
+* fmip  - prepare the target over the old link, pick the locator before
+          attaching, switch radios and tunnel until the binding completes.
 
 Flow establishment reuses the attach-first sequence without the final detach,
 since there is no previous access or binding to tear down.
 
 A failed step aborts the remaining sequence and reports the failure; no
 rollback or reattach is attempted.
+
+MRRM serializes handovers node-wide, so at most one request step is ever
+outstanding; HOLM keeps it in a single slot together with the response type
+that resumes it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable
@@ -43,14 +46,14 @@ from .core import (
     Result,
 )
 from .environment import Cell, Environment
-from .protocols import TOOL_FMIP, TOOL_MIP_BBM, TOOL_MIP_MBB, DaemonHost
+from .protocols import DaemonHost
 from .simkernel import Kernel, SimEvent, SimTime
 
 
 class Tool(Enum):
-    MIP_MBB = TOOL_MIP_MBB
-    MIP_BBM = TOOL_MIP_BBM
-    FMIP = TOOL_FMIP
+    MIP_MBB = "mbb"
+    MIP_BBM = "bbm"
+    FMIP = "fmip"
 
 
 class Phase(Enum):
@@ -63,13 +66,6 @@ class Phase(Enum):
     BINDING_UPDATING = auto()
     DONE = auto()
     FAILED = auto()
-
-
-VARIANT_NAMES = {
-    Tool.MIP_MBB: "mbb",
-    Tool.MIP_BBM: "bbm",
-    Tool.FMIP: "fmip",
-}
 
 
 @dataclass
@@ -102,7 +98,7 @@ class HandoverContext:
     def variant(self) -> str:
         if self.current is None:
             return "establishment"
-        return VARIANT_NAMES[self.tool]
+        return self.tool.value
 
 
 def select_tool(request: HOExecutionRequest, target_cell: Cell) -> Tool:
@@ -124,9 +120,6 @@ def interruption_time(ctx: HandoverContext) -> int:
     return ctx.t_restore - ctx.t_break
 
 
-_Waiter = tuple[HandoverContext, Callable]
-
-
 class Holm:
     """The HOLM functional entity."""
 
@@ -139,24 +132,22 @@ class Holm:
         self._table = flow_table
         self._contexts: dict[int, HandoverContext] = {}
         self.completed: list[HandoverContext] = []
-        self._pending_attach: deque[_Waiter] = deque()
-        self._pending_switch: deque[_Waiter] = deque()
-        self._pending_detach: deque[_Waiter] = deque()
-        self._pending_path: deque[_Waiter] = deque()
+        # (response type, context, continuation) of the outstanding request
+        self._waiting: tuple[type, HandoverContext, Callable] | None = None
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
-        match payload:
-            case HOExecutionRequest():
-                self._start(payload, event.at)
-            case LinkAttachResponse():
-                self._resume(self._pending_attach, payload)
-            case LinkSwitchResponse():
-                self._resume(self._pending_switch, payload)
-            case LinkDetachResponse():
-                self._resume(self._pending_detach, payload)
-            case PathSelected():
-                self._resume(self._pending_path, payload)
+        if isinstance(payload, HOExecutionRequest):
+            self._start(payload, event.at)
+            return
+        # A response nothing waits for is dropped: a stray one, or a late one
+        # for a context that has already ended.
+        waiting = self._waiting
+        if waiting is None or not isinstance(payload, waiting[0]):
+            return
+        self._waiting = None
+        _, ctx, cont = waiting
+        cont(self, ctx, payload)
 
     # -- sequence entry ---------------------------------------------------------
 
@@ -306,7 +297,7 @@ class Holm:
     # -- step helpers ----------------------------------------------------------------
 
     def _link_attach(self, ctx: HandoverContext, cont: Callable) -> None:
-        self._pending_attach.append((ctx, cont))
+        self._waiting = (LinkAttachResponse, ctx, cont)
         self._send(
             FE_MRRM,
             LinkAttachRequest(
@@ -316,7 +307,7 @@ class Holm:
 
     def _link_switch(self, ctx: HandoverContext, cont: Callable) -> None:
         assert ctx.current is not None
-        self._pending_switch.append((ctx, cont))
+        self._waiting = (LinkSwitchResponse, ctx, cont)
         self._send(
             FE_MRRM,
             LinkSwitchRequest(
@@ -329,12 +320,12 @@ class Holm:
 
     def _link_detach(self, ctx: HandoverContext, cont: Callable) -> None:
         assert ctx.current is not None
-        self._pending_detach.append((ctx, cont))
+        self._waiting = (LinkDetachResponse, ctx, cont)
         self._send(FE_MRRM, LinkDetachRequest(flow=ctx.flow, current=ctx.current))
 
     def _path_select(self, ctx: HandoverContext, fmip: bool, cont: Callable) -> None:
         ctx.advance(Phase.PATH_PENDING)
-        self._pending_path.append((ctx, cont))
+        self._waiting = (PathSelected, ctx, cont)
         self._send(
             FE_PATH_SELECTION,
             PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
@@ -343,16 +334,8 @@ class Holm:
     def _bind(self, ctx: HandoverContext, done: Callable[[Result], None]) -> None:
         ctx.advance(Phase.BINDING_UPDATING)
         assert ctx.new_locator is not None
-        daemon = self._daemons.daemon_for(ctx.tool.value)
+        daemon = self._daemons.fmip if ctx.tool is Tool.FMIP else self._daemons.mip
         daemon.update_binding(ctx, ctx.new_locator, done)
-
-    def _resume(self, queue: deque, response) -> None:
-        if not queue:
-            return  # response for a context that already aborted
-        ctx, cont = queue.popleft()
-        if ctx.phase is Phase.FAILED:
-            return
-        cont(self, ctx, response)
 
     def _complete(self, ctx: HandoverContext) -> None:
         ctx.advance(Phase.DONE)
@@ -368,14 +351,6 @@ class Holm:
     def _retire(self, ctx: HandoverContext) -> None:
         del self._contexts[ctx.flow]
         self.completed.append(ctx)
-        for queue in (
-            self._pending_attach,
-            self._pending_switch,
-            self._pending_detach,
-            self._pending_path,
-        ):
-            for entry in [e for e in queue if e[0] is ctx]:
-                queue.remove(entry)
 
     def _requested(self, ctx: HandoverContext):
         return self._table.get(ctx.flow).requested

@@ -1,10 +1,9 @@
 """Mobility protocol daemons: Mobile IP binding updates and FMIP extensions.
 
 Daemons are invoked node-internally (plain method calls with completion
-callbacks); the messages they exchange with the network side travel over the
-event bus between the Daemon and Env entities and therefore show up in the
-trace. A toolbox keyed by tool name lets new protocols plug in without
-touching the handover orchestration.
+callbacks); the messages they exchange with the network side travel through the
+event kernel between the Daemon and Env entities and therefore show up in the
+trace.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ from .core import (
 from .environment import Environment
 from .simkernel import Kernel, SimEvent
 
-TOOL_MIP_MBB = "mip_mbb"
-TOOL_MIP_BBM = "mip_bbm"
-TOOL_FMIP = "fmip"
-
-
 class HandoverState(Protocol):
     """What a daemon needs to know about the handover it serves."""
 
@@ -54,8 +48,6 @@ class FmipState:
 
 class MipDaemon:
     """Mobile IP locator binding: one BindingUpdate/BindingAck pair per handover."""
-
-    supports_preparation = False
 
     def __init__(self, host: "DaemonHost") -> None:
         self._host = host
@@ -85,8 +77,6 @@ class MipDaemon:
 
 class FmipDaemon(MipDaemon):
     """FMIP: prepares the target over the old link and tunnels across the switch."""
-
-    supports_preparation = True
 
     def __init__(self, host: "DaemonHost") -> None:
         super().__init__(host)
@@ -209,17 +199,6 @@ class DaemonHost:
         self._fmip_contexts: dict[int, HandoverState] = {}
         self.mip = MipDaemon(self)
         self.fmip = FmipDaemon(self)
-        self.toolbox: dict[str, MipDaemon] = {
-            TOOL_MIP_MBB: self.mip,
-            TOOL_MIP_BBM: self.mip,
-            TOOL_FMIP: self.fmip,
-        }
-
-    def daemon_for(self, tool: str) -> MipDaemon:
-        try:
-            return self.toolbox[tool]
-        except KeyError:
-            raise ValueError(f"no daemon registered for tool {tool!r}") from None
 
     # -- plumbing shared by the daemons -----------------------------------------
 

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event kernel: clock, queue, event bus, trace recording.
+"""Deterministic discrete-event kernel: clock, queue, handler registry, trace recording.
 
 Time is an integer microsecond count. Events are processed in (at, seq) order
 where seq is a global insertion counter, so same-instant deliveries happen in
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from .core import Primitive, primitive_name
+from .core import primitive_name
 
 SimTime = int  # microseconds
 
@@ -54,14 +54,12 @@ class TraceRecord:
     line: int | None = None  # 1-based source line when parsed from a file
 
     def to_json(self) -> str:
-        obj = {
-            "t": self.at,
-            "from": self.sender,
-            "to": self.receiver,
-            "msg": self.name,
-            "params": _sorted_params(self.params),
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        head = json.dumps(
+            {"t": self.at, "from": self.sender, "to": self.receiver, "msg": self.name},
+            separators=(",", ":"),
+        )
+        params = json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+        return f'{head[:-1]},"params":{params}}}'
 
     @classmethod
     def from_json(cls, line: str, lineno: int | None = None) -> "TraceRecord":
@@ -83,15 +81,6 @@ class TraceRecord:
             params=obj["params"],
             line=lineno,
         )
-
-
-def _sorted_params(value: Any) -> Any:
-    """Canonicalize params: dict keys sorted recursively, lists kept in order."""
-    if isinstance(value, dict):
-        return {key: _sorted_params(value[key]) for key in sorted(value)}
-    if isinstance(value, list):
-        return [_sorted_params(v) for v in value]
-    return value
 
 
 class TraceRecorder:
@@ -135,18 +124,6 @@ class _Call:
     fn: Callable[[], None]
 
 
-@dataclass
-class Subscription:
-    """Cancellable handle for an observer registration."""
-
-    _observers: list
-    _entry: tuple = field(repr=False, default=())
-
-    def cancel(self) -> None:
-        if self._entry in self._observers:
-            self._observers.remove(self._entry)
-
-
 class Kernel:
     """Event queue plus the FE registry; owns the clock."""
 
@@ -155,10 +132,7 @@ class Kernel:
         self._seq = 0
         self._queue: list[tuple[SimTime, int, SimEvent]] = []
         self._handlers: dict[str, Callable[[SimEvent], None]] = {}
-        self._observers: list[tuple[Callable[[SimEvent], None], Callable[[str], bool]]] = []
         self.recorder = recorder
-        if recorder is not None:
-            self._observers.append((recorder.on_delivery, lambda _name: True))
 
     @property
     def now(self) -> SimTime:
@@ -187,19 +161,6 @@ class Kernel:
         """Schedule an internal (untraced) call attributed to an FE."""
         self.schedule(delay_us, owner, owner, _Call(fn))
 
-    def subscribe(self, fe_id: str, name_filter: Callable[[str], bool]) -> Subscription:
-        """Deliver copies of matching primitives addressed to other FEs to fe_id."""
-        if fe_id not in self._handlers:
-            raise ConfigurationError(f"unknown subscriber FE: {fe_id!r}")
-
-        def observer(event: SimEvent) -> None:
-            if event.receiver != fe_id:
-                self._handlers[fe_id](event)
-
-        entry = (observer, name_filter)
-        self._observers.append(entry)
-        return Subscription(self._observers, entry)
-
     def run_until_quiescent(self, limit_us: SimTime | None = None) -> SimTime:
         """Process events in (at, seq) order until the queue drains.
 
@@ -223,10 +184,8 @@ class Kernel:
             if isinstance(event.payload, _Call):
                 event.payload.fn()
                 return
-            name = primitive_name(event.payload)
-            for observer, name_filter in self._observers:
-                if name_filter(name):
-                    observer(event)
+            if self.recorder is not None:
+                self.recorder.on_delivery(event)
             self._handlers[event.receiver](event)
         except SimulationError:
             raise

@@ -334,6 +334,21 @@ class TestCheckTrace:
             assert not verdict.ok
             assert verdict.rule == "ambiguous-attribution"
 
+    def test_ambiguity_names_its_location_once(self, tmp_path):
+        records = [
+            rec("HOExecutionRequest", flow=1, current=ACC_A, target=ACC_B, mbb_flag=True),
+            rec("HOExecutionRequest", flow=2, current=ACC_A, target=ACC_B, mbb_flag=True),
+            rec("HOComplete", result="success"),
+        ]
+        text = check_trace(records).describe()
+        assert text.startswith("record 2: HOComplete carries no flow id")
+        assert text.count("record 2") == 1
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(r.to_json() + "\n" for r in records), encoding="utf-8")
+        text = check_trace(load_trace(str(path))).describe()
+        assert text.startswith("line 3: HOComplete carries no flow id")
+        assert text.count("line 3") == 1
+
     def test_line_numbers_surface_in_descriptions(self):
         records = mbb_slice()
         records[5], records[6] = records[6], records[5]

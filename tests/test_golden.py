@@ -1,0 +1,53 @@
+"""Byte identity: runs made the way `mobsig run` makes them match bench/golden.json.
+
+The golden file holds the SHA-256 of every trace and metrics file the benchmark
+produces at its golden seed. This suite reruns the four bundled scenarios and
+the generated multi-flow scenario through the CLI and compares both digests,
+so a change that alters a single output byte fails here as well as in the
+benchmark. The files under bench/ are only read.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from mobsig import cli
+
+BUNDLED = ("mbb", "bbm", "fmip", "multi")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+
+
+def load_generator():
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_digests(scenario: Path, out_dir: Path) -> dict[str, str]:
+    trace, metrics = out_dir / "trace.jsonl", out_dir / "metrics.json"
+    argv = ["run", "--scenario", str(scenario), "--trace", str(trace), "--metrics", str(metrics)]
+    assert cli.main(argv) == 0
+    return {
+        "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+        "metrics": hashlib.sha256(metrics.read_bytes()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_matches_golden_digests(name, scenario_path, tmp_path):
+    expected = GOLDEN["workloads"]["sweep-small"][f"bundled-{name}"]
+    assert run_digests(scenario_path(name), tmp_path) == expected
+
+
+def test_generated_multiflow_run_matches_golden_digests(tmp_path):
+    gen = load_generator()
+    [scenario] = gen.write_workload("multiflow-dense", GOLDEN["seed"], tmp_path / "scenarios")
+    expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
+    assert run_digests(scenario, tmp_path) == expected

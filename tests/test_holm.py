@@ -2,7 +2,17 @@
 
 import pytest
 
-from mobsig.core import FE_HOLM, FE_MRRM, HOExecutionRequest
+from mobsig.core import (
+    FE_HOLM,
+    FE_MRRM,
+    FE_PATH_SELECTION,
+    HOExecutionRequest,
+    LinkAttachResponse,
+    Locator,
+    PathSelected,
+    QosSpec,
+    Result,
+)
 from mobsig.holm import (
     HandoverContext,
     Phase,
@@ -253,3 +263,41 @@ class TestSerialization:
             gaps[variant] = interruption_time(node.holm.completed[0])
         assert gaps["mbb"] == 0
         assert gaps["mbb"] < gaps["fmip"] < gaps["bbm"]
+
+
+class TestUnexpectedResponses:
+    def test_response_of_another_kind_is_ignored(self):
+        node, a, _ = colocated_node()
+        stray = Locator(address="stray", access=a, kind="care_of")
+        # arrives while the 50 ms attach is outstanding
+        node.kernel.schedule(
+            10_000,
+            FE_PATH_SELECTION,
+            FE_HOLM,
+            PathSelected(result=Result.success(), new_locator=stray),
+        )
+        request_handover(node, 1, current=None, target=a, mbb_flag=False)
+        expected = ESTABLISHMENT_SEQUENCE[:2] + ["PathSelected"] + ESTABLISHMENT_SEQUENCE[2:]
+        assert node.names(sequence_only=True) == expected
+        [ctx] = node.holm.completed
+        assert ctx.phase is Phase.DONE
+        assert ctx.new_locator != stray
+
+    def test_response_after_its_context_failed_is_ignored(self):
+        node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
+        node.attach_now(1, a)
+        request_handover(node, 1, current=a, target=b, mbb_flag=False)
+        [ctx] = node.holm.completed
+        assert ctx.phase is Phase.FAILED
+        before = len(node.recorder.records)
+        late = (
+            LinkAttachResponse(result=Result.success(), granted_qos=QosSpec(800, 90)),
+            PathSelected(result=Result.success(), new_locator=Locator("late", b, "care_of")),
+        )
+        for payload in late:
+            node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
+        node.run()
+        names = [record.name for record in node.recorder.records[before:]]
+        assert names == ["LinkAttachResponse", "PathSelected"]
+        assert node.holm.completed == [ctx]
+        assert ctx.phase is Phase.FAILED

@@ -13,7 +13,7 @@ from mobsig.core import (
     Result,
 )
 from mobsig.environment import Environment
-from mobsig.protocols import TOOL_FMIP, TOOL_MIP_BBM, TOOL_MIP_MBB, DaemonHost
+from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, TraceRecorder
 
 from support import REQUESTED, make_cell, still_trajectory
@@ -175,17 +175,3 @@ class TestTunnel:
         with pytest.raises(ValueError):
             daemons.fmip.tunnel(Ctx(1, a, b), "pause")
 
-
-class TestDaemonHost:
-    def test_toolbox_maps_tools_to_daemons(self):
-        _, _, _, daemons, _, _ = build_host()
-        assert daemons.daemon_for(TOOL_MIP_MBB) is daemons.mip
-        assert daemons.daemon_for(TOOL_MIP_BBM) is daemons.mip
-        assert daemons.daemon_for(TOOL_FMIP) is daemons.fmip
-        with pytest.raises(ValueError):
-            daemons.daemon_for("carrier_pigeon")
-
-    def test_preparation_support_flags(self):
-        _, _, _, daemons, _, _ = build_host()
-        assert daemons.fmip.supports_preparation
-        assert not daemons.mip.supports_preparation

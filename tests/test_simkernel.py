@@ -1,4 +1,4 @@
-"""Event kernel ordering, observers, and the JSON-Lines trace format."""
+"""Event kernel ordering and the JSON-Lines trace format."""
 
 import pytest
 
@@ -96,48 +96,6 @@ class TestCallLater:
         kernel.run_until_quiescent()
         assert seen == [25]
         assert recorder.records == []
-
-
-class TestSubscribe:
-    def test_observer_sees_foreign_deliveries_first(self):
-        kernel = Kernel()
-        order = []
-        kernel.register("A", lambda e: order.append("handler"))
-        kernel.register("Spy", lambda e: order.append("spy"))
-        kernel.subscribe("Spy", lambda name: name == "TunnelStop")
-        kernel.schedule(0, "B", "A", TunnelStop(flow=1))
-        kernel.run_until_quiescent()
-        assert order == ["spy", "handler"]
-
-    def test_observer_skips_its_own_deliveries(self):
-        kernel = Kernel()
-        spy_calls = []
-        kernel.register("Spy", lambda e: spy_calls.append(e))
-        kernel.subscribe("Spy", lambda name: True)
-        kernel.schedule(0, "B", "Spy", TunnelStop(flow=1))
-        kernel.run_until_quiescent()
-        # delivered once as addressee, not again as observer
-        assert len(spy_calls) == 1
-
-    def test_name_filter_and_cancel(self):
-        kernel = Kernel()
-        seen = []
-        kernel.register("A", lambda e: None)
-        kernel.register("Spy", lambda e: seen.append(type(e.payload).__name__))
-        subscription = kernel.subscribe("Spy", lambda name: name == "HOComplete")
-        kernel.schedule(0, "B", "A", TunnelStop(flow=1))
-        kernel.schedule(0, "B", "A", HOComplete(result=Result.success()))
-        kernel.run_until_quiescent()
-        assert seen == ["HOComplete"]
-        subscription.cancel()
-        kernel.schedule(0, "B", "A", HOComplete(result=Result.success()))
-        kernel.run_until_quiescent()
-        assert seen == ["HOComplete"]
-
-    def test_requires_registered_subscriber(self):
-        kernel = Kernel()
-        with pytest.raises(ConfigurationError):
-            kernel.subscribe("ghost", lambda name: True)
 
 
 class TestTraceRecord:
