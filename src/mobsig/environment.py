@@ -115,7 +115,8 @@ class Environment:
     def handle(self, event) -> None:
         """Network-side sink; daemon traffic addressed to Env needs no reaction."""
 
-    def _latency(self, base_us: int) -> int:
+    def latency(self, base_us: int) -> int:
+        """base_us plus seeded jitter; link and daemon delays share one generator."""
         if self._jitter_us and self._rng is not None:
             return base_us + self._rng.randint(0, self._jitter_us)
         return base_us
@@ -173,7 +174,7 @@ class Environment:
             self._later(0, lambda: done(Result.failure("already_attached"), None))
             return
         if not self.in_range(target, self._kernel.now):
-            delay = self._latency(cell.link_setup_us)
+            delay = self.latency(cell.link_setup_us)
             self._later(delay, lambda: done(Result.failure("out_of_coverage"), None))
             return
         granted = clamp_qos(requested, cell.capacity_qos)
@@ -199,7 +200,7 @@ class Environment:
             )
             done(Result.success(), granted)
 
-        self._later(self._latency(cell.link_setup_us), complete)
+        self._later(self.latency(cell.link_setup_us), complete)
 
     def link_detach(
         self, flow: int, current: AccessId, done: Callable[[Result], None]
@@ -228,7 +229,7 @@ class Environment:
             )
             done(Result.success())
 
-        self._later(self._latency(cell.link_teardown_us), complete)
+        self._later(self.latency(cell.link_teardown_us), complete)
 
     def allocate_locator(
         self,
@@ -252,7 +253,7 @@ class Environment:
             if not self.attached(flow, access):
                 self._later(0, lambda: done(Result.failure("not_attached"), None))
                 return
-            delay = self._latency(cell.locator_config_us)
+            delay = self.latency(cell.locator_config_us)
 
         def complete() -> None:
             self._locator_counter += 1

@@ -1,8 +1,11 @@
-"""Handover orchestration: tool selection and the per-tool signaling sequences.
+"""Handover orchestration: tool selection and the step table every variant runs.
 
 One HandoverContext tracks each execution request from arrival to its single
-HOComplete. Three tools are orchestrated:
+HOComplete. The signaling exchange is generic: STEPS maps each variant to its
+ordered steps, and one step loop runs every row.
 
+* establishment - attach the first link, configure a locator and bind; there
+                  is no previous access or binding to tear down.
 * mbb   - attach the new link first, rebind, then free the old link
           (needs simultaneous radio transmissions); service never breaks.
 * bbm   - free the old link first, then attach, configure a locator and
@@ -10,23 +13,18 @@ HOComplete. Three tools are orchestrated:
 * fmip  - prepare the target over the old link, pick the locator before
           attaching, switch radios and tunnel until the binding completes.
 
-Flow establishment reuses the attach-first sequence without the final detach,
-since there is no previous access or binding to tear down.
-
-A failed step aborts the remaining sequence and reports the failure; no
-rollback or reattach is attempted.
+Every step ends in one completion. A failed step aborts the rest of the row
+and reports the failure; no rollback or reattach is attempted. A successful
+step records its outcome on the context and starts the next step.
 
 MRRM serializes handovers node-wide, so at most one request step is ever
 outstanding; HOLM keeps it in a single slot together with the response type
 that resumes it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable
-
 from .core import (
     FE_HOLM,
     FE_MRRM,
@@ -43,6 +41,7 @@ from .core import (
     Locator,
     PathSelect,
     PathSelected,
+    Primitive,
     Result,
 )
 from .environment import Cell, Environment
@@ -84,6 +83,7 @@ class HandoverContext:
     new_locator: Locator | None = None
     failure_reason: str | None = None
     history: list[Phase] = field(default_factory=list)
+    step: int = 0  # index into STEPS[variant] of the step under way
 
     def __post_init__(self) -> None:
         self.history.append(self.phase)
@@ -99,6 +99,16 @@ class HandoverContext:
         if self.current is None:
             return "establishment"
         return self.tool.value
+
+
+# The ordered steps of each variant. Holm._begin starts a step; Holm._step_done
+# ends it and starts the next.
+STEPS: dict[str, tuple[str, ...]] = {
+    "establishment": ("attach", "path", "bind"),
+    "mbb": ("attach", "path", "bind", "detach"),
+    "bbm": ("detach", "attach", "path", "bind"),
+    "fmip": ("prepare", "path", "switch", "tunnel_start", "bind", "tunnel_stop"),
+}
 
 
 def select_tool(request: HOExecutionRequest, target_cell: Cell) -> Tool:
@@ -132,8 +142,8 @@ class Holm:
         self._table = flow_table
         self._contexts: dict[int, HandoverContext] = {}
         self.completed: list[HandoverContext] = []
-        # (response type, context, continuation) of the outstanding request
-        self._waiting: tuple[type, HandoverContext, Callable] | None = None
+        # (response type, context) of the outstanding request
+        self._waiting: tuple[type, HandoverContext] | None = None
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -146,10 +156,7 @@ class Holm:
         if waiting is None or not isinstance(payload, waiting[0]):
             return
         self._waiting = None
-        _, ctx, cont = waiting
-        cont(self, ctx, payload)
-
-    # -- sequence entry ---------------------------------------------------------
+        self._step_done(waiting[1], payload.result, payload)
 
     def _start(self, request: HOExecutionRequest, at: SimTime) -> None:
         if request.flow in self._contexts:
@@ -168,192 +175,111 @@ class Holm:
             old_locator=self._daemons.flow_locators.get(request.flow),
         )
         self._contexts[request.flow] = ctx
-        if request.current is None or tool is Tool.MIP_MBB:
-            self._begin_attach_first(ctx)
-        elif tool is Tool.MIP_BBM:
-            self._begin_detach_first(ctx)
-        else:
-            self._begin_fmip(ctx)
+        self._begin(ctx)
 
-    # -- attach-first (establishment and make-before-break) ----------------------
-
-    def _begin_attach_first(self, ctx: HandoverContext) -> None:
-        ctx.advance(Phase.LINK_CHANGING)
-        self._link_attach(ctx, Holm._attach_first_attached)
-
-    def _attach_first_attached(self, ctx: HandoverContext, resp: LinkAttachResponse) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
+    def _begin(self, ctx: HandoverContext) -> None:
+        """Start the context's next step, or complete it after its last one."""
+        steps = STEPS[ctx.variant]
+        if ctx.step == len(steps):
+            self._finish(ctx, Result.success())
             return
-        self._path_select(ctx, fmip=False, cont=Holm._attach_first_path_done)
+        step = steps[ctx.step]
+        if step in ("attach", "detach", "switch") and Phase.LINK_CHANGING not in ctx.history:
+            ctx.advance(Phase.LINK_CHANGING)
+        if step in ("detach", "switch") and ctx.t_break is None:
+            ctx.t_break = self._kernel.now
+        match step:
+            case "attach":
+                requested = self._table.get(ctx.flow).requested
+                self._request(
+                    ctx,
+                    LinkAttachResponse,
+                    FE_MRRM,
+                    LinkAttachRequest(flow=ctx.flow, target=ctx.target, requested_qos=requested),
+                )
+            case "detach":
+                assert ctx.current is not None
+                self._request(
+                    ctx,
+                    LinkDetachResponse,
+                    FE_MRRM,
+                    LinkDetachRequest(flow=ctx.flow, current=ctx.current),
+                )
+            case "switch":
+                assert ctx.current is not None
+                requested = self._table.get(ctx.flow).requested
+                self._request(
+                    ctx,
+                    LinkSwitchResponse,
+                    FE_MRRM,
+                    LinkSwitchRequest(
+                        flow=ctx.flow,
+                        current=ctx.current,
+                        target=ctx.target,
+                        requested_qos=requested,
+                    ),
+                )
+            case "path":
+                ctx.advance(Phase.PATH_PENDING)
+                fmip = ctx.tool is Tool.FMIP
+                self._request(
+                    ctx,
+                    PathSelected,
+                    FE_PATH_SELECTION,
+                    PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
+                )
+            case "prepare":
+                ctx.advance(Phase.PREPARING)
+                self._daemons.prepare(ctx, lambda result: self._step_done(ctx, result))
+            case "bind":
+                ctx.advance(Phase.BINDING_UPDATING)
+                assert ctx.new_locator is not None
+                self._daemons.update_binding(
+                    ctx, ctx.new_locator, lambda result: self._step_done(ctx, result)
+                )
+            case "tunnel_start":
+                self._step_done(ctx, self._daemons.tunnel_start(ctx))
+            case "tunnel_stop":
+                self._step_done(ctx, self._daemons.tunnel_stop(ctx))
 
-    def _attach_first_path_done(self, ctx: HandoverContext, resp: PathSelected) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        ctx.new_locator = resp.new_locator
-        ctx.advance(Phase.PATH_DONE)
-        self._bind(ctx, lambda result: self._attach_first_bound(ctx, result))
-
-    def _attach_first_bound(self, ctx: HandoverContext, result: Result) -> None:
+    def _step_done(
+        self, ctx: HandoverContext, result: Result, reply: Primitive | None = None
+    ) -> None:
+        """Fail the handover on a failed step; else record the outcome and go on."""
         if not result.ok:
-            self._fail(ctx, result.reason)
+            ctx.failure_reason = result.reason or "failed"
+            self._finish(ctx, Result.failure(ctx.failure_reason))
             return
-        # The locator switch is the service hand-off instant; the old link is
-        # still up, so there is no gap.
-        ctx.t_break = self._kernel.now
-        ctx.t_restore = self._kernel.now
-        if ctx.current is None:
-            self._complete(ctx)
-            return
-        self._link_detach(ctx, Holm._attach_first_detached)
+        now = self._kernel.now
+        match STEPS[ctx.variant][ctx.step]:
+            case "prepare":
+                ctx.advance(Phase.PREPARED)
+            case "path":
+                assert isinstance(reply, PathSelected)
+                ctx.new_locator = reply.new_locator
+                ctx.advance(Phase.PATH_DONE)
+            case "tunnel_start":
+                # Forwarding over the tunnel restores service at attach time.
+                ctx.t_restore = now
+            case "bind":
+                # Without an earlier break or tunnel, the locator switch is the
+                # service hand-off instant: the old link is still up, so no gap.
+                if ctx.t_break is None:
+                    ctx.t_break = now
+                if ctx.t_restore is None:
+                    ctx.t_restore = now
+        ctx.step += 1
+        self._begin(ctx)
 
-    def _attach_first_detached(self, ctx: HandoverContext, resp: LinkDetachResponse) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        self._complete(ctx)
-
-    # -- detach-first (break-before-make) -----------------------------------------
-
-    def _begin_detach_first(self, ctx: HandoverContext) -> None:
-        ctx.advance(Phase.LINK_CHANGING)
-        ctx.t_break = self._kernel.now
-        self._link_detach(ctx, Holm._detach_first_detached)
-
-    def _detach_first_detached(self, ctx: HandoverContext, resp: LinkDetachResponse) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        self._link_attach(ctx, Holm._detach_first_attached)
-
-    def _detach_first_attached(self, ctx: HandoverContext, resp: LinkAttachResponse) -> None:
-        if not resp.result.ok:
-            # The old link is already gone; end failed without reattaching.
-            self._fail(ctx, resp.result.reason)
-            return
-        self._path_select(ctx, fmip=False, cont=Holm._detach_first_path_done)
-
-    def _detach_first_path_done(self, ctx: HandoverContext, resp: PathSelected) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        ctx.new_locator = resp.new_locator
-        ctx.advance(Phase.PATH_DONE)
-        self._bind(ctx, lambda result: self._detach_first_bound(ctx, result))
-
-    def _detach_first_bound(self, ctx: HandoverContext, result: Result) -> None:
-        if not result.ok:
-            self._fail(ctx, result.reason)
-            return
-        ctx.t_restore = self._kernel.now
-        self._complete(ctx)
-
-    # -- fmip ---------------------------------------------------------------------
-
-    def _begin_fmip(self, ctx: HandoverContext) -> None:
-        ctx.advance(Phase.PREPARING)
-        self._daemons.fmip.prepare(ctx, lambda result: self._fmip_prepared(ctx, result))
-
-    def _fmip_prepared(self, ctx: HandoverContext, result: Result) -> None:
-        if not result.ok:
-            self._fail(ctx, result.reason)
-            return
-        ctx.advance(Phase.PREPARED)
-        self._path_select(ctx, fmip=True, cont=Holm._fmip_path_done)
-
-    def _fmip_path_done(self, ctx: HandoverContext, resp: PathSelected) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        ctx.new_locator = resp.new_locator
-        ctx.advance(Phase.PATH_DONE)
-        ctx.advance(Phase.LINK_CHANGING)
-        ctx.t_break = self._kernel.now
-        self._link_switch(ctx, Holm._fmip_switched)
-
-    def _fmip_switched(self, ctx: HandoverContext, resp: LinkSwitchResponse) -> None:
-        if not resp.result.ok:
-            self._fail(ctx, resp.result.reason)
-            return
-        started = self._daemons.fmip.tunnel(ctx, "start")
-        if not started.ok:
-            self._fail(ctx, started.reason)
-            return
-        # Forwarding over the tunnel restores service at attach time.
-        ctx.t_restore = self._kernel.now
-        self._bind(ctx, lambda result: self._fmip_bound(ctx, result))
-
-    def _fmip_bound(self, ctx: HandoverContext, result: Result) -> None:
-        if not result.ok:
-            self._fail(ctx, result.reason)
-            return
-        stopped = self._daemons.fmip.tunnel(ctx, "stop")
-        if not stopped.ok:
-            self._fail(ctx, stopped.reason)
-            return
-        self._complete(ctx)
-
-    # -- step helpers ----------------------------------------------------------------
-
-    def _link_attach(self, ctx: HandoverContext, cont: Callable) -> None:
-        self._waiting = (LinkAttachResponse, ctx, cont)
-        self._send(
-            FE_MRRM,
-            LinkAttachRequest(
-                flow=ctx.flow, target=ctx.target, requested_qos=self._requested(ctx)
-            ),
-        )
-
-    def _link_switch(self, ctx: HandoverContext, cont: Callable) -> None:
-        assert ctx.current is not None
-        self._waiting = (LinkSwitchResponse, ctx, cont)
-        self._send(
-            FE_MRRM,
-            LinkSwitchRequest(
-                flow=ctx.flow,
-                current=ctx.current,
-                target=ctx.target,
-                requested_qos=self._requested(ctx),
-            ),
-        )
-
-    def _link_detach(self, ctx: HandoverContext, cont: Callable) -> None:
-        assert ctx.current is not None
-        self._waiting = (LinkDetachResponse, ctx, cont)
-        self._send(FE_MRRM, LinkDetachRequest(flow=ctx.flow, current=ctx.current))
-
-    def _path_select(self, ctx: HandoverContext, fmip: bool, cont: Callable) -> None:
-        ctx.advance(Phase.PATH_PENDING)
-        self._waiting = (PathSelected, ctx, cont)
-        self._send(
-            FE_PATH_SELECTION,
-            PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
-        )
-
-    def _bind(self, ctx: HandoverContext, done: Callable[[Result], None]) -> None:
-        ctx.advance(Phase.BINDING_UPDATING)
-        assert ctx.new_locator is not None
-        daemon = self._daemons.fmip if ctx.tool is Tool.FMIP else self._daemons.mip
-        daemon.update_binding(ctx, ctx.new_locator, done)
-
-    def _complete(self, ctx: HandoverContext) -> None:
-        ctx.advance(Phase.DONE)
-        self._retire(ctx)
-        self._send(FE_MRRM, HOComplete(result=Result.success()))
-
-    def _fail(self, ctx: HandoverContext, reason: str | None) -> None:
-        ctx.failure_reason = reason or "failed"
-        ctx.advance(Phase.FAILED)
-        self._retire(ctx)
-        self._send(FE_MRRM, HOComplete(result=Result.failure(ctx.failure_reason)))
-
-    def _retire(self, ctx: HandoverContext) -> None:
+    def _finish(self, ctx: HandoverContext, result: Result) -> None:
+        ctx.advance(Phase.DONE if result.ok else Phase.FAILED)
         del self._contexts[ctx.flow]
         self.completed.append(ctx)
+        self._send(FE_MRRM, HOComplete(result=result))
 
-    def _requested(self, ctx: HandoverContext):
-        return self._table.get(ctx.flow).requested
+    def _request(self, ctx: HandoverContext, reply: type, receiver: str, message) -> None:
+        self._waiting = (reply, ctx)
+        self._send(receiver, message)
 
     def _send(self, receiver: str, payload) -> None:
         self._kernel.schedule(0, FE_HOLM, receiver, payload)

@@ -23,6 +23,8 @@ from .core import (
     Result,
 )
 from .environment import Environment
+from .flowmgmt import FlowTable
+from .protocols import DaemonHost
 from .simkernel import Kernel, SimEvent, TraceRecorder
 
 ANNOTATION_UNKNOWN_ACCESS = "UnknownAccessRated"
@@ -63,16 +65,15 @@ class PathSelection:
         recorder: TraceRecorder,
         env: Environment,
         models: dict[AccessId, PathModel],
-        flow_requested_qos,
-        fmip_daemon,
+        flow_table: FlowTable,
+        daemons: DaemonHost,
     ) -> None:
         self._kernel = kernel
         self._recorder = recorder
         self._env = env
         self._models = dict(models)
-        # callable flow -> QosSpec; the flow table lives with the simulation
-        self._requested_qos = flow_requested_qos
-        self._fmip = fmip_daemon
+        self._table = flow_table
+        self._daemons = daemons
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -83,7 +84,7 @@ class PathSelection:
 
     def rate_accesses(self, request: ConstraintRequest) -> ConstraintResponse:
         """Deterministically rate every candidate, preserving request order."""
-        requested = self._requested_qos(request.flow)
+        requested = self._table.get(request.flow).requested
         ratings = []
         unknown = []
         for access in request.candidates:
@@ -109,7 +110,7 @@ class PathSelection:
             if not self._env.cell(request.target).supports_fmip:
                 self._respond_failure("fmip_unsupported")
                 return
-            if self._fmip.state(request.flow).prepared_for != request.target:
+            if self._daemons.state(request.flow).prepared_for != request.target:
                 self._respond_failure("not_prepared")
                 return
             proactive = True

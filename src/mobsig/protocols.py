@@ -1,14 +1,13 @@
-"""Mobility protocol daemons: Mobile IP binding updates and FMIP extensions.
+"""The Daemon entity: Mobile IP binding updates and the FMIP extensions.
 
-Daemons are invoked node-internally (plain method calls with completion
-callbacks); the messages they exchange with the network side travel through the
-event kernel between the Daemon and Env entities and therefore show up in the
-trace.
+HOLM invokes the daemon node-internally (plain method calls; the slow calls
+finish through a completion callback). The messages it exchanges with the
+network side travel through the event kernel between the Daemon and Env
+entities and therefore show up in the trace.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -29,8 +28,9 @@ from .core import (
 from .environment import Environment
 from .simkernel import Kernel, SimEvent
 
+
 class HandoverState(Protocol):
-    """What a daemon needs to know about the handover it serves."""
+    """What the daemon needs to know about the handover it serves."""
 
     flow: int
     current: AccessId | None
@@ -46,191 +46,142 @@ class FmipState:
     binding_acked: bool = False
 
 
-class MipDaemon:
-    """Mobile IP locator binding: one BindingUpdate/BindingAck pair per handover."""
+class DaemonHost:
+    """The Daemon functional entity.
 
-    def __init__(self, host: "DaemonHost") -> None:
-        self._host = host
+    Mobile IP binding is one BindingUpdate/BindingAck pair per handover. FMIP
+    prepares the target over the old link and tunnels across the switch.
+    """
+
+    def __init__(
+        self, kernel: Kernel, env: Environment, binding_rtt_us: int, fmip_oneway_us: int
+    ) -> None:
+        self._kernel = kernel
+        self._env = env
+        self._binding_rtt_us = binding_rtt_us
+        self._fmip_oneway_us = fmip_oneway_us
+        self.flow_locators: dict[int, Locator] = {}
+        self._states: dict[int, FmipState] = {}
+        # flow -> (new locator, completion) of the binding update in flight
+        self._binding_waiters: dict[int, tuple[Locator, Callable[[Result], None]]] = {}
+        # flow -> (handover, completion) of the preparation in flight
+        self._preparations: dict[int, tuple[HandoverState, Callable[[Result], None]]] = {}
+
+    def state(self, flow: int) -> FmipState:
+        return self._states.setdefault(flow, FmipState())
 
     def update_binding(
         self, ctx: HandoverState, new_locator: Locator, done: Callable[[Result], None]
     ) -> None:
-        host = self._host
-        if not host.env.locator_valid(new_locator):
-            host.later(0, lambda: done(Result.failure("stale_locator")))
+        if not self._env.locator_valid(new_locator):
+            self._kernel.call_later(0, lambda: done(Result.failure("stale_locator")), FE_DAEMON)
             return
-        host.send(FE_DAEMON, FE_ENVIRONMENT, BindingUpdate(flow=ctx.flow, locator=new_locator))
-
-        def acked(result: Result) -> None:
-            if result.ok:
-                host.flow_locators[ctx.flow] = new_locator
-            done(result)
-
-        host.expect_binding_ack(ctx.flow, acked)
-        host.send_delayed(
-            host.latency(host.binding_rtt_us),
+        self._kernel.schedule(
+            0, FE_DAEMON, FE_ENVIRONMENT, BindingUpdate(flow=ctx.flow, locator=new_locator)
+        )
+        self._binding_waiters[ctx.flow] = (new_locator, done)
+        self._kernel.schedule(
+            self._env.latency(self._binding_rtt_us),
             FE_ENVIRONMENT,
             FE_DAEMON,
             BindingAck(flow=ctx.flow, result=Result.success()),
         )
 
-
-class FmipDaemon(MipDaemon):
-    """FMIP: prepares the target over the old link and tunnels across the switch."""
-
-    def __init__(self, host: "DaemonHost") -> None:
-        super().__init__(host)
-        self._states: dict[int, FmipState] = {}
-        self._prepare_done: dict[int, Callable[[Result], None]] = {}
-
-    def state(self, flow: int) -> FmipState:
-        return self._states.setdefault(flow, FmipState())
-
     def prepare(self, ctx: HandoverState, done: Callable[[Result], None]) -> None:
         """Run PrRtAdv -> FBU -> FBAck over the current link, one-way latency each."""
-        host = self._host
-        if ctx.current is None or not host.env.attached(ctx.flow, ctx.current):
-            host.later(0, lambda: done(Result.failure("link_lost")))
+        if not self._on_old_link(ctx):
+            self._kernel.call_later(0, lambda: done(Result.failure("link_lost")), FE_DAEMON)
             return
-        if not host.env.cell(ctx.target).supports_fmip:
-            host.later(0, lambda: done(Result.failure("fmip_unsupported")))
+        if not self._env.cell(ctx.target).supports_fmip:
+            self._kernel.call_later(
+                0, lambda: done(Result.failure("fmip_unsupported")), FE_DAEMON
+            )
             return
-        host.track_fmip(ctx)
-        self._prepare_done[ctx.flow] = done
+        self._preparations[ctx.flow] = (ctx, done)
         self.state(ctx.flow).binding_acked = False
-        host.send_delayed(
-            host.latency(host.fmip_oneway_us),
+        self._kernel.schedule(
+            self._env.latency(self._fmip_oneway_us),
             FE_ENVIRONMENT,
             FE_DAEMON,
             ProxyRouterAdvertisement(flow=ctx.flow, target=ctx.target),
         )
 
-    def on_advertisement(self, ctx: HandoverState) -> None:
-        host = self._host
-        if ctx.current is None or not host.env.attached(ctx.flow, ctx.current):
-            self._finish_prepare(ctx.flow, Result.failure("link_lost"))
-            return
-        to_router = host.latency(host.fmip_oneway_us)
-        host.send_delayed(
-            to_router,
-            FE_DAEMON,
-            FE_ENVIRONMENT,
-            FastBindingUpdate(flow=ctx.flow, current=ctx.current, target=ctx.target),
-        )
-        host.send_delayed(
-            to_router + host.latency(host.fmip_oneway_us),
-            FE_ENVIRONMENT,
-            FE_DAEMON,
-            FastBindingAck(flow=ctx.flow, result=Result.success()),
-        )
-
-    def on_fast_binding_ack(self, ctx: HandoverState, result: Result) -> None:
-        host = self._host
-        if result.ok and (ctx.current is None or not host.env.attached(ctx.flow, ctx.current)):
-            result = Result.failure("link_lost")
-        if result.ok:
-            self.state(ctx.flow).prepared_for = ctx.target
-        self._finish_prepare(ctx.flow, result)
-
-    def _finish_prepare(self, flow: int, result: Result) -> None:
-        done = self._prepare_done.pop(flow, None)
-        if done is not None:
-            done(result)
-
-    def tunnel(self, ctx: HandoverState, action: str) -> Result:
-        """Start forwarding at attach time; stop only after the binding is acked."""
-        host = self._host
+    def tunnel_start(self, ctx: HandoverState) -> Result:
+        """Start forwarding once the prepared target is attached."""
         state = self.state(ctx.flow)
-        if action == "start":
-            if state.prepared_for != ctx.target:
-                return Result.failure("not_prepared")
-            if not host.env.attached(ctx.flow, ctx.target):
-                return Result.failure("not_attached")
-            state.tunnel_active = True
-            assert ctx.current is not None
-            host.send(
-                FE_DAEMON,
-                FE_ENVIRONMENT,
-                TunnelStart(flow=ctx.flow, current=ctx.current, target=ctx.target),
-            )
-            return Result.success()
-        if action == "stop":
-            if not state.tunnel_active:
-                return Result.failure("no_tunnel")
-            if not state.binding_acked:
-                return Result.failure("binding_pending")
-            state.tunnel_active = False
-            state.prepared_for = None
-            host.send(FE_DAEMON, FE_ENVIRONMENT, TunnelStop(flow=ctx.flow))
-            return Result.success()
-        raise ValueError(f"unknown tunnel action: {action!r}")
+        if state.prepared_for != ctx.target:
+            return Result.failure("not_prepared")
+        if not self._env.attached(ctx.flow, ctx.target):
+            return Result.failure("not_attached")
+        state.tunnel_active = True
+        assert ctx.current is not None
+        self._kernel.schedule(
+            0,
+            FE_DAEMON,
+            FE_ENVIRONMENT,
+            TunnelStart(flow=ctx.flow, current=ctx.current, target=ctx.target),
+        )
+        return Result.success()
 
-    def update_binding(
-        self, ctx: HandoverState, new_locator: Locator, done: Callable[[Result], None]
-    ) -> None:
-        def mark_acked(result: Result) -> None:
-            if result.ok:
-                self.state(ctx.flow).binding_acked = True
-            done(result)
-
-        super().update_binding(ctx, new_locator, mark_acked)
-
-
-class DaemonHost:
-    """The Daemon functional entity: routes network replies to the owning daemon."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        env: Environment,
-        binding_rtt_us: int,
-        fmip_oneway_us: int,
-        rng: random.Random | None = None,
-        jitter_us: int = 0,
-    ) -> None:
-        self._kernel = kernel
-        self.env = env
-        self.binding_rtt_us = binding_rtt_us
-        self.fmip_oneway_us = fmip_oneway_us
-        self._rng = rng
-        self._jitter_us = jitter_us
-        self.flow_locators: dict[int, Locator] = {}
-        self._binding_waiters: dict[int, Callable[[Result], None]] = {}
-        self._fmip_contexts: dict[int, HandoverState] = {}
-        self.mip = MipDaemon(self)
-        self.fmip = FmipDaemon(self)
-
-    # -- plumbing shared by the daemons -----------------------------------------
-
-    def latency(self, base_us: int) -> int:
-        if self._jitter_us and self._rng is not None:
-            return base_us + self._rng.randint(0, self._jitter_us)
-        return base_us
-
-    def send(self, sender: str, receiver: str, payload) -> None:
-        self._kernel.schedule(0, sender, receiver, payload)
-
-    def send_delayed(self, delay_us: int, sender: str, receiver: str, payload) -> None:
-        self._kernel.schedule(delay_us, sender, receiver, payload)
-
-    def later(self, delay_us: int, fn: Callable[[], None]) -> None:
-        self._kernel.call_later(delay_us, fn, owner=FE_DAEMON)
-
-    def expect_binding_ack(self, flow: int, done: Callable[[Result], None]) -> None:
-        self._binding_waiters[flow] = done
-
-    def track_fmip(self, ctx: HandoverState) -> None:
-        self._fmip_contexts[ctx.flow] = ctx
-
-    # -- event handling -----------------------------------------------------------
+    def tunnel_stop(self, ctx: HandoverState) -> Result:
+        """Stop forwarding, but only after the new binding is acked."""
+        state = self.state(ctx.flow)
+        if not state.tunnel_active:
+            return Result.failure("no_tunnel")
+        if not state.binding_acked:
+            return Result.failure("binding_pending")
+        state.tunnel_active = False
+        state.prepared_for = None
+        self._kernel.schedule(0, FE_DAEMON, FE_ENVIRONMENT, TunnelStop(flow=ctx.flow))
+        return Result.success()
 
     def handle(self, event: SimEvent) -> None:
+        """Network replies; one for a flow with nothing in flight is dropped."""
         payload = event.payload
         if isinstance(payload, ProxyRouterAdvertisement):
-            self.fmip.on_advertisement(self._fmip_contexts[payload.flow])
+            preparation = self._preparations.get(payload.flow)
+            if preparation is None:
+                return
+            ctx = preparation[0]
+            if not self._on_old_link(ctx):
+                del self._preparations[ctx.flow]
+                preparation[1](Result.failure("link_lost"))
+                return
+            to_router = self._env.latency(self._fmip_oneway_us)
+            self._kernel.schedule(
+                to_router,
+                FE_DAEMON,
+                FE_ENVIRONMENT,
+                FastBindingUpdate(flow=ctx.flow, current=ctx.current, target=ctx.target),
+            )
+            self._kernel.schedule(
+                to_router + self._env.latency(self._fmip_oneway_us),
+                FE_ENVIRONMENT,
+                FE_DAEMON,
+                FastBindingAck(flow=ctx.flow, result=Result.success()),
+            )
         elif isinstance(payload, FastBindingAck):
-            self.fmip.on_fast_binding_ack(self._fmip_contexts[payload.flow], payload.result)
+            preparation = self._preparations.pop(payload.flow, None)
+            if preparation is None:
+                return
+            ctx, done = preparation
+            result = payload.result
+            if result.ok and not self._on_old_link(ctx):
+                result = Result.failure("link_lost")
+            if result.ok:
+                self.state(ctx.flow).prepared_for = ctx.target
+            done(result)
         elif isinstance(payload, BindingAck):
-            done = self._binding_waiters.pop(payload.flow, None)
-            if done is not None:
-                done(payload.result)
+            waiter = self._binding_waiters.pop(payload.flow, None)
+            if waiter is None:
+                return
+            locator, done = waiter
+            if payload.result.ok:
+                self.flow_locators[payload.flow] = locator
+                state = self._states.get(payload.flow)
+                if state is not None:
+                    state.binding_acked = True
+            done(payload.result)
+
+    def _on_old_link(self, ctx: HandoverState) -> bool:
+        return ctx.current is not None and self._env.attached(ctx.flow, ctx.current)

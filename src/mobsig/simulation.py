@@ -10,6 +10,7 @@ JSON-ready metrics report.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +22,6 @@ from .core import (
     FE_HOLM,
     FE_MRRM,
     FE_PATH_SELECTION,
-    QosSpec,
 )
 from .environment import Environment
 from .flowmgmt import FlowManagement, FlowRecord, FlowTable
@@ -48,13 +48,12 @@ class Simulation:
         self.config = config
         self.recorder = TraceRecorder()
         self.kernel = Kernel(recorder=self.recorder)
-        rng = random.Random(config.seed)
         self.environment = Environment(
             self.kernel,
             self.recorder,
             config.cells,
             config.trajectory,
-            rng=rng,
+            rng=random.Random(config.seed),
             jitter_us=config.jitter_us,
         )
         self.flow_table = FlowTable(
@@ -68,8 +67,6 @@ class Simulation:
             self.environment,
             config.binding_rtt_us,
             config.fmip_oneway_us,
-            rng=rng,
-            jitter_us=config.jitter_us,
         )
         self.holm = Holm(self.kernel, self.environment, self.daemons, self.flow_table)
         self.path_selection = PathSelection(
@@ -77,8 +74,8 @@ class Simulation:
             self.recorder,
             self.environment,
             config.path_models,
-            self._requested_qos,
-            self.daemons.fmip,
+            self.flow_table,
+            self.daemons,
         )
         self.flow_management = FlowManagement(self.kernel, self.flow_table)
         self.mrrm = Mrrm(
@@ -101,12 +98,6 @@ class Simulation:
                 spec.start_us, partial(self.flow_management.start_flow, spec.flow),
                 FE_FLOW_MANAGEMENT,
             )
-
-    def _requested_qos(self, flow: int) -> QosSpec:
-        record = self.flow_table.get(flow)
-        if record is None:
-            raise KeyError(f"unknown flow {flow}")
-        return record.requested
 
     def _tick(self) -> None:
         self.mrrm.tick()
@@ -134,10 +125,17 @@ def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -
     trace (handovers on one node never overlap); the message count covers the
     signaling-sequence records inside that span.
     """
-    request_indices = [
-        i for i, record in enumerate(records) if record.name == "HOExecutionRequest"
-    ]
-    used: set[int] = set()
+    # Span i's sequence-record count is counts[i]; spans maps (flow, request
+    # time) to the indices of its spans in trace order, and each context takes
+    # the first one left.
+    counts: list[int] = []
+    spans: dict[tuple[int, SimTime], deque[int]] = {}
+    for record in records:
+        if record.name == "HOExecutionRequest":
+            spans.setdefault((record.params["flow"], record.at), deque()).append(len(counts))
+            counts.append(0)
+        if counts and record.name in SEQUENCE_NAMES:
+            counts[-1] += 1
     handovers = []
     totals_by_variant: dict[str, int] = {}
     succeeded = failed = 0
@@ -145,23 +143,8 @@ def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -
     max_interruption = 0
 
     for ctx in contexts:
-        span_start = next(
-            (
-                i
-                for i in request_indices
-                if i not in used
-                and records[i].params["flow"] == ctx.flow
-                and records[i].at == ctx.t_start
-            ),
-            None,
-        )
-        message_count = 0
-        if span_start is not None:
-            used.add(span_start)
-            span_end = next((i for i in request_indices if i > span_start), len(records))
-            message_count = sum(
-                1 for r in records[span_start:span_end] if r.name in SEQUENCE_NAMES
-            )
+        queue = spans.get((ctx.flow, ctx.t_start))
+        message_count = counts[queue.popleft()] if queue else 0
         entry = {
             "flow": ctx.flow,
             "variant": ctx.variant,

@@ -94,17 +94,15 @@ class Node:
             jitter_us=jitter_us,
         )
         self.table = FlowTable(list(flows))
-        self.daemons = DaemonHost(
-            self.kernel, self.env, binding_rtt_us, fmip_oneway_us, rng=rng, jitter_us=jitter_us
-        )
+        self.daemons = DaemonHost(self.kernel, self.env, binding_rtt_us, fmip_oneway_us)
         self.holm = Holm(self.kernel, self.env, self.daemons, self.table)
         self.path_selection = PathSelection(
             self.kernel,
             self.recorder,
             self.env,
             path_models,
-            lambda flow: self.table.get(flow).requested,
-            self.daemons.fmip,
+            self.table,
+            self.daemons,
         )
         self.flow_management = FlowManagement(self.kernel, self.table)
         self.mrrm = Mrrm(

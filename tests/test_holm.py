@@ -76,6 +76,28 @@ ESTABLISHMENT_SEQUENCE = [
     "HOComplete",
 ]
 
+# Phase history shared by establishment, mbb and bbm: one link change, then
+# locator selection and binding.
+LINK_STEP_HISTORY = [
+    Phase.TOOL_SELECTED,
+    Phase.LINK_CHANGING,
+    Phase.PATH_PENDING,
+    Phase.PATH_DONE,
+    Phase.BINDING_UPDATING,
+    Phase.DONE,
+]
+
+FMIP_HISTORY = [
+    Phase.TOOL_SELECTED,
+    Phase.PREPARING,
+    Phase.PREPARED,
+    Phase.PATH_PENDING,
+    Phase.PATH_DONE,
+    Phase.LINK_CHANGING,
+    Phase.BINDING_UPDATING,
+    Phase.DONE,
+]
+
 
 def colocated_node(fmip_target=False, target_center=(0.0, 0.0)):
     """Two overlapping cells so link changes never fail on coverage."""
@@ -152,6 +174,8 @@ class TestEstablishment:
         assert ctx.variant == "establishment"
         assert ctx.tool is Tool.MIP_MBB  # forced, even though mbb_flag was false
         assert interruption_time(ctx) == 0
+        assert ctx.t_break == ctx.t_restore == 190_000  # marked at the binding ack
+        assert ctx.history == LINK_STEP_HISTORY
 
     def test_locator_registered_with_the_daemon(self):
         node, a, _ = colocated_node()
@@ -170,14 +194,7 @@ class TestMakeBeforeBreak:
         assert ctx.variant == "mbb"
         assert interruption_time(ctx) == 0
         assert ctx.t_break == ctx.t_restore  # hand-off happens at the binding ack
-        assert ctx.history == [
-            Phase.TOOL_SELECTED,
-            Phase.LINK_CHANGING,
-            Phase.PATH_PENDING,
-            Phase.PATH_DONE,
-            Phase.BINDING_UPDATING,
-            Phase.DONE,
-        ]
+        assert ctx.history == LINK_STEP_HISTORY
 
     def test_old_link_is_released(self):
         node, a, b = colocated_node()
@@ -197,7 +214,9 @@ class TestBreakBeforeMake:
         assert ctx.variant == "bbm"
         assert ctx.t_break == 50_000  # the moment the request was accepted
         # teardown 10 + setup 50 + locator 100 + binding rtt 40 (ms)
+        assert ctx.t_restore == 50_000 + 200_000  # the binding ack
         assert interruption_time(ctx) == 200_000
+        assert ctx.history == LINK_STEP_HISTORY
 
     def test_attach_failure_leaves_the_flow_unconnected(self):
         node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
@@ -206,6 +225,8 @@ class TestBreakBeforeMake:
         ctx = node.holm.completed[0]
         assert ctx.phase is Phase.FAILED
         assert ctx.failure_reason == "out_of_coverage"
+        assert ctx.history == [Phase.TOOL_SELECTED, Phase.LINK_CHANGING, Phase.FAILED]
+        assert ctx.t_break == 50_000 and ctx.t_restore is None
         # the old link was already torn down and no rollback is attempted
         assert not node.env.attached(1, a)
         assert not node.env.attached(1, b)
@@ -226,6 +247,8 @@ class TestFmip:
         # the gap is only the radio switch: teardown 10 ms + setup 50 ms
         assert interruption_time(ctx) == 60_000
         assert ctx.t_break == 50_000 + 15_000  # after the three preparation hops
+        assert ctx.t_restore == ctx.t_break + 60_000  # the tunnel starts at attach time
+        assert ctx.history == FMIP_HISTORY
         assert final == 50_000 + 15_000 + 60_000 + 40_000
 
     def test_failure_when_preparation_is_impossible(self):
@@ -235,6 +258,8 @@ class TestFmip:
         ctx = node.holm.completed[0]
         assert ctx.phase is Phase.FAILED
         assert ctx.failure_reason == "link_lost"
+        assert ctx.history == [Phase.TOOL_SELECTED, Phase.PREPARING, Phase.FAILED]
+        assert ctx.t_break is None and ctx.t_restore is None
         assert "PathSelect" not in node.names()
 
 

@@ -13,6 +13,7 @@ from mobsig.core import (
     QosSpec,
 )
 from mobsig.environment import Environment, Trajectory
+from mobsig.flowmgmt import FlowRecord, FlowTable
 from mobsig.path_selection import (
     ANNOTATION_UNKNOWN_ACCESS,
     PathModel,
@@ -33,7 +34,8 @@ def build_entity(cells, models=None):
     daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     if models is None:
         models = {cell.access: default_model() for cell in cells}
-    entity = PathSelection(kernel, recorder, env, models, lambda flow: REQUESTED, daemons.fmip)
+    flows = FlowTable([FlowRecord(flow=flow, requested=REQUESTED) for flow in (1, 4)])
+    entity = PathSelection(kernel, recorder, env, models, flows, daemons)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)
     kernel.register(FE_HOLM, lambda e: holm_in.append(e.payload))
@@ -140,7 +142,7 @@ class TestSelectPath:
         cells = (make_cell(supports_fmip=True),)
         kernel, _, env, daemons, _, holm_in, _ = build_entity(cells)
         target = cells[0].access
-        daemons.fmip.state(1).prepared_for = target
+        daemons.state(1).prepared_for = target
         answer = self.run_select(kernel, holm_in, 1, target, fmip_flag=True)
         assert answer.result.ok
         assert kernel.now == 0  # no locator configuration latency on the new link

@@ -9,7 +9,9 @@ from mobsig.core import (
     FE_ENVIRONMENT,
     AccessId,
     BindingAck,
+    FastBindingAck,
     Locator,
+    ProxyRouterAdvertisement,
     Result,
 )
 from mobsig.environment import Environment
@@ -65,7 +67,7 @@ class TestUpdateBinding:
         locator = allocate(kernel, env, 1, a)
         t0 = kernel.now
         done = []
-        daemons.mip.update_binding(Ctx(1, None, a), locator, lambda r: done.append((r, kernel.now)))
+        daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append((r, kernel.now)))
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 40_000
@@ -80,7 +82,7 @@ class TestUpdateBinding:
         kernel, recorder, env, daemons, a, _ = build_host()
         phantom = Locator(address="net-1/cell-a/99", access=a, kind="care_of")
         done = []
-        daemons.mip.update_binding(Ctx(1, None, a), phantom, lambda r: done.append(r))
+        daemons.update_binding(Ctx(1, None, a), phantom, lambda r: done.append(r))
         kernel.run_until_quiescent()
         assert done[0].reason == "stale_locator"
         assert not any(r.name == "BindingUpdate" for r in recorder.records)
@@ -93,14 +95,25 @@ class TestUpdateBinding:
         first = allocate(kernel, env, 1, a)
         second = allocate(kernel, env, 1, b)
         for locator in (first, second):
-            daemons.mip.update_binding(Ctx(1, None, a), locator, lambda r: None)
+            daemons.update_binding(Ctx(1, None, a), locator, lambda r: None)
             kernel.run_until_quiescent()
         assert daemons.flow_locators[1] == second
 
-    def test_stray_binding_ack_is_ignored(self):
-        kernel, _, _, _, a, _ = build_host()
-        kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, BindingAck(flow=9, result=Result.success()))
-        kernel.run_until_quiescent()  # no waiter registered; nothing to assert but no crash
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            BindingAck(flow=9, result=Result.success()),
+            FastBindingAck(flow=9, result=Result.success()),
+            ProxyRouterAdvertisement(flow=9, target=AccessId("cell-b", "net-2", "cellular")),
+        ],
+        ids=lambda reply: type(reply).__name__,
+    )
+    def test_stray_binding_ack_is_ignored(self, reply):
+        kernel, recorder, _, daemons, _, _ = build_host()
+        kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, reply)
+        kernel.run_until_quiescent()  # nothing waits for flow 9: dropped, no crash
+        assert names_at(recorder) == [(type(reply).__name__, 0, FE_ENVIRONMENT, FE_DAEMON)]
+        assert 9 not in daemons.flow_locators
 
 
 class TestFmipPrepare:
@@ -109,11 +122,11 @@ class TestFmipPrepare:
         attach(kernel, env, 1, a)
         t0 = kernel.now
         done = []
-        daemons.fmip.prepare(Ctx(1, a, b), lambda r: done.append((r, kernel.now)))
+        daemons.prepare(Ctx(1, a, b), lambda r: done.append((r, kernel.now)))
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 3 * 5_000
-        assert daemons.fmip.state(1).prepared_for == b
+        assert daemons.state(1).prepared_for == b
         hops = [(r.name, r.at - t0) for r in recorder.records if r.at > t0]
         assert hops == [
             ("ProxyRouterAdvertisement", 5_000),
@@ -124,7 +137,7 @@ class TestFmipPrepare:
     def test_requires_a_live_current_link(self):
         kernel, _, _, daemons, a, b = build_host()
         done = []
-        daemons.fmip.prepare(Ctx(1, a, b), lambda r: done.append(r))
+        daemons.prepare(Ctx(1, a, b), lambda r: done.append(r))
         kernel.run_until_quiescent()
         assert done[0].reason == "link_lost"
 
@@ -132,7 +145,7 @@ class TestFmipPrepare:
         kernel, _, env, daemons, a, b = build_host()
         attach(kernel, env, 1, b)
         done = []
-        daemons.fmip.prepare(Ctx(1, b, a), lambda r: done.append(r))  # a has no FMIP
+        daemons.prepare(Ctx(1, b, a), lambda r: done.append(r))  # a has no FMIP
         kernel.run_until_quiescent()
         assert done[0].reason == "fmip_unsupported"
 
@@ -141,37 +154,32 @@ class TestTunnel:
     def prepared_host(self):
         kernel, recorder, env, daemons, a, b = build_host()
         attach(kernel, env, 1, a)
-        daemons.fmip.prepare(Ctx(1, a, b), lambda r: None)
+        daemons.prepare(Ctx(1, a, b), lambda r: None)
         kernel.run_until_quiescent()
         return kernel, recorder, env, daemons, a, b
 
     def test_start_needs_preparation_then_attachment(self):
         kernel, _, env, daemons, a, b = build_host()
         ctx = Ctx(1, a, b)
-        assert daemons.fmip.tunnel(ctx, "start").reason == "not_prepared"
+        assert daemons.tunnel_start(ctx).reason == "not_prepared"
         kernel2, _, env2, daemons2, a2, b2 = self.prepared_host()
-        assert daemons2.fmip.tunnel(Ctx(1, a2, b2), "start").reason == "not_attached"
+        assert daemons2.tunnel_start(Ctx(1, a2, b2)).reason == "not_attached"
 
     def test_full_tunnel_lifecycle(self):
         kernel, recorder, env, daemons, a, b = self.prepared_host()
         ctx = Ctx(1, a, b)
         attach(kernel, env, 1, b)
-        assert daemons.fmip.tunnel(ctx, "start").ok
+        assert daemons.tunnel_start(ctx).ok
         kernel.run_until_quiescent()
         assert any(r.name == "TunnelStart" for r in recorder.records)
         # stopping before the new binding is acknowledged must be refused
-        assert daemons.fmip.tunnel(ctx, "stop").reason == "binding_pending"
+        assert daemons.tunnel_stop(ctx).reason == "binding_pending"
         locator = allocate(kernel, env, 1, b)
-        daemons.fmip.update_binding(ctx, locator, lambda r: None)
+        daemons.update_binding(ctx, locator, lambda r: None)
         kernel.run_until_quiescent()
-        assert daemons.fmip.tunnel(ctx, "stop").ok
+        assert daemons.tunnel_stop(ctx).ok
         kernel.run_until_quiescent()
         assert any(r.name == "TunnelStop" for r in recorder.records)
-        assert daemons.fmip.state(1).prepared_for is None
-        assert daemons.fmip.tunnel(ctx, "stop").reason == "no_tunnel"
-
-    def test_unknown_action_is_a_programming_error(self):
-        _, _, _, daemons, a, b = build_host()
-        with pytest.raises(ValueError):
-            daemons.fmip.tunnel(Ctx(1, a, b), "pause")
+        assert daemons.state(1).prepared_for is None
+        assert daemons.tunnel_stop(ctx).reason == "no_tunnel"
 
