@@ -106,7 +106,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    verdict = check_trace(records, template=args.template)
+    try:
+        verdict = check_trace(records, template=args.template)
+    except (KeyError, TypeError, ValueError) as exc:
+        # A record whose params lack or mistype a field the checker reads.
+        print(f"trace error: malformed params: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     if verdict.ok:
         print(f"conformant ({len(records)} records, template={args.template})")
         return 0

@@ -8,9 +8,11 @@ LinkUp / LinkDown annotation records in the trace.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .core import FE_ENVIRONMENT, AccessId, Locator, QosSpec, Result
@@ -64,11 +66,12 @@ class Trajectory:
             return points[0][1]
         if at_us >= points[-1][0]:
             return points[-1][1]
-        for (t0, p0), (t1, p1) in zip(points, points[1:]):
-            if t0 <= at_us <= t1:
-                frac = (at_us - t0) / (t1 - t0)
-                return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
-        raise AssertionError("unreachable: waypoints cover the clamped range")
+        # First waypoint at or after at_us; at an interior waypoint time that is
+        # the end of the segment leading into it.
+        i = bisect.bisect_left(points, at_us, key=itemgetter(0))
+        (t0, p0), (t1, p1) = points[i - 1], points[i]
+        frac = (at_us - t0) / (t1 - t0)
+        return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
 
 
 def clamp_qos(requested: QosSpec, capacity: QosSpec) -> QosSpec:
@@ -102,7 +105,7 @@ class Environment:
         self._cells = {cell.access: cell for cell in cells}
         if len(self._cells) != len(cells):
             raise ValueError("duplicate AccessId among cells")
-        self._scan_order = sorted(self._cells, key=lambda a: a.cell_id)
+        self._scan_order = sorted(cells, key=lambda c: c.access.cell_id)
         self.trajectory = trajectory
         self._rng = rng
         self._jitter_us = jitter_us
@@ -136,11 +139,10 @@ class Environment:
         """Accesses in range at at_us with linear radio score, sorted by cell_id."""
         x, y = self.trajectory.position(at_us)
         found: list[tuple[AccessId, float]] = []
-        for access in self._scan_order:
-            cell = self._cells[access]
+        for cell in self._scan_order:
             distance = math.hypot(x - cell.center_xy[0], y - cell.center_xy[1])
             if distance <= cell.radius_m:
-                found.append((access, 1.0 - distance / cell.radius_m))
+                found.append((cell.access, 1.0 - distance / cell.radius_m))
         return found
 
     def in_range(self, access: AccessId, at_us: SimTime) -> bool:

@@ -1,10 +1,13 @@
 """Multi-radio resource management: scanning, access selection, handover trigger.
 
-Each decision cycle scans the environment, narrows the result to the detected
-access set (DAS) by policy, asks path selection for ratings, derives the
-candidate and active sets (CAS / AAS) and decides whether to request a
-handover. Link commands arriving from the handover orchestrator are relayed to
-the environment, since only MRRM touches radio resources.
+Each decision cycle starts from a radio view: one environment scan narrowed to
+the detected access set (DAS) by policy. The cycle asks path selection for
+ratings, derives the candidate and active sets (CAS / AAS) and decides whether
+to request a handover. The radio environment belongs to the terminal, not to a
+flow, so a periodic tick scans once and shares that view with every active
+flow's cycle; an establishment cycle scans at its own time. Link commands
+arriving from the handover orchestrator are relayed to the environment, since
+only MRRM touches radio resources.
 
 Handovers are serialized node-globally: completion primitives carry no flow id,
 so at most one execution request is in flight at a time and flow setups that
@@ -156,12 +159,22 @@ def notify_flow_management(
     return HandoverOccurred(flow=flow, provided_qos=provided)
 
 
+@dataclass(frozen=True)
+class _RadioView:
+    """One scan as the decision cycles see it; shared read-only by the flows of a tick."""
+
+    sets: AccessSets
+    radio: dict[AccessId, float]
+    candidates: tuple[AccessId, ...]
+    das_keys: tuple[str, ...]
+    scanned_keys: tuple[str, ...]
+
+
 @dataclass
 class _CycleState:
     flow: int
     establishing: bool
-    sets: AccessSets
-    radio: dict[AccessId, float]
+    view: _RadioView
 
 
 @dataclass
@@ -214,37 +227,42 @@ class Mrrm:
                 pass
 
     def tick(self) -> None:
-        """Run one periodic decision cycle for every active flow."""
-        for record in self._table.active_records():
-            self._start_cycle(record.flow, establishing=False)
+        """Run one periodic decision cycle for every active flow, all on one scan."""
+        records = self._table.active_records()
+        if not records:
+            return
+        view = self._radio_view()
+        for record in records:
+            self._start_cycle(record.flow, establishing=False, view=view)
 
     # -- decision cycle -------------------------------------------------------------
 
-    def _start_cycle(self, flow: int, establishing: bool) -> None:
+    def _radio_view(self) -> _RadioView:
         scan = self._env.scan(self._kernel.now)
         sets = build_das(self.policy, scan)
-        self._cycles.append(
-            _CycleState(
-                flow=flow,
-                establishing=establishing,
-                sets=sets,
-                radio={access: score for access, score in scan},
-            )
+        return _RadioView(
+            sets=sets,
+            radio=dict(scan),
+            candidates=tuple(sorted(sets.das, key=access_sort_key)),
+            das_keys=tuple(sorted(a.key for a in sets.das)),
+            scanned_keys=tuple(sorted(a.key for a in sets.scanned)),
         )
-        candidates = tuple(sorted(sets.das, key=access_sort_key))
-        self._send(FE_PATH_SELECTION, ConstraintRequest(flow=flow, candidates=candidates))
+
+    def _start_cycle(self, flow: int, establishing: bool, view: _RadioView) -> None:
+        self._cycles.append(_CycleState(flow=flow, establishing=establishing, view=view))
+        self._send(FE_PATH_SELECTION, ConstraintRequest(flow=flow, candidates=view.candidates))
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
         if self._inflight is not None:
             self._deferred_setups.append(setup)
             return
-        self._start_cycle(setup.flow, establishing=True)
+        self._start_cycle(setup.flow, establishing=True, view=self._radio_view())
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
         cycle = self._cycles.popleft()
-        merged = merge_ratings(cycle.radio, response.ratings)
-        sets, combined = select_cas_aas(self.policy, cycle.sets, merged)
-        self._snapshot(cycle.flow, sets)
+        merged = merge_ratings(cycle.view.radio, response.ratings)
+        sets, combined = select_cas_aas(self.policy, cycle.view.sets, merged)
+        self._snapshot(cycle.flow, sets, cycle.view)
         record = self._table.get(cycle.flow)
         if cycle.establishing:
             self._finish_establishment_cycle(record, sets)
@@ -327,7 +345,7 @@ class Mrrm:
     def _drain_deferred(self) -> None:
         if self._inflight is None and self._deferred_setups:
             setup = self._deferred_setups.popleft()
-            self._start_cycle(setup.flow, establishing=True)
+            self._start_cycle(setup.flow, establishing=True, view=self._radio_view())
 
     # -- link command relay ------------------------------------------------------------
 
@@ -364,7 +382,8 @@ class Mrrm:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _snapshot(self, flow: int, sets: AccessSets) -> None:
+    def _snapshot(self, flow: int, sets: AccessSets, view: _RadioView) -> None:
+        # sets shares its DAS and scanned set with view, whose keys are sorted once.
         self._recorder.annotate(
             self._kernel.now,
             FE_MRRM,
@@ -373,9 +392,9 @@ class Mrrm:
             {
                 "aas": sorted(a.key for a in sets.aas),
                 "cas": sorted(a.key for a in sets.cas),
-                "das": sorted(a.key for a in sets.das),
+                "das": list(view.das_keys),
                 "flow": flow,
-                "scanned": sorted(a.key for a in sets.scanned),
+                "scanned": list(view.scanned_keys),
             },
         )
 

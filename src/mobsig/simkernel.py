@@ -18,6 +18,11 @@ SimTime = int  # microseconds
 
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
 
+# json.dumps with non-default arguments builds a new encoder per call; these
+# are built once and give the same bytes.
+_encode_head = json.JSONEncoder(separators=(",", ":")).encode
+_encode_params = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class ConfigurationError(RuntimeError):
     """Raised when the simulation is wired incorrectly (e.g. unknown receiver)."""
@@ -54,11 +59,10 @@ class TraceRecord:
     line: int | None = None  # 1-based source line when parsed from a file
 
     def to_json(self) -> str:
-        head = json.dumps(
-            {"t": self.at, "from": self.sender, "to": self.receiver, "msg": self.name},
-            separators=(",", ":"),
+        head = _encode_head(
+            {"t": self.at, "from": self.sender, "to": self.receiver, "msg": self.name}
         )
-        params = json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+        params = _encode_params(self.params)
         return f'{head[:-1]},"params":{params}}}'
 
     @classmethod

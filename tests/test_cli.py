@@ -152,6 +152,30 @@ class TestCheck:
         assert run_cli("check", "--trace", str(garbage)) == 2
         assert "trace error: line 1:" in capsys.readouterr().err
 
+    def test_missing_param_exits_2_without_traceback(self, tmp_path, capsys):
+        record = {"t": 0, "from": "MRRM", "to": "HOLM", "msg": "HOExecutionRequest",
+                  "params": {}}
+        trace = tmp_path / "malformed.jsonl"
+        trace.write_text(json.dumps(record) + "\n")
+        assert run_cli("check", "--trace", str(trace)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace error:")
+        assert "Traceback" not in err
+
+    def test_mistyped_access_exits_2(self, mbb_outputs, tmp_path, capsys):
+        trace, _ = mbb_outputs
+        lines = trace.read_text().splitlines()
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            if record["msg"] == "LinkAttachRequest":
+                record["params"]["target"] = "oops"
+                lines[index] = json.dumps(record)
+                break
+        tampered = tmp_path / "mistyped.jsonl"
+        tampered.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--trace", str(tampered)) == 2
+        assert capsys.readouterr().err.startswith("trace error:")
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("check", "--trace", str(tmp_path / "absent.jsonl")) == 2
 

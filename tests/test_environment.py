@@ -19,6 +19,36 @@ from mobsig.simkernel import Kernel, TraceRecorder
 
 from support import REQUESTED, make_cell, still_trajectory
 
+
+def walk_position(waypoints, at_us):
+    """Reference interpolation: the first segment, walked in order, that holds at_us."""
+    if at_us <= waypoints[0][0]:
+        return waypoints[0][1]
+    if at_us >= waypoints[-1][0]:
+        return waypoints[-1][1]
+    for (t0, p0), (t1, p1) in zip(waypoints, waypoints[1:]):
+        if t0 <= at_us <= t1:
+            frac = (at_us - t0) / (t1 - t0)
+            return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
+    raise AssertionError("waypoints cover the clamped range")
+
+
+coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def waypoints_and_times(draw):
+    """Strictly increasing waypoints plus query times: exact, interior and outside."""
+    times = sorted(
+        draw(st.sets(st.integers(min_value=0, max_value=10_000_000), min_size=1, max_size=30))
+    )
+    points = st.tuples(coordinates, coordinates)
+    waypoints = tuple((t, draw(points)) for t in times)
+    exact = st.sampled_from(times)
+    anywhere = st.integers(min_value=times[0] - 1_000, max_value=times[-1] + 1_000)
+    queries = draw(st.lists(st.one_of(exact, anywhere), min_size=1, max_size=20))
+    return waypoints, queries
+
 qos_specs = st.builds(
     QosSpec,
     bandwidth_kbps=st.integers(min_value=0, max_value=10_000),
@@ -79,6 +109,22 @@ class TestTrajectory:
         trajectory = Trajectory(waypoints=((0, (0.0, 0.0)), (10, (100.0, 50.0))))
         assert trajectory.position(5) == (50.0, 25.0)
         assert trajectory.end_time_us == 10
+
+    def test_interior_waypoint_time_ends_the_segment_into_it(self):
+        # -7.7 + (1.1 - -7.7) rounds to 1.1000000000000005, not 1.1: the floats
+        # tell the segment into the waypoint from the segment out of it.
+        trajectory = Trajectory(
+            waypoints=((0, (-7.7, 3.3)), (3, (1.1, 0.3)), (10, (100.0, 50.0)))
+        )
+        assert trajectory.position(3) == (-7.7 + (1.1 - -7.7), 3.3 + (0.3 - 3.3))
+        assert trajectory.position(3) != (1.1, 0.3)
+
+    @given(case=waypoints_and_times())
+    def test_position_equals_the_linear_walk_exactly(self, case):
+        waypoints, queries = case
+        trajectory = Trajectory(waypoints=waypoints)
+        for at_us in queries:
+            assert trajectory.position(at_us) == walk_position(waypoints, at_us)
 
 
 class TestClampQos:

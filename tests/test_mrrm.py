@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mobsig.core import (
+    FE_FLOW_MANAGEMENT,
     FE_HOLM,
     FE_MRRM,
     AccessId,
@@ -285,3 +286,67 @@ class TestMrrmEntity:
         responses = [r for r in node.recorder.records if r.name == "LinkSwitchResponse"]
         assert responses[0].params["result"] == "failure"
         assert responses[0].params["reason"] == "not_attached"
+
+
+class TestScanPerTick:
+    """The radio environment belongs to the terminal: a tick scans once for all flows."""
+
+    DELAY_US = 1_000_000
+
+    def node_with_active_flows(self):
+        cells = (
+            make_cell(),
+            make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", center=(300.0, 0.0)),
+        )
+        flows = tuple(FlowRecord(flow=flow, requested=REQUESTED) for flow in (1, 2, 3, 4))
+        node = Node(cells=cells, flows=flows)
+        for flow in (1, 2, 3):
+            node.flow_management.start_flow(flow)
+        node.run()
+        assert [r.flow for r in node.table.active_records()] == [1, 2, 3]
+        scans = []
+        scan = node.env.scan
+
+        def counted(at_us):
+            scans.append(at_us)
+            return scan(at_us)
+
+        node.env.scan = counted
+        return node, scans, node.kernel.now + self.DELAY_US
+
+    def requests_at(self, node, at_us):
+        return [
+            r.params
+            for r in node.recorder.records
+            if r.name == "ConstraintRequest" and r.at == at_us
+        ]
+
+    def test_one_scan_shared_by_every_active_flow(self):
+        node, scans, tick_at = self.node_with_active_flows()
+        node.kernel.call_later(self.DELAY_US, node.mrrm.tick, FE_MRRM)
+        node.run()
+        assert scans == [tick_at]
+        requests = self.requests_at(node, tick_at)
+        assert [params["flow"] for params in requests] == [1, 2, 3]
+        assert len(requests[0]["candidates"]) == 2
+        assert all(params["candidates"] == requests[0]["candidates"] for params in requests)
+
+    def test_setup_in_the_same_instant_scans_for_itself(self):
+        node, scans, tick_at = self.node_with_active_flows()
+        node.kernel.call_later(self.DELAY_US, node.mrrm.tick, FE_MRRM)
+        node.kernel.call_later(
+            self.DELAY_US, lambda: node.flow_management.start_flow(4), FE_FLOW_MANAGEMENT
+        )
+        node.run()
+        assert scans == [tick_at, tick_at]  # the tick's scan, then the setup's
+        assert [params["flow"] for params in self.requests_at(node, tick_at)] == [1, 2, 3, 4]
+        assert node.table.get(4).state == "active"
+
+    def test_tick_without_active_flows_scans_nothing(self):
+        node = moving_node()
+        scans = []
+        node.env.scan = lambda at_us: scans.append(at_us) or []
+        node.mrrm.tick()
+        node.run()
+        assert scans == []
+        assert not any(r.name == "ConstraintRequest" for r in node.recorder.records)

@@ -1,6 +1,10 @@
 """Event kernel ordering and the JSON-Lines trace format."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mobsig.core import HOComplete, Result, TunnelStop
 from mobsig.simkernel import (
@@ -11,6 +15,15 @@ from mobsig.simkernel import (
     TraceRecord,
     TraceRecorder,
 )
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+names = st.text(max_size=10)
 
 
 def make_kernel(*fe_ids, recorder=None):
@@ -112,6 +125,21 @@ class TestTraceRecord:
             params={"b": 1, "a": {"z": 1, "y": [{"q": 1, "p": 2}]}},
         )
         assert record.to_json().endswith('"params":{"a":{"y":[{"p":2,"q":1}],"z":1},"b":1}}')
+
+    @given(
+        at=st.integers(),
+        sender=names,
+        receiver=names,
+        name=names,
+        params=st.dictionaries(st.text(max_size=6), json_values, max_size=6),
+    )
+    def test_to_json_equals_json_dumps(self, at, sender, receiver, name, params):
+        record = TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
+        head = json.dumps(
+            {"t": at, "from": sender, "to": receiver, "msg": name}, separators=(",", ":")
+        )
+        body = json.dumps(params, sort_keys=True, separators=(",", ":"))
+        assert record.to_json() == f'{head[:-1]},"params":{body}}}'
 
     def test_from_json_round_trip_keeps_line_number(self):
         original = TraceRecord(at=9, sender="A", receiver="B", name="M", params={"k": None})
