@@ -43,28 +43,33 @@ def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> st
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(_BASE_COLUMNS) + sorted(seen - set(_BASE_COLUMNS))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
-    lines = [" " * _TIME_GUTTER + "".join(fe.center(width) for fe in columns)]
+    header = " " * _TIME_GUTTER + "".join(fe.center(width) for fe in columns)
+    lines = [header.rstrip()]
+    # A trace has few distinct (sender, receiver) pairs, so each arrow is drawn once.
+    arrows: dict[tuple[str, str], str] = {}
     for record in records:
-        row = [" "] * (len(columns) * width)
-        for center in centers.values():
-            row[center] = "|"
-        src = centers[record.sender]
-        dst = centers[record.receiver]
-        if src == dst:
-            row[src] = "*"
-        else:
-            for x in range(min(src, dst) + 1, max(src, dst)):
-                row[x] = "-"
-            if dst > src:
-                row[dst - 1] = ">"
+        pair = (record.sender, record.receiver)
+        arrow = arrows.get(pair)
+        if arrow is None:
+            row = [" "] * (len(columns) * width)
+            for center in centers.values():
+                row[center] = "|"
+            src = centers[record.sender]
+            dst = centers[record.receiver]
+            if src == dst:
+                row[src] = "*"
             else:
-                row[dst + 1] = "<"
-        label = record.name
+                for x in range(min(src, dst) + 1, max(src, dst)):
+                    row[x] = "-"
+                if dst > src:
+                    row[dst - 1] = ">"
+                else:
+                    row[dst + 1] = "<"
+            arrow = arrows[pair] = "".join(row).rstrip()
         flow = record.params.get("flow")
-        if flow is not None:
-            label += f" [flow={flow}]"
-        lines.append(f"{record.at:>10}  " + "".join(row).rstrip() + "  " + label)
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+        tag = "" if flow is None else f" [flow={flow}]"
+        lines.append(f"{record.at:>10}  {arrow}  {record.name}{tag}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

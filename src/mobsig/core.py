@@ -49,10 +49,18 @@ class AccessId:
             raise ValueError("AccessId.cell_id must be non-empty")
         if not self.network_id:
             raise ValueError("AccessId.network_id must be non-empty")
+        # Sets, dict lookups and trace keys use these on every scan; the fields
+        # never change, so both are computed once. The hash is the one the
+        # dataclass would generate.
+        object.__setattr__(self, "_hash", hash((self.cell_id, self.network_id, self.rat)))
+        object.__setattr__(self, "_key", f"{self.network_id}/{self.cell_id}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key(self) -> str:
-        return f"{self.network_id}/{self.cell_id}"
+        return self._key
 
 
 def access_sort_key(access: AccessId) -> tuple[str, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable
 
 from .core import primitive_name
@@ -17,10 +18,10 @@ from .core import primitive_name
 SimTime = int  # microseconds
 
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
+_TRACE_KEYS = frozenset(TRACE_FIELDS)
 
-# json.dumps with non-default arguments builds a new encoder per call; these
-# are built once and give the same bytes.
-_encode_head = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps with non-default arguments builds a new encoder per call; this one
+# is built once and gives the same bytes.
 _encode_params = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -47,7 +48,7 @@ class SimEvent:
     payload: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One timestamped message occurrence, as written to the JSON-Lines trace."""
 
@@ -59,11 +60,13 @@ class TraceRecord:
     line: int | None = None  # 1-based source line when parsed from a file
 
     def to_json(self) -> str:
-        head = _encode_head(
-            {"t": self.at, "from": self.sender, "to": self.receiver, "msg": self.name}
+        # The same bytes as json.dumps(separators=(",", ":")) of the head, with
+        # params key-sorted.
+        return (
+            f'{{"t":{self.at},"from":{_encode_str(self.sender)},'
+            f'"to":{_encode_str(self.receiver)},"msg":{_encode_str(self.name)},'
+            f'"params":{_encode_params(self.params)}}}'
         )
-        params = _encode_params(self.params)
-        return f'{head[:-1]},"params":{params}}}'
 
     @classmethod
     def from_json(cls, line: str, lineno: int | None = None) -> "TraceRecord":
@@ -71,20 +74,18 @@ class TraceRecord:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: not valid JSON: {exc}") from None
-        if not isinstance(obj, dict) or set(obj) != set(TRACE_FIELDS):
+        if not isinstance(obj, dict) or obj.keys() != _TRACE_KEYS:
             raise ValueError(f"line {lineno}: trace records need exactly fields {TRACE_FIELDS}")
-        if not isinstance(obj["t"], int):
+        # json.loads yields exact built-in types, so `type(...) is` also rejects
+        # a boolean `t`, which isinstance(..., int) would let through.
+        if type(obj["t"]) is not int:
             raise ValueError(f"line {lineno}: field 't' must be an integer")
+        for field in ("from", "to", "msg"):
+            if type(obj[field]) is not str:
+                raise ValueError(f"line {lineno}: field '{field}' must be a string")
         if not isinstance(obj["params"], dict):
             raise ValueError(f"line {lineno}: field 'params' must be an object")
-        return cls(
-            at=obj["t"],
-            sender=obj["from"],
-            receiver=obj["to"],
-            name=obj["msg"],
-            params=obj["params"],
-            line=lineno,
-        )
+        return cls(obj["t"], obj["from"], obj["to"], obj["msg"], obj["params"], lineno)
 
 
 class TraceRecorder:

@@ -3,14 +3,26 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mobsig import cli
 from mobsig.conformance import load_trace
+from mobsig.core import FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+# One line each: a non-string entity or message name, or a boolean time.
+MISTYPED_RECORDS = [
+    '{"t":0,"from":1,"to":"HOLM","msg":"X","params":{}}',
+    '{"t":0,"from":"MRRM","to":2,"msg":"X","params":{}}',
+    '{"t":0,"from":"MRRM","to":"HOLM","msg":3,"params":{}}',
+    '{"t":true,"from":"MRRM","to":"HOLM","msg":"X","params":{}}',
+]
 
 
 @pytest.fixture()
@@ -176,6 +188,15 @@ class TestCheck:
         assert run_cli("check", "--trace", str(tampered)) == 2
         assert capsys.readouterr().err.startswith("trace error:")
 
+    @pytest.mark.parametrize("line", MISTYPED_RECORDS)
+    def test_mistyped_record_exits_2_with_its_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "mistyped.jsonl"
+        trace.write_text(line + "\n")
+        assert run_cli("check", "--trace", str(trace)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace error: line 1: field ")
+        assert "Traceback" not in err
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("check", "--trace", str(tmp_path / "absent.jsonl")) == 2
 
@@ -211,6 +232,15 @@ class TestDiagram:
         garbage.write_text("{nope\n")
         assert run_cli("diagram", "--trace", str(garbage)) == 2
 
+    @pytest.mark.parametrize("line", MISTYPED_RECORDS)
+    def test_mistyped_record_exits_2_with_its_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "mistyped.jsonl"
+        trace.write_text(line + "\n")
+        assert run_cli("diagram", "--trace", str(trace)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("trace error: line 1: field ")
+        assert captured.out == ""
+
     def test_rendering_is_deterministic(self, mbb_outputs, capsys):
         trace, _ = mbb_outputs
         run_cli("diagram", "--trace", str(trace))
@@ -232,6 +262,55 @@ class TestRenderDiagram:
         out = cli.render_diagram([record])
         assert "Alien" in out.splitlines()[0]
         assert "<" in out.splitlines()[1]  # arrow pointing left toward MRRM
+
+
+def _row_by_row_diagram(records, width=12):
+    """render_diagram as it drew every row in full, kept as the reference."""
+    seen = {r.sender for r in records} | {r.receiver for r in records}
+    columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
+    centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
+    lines = [" " * 12 + "".join(fe.center(width) for fe in columns)]
+    for record in records:
+        row = [" "] * (len(columns) * width)
+        for center in centers.values():
+            row[center] = "|"
+        src = centers[record.sender]
+        dst = centers[record.receiver]
+        if src == dst:
+            row[src] = "*"
+        else:
+            for x in range(min(src, dst) + 1, max(src, dst)):
+                row[x] = "-"
+            if dst > src:
+                row[dst - 1] = ">"
+            else:
+                row[dst + 1] = "<"
+        label = record.name
+        flow = record.params.get("flow")
+        if flow is not None:
+            label += f" [flow={flow}]"
+        lines.append(f"{record.at:>10}  " + "".join(row).rstrip() + "  " + label)
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+padded_names = st.builds(lambda name, pad: name + pad, st.text(max_size=6),
+                         st.sampled_from(["", " ", "  \t"]))
+entities = st.sampled_from(FUNCTIONAL_ENTITIES) | padded_names
+diagram_records = st.builds(
+    TraceRecord,
+    at=st.integers(min_value=-10, max_value=10**12),
+    sender=entities,
+    receiver=entities,
+    name=padded_names,
+    params=st.fixed_dictionaries(
+        {}, optional={"flow": st.none() | st.integers() | st.text(max_size=3)}
+    ),
+)
+
+
+@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14))
+def test_render_diagram_equals_row_by_row_drawing(records, width):
+    assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
 
 
 def test_argv_is_required():

@@ -1,5 +1,7 @@
 """Value-type validation and the primitive wire format."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,6 +103,27 @@ class TestAccessId:
         ]
         ordered = sorted(accesses, key=access_sort_key)
         assert [a.key for a in ordered] == ["net-1/cell-a", "net-1/cell-z", "net-2/cell-b"]
+
+    @given(
+        cell=st.text(min_size=1, max_size=6),
+        network=st.text(min_size=1, max_size=6),
+        rat=st.text(max_size=6),
+    )
+    def test_equal_ids_share_hash_and_key(self, cell, network, rat):
+        first = AccessId(cell, network, rat)
+        twin = AccessId(cell_id=cell, network_id=network, rat=rat)
+        assert twin == first and twin is not first
+        assert hash(twin) == hash(first) == hash((cell, network, rat))
+        assert twin.key == first.key == f"{network}/{cell}"
+        assert {first: 1}[twin] == 1
+
+    def test_cached_hash_and_key_leave_the_dataclass_shape_alone(self):
+        assert [f.name for f in dataclasses.fields(A)] == ["cell_id", "network_id", "rat"]
+        assert repr(A) == "AccessId(cell_id='cell-a', network_id='net-1', rat='wlan')"
+        assert A != AccessId("cell-a", "net-1", "cellular")
+        moved = dataclasses.replace(A, cell_id="cell-q")
+        assert moved.key == "net-1/cell-q"
+        assert hash(moved) == hash(("cell-q", "net-1", "wlan"))
 
 
 class TestLocator:

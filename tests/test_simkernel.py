@@ -160,6 +160,10 @@ class TestTraceRecord:
             ),
             ('{"t":"1","from":"a","to":"b","msg":"m","params":{}}', "'t' must be an integer"),
             ('{"t":1,"from":"a","to":"b","msg":"m","params":[]}', "'params' must be an object"),
+            ('{"t":true,"from":"a","to":"b","msg":"m","params":{}}', "'t' must be an integer"),
+            ('{"t":0,"from":1,"to":"HOLM","msg":"X","params":{}}', "'from' must be a string"),
+            ('{"t":0,"from":"a","to":null,"msg":"X","params":{}}', "'to' must be a string"),
+            ('{"t":0,"from":"a","to":"b","msg":["X"],"params":{}}', "'msg' must be a string"),
         ],
     )
     def test_from_json_errors_carry_line_number(self, line, fragment):
@@ -169,8 +173,69 @@ class TestTraceRecord:
         assert message.startswith("line 7:")
         assert fragment in message
 
+    @given(st.data())
+    def test_from_json_accepts_and_rejects_what_the_set_comparison_did(self, data):
+        dropped = data.draw(st.sets(st.sampled_from(TRACE_FIELDS), max_size=2))
+        extra = data.draw(st.sets(st.text(max_size=4).filter(lambda k: k not in TRACE_FIELDS),
+                                  max_size=2))
+        typical = {
+            "t": st.integers(),
+            "from": names,
+            "to": names,
+            "msg": names,
+            "params": st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+        }
+        obj = {key: data.draw(typical[key] | json_values)
+               for key in TRACE_FIELDS if key not in dropped}
+        obj.update((key, data.draw(json_values)) for key in extra)
+        line = json.dumps(data.draw(st.just(obj) | json_values))
+
+        try:
+            expected = _set_comparing_from_json(line, 3)
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^line 3: "):
+                TraceRecord.from_json(line, 3)
+            return
+        try:
+            parsed = TraceRecord.from_json(line, 3)
+        except ValueError as exc:
+            # Only the boolean-`t` and string-name checks may reject what the
+            # reference accepts.
+            message = str(exc)
+            if type(expected.at) is bool:
+                assert message == "line 3: field 't' must be an integer"
+            else:
+                wrong = [field for field, value in zip(("from", "to", "msg"),
+                         (expected.sender, expected.receiver, expected.name))
+                         if not isinstance(value, str)]
+                assert wrong and message == f"line 3: field '{wrong[0]}' must be a string"
+            return
+        assert repr(parsed) == repr(expected)  # repr: NaN params never compare equal
+
     def test_trace_fields_constant(self):
         assert TRACE_FIELDS == ("t", "from", "to", "msg", "params")
+
+
+def _set_comparing_from_json(line, lineno):
+    """Reference reader: set-compared keys, no boolean-`t` or string-name checks."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or set(obj) != set(TRACE_FIELDS):
+        raise ValueError(f"line {lineno}: trace records need exactly fields {TRACE_FIELDS}")
+    if not isinstance(obj["t"], int):
+        raise ValueError(f"line {lineno}: field 't' must be an integer")
+    if not isinstance(obj["params"], dict):
+        raise ValueError(f"line {lineno}: field 'params' must be an object")
+    return TraceRecord(
+        at=obj["t"],
+        sender=obj["from"],
+        receiver=obj["to"],
+        name=obj["msg"],
+        params=obj["params"],
+        line=lineno,
+    )
 
 
 class TestRecorder:
