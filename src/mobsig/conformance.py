@@ -17,7 +17,7 @@ snapshots, rating queries, flow-setup traffic) are ignored by the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core import PRIMITIVE_TYPES
 from .simkernel import TraceRecord
@@ -152,8 +152,7 @@ class SequenceContext:
     """One handover execution span inside a trace."""
 
     flow: int
-    start_index: int
-    entries: list[tuple[int, TraceRecord]] = field(default_factory=list)
+    entries: list[tuple[int, TraceRecord]]
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -294,8 +293,7 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
         if record.name == "HOExecutionRequest":
             flow = record.params["flow"]
             open_contexts.pop(flow, None)
-            context = SequenceContext(flow=flow, start_index=index)
-            context.entries.append((index, record))
+            context = SequenceContext(flow=flow, entries=[(index, record)])
             open_contexts[flow] = context
             contexts.append(context)
             continue
@@ -430,8 +428,3 @@ def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
                 # Rewrite the slice-local failure index as a full-trace index.
                 return replace(verdict, index=context.entries[verdict.index][0])
     return Verdict(ok=True, template=template)
-
-
-def check_auto(records: list[TraceRecord]) -> Verdict:
-    """Check each context against its variant's templates: check_trace(records, "auto")."""
-    return check_trace(records, "auto")

@@ -3,7 +3,7 @@
 Everything defined here is immutable. The primitive classes map one-to-one onto
 the signaling messages exchanged between the functional entities; a primitive's
 trace name is its class name, and its trace parameters are produced by
-``Primitive.params()`` / restored by ``primitive_from_params()``.
+``Primitive.params()``.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class QosSpec:
             raise ValueError("QosSpec.max_latency_ms must be >= 0")
 
 
-def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:
-    """True iff the grant meets the request in both dimensions."""
-    return (
-        granted.bandwidth_kbps >= requested.bandwidth_kbps
-        and granted.max_latency_ms <= requested.max_latency_ms
-    )
-
-
 @dataclass(frozen=True)
 class Locator:
     """A routable address bound to one access.
@@ -112,21 +104,18 @@ class Locator:
 
 @dataclass(frozen=True)
 class Rating:
-    """Path and radio scores for one candidate access.
+    """Path score for one candidate access, as path selection rates it.
 
-    Only the path score travels in ConstraintResponse; the radio score is
-    filled in by MRRM from its own scan before access selection.
+    The radio score belongs to MRRM alone: it comes from MRRM's own scan and
+    never travels in a Rating.
     """
 
     access: AccessId
     path_score: float
-    radio_score: float
 
     def __post_init__(self) -> None:
-        for name in ("path_score", "radio_score"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"Rating.{name} must lie in [0, 1], got {value!r}")
+        if not 0.0 <= self.path_score <= 1.0:
+            raise ValueError(f"Rating.path_score must lie in [0, 1], got {self.path_score!r}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +130,6 @@ class AccessSets:
     def __post_init__(self) -> None:
         if len(self.aas) > 1:
             raise ValueError("AccessSets.aas holds at most one access")
-
-    def is_nested(self) -> bool:
-        return self.aas <= self.cas <= self.das <= self.scanned
 
     @property
     def active(self) -> AccessId | None:
@@ -175,9 +161,9 @@ class Result:
 
 
 # --------------------------------------------------------------------------
-# Parameter rendering. Each primitive class gets one (name, render, parse)
-# triple per field, built once at import from the field's declared type;
-# params() renders the fields into a JSON object with sorted keys.
+# Parameter rendering. Each primitive class gets one (name, render) pair per
+# field, built once at import from the field's declared type; params() renders
+# the fields into a JSON object. The trace writer sorts its keys.
 # --------------------------------------------------------------------------
 
 
@@ -186,48 +172,38 @@ def _same(value: Any) -> Any:
 
 
 @functools.cache
-def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
-    """(render, parse) between a value of declared type tp and its JSON form.
+def _codec(tp: Any) -> Callable[[Any], Any]:
+    """Renderer from a value of declared type tp to its JSON form.
 
     tp is a scalar, ``X | None``, ``tuple[X, ...]`` or a dataclass. Rating is
     the one dataclass with its own wire form.
     """
     args = get_args(tp)
     if type(None) in args:
-        render, parse = _codec(next(arg for arg in args if arg is not type(None)))
-        return (
-            lambda value: None if value is None else render(value),
-            lambda raw: None if raw is None else parse(raw),
-        )
+        render = _codec(next(arg for arg in args if arg is not type(None)))
+        return lambda value: None if value is None else render(value)
     if get_origin(tp) is tuple:
-        render, parse = _codec(args[0])
-        return (
-            lambda values: [render(value) for value in values],
-            lambda raw: tuple(parse(item) for item in raw),
-        )
+        render = _codec(args[0])
+        return lambda values: [render(value) for value in values]
     if tp is Rating:
-        # The wire carries the path rating only; radio ranking is node-internal.
-        render, parse = _codec(AccessId)
-        return (
-            lambda rating: {**render(rating.access), "rating": rating.path_score},
-            lambda raw: Rating(access=parse(raw), path_score=raw["rating"], radio_score=0.0),
-        )
+        render = _codec(AccessId)
+        return lambda rating: {**render(rating.access), "rating": rating.path_score}
     if dataclasses.is_dataclass(tp):
         plan = _field_codecs(tp)
 
         def render_object(value: Any) -> dict[str, Any]:
             if value is None:
                 raise ValueError(f"a {tp.__name__} field must not be None")
-            return {name: render(getattr(value, name)) for name, render, _ in plan}
+            return {name: render(getattr(value, name)) for name, render in plan}
 
-        return render_object, lambda raw: tp(**{name: parse(raw[name]) for name, _, parse in plan})
-    return _same, _same
+        return render_object
+    return _same
 
 
-def _field_codecs(cls: type) -> tuple[tuple[str, Callable, Callable], ...]:
+def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
     # Resolved against this module's namespace: the annotations are strings.
     hints = get_type_hints(cls, globals())
-    return tuple((f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls))
+    return tuple((f.name, _codec(hints[f.name])) for f in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True)
@@ -238,25 +214,17 @@ class Primitive:
     and a failure adds its ``reason``.
     """
 
-    _codecs = ()  # (name, render, parse) of every field but `result`
+    _codecs = ()  # (name, render) of every field but `result`
     _has_result = False
 
     def params(self) -> dict[str, Any]:
-        rendered = {name: render(getattr(self, name)) for name, render, _ in self._codecs}
+        rendered = {name: render(getattr(self, name)) for name, render in self._codecs}
         if self._has_result:
             result = self.result
             rendered["result"] = "success" if result.ok else "failure"
             if not result.ok:
                 rendered["reason"] = result.reason
-        return dict(sorted(rendered.items()))
-
-    @classmethod
-    def from_params(cls, params: dict[str, Any]) -> "Primitive":
-        kwargs = {name: parse(params[name]) for name, _, parse in cls._codecs}
-        if cls._has_result:
-            ok = params["result"] == "success"
-            kwargs["result"] = Result.success() if ok else Result.failure(params["reason"])
-        return cls(**kwargs)
+        return rendered
 
 
 # -- Constraint Selection SAP ----------------------------------------------
@@ -440,12 +408,3 @@ def primitive_name(primitive: Primitive) -> str:
     if name not in PRIMITIVE_TYPES:
         raise ValueError(f"unknown primitive type: {name}")
     return name
-
-
-def primitive_from_params(name: str, params: dict[str, Any]) -> Primitive:
-    """Rebuild a primitive from its trace name and rendered params."""
-    try:
-        cls = PRIMITIVE_TYPES[name]
-    except KeyError:
-        raise ValueError(f"unknown primitive name: {name}") from None
-    return cls.from_params(params)

@@ -97,8 +97,8 @@ class Environment:
         recorder: TraceRecorder,
         cells: tuple[Cell, ...],
         trajectory: Trajectory,
-        rng: random.Random | None = None,
-        jitter_us: int = 0,
+        rng: random.Random,
+        jitter_us: int,
     ) -> None:
         self._kernel = kernel
         self._recorder = recorder
@@ -120,7 +120,7 @@ class Environment:
 
     def latency(self, base_us: int) -> int:
         """base_us plus seeded jitter; link and daemon delays share one generator."""
-        if self._jitter_us and self._rng is not None:
+        if self._jitter_us:
             return base_us + self._rng.randint(0, self._jitter_us)
         return base_us
 

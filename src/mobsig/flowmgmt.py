@@ -33,7 +33,6 @@ class FlowRecord:
 
     flow: int
     requested: QosSpec
-    start_us: int = 0
     state: str = "new"
     current_access: AccessId | None = None
     granted_qos: QosSpec | None = None

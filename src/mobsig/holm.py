@@ -79,7 +79,6 @@ class HandoverContext:
     phase: Phase = Phase.TOOL_SELECTED
     t_break: SimTime | None = None
     t_restore: SimTime | None = None
-    old_locator: Locator | None = None
     new_locator: Locator | None = None
     failure_reason: str | None = None
     history: list[Phase] = field(default_factory=list)
@@ -172,7 +171,6 @@ class Holm:
             target=request.target,
             tool=tool,
             t_start=at,
-            old_locator=self._daemons.flow_locators.get(request.flow),
         )
         self._contexts[request.flow] = ctx
         self._begin(ctx)

@@ -86,33 +86,25 @@ def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessS
     return AccessSets(scanned=scanned, das=das)
 
 
-def merge_ratings(
-    radio_scores: Mapping[AccessId, float], ratings: tuple[Rating, ...]
-) -> tuple[Rating, ...]:
-    """Fill the node-side radio score into path ratings received on the wire."""
-    return tuple(
-        Rating(
-            access=r.access,
-            path_score=r.path_score,
-            radio_score=radio_scores.get(r.access, 0.0),
-        )
-        for r in ratings
-    )
-
-
 def select_cas_aas(
-    policy: MrrmPolicy, das_sets: AccessSets, ratings: tuple[Rating, ...]
+    policy: MrrmPolicy,
+    das_sets: AccessSets,
+    radio: Mapping[AccessId, float],
+    ratings: tuple[Rating, ...],
 ) -> tuple[AccessSets, dict[AccessId, float]]:
     """Derive CAS (usable paths) and AAS (best combined score) from the ratings.
 
-    Ties on the combined score go to the lexicographically smallest
-    (network_id, cell_id). Ratings must cover only DAS members.
+    The combined score weighs MRRM's own radio score from its scan (0 for an
+    access the scan did not see) against the path score in the rating. Ties on
+    the combined score go to the lexicographically smallest (network_id,
+    cell_id). Ratings must cover only DAS members.
     """
     for rating in ratings:
         if rating.access not in das_sets.das:
             raise ValueError(f"rating for access outside das: {rating.access.key}")
     combined = {
-        r.access: policy.weight_radio * r.radio_score + policy.weight_path * r.path_score
+        r.access: policy.weight_radio * radio.get(r.access, 0.0)
+        + policy.weight_path * r.path_score
         for r in ratings
     }
     cas = frozenset(r.access for r in ratings if r.path_score > 0.0)
@@ -181,7 +173,6 @@ class _CycleState:
 class _PendingHandover:
     flow: int
     establishing: bool
-    current: AccessId | None
     target: AccessId
     granted: QosSpec | None = None
 
@@ -260,8 +251,9 @@ class Mrrm:
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
         cycle = self._cycles.popleft()
-        merged = merge_ratings(cycle.view.radio, response.ratings)
-        sets, combined = select_cas_aas(self.policy, cycle.view.sets, merged)
+        sets, combined = select_cas_aas(
+            self.policy, cycle.view.sets, cycle.view.radio, response.ratings
+        )
         self._snapshot(cycle.flow, sets, cycle.view)
         record = self._table.get(cycle.flow)
         if cycle.establishing:
@@ -301,7 +293,7 @@ class Mrrm:
         self, record, current: AccessId | None, target: AccessId, establishing: bool
     ) -> None:
         self._inflight = _PendingHandover(
-            flow=record.flow, establishing=establishing, current=current, target=target
+            flow=record.flow, establishing=establishing, target=target
         )
         self._send(
             FE_HOLM,

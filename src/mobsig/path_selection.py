@@ -91,9 +91,7 @@ class PathSelection:
             model = self._models.get(access)
             if model is None:
                 unknown.append(access.key)
-            ratings.append(
-                Rating(access=access, path_score=rate_access(model, requested), radio_score=0.0)
-            )
+            ratings.append(Rating(access=access, path_score=rate_access(model, requested)))
         if unknown:
             self._recorder.annotate(
                 self._kernel.now,

@@ -60,10 +60,9 @@ class DaemonHost:
         self._env = env
         self._binding_rtt_us = binding_rtt_us
         self._fmip_oneway_us = fmip_oneway_us
-        self.flow_locators: dict[int, Locator] = {}
         self._states: dict[int, FmipState] = {}
-        # flow -> (new locator, completion) of the binding update in flight
-        self._binding_waiters: dict[int, tuple[Locator, Callable[[Result], None]]] = {}
+        # flow -> completion of the binding update in flight
+        self._binding_waiters: dict[int, Callable[[Result], None]] = {}
         # flow -> (handover, completion) of the preparation in flight
         self._preparations: dict[int, tuple[HandoverState, Callable[[Result], None]]] = {}
 
@@ -79,7 +78,7 @@ class DaemonHost:
         self._kernel.schedule(
             0, FE_DAEMON, FE_ENVIRONMENT, BindingUpdate(flow=ctx.flow, locator=new_locator)
         )
-        self._binding_waiters[ctx.flow] = (new_locator, done)
+        self._binding_waiters[ctx.flow] = done
         self._kernel.schedule(
             self._env.latency(self._binding_rtt_us),
             FE_ENVIRONMENT,
@@ -172,12 +171,10 @@ class DaemonHost:
                 self.state(ctx.flow).prepared_for = ctx.target
             done(result)
         elif isinstance(payload, BindingAck):
-            waiter = self._binding_waiters.pop(payload.flow, None)
-            if waiter is None:
+            done = self._binding_waiters.pop(payload.flow, None)
+            if done is None:
                 return
-            locator, done = waiter
             if payload.result.ok:
-                self.flow_locators[payload.flow] = locator
                 state = self._states.get(payload.flow)
                 if state is not None:
                     state.binding_acked = True

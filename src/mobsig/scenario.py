@@ -10,6 +10,7 @@ at the exact input line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -81,6 +82,15 @@ def _int_field(obj: Mapping[str, Any], key: str, path: str, minimum: int | None 
     return value
 
 
+def _finite(value: int | float) -> bool:
+    # json reads NaN and Infinity as floats, and a long integer literal as an
+    # int that no float can hold.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number_field(
     obj: Mapping[str, Any], key: str, path: str, minimum: float | None = None
 ) -> float:
@@ -88,6 +98,8 @@ def _number_field(
     field = _join(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("must be a number", field)
+    if not _finite(value):
+        raise ScenarioError("must be a finite number", field)
     if minimum is not None and value < minimum:
         raise ScenarioError(f"must be >= {minimum}", field)
     return float(value)
@@ -117,6 +129,8 @@ def _xy_field(obj: Mapping[str, Any], key: str, path: str) -> tuple[float, float
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ScenarioError("must be an [x, y] pair of numbers", field)
+    if not all(_finite(v) for v in value):
+        raise ScenarioError("must be a finite number", field)
     return (float(value[0]), float(value[1]))
 
 

@@ -132,7 +132,7 @@ class _Call:
 class Kernel:
     """Event queue plus the FE registry; owns the clock."""
 
-    def __init__(self, recorder: TraceRecorder | None = None) -> None:
+    def __init__(self, recorder: TraceRecorder) -> None:
         self._now: SimTime = 0
         self._seq = 0
         self._queue: list[tuple[SimTime, int, SimEvent]] = []
@@ -166,22 +166,16 @@ class Kernel:
         """Schedule an internal (untraced) call attributed to an FE."""
         self.schedule(delay_us, owner, owner, _Call(fn))
 
-    def run_until_quiescent(self, limit_us: SimTime | None = None) -> SimTime:
+    def run_until_quiescent(self) -> SimTime:
         """Process events in (at, seq) order until the queue drains.
 
-        Returns the time of the last processed event (0 if none). With a limit,
-        events after it stay queued and the limit itself is returned.
+        Returns the time of the last processed event (0 if none).
         """
         last: SimTime = 0
         while self._queue:
-            at, _seq, event = self._queue[0]
-            if limit_us is not None and at > limit_us:
-                self._now = max(self._now, limit_us)
-                return limit_us
-            heapq.heappop(self._queue)
-            self._now = at
+            last, _seq, event = heapq.heappop(self._queue)
+            self._now = last
             self._dispatch(event)
-            last = at
         return last
 
     def _dispatch(self, event: SimEvent) -> None:
@@ -189,8 +183,7 @@ class Kernel:
             if isinstance(event.payload, _Call):
                 event.payload.fn()
                 return
-            if self.recorder is not None:
-                self.recorder.on_delivery(event)
+            self.recorder.on_delivery(event)
             self._handlers[event.receiver](event)
         except SimulationError:
             raise

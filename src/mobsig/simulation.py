@@ -57,10 +57,7 @@ class Simulation:
             jitter_us=config.jitter_us,
         )
         self.flow_table = FlowTable(
-            [
-                FlowRecord(flow=spec.flow, requested=spec.requested, start_us=spec.start_us)
-                for spec in config.flows
-            ]
+            [FlowRecord(flow=spec.flow, requested=spec.requested) for spec in config.flows]
         )
         self.daemons = DaemonHost(
             self.kernel,
@@ -104,18 +101,14 @@ class Simulation:
         if self.kernel.now + self.config.scan_period_us <= self._horizon:
             self.kernel.call_later(self.config.scan_period_us, self._tick, FE_MRRM)
 
-    def run(self, limit_us: SimTime | None = None) -> SimulationResult:
-        final = self.kernel.run_until_quiescent(limit_us)
+    def run(self) -> SimulationResult:
+        final = self.kernel.run_until_quiescent()
         return SimulationResult(
             records=list(self.recorder.records),
             contexts=list(self.holm.completed),
             metrics=build_metrics(self.recorder.records, self.holm.completed),
             final_time_us=final,
         )
-
-
-def run_scenario(config: ScenarioConfig, limit_us: SimTime | None = None) -> SimulationResult:
-    return Simulation(config).run(limit_us=limit_us)
 
 
 def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -> dict:

@@ -8,7 +8,7 @@ import pytest
 
 import mobsig
 from mobsig.scenario import load_scenario
-from mobsig.simulation import run_scenario
+from mobsig.simulation import Simulation
 
 BUNDLED = ("mbb", "bbm", "fmip", "multi")
 
@@ -34,4 +34,4 @@ def bundled_configs(scenario_path):
 @pytest.fixture(scope="session")
 def bundled_results(bundled_configs):
     """One deterministic run per bundled scenario, shared across the session."""
-    return {name: run_scenario(config) for name, config in bundled_configs.items()}
+    return {name: Simulation(config).run() for name, config in bundled_configs.items()}

@@ -1,4 +1,4 @@
-"""Shared builders for the unit tests: cells, trajectories, and a wired node."""
+"""Shared builders for the unit tests: cells, trajectories, a wired node, and oracles."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from mobsig.core import (
     FE_MRRM,
     FE_PATH_SELECTION,
     AccessId,
+    AccessSets,
     QosSpec,
 )
 from mobsig.environment import Cell, Environment, Trajectory
@@ -23,6 +24,19 @@ from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, TraceRecorder
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
+
+
+def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:
+    """True iff the grant meets the request in both dimensions."""
+    return (
+        granted.bandwidth_kbps >= requested.bandwidth_kbps
+        and granted.max_latency_ms <= requested.max_latency_ms
+    )
+
+
+def is_nested(sets: AccessSets) -> bool:
+    """True iff aas <= cas <= das <= scanned."""
+    return sets.aas <= sets.cas <= sets.das <= sets.scanned
 
 
 def make_cell(
@@ -90,7 +104,7 @@ class Node:
             self.recorder,
             cells,
             trajectory or still_trajectory(),
-            rng=rng,
+            rng=rng or random.Random(0),
             jitter_us=jitter_us,
         )
         self.table = FlowTable(list(flows))
@@ -115,8 +129,8 @@ class Node:
         self.kernel.register(FE_ENVIRONMENT, self.env.handle)
         self.kernel.register(FE_DAEMON, self.daemons.handle)
 
-    def run(self, limit_us: int | None = None) -> int:
-        return self.kernel.run_until_quiescent(limit_us)
+    def run(self) -> int:
+        return self.kernel.run_until_quiescent()
 
     def attach_now(self, flow: int, access: AccessId) -> None:
         """Bring a link up synchronously (runs the kernel)."""

@@ -23,7 +23,7 @@ from mobsig.conformance import (
     segment_contexts,
 )
 from mobsig.scenario import parse_scenario
-from mobsig.simulation import run_scenario
+from mobsig.simulation import Simulation
 
 RUNTIME_BUDGET_S = 1.0
 HANDOVER_SCENARIOS = ("mbb", "bbm", "fmip")
@@ -90,7 +90,7 @@ def test_bundled_traces_conform_to_their_templates(bundled_configs):
     with criterion("bundled handover traces replay conformant signaling sequences"):
         for name in HANDOVER_SCENARIOS:
             started = time.perf_counter()
-            result = run_scenario(bundled_configs[name])
+            result = Simulation(bundled_configs[name]).run()
             elapsed = time.perf_counter() - started
             assert elapsed < RUNTIME_BUDGET_S, f"{name} took {elapsed:.2f}s"
 
@@ -192,7 +192,7 @@ def test_checker_matches_order_oracle_on_adjacent_swaps(bundled_results):
 def test_seed_determinism_and_jitter_variation(bundled_configs, bundled_results, scenario_path):
     with criterion("equal seeds reproduce traces byte for byte; jittered seeds differ but conform"):
         for name, result in bundled_results.items():
-            rerun = run_scenario(bundled_configs[name])
+            rerun = Simulation(bundled_configs[name]).run()
             assert [r.to_json() for r in rerun.records] == [
                 r.to_json() for r in result.records
             ], f"{name}: rerun with the same seed diverged"
@@ -202,11 +202,13 @@ def test_seed_determinism_and_jitter_variation(bundled_configs, bundled_results,
         lines = {}
         for seed in (101, 202):
             config = parse_scenario(copy.deepcopy(document), seed_override=seed)
-            jittered = run_scenario(config)
+            jittered = Simulation(config).run()
             assert check_trace(jittered.records).ok
             lines[seed] = [r.to_json() for r in jittered.records]
 
-            replay = run_scenario(parse_scenario(copy.deepcopy(document), seed_override=seed))
+            replay = Simulation(
+                parse_scenario(copy.deepcopy(document), seed_override=seed)
+            ).run()
             assert [r.to_json() for r in replay.records] == lines[seed]
         assert lines[101] != lines[202]
 

@@ -10,7 +10,6 @@ from mobsig.conformance import (
     Precedence,
     SequenceTemplate,
     check,
-    check_auto,
     check_trace,
     infer_variant,
     load_trace,
@@ -138,8 +137,7 @@ class TestSegmentation:
         contexts = segment_contexts(records)
         assert len(contexts) == 2
         assert [len(c.entries) for c in contexts] == [8, 10]
-        assert contexts[0].start_index == 0
-        assert contexts[1].start_index == 8
+        assert [c.entries[0][0] for c in contexts] == [0, 8]
 
     def test_flow_ids_route_records_to_their_own_context(self):
         records = [
@@ -171,7 +169,7 @@ class TestSegmentation:
         records = [rec("BindingAck", flow=1, result="success")] + mbb_slice()
         contexts = segment_contexts(records)
         assert len(contexts) == 1
-        assert contexts[0].start_index == 1
+        assert contexts[0].entries[0][0] == 1
 
     def test_non_vocabulary_records_are_invisible(self):
         records = mbb_slice()

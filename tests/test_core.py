@@ -1,6 +1,7 @@
 """Value-type validation and the primitive wire format."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given
@@ -38,10 +39,11 @@ from mobsig.core import (
     TunnelStart,
     TunnelStop,
     access_sort_key,
-    primitive_from_params,
     primitive_name,
-    qos_satisfies,
 )
+from mobsig.simkernel import TraceRecord
+
+from support import is_nested, qos_satisfies
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -139,14 +141,12 @@ class TestLocator:
 class TestRating:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_accepts_unit_interval(self, value):
-        Rating(access=A, path_score=value, radio_score=value)
+        Rating(access=A, path_score=value)
 
     @pytest.mark.parametrize("value", [-0.1, 1.1])
     def test_rejects_out_of_range_scores(self, value):
         with pytest.raises(ValueError):
-            Rating(access=A, path_score=value, radio_score=0.0)
-        with pytest.raises(ValueError):
-            Rating(access=A, path_score=0.0, radio_score=value)
+            Rating(access=A, path_score=value)
 
 
 class TestAccessSets:
@@ -166,9 +166,9 @@ class TestAccessSets:
             cas=frozenset({B}),
             aas=frozenset({B}),
         )
-        assert nested.is_nested()
+        assert is_nested(nested)
         broken = AccessSets(scanned=frozenset({A}), das=frozenset({B}))
-        assert not broken.is_nested()
+        assert not is_nested(broken)
 
     def test_active_access(self):
         assert AccessSets(scanned=frozenset({A}), das=frozenset()).active is None
@@ -210,7 +210,7 @@ class TestPathSelectedInvariant:
 
 SAMPLES: list[Primitive] = [
     ConstraintRequest(flow=1, candidates=(A, B)),
-    ConstraintResponse(ratings=(Rating(A, 0.5, 0.0), Rating(B, 1.0, 0.0))),
+    ConstraintResponse(ratings=(Rating(A, 0.5), Rating(B, 1.0))),
     HOExecutionRequest(flow=1, current=A, target=B, mbb_flag=True),
     HOExecutionRequest(flow=2, current=None, target=A, mbb_flag=False),
     HOComplete(result=OK),
@@ -240,12 +240,40 @@ SAMPLES: list[Primitive] = [
 ]
 
 
+def wire(value):
+    """The JSON form of one field value, written out from the dataclass fields."""
+    if isinstance(value, Rating):
+        return {**wire(value.access), "rating": value.path_score}
+    if dataclasses.is_dataclass(value):
+        return {f.name: wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [wire(item) for item in value]
+    return value
+
+
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda s: type(s).__name__)
 def test_params_round_trip(sample):
+    """params() carries every field whole and survives the written trace line."""
+    expected = {f.name: wire(getattr(sample, f.name)) for f in dataclasses.fields(sample)}
+    if "result" in expected:
+        result = sample.result
+        expected["result"] = "success" if result.ok else "failure"
+        if not result.ok:
+            expected["reason"] = result.reason
     params = sample.params()
-    assert list(params) == sorted(params), "params keys render sorted"
-    rebuilt = primitive_from_params(primitive_name(sample), params)
-    assert rebuilt == sample
+    assert params == expected
+
+    line = TraceRecord(0, "MRRM", "HOLM", primitive_name(sample), params).to_json()
+    assert TraceRecord.from_json(line).params == params
+    key_orders = []
+
+    def keep_order(pairs):
+        key_orders.append([key for key, _ in pairs])
+        return dict(pairs)
+
+    json.loads(line, object_pairs_hook=keep_order)
+    # The last object closed is the record head, whose fields keep their own order.
+    assert all(keys == sorted(keys) for keys in key_orders[:-1]), "params keys written sorted"
 
 
 def test_every_primitive_type_sampled():
@@ -270,18 +298,12 @@ def test_result_field_renders_flat_success_and_failure():
     }
 
 
-def test_rating_wire_form_drops_radio_score():
-    """Only the path rating travels; the radio score is node-internal."""
-    response = ConstraintResponse(ratings=(Rating(A, 0.25, 0.9),))
-    wire = response.params()["ratings"][0]
-    assert wire == {
-        "cell_id": "cell-a",
-        "network_id": "net-1",
-        "rat": "wlan",
-        "rating": 0.25,
-    }
-    rebuilt = ConstraintResponse.from_params(response.params())
-    assert rebuilt.ratings[0].radio_score == 0.0
+def test_rating_wire_form_flattens_the_access():
+    """A rating travels as its access's fields plus the path score as `rating`."""
+    response = ConstraintResponse(ratings=(Rating(A, 0.25),))
+    assert response.params()["ratings"] == [
+        {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan", "rating": 0.25}
+    ]
 
 
 def test_primitive_name_rejects_foreign_classes():
@@ -290,8 +312,3 @@ def test_primitive_name_rejects_foreign_classes():
 
     with pytest.raises(ValueError):
         primitive_name(NotAPrimitive())
-
-
-def test_primitive_from_params_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        primitive_from_params("TotallyMadeUp", {})

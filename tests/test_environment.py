@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobsig.core import FE_ENVIRONMENT, QosSpec, qos_satisfies
+from mobsig.core import FE_ENVIRONMENT, QosSpec
 from mobsig.environment import (
     ANNOTATION_LINK_DOWN,
     ANNOTATION_LINK_UP,
@@ -17,7 +17,7 @@ from mobsig.environment import (
 )
 from mobsig.simkernel import Kernel, TraceRecorder
 
-from support import REQUESTED, make_cell, still_trajectory
+from support import REQUESTED, make_cell, qos_satisfies, still_trajectory
 
 
 def walk_position(waypoints, at_us):
@@ -60,7 +60,12 @@ def build_env(cells, trajectory=None, rng=None, jitter_us=0):
     recorder = TraceRecorder()
     kernel = Kernel(recorder=recorder)
     env = Environment(
-        kernel, recorder, cells, trajectory or still_trajectory(), rng=rng, jitter_us=jitter_us
+        kernel,
+        recorder,
+        cells,
+        trajectory or still_trajectory(),
+        rng=rng or random.Random(0),
+        jitter_us=jitter_us,
     )
     kernel.register(FE_ENVIRONMENT, env.handle)
     return kernel, recorder, env

@@ -11,13 +11,13 @@ from mobsig.core import (
     Result,
 )
 from mobsig.flowmgmt import FlowManagement, FlowRecord, FlowTable
-from mobsig.simkernel import Kernel
+from mobsig.simkernel import Kernel, TraceRecorder
 
 from support import REQUESTED
 
 
 def build_entity(*flows):
-    kernel = Kernel()
+    kernel = Kernel(recorder=TraceRecorder())
     table = FlowTable([FlowRecord(flow=f, requested=REQUESTED) for f in flows])
     entity = FlowManagement(kernel, table)
     mrrm_in = []

@@ -180,7 +180,10 @@ class TestEstablishment:
     def test_locator_registered_with_the_daemon(self):
         node, a, _ = colocated_node()
         request_handover(node, 1, current=None, target=a, mbb_flag=True)
-        assert node.daemons.flow_locators[1].access == a
+        locator = node.holm.completed[0].new_locator
+        assert locator.access == a
+        bound = [r.params["locator"] for r in node.recorder.records if r.name == "BindingUpdate"]
+        assert [entry["address"] for entry in bound] == [locator.address]
 
 
 class TestMakeBeforeBreak:

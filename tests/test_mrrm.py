@@ -24,12 +24,11 @@ from mobsig.mrrm import (
     MrrmPolicy,
     build_das,
     decide_handover,
-    merge_ratings,
     notify_flow_management,
     select_cas_aas,
 )
 
-from support import REQUESTED, Node, make_cell
+from support import REQUESTED, Node, is_nested, make_cell
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -65,43 +64,47 @@ class TestBuildDas:
         assert sets.das == frozenset({A})
 
 
-class TestMergeRatings:
-    def test_fills_radio_scores_defaulting_to_zero(self):
-        merged = merge_ratings({A: 0.8}, (Rating(A, 0.5, 0.0), Rating(B, 0.4, 0.0)))
-        assert merged[0].radio_score == 0.8
-        assert merged[1].radio_score == 0.0
-        assert [r.path_score for r in merged] == [0.5, 0.4]
-
-
 class TestSelectCasAas:
+    def test_unscanned_access_has_radio_score_zero(self):
+        sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
+        _, combined = select_cas_aas(
+            MrrmPolicy(), sets, {A: 0.8}, (Rating(A, 0.5), Rating(B, 0.4))
+        )
+        assert combined == {A: 0.5 * 0.8 + 0.5 * 0.5, B: 0.5 * 0.0 + 0.5 * 0.4}
+
     def test_weighted_combination_picks_the_best(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
-        ratings = (Rating(A, 0.2, 0.9), Rating(B, 1.0, 0.2))
+        radio = {A: 0.9, B: 0.2}
+        ratings = (Rating(A, 0.2), Rating(B, 1.0))
         # combined: A = 0.55, B = 0.60
-        selected, combined = select_cas_aas(MrrmPolicy(), sets, ratings)
+        selected, combined = select_cas_aas(MrrmPolicy(), sets, radio, ratings)
         assert selected.aas == frozenset({B})
         assert combined[A] == pytest.approx(0.55)
         assert combined[B] == pytest.approx(0.60)
 
     def test_zero_path_score_is_not_a_candidate(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
-        selected, _ = select_cas_aas(MrrmPolicy(), sets, (Rating(A, 0.0, 1.0), Rating(B, 0.5, 0.0)))
+        selected, _ = select_cas_aas(
+            MrrmPolicy(), sets, {A: 1.0, B: 0.0}, (Rating(A, 0.0), Rating(B, 0.5))
+        )
         assert selected.cas == frozenset({B})
         assert selected.aas == frozenset({B})
 
     def test_ties_break_lexicographically(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
-        selected, _ = select_cas_aas(MrrmPolicy(), sets, (Rating(B, 0.5, 0.5), Rating(A, 0.5, 0.5)))
+        selected, _ = select_cas_aas(
+            MrrmPolicy(), sets, {A: 0.5, B: 0.5}, (Rating(B, 0.5), Rating(A, 0.5))
+        )
         assert selected.active == A  # net-1 sorts before net-2
 
     def test_rating_outside_das_is_rejected(self):
         sets = AccessSets(scanned=frozenset({A}), das=frozenset({A}))
         with pytest.raises(ValueError):
-            select_cas_aas(MrrmPolicy(), sets, (Rating(B, 0.5, 0.5),))
+            select_cas_aas(MrrmPolicy(), sets, {B: 0.5}, (Rating(B, 0.5),))
 
     def test_no_candidates_no_active(self):
         sets = AccessSets(scanned=frozenset({A}), das=frozenset({A}))
-        selected, _ = select_cas_aas(MrrmPolicy(), sets, (Rating(A, 0.0, 1.0),))
+        selected, _ = select_cas_aas(MrrmPolicy(), sets, {A: 1.0}, (Rating(A, 0.0),))
         assert selected.cas == frozenset() and selected.active is None
 
     @given(
@@ -117,11 +120,12 @@ class TestSelectCasAas:
     )
     def test_selection_keeps_the_sets_nested(self, rated):
         das = frozenset(POOL)
-        ratings = tuple(Rating(POOL[i], path, radio) for i, path, radio in rated)
+        radio = {POOL[i]: score for i, _, score in rated}
+        ratings = tuple(Rating(POOL[i], path) for i, path, _ in rated)
         selected, _ = select_cas_aas(
-            MrrmPolicy(), AccessSets(scanned=das, das=das), ratings
+            MrrmPolicy(), AccessSets(scanned=das, das=das), radio, ratings
         )
-        assert selected.is_nested()
+        assert is_nested(selected)
 
 
 class TestDecideHandover:

@@ -1,5 +1,7 @@
 """Path rating and locator selection on behalf of the orchestrator."""
 
+import random
+
 import pytest
 
 from mobsig.core import (
@@ -30,7 +32,14 @@ def build_entity(cells, models=None):
     """PathSelection wired to real env and daemons, with probes for HOLM/MRRM."""
     recorder = TraceRecorder()
     kernel = Kernel(recorder=recorder)
-    env = Environment(kernel, recorder, cells, Trajectory(waypoints=((0, (0.0, 0.0)),)))
+    env = Environment(
+        kernel,
+        recorder,
+        cells,
+        Trajectory(waypoints=((0, (0.0, 0.0)),)),
+        rng=random.Random(0),
+        jitter_us=0,
+    )
     daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     if models is None:
         models = {cell.access: default_model() for cell in cells}
@@ -86,7 +95,6 @@ class TestRateAccesses:
         ratings = mrrm_in[0].ratings
         assert [r.access for r in ratings] == [b, a]
         assert [r.path_score for r in ratings] == [0.5, 1.0]
-        assert all(r.radio_score == 0.0 for r in ratings)
 
     def test_unmodeled_access_rates_zero_and_is_annotated(self):
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))

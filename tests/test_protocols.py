@@ -1,5 +1,6 @@
 """Mobility daemons: binding updates, FMIP preparation, tunnel control."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -37,7 +38,9 @@ def build_host():
         make_cell(),  # cell-a, no FMIP
         make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", supports_fmip=True),
     )
-    env = Environment(kernel, recorder, cells, still_trajectory())
+    env = Environment(
+        kernel, recorder, cells, still_trajectory(), rng=random.Random(0), jitter_us=0
+    )
     daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     kernel.register(FE_ENVIRONMENT, env.handle)
     kernel.register(FE_DAEMON, daemons.handle)
@@ -71,7 +74,7 @@ class TestUpdateBinding:
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 40_000
-        assert daemons.flow_locators[1] == locator
+        assert recorder.records[-2].params["locator"]["address"] == locator.address
         tail = names_at(recorder)[-2:]
         assert tail[0][:2] == ("BindingUpdate", t0)
         assert tail[0][2:] == (FE_DAEMON, FE_ENVIRONMENT)
@@ -86,18 +89,21 @@ class TestUpdateBinding:
         kernel.run_until_quiescent()
         assert done[0].reason == "stale_locator"
         assert not any(r.name == "BindingUpdate" for r in recorder.records)
-        assert 1 not in daemons.flow_locators
 
     def test_rebinding_replaces_the_flow_locator(self):
-        kernel, _, env, daemons, a, b = build_host()
+        kernel, recorder, env, daemons, a, b = build_host()
         attach(kernel, env, 1, a)
         attach(kernel, env, 1, b)
         first = allocate(kernel, env, 1, a)
         second = allocate(kernel, env, 1, b)
+        done = []
         for locator in (first, second):
-            daemons.update_binding(Ctx(1, None, a), locator, lambda r: None)
+            daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append(r))
             kernel.run_until_quiescent()
-        assert daemons.flow_locators[1] == second
+        assert [r.ok for r in done] == [True, True]
+        updates = [r.params["locator"]["address"] for r in recorder.records
+                   if r.name == "BindingUpdate"]
+        assert updates == [first.address, second.address]
 
     @pytest.mark.parametrize(
         "reply",
@@ -113,7 +119,6 @@ class TestUpdateBinding:
         kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, reply)
         kernel.run_until_quiescent()  # nothing waits for flow 9: dropped, no crash
         assert names_at(recorder) == [(type(reply).__name__, 0, FE_ENVIRONMENT, FE_DAEMON)]
-        assert 9 not in daemons.flow_locators
 
 
 class TestFmipPrepare:

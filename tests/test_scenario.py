@@ -1,9 +1,12 @@
 """Scenario file validation and its field-path error reporting."""
 
 import copy
+import json
+import math
 
 import pytest
 
+from mobsig import cli
 from mobsig.core import AccessId, QosSpec
 from mobsig.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -162,6 +165,49 @@ class TestPolicyErrors:
         doc = base_doc()
         doc["policy"]["min_radio_score"] = 1.2
         expect_error(doc, "policy.min_radio_score", "must be <= 1")
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("policy", "min_radio_score"), math.nan, "policy.min_radio_score"),
+            (("policy", "hysteresis"), math.nan, "policy.hysteresis"),
+            (("policy", "weight_radio"), math.nan, "policy.weight_radio"),
+            (("policy", "weight_path"), math.inf, "policy.weight_path"),
+            (("cells", 0, "radius_m"), math.inf, "cells[0].radius_m"),
+            (("cells", 0, "radius_m"), 10**400, "cells[0].radius_m"),
+            (("cells", 0, "center"), [math.nan, 0.0], "cells[0].center"),
+            (("trajectory", 1, "xy"), [0.0, -math.inf], "trajectory[1].xy"),
+        ],
+        ids=[
+            "min_radio_score-nan",
+            "hysteresis-nan",
+            "weight_radio-nan",
+            "weight_path-inf",
+            "radius_m-inf",
+            "radius_m-huge-int",
+            "center-nan",
+            "xy-minus-inf",
+        ],
+    )
+    def test_run_exits_2_naming_the_field(self, keys, value, field, tmp_path, capsys):
+        doc = base_doc()
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        scenario = tmp_path / "scenario.json"
+        # json writes NaN and Infinity as bare words, and json reads them back.
+        scenario.write_text(json.dumps(doc))
+        trace = tmp_path / "t.jsonl"
+        code = cli.main(
+            ["run", "--scenario", str(scenario), "--trace", str(trace),
+             "--metrics", str(tmp_path / "m.json")]
+        )
+        assert code == 2
+        assert f"{field}: must be a finite number" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestPathModelErrors:

@@ -4,7 +4,7 @@ from mobsig.core import AccessId
 from mobsig.holm import HandoverContext, Phase, Tool
 from mobsig.scenario import parse_scenario
 from mobsig.simkernel import TraceRecord
-from mobsig.simulation import build_metrics, run_scenario
+from mobsig.simulation import Simulation, build_metrics
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -68,15 +68,9 @@ class TestBundledRuns:
 
 
 class TestRunControls:
-    def test_limit_stops_the_clock_early(self, bundled_configs):
-        result = run_scenario(bundled_configs["mbb"], limit_us=1_000_000)
-        assert result.final_time_us == 1_000_000
-        assert all(r.at <= 1_000_000 for r in result.records)
-        assert [ctx.variant for ctx in result.contexts] == ["establishment"]
-
     def test_same_config_same_trace(self, bundled_configs):
-        first = run_scenario(bundled_configs["fmip"])
-        second = run_scenario(bundled_configs["fmip"])
+        first = Simulation(bundled_configs["fmip"]).run()
+        second = Simulation(bundled_configs["fmip"]).run()
         assert [r.to_json() for r in first.records] == [r.to_json() for r in second.records]
 
     def test_late_flow_extends_the_horizon(self):
@@ -126,7 +120,7 @@ class TestRunControls:
                 },
             ],
         }
-        result = run_scenario(parse_scenario(doc))
+        result = Simulation(parse_scenario(doc)).run()
         assert result.final_time_us >= 2_000_000
         variants = [ctx.variant for ctx in result.contexts]
         assert variants == ["establishment", "establishment"]
