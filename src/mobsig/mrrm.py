@@ -5,7 +5,11 @@ the detected access set (DAS) by policy. The cycle asks path selection for
 ratings, derives the candidate and active sets (CAS / AAS) and decides whether
 to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
-flow's cycle; an establishment cycle scans at its own time. Link commands
+flow's cycle; an establishment cycle scans at its own time. Flows that request
+equal QoS get the same ratings object back from path selection, so the last
+outcome (CAS/AAS, combined scores and the sorted keys of the snapshot) is kept
+and reused while the same view and the same ratings come back; only the
+per-flow handover decision and the snapshot's flow id differ. Link commands
 arriving from the handover orchestrator are relayed to the environment, since
 only MRRM touches radio resources.
 
@@ -153,13 +157,26 @@ def notify_flow_management(
 
 @dataclass(frozen=True)
 class _RadioView:
-    """One scan as the decision cycles see it; shared read-only by the flows of a tick."""
+    """One scan as the decision cycles see it; shared read-only by the flows of a tick.
+
+    The sorted key lists go into every snapshot taken on this view as they are.
+    """
 
     sets: AccessSets
     radio: dict[AccessId, float]
     candidates: tuple[AccessId, ...]
-    das_keys: tuple[str, ...]
-    scanned_keys: tuple[str, ...]
+    das_keys: list[str]
+    scanned_keys: list[str]
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """CAS/AAS derived from one view and one ConstraintResponse; shared read-only."""
+
+    sets: AccessSets
+    combined: dict[AccessId, float]
+    aas_keys: list[str]
+    cas_keys: list[str]
 
 
 @dataclass
@@ -196,6 +213,10 @@ class Mrrm:
         self._cycles: deque[_CycleState] = deque()
         self._inflight: _PendingHandover | None = None
         self._deferred_setups: deque[AccessFlowSetup] = deque()
+        # The last (view, response) pair answered and its outcome.
+        self._last_view: _RadioView | None = None
+        self._last_response: ConstraintResponse | None = None
+        self._last_outcome: _Outcome | None = None
 
     # -- event handling -----------------------------------------------------------
 
@@ -235,8 +256,8 @@ class Mrrm:
             sets=sets,
             radio=dict(scan),
             candidates=tuple(sorted(sets.das, key=access_sort_key)),
-            das_keys=tuple(sorted(a.key for a in sets.das)),
-            scanned_keys=tuple(sorted(a.key for a in sets.scanned)),
+            das_keys=sorted(a.key for a in sets.das),
+            scanned_keys=sorted(a.key for a in sets.scanned),
         )
 
     def _start_cycle(self, flow: int, establishing: bool, view: _RadioView) -> None:
@@ -251,10 +272,20 @@ class Mrrm:
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
         cycle = self._cycles.popleft()
-        sets, combined = select_cas_aas(
-            self.policy, cycle.view.sets, cycle.view.radio, response.ratings
-        )
-        self._snapshot(cycle.flow, sets, cycle.view)
+        view = cycle.view
+        if view is not self._last_view or response is not self._last_response:
+            sets, combined = select_cas_aas(self.policy, view.sets, view.radio, response.ratings)
+            self._last_outcome = _Outcome(
+                sets=sets,
+                combined=combined,
+                aas_keys=sorted(a.key for a in sets.aas),
+                cas_keys=sorted(a.key for a in sets.cas),
+            )
+            self._last_view = view
+            self._last_response = response
+        outcome = self._last_outcome
+        self._snapshot(cycle.flow, view, outcome)
+        sets, combined = outcome.sets, outcome.combined
         record = self._table.get(cycle.flow)
         if cycle.establishing:
             self._finish_establishment_cycle(record, sets)
@@ -374,19 +405,20 @@ class Mrrm:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _snapshot(self, flow: int, sets: AccessSets, view: _RadioView) -> None:
-        # sets shares its DAS and scanned set with view, whose keys are sorted once.
+    def _snapshot(self, flow: int, view: _RadioView, outcome: _Outcome) -> None:
+        # The outcome shares its DAS and scanned set with the view; the key
+        # lists are shared by every snapshot of the same view and outcome.
         self._recorder.annotate(
             self._kernel.now,
             FE_MRRM,
             FE_MRRM,
             ANNOTATION_ACCESS_SETS,
             {
-                "aas": sorted(a.key for a in sets.aas),
-                "cas": sorted(a.key for a in sets.cas),
-                "das": list(view.das_keys),
+                "aas": outcome.aas_keys,
+                "cas": outcome.cas_keys,
+                "das": view.das_keys,
                 "flow": flow,
-                "scanned": list(view.scanned_keys),
+                "scanned": view.scanned_keys,
             },
         )
 

@@ -3,6 +3,12 @@
 Ratings answer MRRM's constraint requests; locator selection answers HOLM's
 PathSelect and defers to the environment for the actual allocation, proactively
 (zero cost, FMIP-prepared targets only) or via ordinary locator configuration.
+
+A scan tick sends every active flow's request with the one candidate tuple of
+that tick, so flows that request equal QoS ask the same question. The last
+answer is kept: a request with the same candidate tuple object and an equal
+requested QoS gets the same ConstraintResponse object, and only the
+unknown-access annotation, which names the flow, is written again.
 """
 
 from __future__ import annotations
@@ -74,6 +80,11 @@ class PathSelection:
         self._models = dict(models)
         self._table = flow_table
         self._daemons = daemons
+        # The last question rated and its answer; see the module docstring.
+        self._last_candidates: tuple[AccessId, ...] | None = None
+        self._last_requested: QosSpec | None = None
+        self._last_response = ConstraintResponse(ratings=())
+        self._last_unknown: list[str] = []
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -85,22 +96,28 @@ class PathSelection:
     def rate_accesses(self, request: ConstraintRequest) -> ConstraintResponse:
         """Deterministically rate every candidate, preserving request order."""
         requested = self._table.get(request.flow).requested
-        ratings = []
-        unknown = []
-        for access in request.candidates:
-            model = self._models.get(access)
-            if model is None:
-                unknown.append(access.key)
-            ratings.append(Rating(access=access, path_score=rate_access(model, requested)))
-        if unknown:
+        if request.candidates is not self._last_candidates or requested != self._last_requested:
+            ratings = []
+            unknown = []
+            for access in request.candidates:
+                model = self._models.get(access)
+                if model is None:
+                    unknown.append(access.key)
+                ratings.append(Rating(access=access, path_score=rate_access(model, requested)))
+            unknown.sort()
+            self._last_candidates = request.candidates
+            self._last_requested = requested
+            self._last_response = ConstraintResponse(ratings=tuple(ratings))
+            self._last_unknown = unknown
+        if self._last_unknown:
             self._recorder.annotate(
                 self._kernel.now,
                 FE_PATH_SELECTION,
                 FE_PATH_SELECTION,
                 ANNOTATION_UNKNOWN_ACCESS,
-                {"accesses": sorted(unknown), "flow": request.flow},
+                {"accesses": self._last_unknown, "flow": request.flow},
             )
-        return ConstraintResponse(ratings=tuple(ratings))
+        return self._last_response
 
     def select_path(self, request: PathSelect) -> None:
         """Allocate the new locator for the selected target and answer HOLM."""

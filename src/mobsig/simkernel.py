@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable
 
@@ -20,9 +21,20 @@ SimTime = int  # microseconds
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
 _TRACE_KEYS = frozenset(TRACE_FIELDS)
 
-# json.dumps with non-default arguments builds a new encoder per call; this one
-# is built once and gives the same bytes.
-_encode_params = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_raise_unserializable = json.JSONEncoder().default
+
+
+def _encode_params(params: dict[str, Any]) -> str:
+    """json.dumps(params, sort_keys=True, separators=(",", ":")), without its set-up.
+
+    json.dumps builds an encoder and then a C encoder per call; this builds the
+    C encoder alone. A fresh markers dict keeps the circular-reference check,
+    and the stock `default` raises the same TypeError for a value JSON cannot
+    hold.
+    """
+    encode = c_make_encoder({}, _raise_unserializable, _encode_str, None, ":", ",",
+                            True, False, True)
+    return "".join(encode(params, 0))
 
 
 class ConfigurationError(RuntimeError):
@@ -50,7 +62,11 @@ class SimEvent:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One timestamped message occurrence, as written to the JSON-Lines trace."""
+    """One timestamped message occurrence, as written to the JSON-Lines trace.
+
+    A recorded ``params`` object may be shared with other records (see
+    ``TraceRecorder``) and is read-only.
+    """
 
     at: SimTime
     sender: str
@@ -59,13 +75,15 @@ class TraceRecord:
     params: dict[str, Any]
     line: int | None = None  # 1-based source line when parsed from a file
 
-    def to_json(self) -> str:
-        # The same bytes as json.dumps(separators=(",", ":")) of the head, with
-        # params key-sorted.
+    def to_json(self, params_json: str | None = None) -> str:
+        """The same bytes as json.dumps(separators=(",", ":")) of the head, with
+        params key-sorted; params_json is params already encoded that way."""
+        if params_json is None:
+            params_json = _encode_params(self.params)
         return (
             f'{{"t":{self.at},"from":{_encode_str(self.sender)},'
             f'"to":{_encode_str(self.receiver)},"msg":{_encode_str(self.name)},'
-            f'"params":{_encode_params(self.params)}}}'
+            f'"params":{params_json}}}'
         )
 
     @classmethod
@@ -89,20 +107,27 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Collects TraceRecords in delivery order and serializes them."""
+    """Collects TraceRecords in delivery order and serializes them.
+
+    Entities answer the flows of one scan tick with one shared primitive, so
+    the recorder renders a payload that is delivered twice in a row only once,
+    and both records share its params.
+    """
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
+        self._last_payload: Any = None
+        self._last_name = ""
+        self._last_params: dict[str, Any] = {}
 
     def on_delivery(self, event: SimEvent) -> None:
+        payload = event.payload
+        if payload is not self._last_payload:
+            self._last_name = primitive_name(payload)
+            self._last_params = payload.params()
+            self._last_payload = payload
         self.records.append(
-            TraceRecord(
-                at=event.at,
-                sender=event.sender,
-                receiver=event.receiver,
-                name=primitive_name(event.payload),
-                params=event.payload.params(),
-            )
+            TraceRecord(event.at, event.sender, event.receiver, self._last_name, self._last_params)
         )
 
     def annotate(
@@ -114,7 +139,23 @@ class TraceRecorder:
         )
 
     def lines(self) -> list[str]:
-        return [record.to_json() for record in self.records]
+        # A shared params object is encoded once while it keeps coming back.
+        # Each shared answer of a tick alternates with its flow's snapshot, so
+        # the last two params objects are kept, the latest first.
+        lines = []
+        recent = previous = None
+        recent_json = previous_json = ""
+        for record in self.records:
+            params = record.params
+            if params is not recent:
+                if params is previous:
+                    recent, previous = previous, recent
+                    recent_json, previous_json = previous_json, recent_json
+                else:
+                    previous, previous_json = recent, recent_json
+                    recent, recent_json = params, _encode_params(params)
+            lines.append(record.to_json(recent_json))
+        return lines
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

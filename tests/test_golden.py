@@ -4,7 +4,9 @@ The golden file holds the SHA-256 of every trace and metrics file the benchmark
 produces at its golden seed. This suite reruns the four bundled scenarios and
 the generated multi-flow scenario through the CLI and compares both digests,
 so a change that alters a single output byte fails here as well as in the
-benchmark. The files under bench/ are only read.
+benchmark. A variant of the multi-flow scenario whose flows request three
+different QoS classes is pinned here too; its digests were taken before flows
+of one tick began to share answers. The files under bench/ are only read.
 """
 
 from __future__ import annotations
@@ -51,3 +53,28 @@ def test_generated_multiflow_run_matches_golden_digests(tmp_path):
     [scenario] = gen.write_workload("multiflow-dense", GOLDEN["seed"], tmp_path / "scenarios")
     expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
     assert run_digests(scenario, tmp_path) == expected
+
+
+# Requested QoS classes given to the generated flows in turn. Neighbouring
+# flows then ask about the same candidates with a different QoS, so the
+# shared-answer caches of a tick hit on the candidates and miss on the QoS.
+QOS_CLASSES = (
+    {"bandwidth_kbps": 1000, "max_latency_ms": 80},
+    {"bandwidth_kbps": 2000, "max_latency_ms": 80},
+    {"bandwidth_kbps": 1000, "max_latency_ms": 40},
+)
+MIXED_QOS_DIGESTS = {
+    "trace": "87be156b5dd6c09aef25d09c5a02061201aad51ff1285a8a5cd80b311124fde3",
+    "metrics": "980ecf7bff056373cf3688d300d8eb3ff6854fa0c98b25c38ebecc37434a7d46",
+}
+
+
+def test_generated_multiflow_run_with_mixed_qos_keeps_its_digests(tmp_path):
+    gen = load_generator()
+    [scenario] = gen.write_workload("multiflow-dense", GOLDEN["seed"], tmp_path / "scenarios")
+    document = json.loads(scenario.read_text(encoding="utf-8"))
+    for index, flow in enumerate(document["flows"]):
+        flow["requested_qos"] = QOS_CLASSES[index % len(QOS_CLASSES)]
+    mixed = tmp_path / "mixed-qos.json"
+    mixed.write_text(json.dumps(document), encoding="utf-8")
+    assert run_digests(mixed, tmp_path) == MIXED_QOS_DIGESTS

@@ -27,6 +27,7 @@ from mobsig.mrrm import (
     notify_flow_management,
     select_cas_aas,
 )
+from mobsig.path_selection import PathModel
 
 from support import REQUESTED, Node, is_nested, make_cell
 
@@ -354,3 +355,52 @@ class TestScanPerTick:
         node.run()
         assert scans == []
         assert not any(r.name == "ConstraintRequest" for r in node.recorder.records)
+
+
+class TestSharedOutcomes:
+    """Flows of one tick reuse the last outcome only when they asked the same question."""
+
+    # cell-b's path is 60 ms long: TIGHT excludes it, REQUESTED does not.
+    TIGHT = QosSpec(bandwidth_kbps=1000, max_latency_ms=50)
+
+    def tick_snapshots(self, qos_by_flow):
+        cells = (
+            make_cell(),
+            make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", center=(300.0, 0.0)),
+        )
+        models = {
+            cells[0].access: PathModel(2000, 40, True),
+            cells[1].access: PathModel(2000, 60, True),
+        }
+        flows = tuple(FlowRecord(flow=flow, requested=qos) for flow, qos in qos_by_flow.items())
+        node = Node(cells=cells, flows=flows, path_models=models)
+        for flow in qos_by_flow:
+            node.flow_management.start_flow(flow)
+        node.run()
+        tick_at = node.kernel.now + 1_000_000
+        node.kernel.call_later(1_000_000, node.mrrm.tick, FE_MRRM)
+        node.run()
+        return [r for r in node.recorder.records
+                if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
+
+    def test_each_qos_gets_its_own_sets_in_turn(self):
+        snapshots = self.tick_snapshots(
+            {1: REQUESTED, 2: self.TIGHT, 3: REQUESTED, 4: QosSpec(1000, 80)}
+        )
+        both, near = ["net-1/cell-a", "net-2/cell-b"], ["net-1/cell-a"]
+        assert [(s.params["flow"], s.params["cas"]) for s in snapshots] == [
+            (1, both), (2, near), (3, both), (4, both)
+        ]
+        assert all(s.params["das"] == both for s in snapshots)
+
+    def test_a_shared_outcome_keeps_each_flows_own_id(self):
+        snapshots = self.tick_snapshots({flow: REQUESTED for flow in (1, 2, 3)})
+        assert [s.params["flow"] for s in snapshots] == [1, 2, 3]
+        first, *rest = snapshots
+        for snapshot in rest:
+            assert snapshot.params is not first.params
+            assert {k: v for k, v in snapshot.params.items() if k != "flow"} == {
+                k: v for k, v in first.params.items() if k != "flow"
+            }
+            # The key lists come from the one outcome of the tick.
+            assert snapshot.params["cas"] is first.params["cas"]

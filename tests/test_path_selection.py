@@ -22,14 +22,18 @@ from mobsig.path_selection import (
     PathSelection,
     rate_access,
 )
+from mobsig import path_selection
 from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, TraceRecorder
 
 from support import REQUESTED, default_model, make_cell
 
 
-def build_entity(cells, models=None):
-    """PathSelection wired to real env and daemons, with probes for HOLM/MRRM."""
+def build_entity(cells, models=None, flows=None):
+    """PathSelection wired to real env and daemons, with probes for HOLM/MRRM.
+
+    flows maps flow id to requested QoS; by default flows 1 and 4 request REQUESTED.
+    """
     recorder = TraceRecorder()
     kernel = Kernel(recorder=recorder)
     env = Environment(
@@ -43,8 +47,10 @@ def build_entity(cells, models=None):
     daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     if models is None:
         models = {cell.access: default_model() for cell in cells}
-    flows = FlowTable([FlowRecord(flow=flow, requested=REQUESTED) for flow in (1, 4)])
-    entity = PathSelection(kernel, recorder, env, models, flows, daemons)
+    if flows is None:
+        flows = {1: REQUESTED, 4: REQUESTED}
+    table = FlowTable([FlowRecord(flow=flow, requested=qos) for flow, qos in flows.items()])
+    entity = PathSelection(kernel, recorder, env, models, table, daemons)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)
     kernel.register(FE_HOLM, lambda e: holm_in.append(e.payload))
@@ -106,6 +112,72 @@ class TestRateAccesses:
         notes = [r for r in recorder.records if r.name == ANNOTATION_UNKNOWN_ACCESS]
         assert len(notes) == 1
         assert notes[0].params == {"accesses": ["net-2/cell-b"], "flow": 4}
+
+
+class TestSharedAnswers:
+    """Flows asking the same question in one tick share the answer, and only then."""
+
+    WIDE = QosSpec(bandwidth_kbps=2000, max_latency_ms=80)  # a 1000 kbps path rates 0.5
+
+    def entity_with_flows(self, flows, models=None):
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
+        a, b = (cell.access for cell in cells)
+        if models is None:
+            models = {a: PathModel(1000, 40, True), b: PathModel(2000, 40, True)}
+        built = build_entity(cells, models, flows)
+        return built, (a, b)
+
+    def test_each_qos_gets_its_own_ratings_in_turn(self):
+        built, candidates = self.entity_with_flows({1: REQUESTED, 2: self.WIDE, 3: REQUESTED})
+        entity = built[4]
+        scores = {
+            flow: [r.path_score for r in entity.rate_accesses(
+                ConstraintRequest(flow=flow, candidates=candidates)).ratings]
+            for flow in (1, 2, 3)
+        }
+        assert scores == {1: [1.0, 1.0], 2: [0.5, 1.0], 3: [1.0, 1.0]}
+
+    @pytest.fixture
+    def ratings_made(self, monkeypatch):
+        """The requested QoS of every single-access rating, in call order."""
+        calls = []
+        rate = path_selection.rate_access
+        monkeypatch.setattr(path_selection, "rate_access",
+                            lambda model, requested: calls.append(requested) or rate(model, requested))
+        return calls
+
+    def test_same_tuple_and_equal_qos_share_one_response(self, ratings_made):
+        # Flow 4's QoS is equal to flow 1's but a separate object.
+        built, candidates = self.entity_with_flows({1: REQUESTED, 4: QosSpec(1000, 80)})
+        entity = built[4]
+        first = entity.rate_accesses(ConstraintRequest(flow=1, candidates=candidates))
+        again = entity.rate_accesses(ConstraintRequest(flow=4, candidates=candidates))
+        assert again is first
+        assert len(ratings_made) == 2  # one per candidate, for the first request only
+
+    def test_equal_candidate_tuple_in_a_new_object_is_rated_afresh(self, ratings_made):
+        built, (a, b) = self.entity_with_flows(None)
+        entity = built[4]
+        first = entity.rate_accesses(ConstraintRequest(flow=1, candidates=(a, b)))
+        fresh = entity.rate_accesses(ConstraintRequest(flow=4, candidates=tuple([a, b])))
+        assert fresh is not first and fresh == first
+        assert len(ratings_made) == 4
+
+    def test_unknown_access_is_annotated_for_every_requesting_flow(self):
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
+        a, b = (cell.access for cell in cells)
+        kernel, recorder, _, _, _, _, mrrm_in = build_entity(cells, {a: default_model()})
+        candidates = (a, b)
+        for flow in (1, 4):
+            kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION,
+                            ConstraintRequest(flow=flow, candidates=candidates))
+        kernel.run_until_quiescent()
+        assert mrrm_in[1] is mrrm_in[0]  # the second answer came from the cache
+        notes = [r.params for r in recorder.records if r.name == ANNOTATION_UNKNOWN_ACCESS]
+        assert notes == [
+            {"accesses": ["net-2/cell-b"], "flow": 1},
+            {"accesses": ["net-2/cell-b"], "flow": 4},
+        ]
 
 
 class TestSelectPath:

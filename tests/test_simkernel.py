@@ -124,11 +124,7 @@ class TestTraceRecord:
     )
     def test_to_json_equals_json_dumps(self, at, sender, receiver, name, params):
         record = TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
-        head = json.dumps(
-            {"t": at, "from": sender, "to": receiver, "msg": name}, separators=(",", ":")
-        )
-        body = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        assert record.to_json() == f'{head[:-1]},"params":{body}}}'
+        assert record.to_json() == _reference_line(record)
 
     def test_from_json_round_trip_keeps_line_number(self):
         original = TraceRecord(at=9, sender="A", receiver="B", name="M", params={"k": None})
@@ -225,6 +221,75 @@ def _set_comparing_from_json(line, lineno):
         params=obj["params"],
         line=lineno,
     )
+
+
+def _reference_line(record):
+    """json.dumps of the record head, then its params with keys sorted."""
+    head = json.dumps(
+        {"t": record.at, "from": record.sender, "to": record.receiver, "msg": record.name},
+        separators=(",", ":"),
+    )
+    body = json.dumps(record.params, sort_keys=True, separators=(",", ":"))
+    return f'{head[:-1]},"params":{body}}}'
+
+
+class TestSharedParams:
+    """Records may share a params object and its nested values; the lines stay the same."""
+
+    @given(st.data())
+    def test_lines_equal_json_dumps_of_every_record(self, data):
+        shared_lists = data.draw(st.lists(st.lists(json_values, max_size=3), min_size=1, max_size=3))
+        pool = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            params = data.draw(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
+            # Some params hold one of the shared lists, as snapshots of one tick do.
+            for key in data.draw(st.lists(st.text(max_size=6), max_size=2)):
+                params[key] = data.draw(st.sampled_from(shared_lists))
+            pool.append(params)
+        # Indices into the pool: repeats land next to each other and apart.
+        picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=12))
+        recorder = TraceRecorder()
+        for at, index in enumerate(picks):
+            recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+        assert recorder.lines() == [_reference_line(r) for r in recorder.records]
+
+    def test_a_payload_delivered_twice_in_a_row_renders_once(self, monkeypatch):
+        rendered = []
+        params = TunnelStop.params
+        monkeypatch.setattr(TunnelStop, "params", lambda self: rendered.append(self) or params(self))
+        recorder = TraceRecorder()
+        kernel, _ = make_kernel("X", "Y", recorder=recorder)
+        shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
+        for receiver, payload in (("X", shared), ("Y", shared), ("X", other), ("X", shared)):
+            kernel.schedule(0, "Z", receiver, payload)
+        kernel.run_until_quiescent()
+        assert rendered == [shared, other, shared]
+        records = recorder.records
+        assert [r.receiver for r in records] == ["X", "Y", "X", "X"]
+        assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}]
+        assert records[1].params is records[0].params
+        assert recorder.lines() == [_reference_line(r) for r in records]
+
+    def test_unserializable_params_raise_the_json_type_error(self):
+        recorder = TraceRecorder()
+        recorder.annotate(0, "X", "X", "Note", {"bad": object()})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            recorder.lines()
+
+    def test_circular_params_are_refused(self):
+        loop = []
+        loop.append(loop)
+        record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"loop": loop})
+        with pytest.raises(ValueError, match="Circular reference"):
+            record.to_json()
+
+    def test_a_failed_encoding_leaves_nothing_behind(self):
+        inner = [object()]
+        record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"v": inner})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            record.to_json()
+        inner.clear()  # the same objects again, now encodable
+        assert record.to_json().endswith('"params":{"v":[]}}')
 
 
 class TestRecorder:
