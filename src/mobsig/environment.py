@@ -1,9 +1,12 @@
 """Simulated radio environment: cell geometry, terminal motion, link layer.
 
 The environment is the ground truth for coverage, attachment state and locator
-validity. Link operations complete asynchronously after the per-cell latencies
-and report back through callbacks; completed transitions additionally leave
-LinkUp / LinkDown annotation records in the trace.
+validity. A scan tests only the cells whose centre x lies within the largest
+cell radius of the terminal's x, found by bisection over the cells sorted by
+centre x, and returns the hits in cell_id order, as a test of every cell would.
+Link operations complete asynchronously after the per-cell latencies and report
+back through callbacks; completed transitions additionally leave LinkUp /
+LinkDown annotation records in the trace.
 """
 
 from __future__ import annotations
@@ -105,7 +108,11 @@ class Environment:
         self._cells = {cell.access: cell for cell in cells}
         if len(self._cells) != len(cells):
             raise ValueError("duplicate AccessId among cells")
-        self._scan_order = sorted(cells, key=lambda c: c.access.cell_id)
+        # Each cell with its rank in cell_id order, sorted by centre x.
+        by_id = sorted(cells, key=lambda c: c.access.cell_id)
+        self._by_x = sorted(enumerate(by_id), key=lambda item: item[1].center_xy[0])
+        self._xs = [cell.center_xy[0] for _rank, cell in self._by_x]
+        self._reach_m = max((cell.radius_m for cell in cells), default=0.0)
         self.trajectory = trajectory
         self._rng = rng
         self._jitter_us = jitter_us
@@ -138,12 +145,20 @@ class Environment:
     def scan(self, at_us: SimTime) -> list[tuple[AccessId, float]]:
         """Accesses in range at at_us with linear radio score, sorted by cell_id."""
         x, y = self.trajectory.position(at_us)
-        found: list[tuple[AccessId, float]] = []
-        for cell in self._scan_order:
+        # A cell in range lies within its radius along x up to the rounding of
+        # x - centre x and of hypot, a few ulps that the relative pad covers.
+        # The rounding of x -/+ pad is monotone, so it never drops a centre
+        # inside the exact window; an overflow to +-inf only widens it.
+        pad = self._reach_m * (1.0 + 1e-9)
+        lo = bisect.bisect_left(self._xs, x - pad)
+        hi = bisect.bisect_right(self._xs, x + pad)
+        hits = []
+        for rank, cell in self._by_x[lo:hi]:
             distance = math.hypot(x - cell.center_xy[0], y - cell.center_xy[1])
             if distance <= cell.radius_m:
-                found.append((cell.access, 1.0 - distance / cell.radius_m))
-        return found
+                hits.append((rank, cell.access, 1.0 - distance / cell.radius_m))
+        hits.sort()  # ranks are unique, so only they are compared
+        return [(access, score) for _rank, access, score in hits]
 
     def in_range(self, access: AccessId, at_us: SimTime) -> bool:
         cell = self.cell(access)

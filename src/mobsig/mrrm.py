@@ -5,7 +5,11 @@ the detected access set (DAS) by policy. The cycle asks path selection for
 ratings, derives the candidate and active sets (CAS / AAS) and decides whether
 to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
-flow's cycle; an establishment cycle scans at its own time. Flows that request
+flow's cycle; an establishment cycle scans at its own time. The detected set
+changes only at cell borders, so while a scan finds the same accesses with the
+same DAS membership the new view keeps the last view's sets, candidate tuple
+and key lists and takes only the radio scores anew; path selection then sees
+the same candidate tuple and can answer from its last answer. Flows that request
 equal QoS get the same ratings object back from path selection, so the last
 outcome (CAS/AAS, combined scores and the sorted keys of the snapshot) is kept
 and reused while the same view and the same ratings come back; only the
@@ -21,7 +25,7 @@ arrive meanwhile queue up.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .core import (
@@ -159,7 +163,9 @@ def notify_flow_management(
 class _RadioView:
     """One scan as the decision cycles see it; shared read-only by the flows of a tick.
 
-    The sorted key lists go into every snapshot taken on this view as they are.
+    All but ``radio`` derive from the scanned accesses and their DAS membership
+    alone, and are shared with the views of later ticks while those hold. The
+    sorted key lists go into every snapshot taken on this view as they are.
     """
 
     sets: AccessSets
@@ -213,6 +219,10 @@ class Mrrm:
         self._cycles: deque[_CycleState] = deque()
         self._inflight: _PendingHandover | None = None
         self._deferred_setups: deque[AccessFlowSetup] = deque()
+        # The last view built and the scanned accesses with their DAS
+        # membership that it was built from.
+        self._view: _RadioView | None = None
+        self._view_membership: list[tuple[AccessId, bool]] | None = None
         # The last (view, response) pair answered and its outcome.
         self._last_view: _RadioView | None = None
         self._last_response: ConstraintResponse | None = None
@@ -251,14 +261,24 @@ class Mrrm:
 
     def _radio_view(self) -> _RadioView:
         scan = self._env.scan(self._kernel.now)
+        forbidden, floor = self.policy.forbidden_networks, self.policy.min_radio_score
+        membership = [
+            (access, access.network_id not in forbidden and score >= floor)
+            for access, score in scan
+        ]
+        if membership == self._view_membership:
+            self._view = replace(self._view, radio=dict(scan))
+            return self._view
         sets = build_das(self.policy, scan)
-        return _RadioView(
+        self._view = _RadioView(
             sets=sets,
             radio=dict(scan),
             candidates=tuple(sorted(sets.das, key=access_sort_key)),
             das_keys=sorted(a.key for a in sets.das),
             scanned_keys=sorted(a.key for a in sets.scanned),
         )
+        self._view_membership = membership
+        return self._view
 
     def _start_cycle(self, flow: int, establishing: bool, view: _RadioView) -> None:
         self._cycles.append(_CycleState(flow=flow, establishing=establishing, view=view))

@@ -187,6 +187,10 @@ class Kernel:
     def register(self, fe_id: str, handler: Callable[[SimEvent], None]) -> None:
         self._handlers[fe_id] = handler
 
+    def drop_handlers(self) -> None:
+        """Forget every registered handler; the entities behind them hold this kernel."""
+        self._handlers.clear()
+
     def schedule(self, delay_us: int, sender: str, receiver: str, payload: Any) -> None:
         """Queue a delivery at now + delay_us; same-time events keep FIFO order."""
         if delay_us < 0:

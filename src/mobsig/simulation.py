@@ -103,6 +103,10 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         final = self.kernel.run_until_quiescent()
+        # The handlers are bound methods of entities that hold the kernel;
+        # dropping them breaks that cycle, so a finished run is freed by
+        # reference counting rather than by a later cyclic collection.
+        self.kernel.drop_handlers()
         return SimulationResult(
             records=list(self.recorder.records),
             contexts=list(self.holm.completed),

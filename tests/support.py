@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from mobsig.core import (
@@ -32,6 +33,17 @@ def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:
         granted.bandwidth_kbps >= requested.bandwidth_kbps
         and granted.max_latency_ms <= requested.max_latency_ms
     )
+
+
+def linear_scan(cells, xy: tuple[float, float]) -> list[tuple[AccessId, float]]:
+    """Reference scan: test every cell in cell_id order, as the first scan did."""
+    x, y = xy
+    found = []
+    for cell in sorted(cells, key=lambda c: c.access.cell_id):
+        distance = math.hypot(x - cell.center_xy[0], y - cell.center_xy[1])
+        if distance <= cell.radius_m:
+            found.append((cell.access, 1.0 - distance / cell.radius_m))
+    return found
 
 
 def is_nested(sets: AccessSets) -> bool:

@@ -1,5 +1,6 @@
 """Radio environment: geometry, link operations, locator lifecycle."""
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from mobsig.environment import (
 )
 from mobsig.simkernel import Kernel, TraceRecorder
 
-from support import REQUESTED, make_cell, qos_satisfies, still_trajectory
+from support import REQUESTED, linear_scan, make_cell, qos_satisfies, still_trajectory
 
 
 def walk_position(waypoints, at_us):
@@ -48,6 +49,50 @@ def waypoints_and_times(draw):
     anywhere = st.integers(min_value=times[0] - 1_000, max_value=times[-1] + 1_000)
     queries = draw(st.lists(st.one_of(exact, anywhere), min_size=1, max_size=20))
     return waypoints, queries
+
+
+@st.composite
+def layouts_and_points(draw):
+    """Cells with mixed radii, some sharing a centre or a cell_id, and terminal points.
+
+    Coordinates and radii range up to the largest finite floats, radii down to
+    the smallest positive one. Some cells sit a radius away from the first
+    point along x, give or take a few ulps, and some get exactly the radius that
+    puts the first point on their edge.
+    """
+    coordinate = st.one_of(
+        st.floats(min_value=-2_000.0, max_value=2_000.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    radius = st.one_of(
+        st.floats(min_value=1.0, max_value=1_000.0),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    centres = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4))
+    x, y = points[0]
+    cells = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        center = draw(st.sampled_from(centres))
+        radius_m = draw(radius)
+        if draw(st.booleans()):
+            # A centre a radius away along x, moved by a few ulps, where the
+            # rounding of x - centre decides whether the cell is in range.
+            side = draw(st.sampled_from((-1.0, 1.0)))
+            cx = x - side * radius_m
+            for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                cx = math.nextafter(cx, draw(st.sampled_from((-math.inf, math.inf))))
+            if math.isfinite(cx):
+                center = (cx, y)
+        if draw(st.booleans()):
+            edge = math.hypot(x - center[0], y - center[1])
+            if 0.0 < edge < math.inf:
+                radius_m = edge
+        cell_id = draw(st.sampled_from(("cell-a", "cell-b", "cell-c")))
+        cells.append(make_cell(cell_id=cell_id, network_id=f"net-{i}", center=center,
+                               radius_m=radius_m))
+    return tuple(cells), points
+
 
 qos_specs = st.builds(
     QosSpec,
@@ -166,6 +211,36 @@ class TestScan:
         )
         _, _, env = build_env(cells)
         assert [a.cell_id for a, _ in env.scan(0)] == ["cell-a", "cell-z"]
+
+    def test_far_off_large_cell_that_covers_the_terminal_is_found(self):
+        line = tuple(
+            make_cell(cell_id=f"cell-{i}", network_id=f"net-{i}", center=(800.0 * i, 0.0))
+            for i in range(10)
+        )
+        umbrella = make_cell(
+            cell_id="cell-u", network_id="net-u", rat="cellular",
+            center=(1e6, -5e5), radius_m=2e6,
+        )
+        cells = (*line, umbrella)
+        xy = (4000.0, 0.0)
+        _, _, env = build_env(cells, still_trajectory(xy))
+        found = env.scan(0)
+        assert [a.cell_id for a, _ in found] == ["cell-5", "cell-u"]
+        assert found == linear_scan(cells, xy)
+
+    def test_a_cell_kept_by_rounding_is_in_the_window(self):
+        # 1.0 - -2**-60 rounds to 1.0, so the cell at -2**-60 is exactly one
+        # radius away as the scan computes it, though just beyond it exactly.
+        cells = (make_cell(center=(-(2.0**-60), 0.0), radius_m=1.0),)
+        _, _, env = build_env(cells, still_trajectory((1.0, 0.0)))
+        assert env.scan(0) == linear_scan(cells, (1.0, 0.0)) == [(cells[0].access, 0.0)]
+
+    @given(case=layouts_and_points())
+    def test_scan_equals_the_linear_scan(self, case):
+        cells, points = case
+        for xy in points:
+            _, _, env = build_env(cells, still_trajectory(xy))
+            assert env.scan(0) == linear_scan(cells, xy)
 
     def test_in_range_and_unknown_access(self):
         cells = two_cells()

@@ -2,11 +2,14 @@
 
 The golden file holds the SHA-256 of every trace and metrics file the benchmark
 produces at its golden seed. This suite reruns the four bundled scenarios and
-the generated multi-flow scenario through the CLI and compares both digests,
-so a change that alters a single output byte fails here as well as in the
-benchmark. A variant of the multi-flow scenario whose flows request three
-different QoS classes is pinned here too; its digests were taken before flows
-of one tick began to share answers. The files under bench/ are only read.
+the generated long-walk and multi-flow scenarios through the CLI and compares
+both digests, so a change that alters a single output byte fails here as well
+as in the benchmark. Two variants are pinned here too: the multi-flow scenario
+with flows that request three different QoS classes, whose digests were taken
+before flows of one tick began to share answers, and the long walk under a
+policy whose radio floor and network ban move scanned cells in and out of the
+detected set, whose digests were taken before scans skipped cells out of reach
+and ticks reused the radio view. The files under bench/ are only read.
 """
 
 from __future__ import annotations
@@ -48,11 +51,19 @@ def test_bundled_run_matches_golden_digests(name, scenario_path, tmp_path):
     assert run_digests(scenario_path(name), tmp_path) == expected
 
 
+def generated_scenario(workload: str, tmp_path: Path) -> Path:
+    [scenario] = load_generator().write_workload(workload, GOLDEN["seed"], tmp_path / "scenarios")
+    return scenario
+
+
+def test_generated_long_walk_run_matches_golden_digests(tmp_path):
+    expected = GOLDEN["workloads"]["long-walk"]["long-walk"]
+    assert run_digests(generated_scenario("long-walk", tmp_path), tmp_path) == expected
+
+
 def test_generated_multiflow_run_matches_golden_digests(tmp_path):
-    gen = load_generator()
-    [scenario] = gen.write_workload("multiflow-dense", GOLDEN["seed"], tmp_path / "scenarios")
     expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
-    assert run_digests(scenario, tmp_path) == expected
+    assert run_digests(generated_scenario("multiflow-dense", tmp_path), tmp_path) == expected
 
 
 # Requested QoS classes given to the generated flows in turn. Neighbouring
@@ -70,11 +81,30 @@ MIXED_QOS_DIGESTS = {
 
 
 def test_generated_multiflow_run_with_mixed_qos_keeps_its_digests(tmp_path):
-    gen = load_generator()
-    [scenario] = gen.write_workload("multiflow-dense", GOLDEN["seed"], tmp_path / "scenarios")
+    scenario = generated_scenario("multiflow-dense", tmp_path)
     document = json.loads(scenario.read_text(encoding="utf-8"))
     for index, flow in enumerate(document["flows"]):
         flow["requested_qos"] = QOS_CLASSES[index % len(QOS_CLASSES)]
     mixed = tmp_path / "mixed-qos.json"
     mixed.write_text(json.dumps(document), encoding="utf-8")
     assert run_digests(mixed, tmp_path) == MIXED_QOS_DIGESTS
+
+
+# The generated cells sit 800 m apart with a 600 m radius, so at a 0.3 radio
+# floor a neighbour drifts in and out of the detected set while it stays
+# scanned; net-7 and net-100 each hold one cell of the walk that is scanned but
+# never detected.
+STRICT_POLICY = {"min_radio_score": 0.3, "forbidden_networks": ["net-7", "net-100"]}
+STRICT_POLICY_DIGESTS = {
+    "trace": "2c84e986d854ca1b80de81e389a1e84024179eead9f222fc6217ee5d243bbe8e",
+    "metrics": "59e38eda98a39f0ec63bd6ac7eca2b0bb62a11ae742d9f4f9a6830c5e4d2e47d",
+}
+
+
+def test_generated_long_walk_under_a_strict_policy_keeps_its_digests(tmp_path):
+    scenario = generated_scenario("long-walk", tmp_path)
+    document = json.loads(scenario.read_text(encoding="utf-8"))
+    document["policy"].update(STRICT_POLICY)
+    strict = tmp_path / "strict-policy.json"
+    strict.write_text(json.dumps(document), encoding="utf-8")
+    assert run_digests(strict, tmp_path) == STRICT_POLICY_DIGESTS

@@ -8,8 +8,10 @@ from mobsig.core import (
     FE_FLOW_MANAGEMENT,
     FE_HOLM,
     FE_MRRM,
+    FE_PATH_SELECTION,
     AccessId,
     AccessSets,
+    ConstraintRequest,
     HOComplete,
     LinkAttachRequest,
     LinkSwitchRequest,
@@ -404,3 +406,61 @@ class TestSharedOutcomes:
             }
             # The key lists come from the one outcome of the tick.
             assert snapshot.params["cas"] is first.params["cas"]
+
+
+class TestViewReuse:
+    """A tick reuses the last view's sets while the scanned accesses and their DAS
+    membership hold; only the radio scores are taken anew."""
+
+    def run_ticks(self, cells, policy, end_xy, tick_times):
+        trajectory = Trajectory(waypoints=((0, (0.0, 0.0)), (10_000_000, end_xy)))
+        node = Node(cells=cells, policy=policy, trajectory=trajectory)
+        requests = []
+        rate = node.path_selection.handle
+
+        def captured(event):
+            if isinstance(event.payload, ConstraintRequest):
+                requests.append(event.payload)
+            rate(event)
+
+        node.kernel.register(FE_PATH_SELECTION, captured)
+        node.flow_management.start_flow(1)
+        node.run()
+        for at_us in tick_times:
+            node.kernel.call_later(at_us - node.kernel.now, node.mrrm.tick, FE_MRRM)
+            node.run()
+        snapshots = {r.at: r.params for r in node.recorder.records
+                     if r.name == ANNOTATION_ACCESS_SETS}
+        return requests, snapshots
+
+    def test_a_score_crossing_the_radio_floor_changes_the_view(self):
+        # Walking west from (0, 0), cell-b stays scanned while its score falls
+        # from 0.5 through the 0.3 floor to 1 - 500 / 600.
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
+                                        rat="cellular", center=(300.0, 0.0)))
+        requests, snapshots = self.run_ticks(
+            cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0), (1_000_000, 10_000_000)
+        )
+        setup, held, crossed = requests
+        assert setup.candidates == (A, B)
+        assert held.candidates is setup.candidates
+        assert crossed.candidates == (A,)
+        both = ["net-1/cell-a", "net-2/cell-b"]
+        assert [(s["scanned"], s["das"]) for s in snapshots.values()] == [
+            (both, both), (both, both), (both, ["net-1/cell-a"])
+        ]
+
+    def test_a_banned_cell_coming_into_range_changes_the_scanned_set(self):
+        banned = make_cell(cell_id="cell-c", network_id="net-9", center=(900.0, 0.0))
+        requests, snapshots = self.run_ticks(
+            (make_cell(), banned),
+            MrrmPolicy(forbidden_networks=frozenset({"net-9"})),
+            (400.0, 0.0),
+            (1_000_000, 10_000_000),
+        )
+        assert [request.candidates for request in requests] == [(A,), (A,), (A,)]
+        assert [(s["scanned"], s["das"]) for s in snapshots.values()] == [
+            (["net-1/cell-a"], ["net-1/cell-a"]),
+            (["net-1/cell-a"], ["net-1/cell-a"]),
+            (["net-1/cell-a", "net-9/cell-c"], ["net-1/cell-a"]),
+        ]

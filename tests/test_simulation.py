@@ -1,5 +1,8 @@
 """Full scenario runs and the metrics report."""
 
+import gc
+import weakref
+
 from mobsig.core import AccessId
 from mobsig.holm import HandoverContext, Phase, Tool
 from mobsig.scenario import parse_scenario
@@ -72,6 +75,18 @@ class TestRunControls:
         first = Simulation(bundled_configs["fmip"]).run()
         second = Simulation(bundled_configs["fmip"]).run()
         assert [r.to_json() for r in first.records] == [r.to_json() for r in second.records]
+
+    def test_finished_run_is_freed_without_the_cyclic_collector(self, bundled_configs):
+        gc.disable()
+        try:
+            sim = Simulation(bundled_configs["multi"])
+            result = sim.run()
+            recorder = weakref.ref(sim.recorder)
+            del sim
+            assert recorder() is None
+        finally:
+            gc.enable()
+        assert result.records
 
     def test_late_flow_extends_the_horizon(self):
         doc = {
