@@ -17,7 +17,10 @@ snapshots, rating queries, flow-setup traffic) are ignored by the checker.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, replace
+from typing import Any
 
 from .core import PRIMITIVE_TYPES
 from .simkernel import TraceRecord
@@ -62,6 +65,20 @@ _FMIP_ONLY = frozenset(
         "TunnelStop",
     }
 )
+
+
+# A whole line as TraceRecord.to_json writes it: the fixed head, whose strings
+# need no unescaping and whose `t` is short enough that int() reads it as
+# json.loads does, then the params text up to the line's last "}" before
+# trailing JSON whitespace.
+_WRITER_STR = r'"([^"\\\x00-\x1f]*)"'
+_WRITER_LINE = re.compile(
+    r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"from":' + _WRITER_STR + ',"to":' + _WRITER_STR
+    + ',"msg":' + _WRITER_STR + r',"params":(.*)\}[ \t\r\n]*\Z',
+    re.DOTALL,
+)
+# What errors="surrogateescape" makes of a byte that is not valid UTF-8.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class AmbiguousTraceError(ValueError):
@@ -269,9 +286,32 @@ assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from p
 
 
 def parse_trace(lines) -> list[TraceRecord]:
-    """Parse JSON-Lines trace text into records; blank lines are skipped."""
+    """Parse JSON-Lines trace text into records; blank lines are skipped.
+
+    A line in the layout ``TraceRecord.to_json`` writes takes a fast path: its
+    head is matched by one pattern and its params text is decoded once per
+    call, so records whose params texts are equal share one read-only dict.
+    Any other line goes to ``TraceRecord.from_json``, which accepts, rejects
+    and words its errors as it always has.
+    """
     records = []
+    params_by_text: dict[str, dict[str, Any]] = {}
+    match = _WRITER_LINE.match
     for lineno, line in enumerate(lines, start=1):
+        m = match(line)
+        if m is not None:
+            at, sender, receiver, name, params_text = m.groups()
+            params = params_by_text.get(params_text)
+            if params is None:
+                try:
+                    params = json.loads(params_text)
+                except ValueError:
+                    pass
+                if type(params) is dict:
+                    params_by_text[params_text] = params
+            if type(params) is dict:
+                records.append(TraceRecord(int(at), sender, receiver, name, params, lineno))
+                continue
         if not line.strip():
             continue
         records.append(TraceRecord.from_json(line, lineno))
@@ -280,7 +320,21 @@ def parse_trace(lines) -> list[TraceRecord]:
 
 def load_trace(path: str) -> list[TraceRecord]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle)
+        try:
+            return parse_trace(handle)
+        except UnicodeDecodeError:
+            pass
+    # Read again with each undecodable byte kept as a lone surrogate, so the
+    # first line holding one is named; an earlier bad line still wins.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return parse_trace(_utf8_lines(handle))
+
+
+def _utf8_lines(lines):
+    for lineno, line in enumerate(lines, start=1):
+        if _ESCAPED_BYTE.search(line):
+            raise ValueError(f"line {lineno}: not valid UTF-8")
+        yield line
 
 
 def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:

@@ -64,8 +64,10 @@ class SimEvent:
 class TraceRecord:
     """One timestamped message occurrence, as written to the JSON-Lines trace.
 
-    A recorded ``params`` object may be shared with other records (see
-    ``TraceRecorder``) and is read-only.
+    ``params`` may be shared with other records and is read-only: a recorded
+    one with the records of the same answer (see ``TraceRecorder``), a parsed
+    one with every record of the trace whose params text is equal (see
+    ``conformance.parse_trace``).
     """
 
     at: SimTime
@@ -77,7 +79,8 @@ class TraceRecord:
 
     def to_json(self, params_json: str | None = None) -> str:
         """The same bytes as json.dumps(separators=(",", ":")) of the head, with
-        params key-sorted; params_json is params already encoded that way."""
+        params key-sorted; params_json is params already encoded that way.
+        conformance.parse_trace reads lines in exactly this layout on a fast path."""
         if params_json is None:
             params_json = _encode_params(self.params)
         return (

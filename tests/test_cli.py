@@ -24,6 +24,10 @@ MISTYPED_RECORDS = [
     '{"t":true,"from":"MRRM","to":"HOLM","msg":"X","params":{}}',
 ]
 
+# A good record, then one whose message name holds a byte that is not UTF-8.
+UNDECODABLE_TRACE = (b'{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
+                     b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
+
 
 @pytest.fixture()
 def mbb_outputs(tmp_path, scenario_path):
@@ -197,6 +201,18 @@ class TestCheck:
         assert err.startswith("trace error: line 1: field ")
         assert "Traceback" not in err
 
+    def test_undecodable_byte_exits_2_with_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "undecodable.jsonl"
+        trace.write_bytes(UNDECODABLE_TRACE)
+        assert run_cli("check", "--trace", str(trace)) == 2
+        assert capsys.readouterr().err == "trace error: line 2: not valid UTF-8\n"
+
+    def test_bad_line_before_an_undecodable_byte_is_reported_first(self, tmp_path, capsys):
+        trace = tmp_path / "undecodable.jsonl"
+        trace.write_bytes(b"{broken\n" + UNDECODABLE_TRACE)
+        assert run_cli("check", "--trace", str(trace)) == 2
+        assert capsys.readouterr().err.startswith("trace error: line 1: not valid JSON")
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("check", "--trace", str(tmp_path / "absent.jsonl")) == 2
 
@@ -239,6 +255,14 @@ class TestDiagram:
         assert run_cli("diagram", "--trace", str(trace)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("trace error: line 1: field ")
+        assert captured.out == ""
+
+    def test_undecodable_byte_exits_2_with_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "undecodable.jsonl"
+        trace.write_bytes(UNDECODABLE_TRACE)
+        assert run_cli("diagram", "--trace", str(trace)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "trace error: line 2: not valid UTF-8\n"
         assert captured.out == ""
 
     def test_rendering_is_deterministic(self, mbb_outputs, capsys):

@@ -1,6 +1,10 @@
 """Trace segmentation, variant inference, and template checking."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobsig.conformance import (
     CHECKED_NAMES,
@@ -129,6 +133,112 @@ class TestParseTrace:
         records = load_trace(str(path))
         assert [r.name for r in records] == [r.name for r in mbb_slice()]
         assert records[0].line == 1
+
+
+def _read_line_by_line(lines):
+    """parse_trace as it called TraceRecord.from_json on every line, kept as the reference."""
+    return [TraceRecord.from_json(line, lineno)
+            for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _outcome(read, lines):
+    # repr, not ==, because a NaN in params never equals itself.
+    try:
+        return repr(read(lines))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+params_objects = st.dictionaries(st.text(max_size=4), json_values, max_size=3)
+
+
+@st.composite
+def writer_lines(draw):
+    """to_json of a record, its params drawn from a pool that the lines of one
+    example share, so that params texts repeat."""
+    pool = draw(st.shared(st.lists(params_objects, min_size=1, max_size=3), key="params"))
+    return TraceRecord(
+        at=draw(st.integers() | st.integers(-10**20, 10**20)),
+        sender=draw(st.sampled_from(["MRRM", "Env"]) | st.text(max_size=4)),
+        receiver=draw(st.sampled_from(["HOLM", 'a"b', "a\\b", "\x01"]) | st.text(max_size=4)),
+        name=draw(st.sampled_from(["HOComplete", "\u00e9t\u00e9"]) | st.text(max_size=4)),
+        params=draw(st.sampled_from(pool)),
+    ).to_json()
+
+
+def _with_head(line, head):
+    return head + line[line.index(',"from":'):]
+
+
+def _with_params(line, text):
+    return line[: line.index('"params":') + 9] + text
+
+
+# Each turns a line in the writer's layout into one that may or may not be.
+MUTATIONS = {
+    "spaced": lambda line: line.replace('":', '": ').replace(',"', ', "'),
+    "raw-non-ascii": lambda line: json.dumps(json.loads(line), ensure_ascii=False,
+                                             separators=(",", ":")),
+    "escapes": lambda line: line.replace('"msg":"', '"msg":"\\"\\u00e9'),
+    "raw-control": lambda line: line.replace('"from":"', '"from":"\t'),
+    "crlf": lambda line: line + "\r\n",
+    "trailing-space": lambda line: line + " \t\n",
+    "trailing-form-feed": lambda line: line + "\x0c",
+    "trailing-data": lambda line: line + " x",
+    "trailing-brace": lambda line: line + "}",
+    "trailing-object": lambda line: line + " {}",
+    "duplicate-t": lambda line: line[:-1] + ',"t":5}',
+    "bom": lambda line: "\ufeff" + line,
+    "leading-space": lambda line: " " + line,
+    "truncated": lambda line: line[: len(line) // 2],
+    "duplicate-param": lambda line: _with_params(line, '{"a":1,"a":[NaN]}}'),
+    "list-params": lambda line: _with_params(line, "[1] }"),
+    "padded-params": lambda line: _with_params(line, ' {"b":-Infinity} }'),
+    "float-t": lambda line: _with_head(line, '{"t":1.0'),
+    "bool-t": lambda line: _with_head(line, '{"t":true'),
+    "minus-zero-t": lambda line: _with_head(line, '{"t":-0'),
+    "leading-zero-t": lambda line: _with_head(line, '{"t":007'),
+    "19-digit-t": lambda line: _with_head(line, '{"t":' + "9" * 19),
+    "25-digit-t": lambda line: _with_head(line, '{"t":-' + "1" * 25),
+}
+
+trace_lines = (
+    writer_lines()
+    | st.builds(lambda line, mutate: mutate(line), writer_lines(),
+                st.sampled_from(list(MUTATIONS.values())))
+    | st.sampled_from(["", " ", "\n", "\x0c", "\u2028", "{broken"])
+    | st.text(max_size=8)
+)
+
+
+@given(st.lists(trace_lines, max_size=8))
+def test_parse_trace_reads_every_line_as_from_json_does(lines):
+    assert _outcome(parse_trace, lines) == _outcome(_read_line_by_line, lines)
+
+
+@pytest.mark.parametrize("mutate", list(MUTATIONS.values()), ids=list(MUTATIONS))
+@settings(max_examples=20)
+@given(line=writer_lines())
+def test_parse_trace_reads_each_mutation_as_from_json_does(mutate, line):
+    lines = [line, mutate(line)]
+    assert _outcome(parse_trace, lines) == _outcome(_read_line_by_line, lines)
+
+
+def test_equal_params_texts_share_one_dict_within_a_call_only():
+    shared = {"flow": 1, "result": "success"}
+    lines = [rec("HOComplete", **shared).to_json(), rec("BindingAck", flow=2).to_json(),
+             rec("PathSelected", **shared).to_json()]
+    first = parse_trace(lines)
+    assert first[0].params is first[2].params
+    assert first[0].params is not first[1].params
+    assert parse_trace(lines)[0].params is not first[0].params
 
 
 class TestSegmentation:

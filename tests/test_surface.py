@@ -1,8 +1,9 @@
 """The package holds what the command line reaches, and nothing more.
 
 The test imports a fresh copy of mobsig and runs ``mobsig run``, ``check`` and
-``diagram`` over the bundled scenarios, a tampered trace and an invalid
-scenario under ``sys.setprofile``. Every module-level function and every method
+``diagram`` over the bundled scenarios, a trace in a layout other than the
+writer's, a tampered trace, a trace that is not UTF-8 and an invalid scenario
+under ``sys.setprofile``. Every module-level function and every method
 of a class defined in ``src/mobsig`` must be entered; one that runs only at
 import counts as reached. Code that only the tests call belongs in the tests.
 Nested functions and lambdas are not counted.
@@ -72,6 +73,14 @@ def _run_the_cli(cli, scenario_dir: Path, out: Path) -> None:
         assert cli.main(["check", "--trace", str(trace)]) == 0
         assert cli.main(["diagram", "--trace", str(trace)]) == 0
 
+    # The same records with json.dumps's default separators take the general
+    # reader, TraceRecord.from_json, not the one for the writer's layout.
+    spaced = out / "spaced.jsonl"
+    spaced.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                              for line in (out / "multi.jsonl").read_text().splitlines()))
+    assert cli.main(["check", "--trace", str(spaced)]) == 0
+    assert cli.main(["diagram", "--trace", str(spaced)]) == 0
+
     # A BindingAck moved ahead of its BindingUpdate is a violation.
     lines = (out / "mbb.jsonl").read_text().splitlines()
     update = next(i for i, line in enumerate(lines) if '"msg":"BindingUpdate"' in line)
@@ -80,6 +89,10 @@ def _run_the_cli(cli, scenario_dir: Path, out: Path) -> None:
     tampered = out / "tampered.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
     assert cli.main(["check", "--trace", str(tampered)]) == 1
+
+    undecodable = out / "undecodable.jsonl"
+    undecodable.write_bytes(b"\xff\n")
+    assert cli.main(["check", "--trace", str(undecodable)]) == 2
 
     invalid = json.loads((scenario_dir / "mbb.json").read_text())
     invalid["cells"][0]["radius_m"] = -1
