@@ -305,8 +305,8 @@ def parse_trace(lines) -> list[TraceRecord]:
             if params is None:
                 try:
                     params = json.loads(params_text)
-                except ValueError:
-                    pass
+                except (ValueError, RecursionError):
+                    pass  # TraceRecord.from_json words the error
                 if type(params) is dict:
                     params_by_text[params_text] = params
             if type(params) is dict:
@@ -319,14 +319,16 @@ def parse_trace(lines) -> list[TraceRecord]:
 
 
 def load_trace(path: str) -> list[TraceRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" alone: a raw "\r" is JSON whitespace inside a record,
+    # and one before the "\n" is trailing whitespace of its line.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         try:
             return parse_trace(handle)
         except UnicodeDecodeError:
             pass
     # Read again with each undecodable byte kept as a lone surrogate, so the
     # first line holding one is named; an earlier bad line still wins.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         return parse_trace(_utf8_lines(handle))
 
 

@@ -231,14 +231,24 @@ class Primitive:
 
     _codecs = ()  # (name, render) of every field but `result`
     _has_result = False
+    _params = None  # the rendered params, set on first use
 
     def params(self) -> dict[str, Any]:
-        rendered = {name: render(getattr(self, name)) for name, render in self._codecs}
-        if self._has_result:
-            result = self.result
-            rendered["result"] = "success" if result.ok else "failure"
-            if not result.ok:
-                rendered["reason"] = result.reason
+        """The trace params, rendered once per instance and shared by every call.
+
+        A primitive that recurs (one answer to many flows, or to one flow on
+        many ticks) is delivered as the same object, so its records share one
+        params dict, which the trace writer then encodes once.
+        """
+        rendered = self._params
+        if rendered is None:
+            rendered = {name: render(getattr(self, name)) for name, render in self._codecs}
+            if self._has_result:
+                result = self.result
+                rendered["result"] = "success" if result.ok else "failure"
+                if not result.ok:
+                    rendered["reason"] = result.reason
+            object.__setattr__(self, "_params", rendered)
         return rendered
 
 

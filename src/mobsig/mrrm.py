@@ -8,14 +8,22 @@ flow, so a periodic tick scans once and shares that view with every active
 flow's cycle; an establishment cycle scans at its own time. The detected set
 changes only at cell borders, so while a scan finds the same accesses with the
 same DAS membership the new view keeps the last view's sets, candidate tuple
-and key lists and takes only the radio scores anew; path selection then sees
-the same candidate tuple and can answer from its last answer. Flows that request
-equal QoS get the same ratings object back from path selection, so the last
-outcome (CAS/AAS, combined scores and the sorted keys of the snapshot) is kept
-and reused while the same view and the same ratings come back; only the
-per-flow handover decision and the snapshot's flow id differ. Link commands
-arriving from the handover orchestrator are relayed to the environment, since
-only MRRM touches radio resources.
+and key lists and takes only the radio scores anew.
+
+Answers that recur are kept and sent again as the same object, so each renders
+and encodes once in the trace:
+
+* a flow's ConstraintRequest, while the view's candidate tuple is the same
+  object; path selection then answers flows that request equal QoS with the
+  same ConstraintResponse, on this tick and on later ones;
+* the outcome of one view and one ConstraintResponse (CAS/AAS, combined
+  scores and the sorted keys of the snapshot), for every response of the
+  current view; only the per-flow handover decision differs;
+* a flow's snapshot params, while its four key lists are equal.
+
+No two flows share a request or a snapshot, since both carry the flow id.
+Link commands arriving from the handover orchestrator are relayed to the
+environment, since only MRRM touches radio resources.
 
 Handovers are serialized node-globally: completion primitives carry no flow id,
 so at most one execution request is in flight at a time and flow setups that
@@ -25,7 +33,7 @@ arrive meanwhile queue up.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
@@ -128,16 +136,16 @@ def select_cas_aas(
 
 def decide_handover(
     policy: MrrmPolicy,
-    prev_aas: AccessSets,
+    incumbent: AccessId | None,
     new_aas: AccessSets,
     combined: Mapping[AccessId, float],
 ) -> AccessId | None:
     """Return the handover target, if any.
 
+    incumbent is the flow's current access, None before its first attachment.
     A challenger wins only by beating the incumbent's combined score by more
     than the hysteresis margin, or when the incumbent dropped out of the DAS.
     """
-    incumbent = prev_aas.active
     winner = new_aas.active
     if winner is None or winner == incumbent:
         return None
@@ -223,10 +231,13 @@ class Mrrm:
         # membership that it was built from.
         self._view: _RadioView | None = None
         self._view_membership: list[tuple[AccessId, bool]] | None = None
-        # The last (view, response) pair answered and its outcome.
-        self._last_view: _RadioView | None = None
-        self._last_response: ConstraintResponse | None = None
-        self._last_outcome: _Outcome | None = None
+        # The outcomes of _outcome_view, by the id of their response; the
+        # entry holds the response, so its id stays its own.
+        self._outcome_view: _RadioView | None = None
+        self._outcomes: dict[int, tuple[ConstraintResponse, _Outcome]] = {}
+        # Each flow's last request and last snapshot params.
+        self._requests: dict[int, ConstraintRequest] = {}
+        self._snapshots: dict[int, dict] = {}
 
     # -- event handling -----------------------------------------------------------
 
@@ -267,7 +278,14 @@ class Mrrm:
             for access, score in scan
         ]
         if membership == self._view_membership:
-            self._view = replace(self._view, radio=dict(scan))
+            last = self._view
+            self._view = _RadioView(
+                sets=last.sets,
+                radio=dict(scan),
+                candidates=last.candidates,
+                das_keys=last.das_keys,
+                scanned_keys=last.scanned_keys,
+            )
             return self._view
         sets = build_das(self.policy, scan)
         self._view = _RadioView(
@@ -282,7 +300,11 @@ class Mrrm:
 
     def _start_cycle(self, flow: int, establishing: bool, view: _RadioView) -> None:
         self._cycles.append(_CycleState(flow=flow, establishing=establishing, view=view))
-        self._send(FE_PATH_SELECTION, ConstraintRequest(flow=flow, candidates=view.candidates))
+        request = self._requests.get(flow)
+        if request is None or request.candidates is not view.candidates:
+            request = ConstraintRequest(flow=flow, candidates=view.candidates)
+            self._requests[flow] = request
+        self._send(FE_PATH_SELECTION, request)
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
         if self._inflight is not None:
@@ -293,17 +315,19 @@ class Mrrm:
     def _on_constraints(self, response: ConstraintResponse) -> None:
         cycle = self._cycles.popleft()
         view = cycle.view
-        if view is not self._last_view or response is not self._last_response:
+        if view is not self._outcome_view:
+            self._outcomes.clear()
+            self._outcome_view = view
+        entry = self._outcomes.get(id(response))
+        if entry is None:
             sets, combined = select_cas_aas(self.policy, view.sets, view.radio, response.ratings)
-            self._last_outcome = _Outcome(
+            entry = self._outcomes[id(response)] = (response, _Outcome(
                 sets=sets,
                 combined=combined,
                 aas_keys=sorted(a.key for a in sets.aas),
                 cas_keys=sorted(a.key for a in sets.cas),
-            )
-            self._last_view = view
-            self._last_response = response
-        outcome = self._last_outcome
+            ))
+        outcome = entry[1]
         self._snapshot(cycle.flow, view, outcome)
         sets, combined = outcome.sets, outcome.combined
         record = self._table.get(cycle.flow)
@@ -312,13 +336,7 @@ class Mrrm:
             return
         if self._inflight is not None or record is None or record.state != "active":
             return
-        prev = AccessSets(
-            scanned=sets.scanned,
-            das=sets.das,
-            cas=sets.cas,
-            aas=frozenset({record.current_access} if record.current_access else ()),
-        )
-        target = decide_handover(self.policy, prev, sets, combined)
+        target = decide_handover(self.policy, record.current_access, sets, combined)
         if target is not None:
             self._emit_request(record, current=record.current_access, target=target,
                                establishing=False)
@@ -426,20 +444,25 @@ class Mrrm:
     # -- helpers ---------------------------------------------------------------------
 
     def _snapshot(self, flow: int, view: _RadioView, outcome: _Outcome) -> None:
-        # The outcome shares its DAS and scanned set with the view; the key
-        # lists are shared by every snapshot of the same view and outcome.
-        self._recorder.annotate(
-            self._kernel.now,
-            FE_MRRM,
-            FE_MRRM,
-            ANNOTATION_ACCESS_SETS,
-            {
+        # The key lists are shared by every snapshot of the same view and
+        # outcome; the flow's last params are recorded again while they hold.
+        params = self._snapshots.get(flow)
+        if (
+            params is None
+            or params["aas"] != outcome.aas_keys
+            or params["cas"] != outcome.cas_keys
+            or params["das"] != view.das_keys
+            or params["scanned"] != view.scanned_keys
+        ):
+            params = self._snapshots[flow] = {
                 "aas": outcome.aas_keys,
                 "cas": outcome.cas_keys,
                 "das": view.das_keys,
                 "flow": flow,
                 "scanned": view.scanned_keys,
-            },
+            }
+        self._recorder.annotate(
+            self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, params
         )
 
     def _send(self, receiver: str, payload) -> None:

@@ -5,9 +5,12 @@ PathSelect and defers to the environment for the actual allocation, proactively
 (zero cost, FMIP-prepared targets only) or via ordinary locator configuration.
 
 A scan tick sends every active flow's request with the one candidate tuple of
-that tick, so flows that request equal QoS ask the same question. The last
-answer is kept: a request with the same candidate tuple object and an equal
-requested QoS gets the same ConstraintResponse object, and only the
+that tick, and MRRM keeps that tuple across ticks while the detected set holds,
+so flows that request equal QoS ask the same question, on one tick and on
+later ones. The answers for the current candidate tuple are kept, one per
+requested QoS, until a request brings another tuple: a request with the same
+tuple object and an equal requested QoS gets the same ConstraintResponse object
+back, however the QoS classes of the flows interleave, and only the
 unknown-access annotation, which names the flow, is written again.
 """
 
@@ -80,11 +83,10 @@ class PathSelection:
         self._models = dict(models)
         self._table = flow_table
         self._daemons = daemons
-        # The last question rated and its answer; see the module docstring.
-        self._last_candidates: tuple[AccessId, ...] | None = None
-        self._last_requested: QosSpec | None = None
-        self._last_response = ConstraintResponse(ratings=())
-        self._last_unknown: list[str] = []
+        # The answers for _candidates, each with its unknown-access keys, by
+        # requested QoS; see the module docstring.
+        self._candidates: tuple[AccessId, ...] | None = None
+        self._answers: dict[QosSpec, tuple[ConstraintResponse, list[str]]] = {}
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -96,7 +98,11 @@ class PathSelection:
     def rate_accesses(self, request: ConstraintRequest) -> ConstraintResponse:
         """Deterministically rate every candidate, preserving request order."""
         requested = self._table.get(request.flow).requested
-        if request.candidates is not self._last_candidates or requested != self._last_requested:
+        if request.candidates is not self._candidates:
+            self._candidates = request.candidates
+            self._answers.clear()
+        answer = self._answers.get(requested)
+        if answer is None:
             ratings = []
             unknown = []
             for access in request.candidates:
@@ -105,19 +111,17 @@ class PathSelection:
                     unknown.append(access.key)
                 ratings.append(Rating(access=access, path_score=rate_access(model, requested)))
             unknown.sort()
-            self._last_candidates = request.candidates
-            self._last_requested = requested
-            self._last_response = ConstraintResponse(ratings=tuple(ratings))
-            self._last_unknown = unknown
-        if self._last_unknown:
+            answer = self._answers[requested] = (ConstraintResponse(ratings=tuple(ratings)), unknown)
+        response, unknown = answer
+        if unknown:
             self._recorder.annotate(
                 self._kernel.now,
                 FE_PATH_SELECTION,
                 FE_PATH_SELECTION,
                 ANNOTATION_UNKNOWN_ACCESS,
-                {"accesses": self._last_unknown, "flow": request.flow},
+                {"accesses": unknown, "flow": request.flow},
             )
-        return self._last_response
+        return response
 
     def select_path(self, request: PathSelect) -> None:
         """Allocate the new locator for the selected target and answer HOLM."""

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .core import primitive_name
 
@@ -49,9 +49,11 @@ class SimulationError(RuntimeError):
         self.event = event
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One scheduled delivery."""
+class SimEvent(NamedTuple):
+    """One scheduled delivery; the queue orders deliveries as tuples by (at, seq).
+
+    seq is unique, so two events never compare their later fields.
+    """
 
     at: SimTime
     seq: int
@@ -95,6 +97,8 @@ class TraceRecord:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"line {lineno}: params nested too deeply") from None
         if not isinstance(obj, dict) or obj.keys() != _TRACE_KEYS:
             raise ValueError(f"line {lineno}: trace records need exactly fields {TRACE_FIELDS}")
         # json.loads yields exact built-in types, so `type(...) is` also rejects
@@ -112,25 +116,20 @@ class TraceRecord:
 class TraceRecorder:
     """Collects TraceRecords in delivery order and serializes them.
 
-    Entities answer the flows of one scan tick with one shared primitive, so
-    the recorder renders a payload that is delivered twice in a row only once,
-    and both records share its params.
+    Entities send a recurring answer (one answer to the flows of a scan tick,
+    or one flow's unchanged request on later ticks) as the same primitive, and
+    a primitive renders its params once, so every record of that answer shares
+    one params dict; ``lines`` encodes each shared dict once.
     """
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        self._last_payload: Any = None
-        self._last_name = ""
-        self._last_params: dict[str, Any] = {}
 
     def on_delivery(self, event: SimEvent) -> None:
         payload = event.payload
-        if payload is not self._last_payload:
-            self._last_name = primitive_name(payload)
-            self._last_params = payload.params()
-            self._last_payload = payload
         self.records.append(
-            TraceRecord(event.at, event.sender, event.receiver, self._last_name, self._last_params)
+            TraceRecord(event.at, event.sender, event.receiver, primitive_name(payload),
+                        payload.params())
         )
 
     def annotate(
@@ -142,22 +141,19 @@ class TraceRecorder:
         )
 
     def lines(self) -> list[str]:
-        # A shared params object is encoded once while it keeps coming back.
-        # Each shared answer of a tick alternates with its flow's snapshot, so
-        # the last two params objects are kept, the latest first.
+        """One JSON line per record; each distinct params object is encoded once.
+
+        The encodings are keyed by the params object's id for this call alone:
+        the records keep every params object alive until it returns.
+        """
         lines = []
-        recent = previous = None
-        recent_json = previous_json = ""
+        encoded: dict[int, str] = {}
         for record in self.records:
             params = record.params
-            if params is not recent:
-                if params is previous:
-                    recent, previous = previous, recent
-                    recent_json, previous_json = previous_json, recent_json
-                else:
-                    previous, previous_json = recent, recent_json
-                    recent, recent_json = params, _encode_params(params)
-            lines.append(record.to_json(recent_json))
+            params_json = encoded.get(id(params))
+            if params_json is None:
+                params_json = encoded[id(params)] = _encode_params(params)
+            lines.append(record.to_json(params_json))
         return lines
 
     def write(self, path: str) -> None:
@@ -179,7 +175,7 @@ class Kernel:
     def __init__(self, recorder: TraceRecorder) -> None:
         self._now: SimTime = 0
         self._seq = 0
-        self._queue: list[tuple[SimTime, int, SimEvent]] = []
+        self._queue: list[SimEvent] = []
         self._handlers: dict[str, Callable[[SimEvent], None]] = {}
         self.recorder = recorder
 
@@ -201,14 +197,9 @@ class Kernel:
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
         self._seq += 1
-        event = SimEvent(
-            at=self._now + delay_us,
-            seq=self._seq,
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
+        heapq.heappush(
+            self._queue, SimEvent(self._now + delay_us, self._seq, sender, receiver, payload)
         )
-        heapq.heappush(self._queue, (event.at, event.seq, event))
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
         """Schedule an internal (untraced) call attributed to an FE."""
@@ -220,16 +211,18 @@ class Kernel:
         Returns the time of the last processed event (0 if none).
         """
         last: SimTime = 0
-        while self._queue:
-            last, _seq, event = heapq.heappop(self._queue)
-            self._now = last
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)
+            self._now = last = event.at
             self._dispatch(event)
         return last
 
     def _dispatch(self, event: SimEvent) -> None:
+        payload = event.payload
         try:
-            if isinstance(event.payload, _Call):
-                event.payload.fn()
+            if type(payload) is _Call:
+                payload.fn()
                 return
             self.recorder.on_delivery(event)
             self._handlers[event.receiver](event)

@@ -24,6 +24,11 @@ MISTYPED_RECORDS = [
     '{"t":true,"from":"MRRM","to":"HOLM","msg":"X","params":{}}',
 ]
 
+# A good record, then one whose params hold 100 000 nested lists.
+DEEP_TRACE = ('{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
+              '{"t":1,"from":"MRRM","to":"HOLM","msg":"X","params":{"x":'
+              + "[" * 100_000 + "]" * 100_000 + "}}\n")
+
 # A good record, then one whose message name holds a byte that is not UTF-8.
 UNDECODABLE_TRACE = (b'{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
                      b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
@@ -213,6 +218,28 @@ class TestCheck:
         assert run_cli("check", "--trace", str(trace)) == 2
         assert capsys.readouterr().err.startswith("trace error: line 1: not valid JSON")
 
+    def test_params_nested_too_deeply_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text(DEEP_TRACE)
+        assert run_cli("check", "--trace", str(trace)) == 2
+        assert capsys.readouterr().err == "trace error: line 2: params nested too deeply\n"
+
+    def test_crlf_line_ends_give_the_same_verdicts(self, mbb_outputs, tmp_path, capsys):
+        trace, _ = mbb_outputs
+        lines = trace.read_text().splitlines()
+        update = next(i for i, line in enumerate(lines) if '"msg":"BindingUpdate"' in line)
+        ack = next(i for i, line in enumerate(lines) if '"msg":"BindingAck"' in line)
+        swapped = list(lines)
+        swapped[update], swapped[ack] = lines[ack], lines[update]
+        for form in (lines, swapped):
+            verdicts = []
+            for end in ("\n", "\r\n"):
+                path = tmp_path / "form.jsonl"
+                path.write_bytes("".join(line + end for line in form).encode())
+                verdicts.append((run_cli("check", "--trace", str(path)), capsys.readouterr()))
+            assert verdicts[0] == verdicts[1]
+        assert [code for code, _ in verdicts] == [1, 1]
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("check", "--trace", str(tmp_path / "absent.jsonl")) == 2
 
@@ -263,6 +290,14 @@ class TestDiagram:
         assert run_cli("diagram", "--trace", str(trace)) == 2
         captured = capsys.readouterr()
         assert captured.err == "trace error: line 2: not valid UTF-8\n"
+        assert captured.out == ""
+
+    def test_params_nested_too_deeply_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text(DEEP_TRACE)
+        assert run_cli("diagram", "--trace", str(trace)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "trace error: line 2: params nested too deeply\n"
         assert captured.out == ""
 
     def test_rendering_is_deterministic(self, mbb_outputs, capsys):

@@ -134,6 +134,37 @@ class TestParseTrace:
         assert [r.name for r in records] == [r.name for r in mbb_slice()]
         assert records[0].line == 1
 
+    @pytest.mark.parametrize("layout", ["writer", "spaced"])
+    def test_params_nested_too_deeply_are_a_line_error(self, layout):
+        depth = 100_000
+        line = ('{"t":0,"from":"a","to":"b","msg":"M","params":{"x":'
+                + "[" * depth + "]" * depth + "}}")
+        if layout == "spaced":  # not the writer's layout: TraceRecord.from_json reads it
+            line = line.replace('"t":0', '"t": 0')
+        good = '{"t":1,"from":"a","to":"b","msg":"M","params":{}}'
+        with pytest.raises(ValueError, match=r"^line 2: params nested too deeply$"):
+            parse_trace([good, line])
+
+    def test_a_raw_cr_inside_a_record_keeps_it_whole(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"t":0,"from":"a","to":"b","msg":"M","params":{}\r}\n'
+                         b'{"t":1,"from":"a","to":"b","msg":"N",\r"params":{"k":1}}\r\n')
+        records = load_trace(str(path))
+        assert [(r.at, r.name, r.params, r.line) for r in records] == [
+            (0, "M", {}, 1), (1, "N", {"k": 1}, 2)
+        ]
+
+    def test_crlf_line_ends_read_as_lf_ones(self, tmp_path, bundled_results):
+        for name, result in bundled_results.items():
+            # The last line is blank, as CRLF makes it a lone "\r\n".
+            text = "".join(r.to_json() + "\n" for r in result.records) + "\n"
+            lf, crlf = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.crlf.jsonl"
+            lf.write_bytes(text.encode())
+            crlf.write_bytes(text.replace("\n", "\r\n").encode())
+            expected, records = load_trace(str(lf)), load_trace(str(crlf))
+            assert repr(records) == repr(expected)
+            assert check_trace(records) == check_trace(expected)
+
 
 def _read_line_by_line(lines):
     """parse_trace as it called TraceRecord.from_json on every line, kept as the reference."""

@@ -6,10 +6,11 @@ the generated long-walk and multi-flow scenarios through the CLI and compares
 both digests, so a change that alters a single output byte fails here as well
 as in the benchmark. Two variants are pinned here too: the multi-flow scenario
 with flows that request three different QoS classes, whose digests were taken
-before flows of one tick began to share answers, and the long walk under a
-policy whose radio floor and network ban move scanned cells in and out of the
-detected set, whose digests were taken before scans skipped cells out of reach
-and ticks reused the radio view. The files under bench/ are only read.
+before flows of one tick began to share answers (a second test counts the
+answers they share), and the long walk under a policy whose radio floor and
+network ban move scanned cells in and out of the detected set, whose digests
+were taken before scans skipped cells out of reach and ticks reused the radio
+view. The files under bench/ are only read.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from mobsig import cli
+from mobsig.scenario import load_scenario
+from mobsig.simulation import Simulation
 
 BUNDLED = ("mbb", "bbm", "fmip", "multi")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -80,14 +84,33 @@ MIXED_QOS_DIGESTS = {
 }
 
 
-def test_generated_multiflow_run_with_mixed_qos_keeps_its_digests(tmp_path):
+def mixed_qos_scenario(tmp_path: Path) -> Path:
     scenario = generated_scenario("multiflow-dense", tmp_path)
     document = json.loads(scenario.read_text(encoding="utf-8"))
     for index, flow in enumerate(document["flows"]):
         flow["requested_qos"] = QOS_CLASSES[index % len(QOS_CLASSES)]
     mixed = tmp_path / "mixed-qos.json"
     mixed.write_text(json.dumps(document), encoding="utf-8")
-    assert run_digests(mixed, tmp_path) == MIXED_QOS_DIGESTS
+    return mixed
+
+
+def test_generated_multiflow_run_with_mixed_qos_keeps_its_digests(tmp_path):
+    assert run_digests(mixed_qos_scenario(tmp_path), tmp_path) == MIXED_QOS_DIGESTS
+
+
+def test_mixed_qos_flows_share_one_answer_per_class_and_tick(tmp_path):
+    config = load_scenario(str(mixed_qos_scenario(tmp_path)))
+    qos = {spec.flow: spec.requested for spec in config.flows}
+    classes_asking: dict[int, set] = defaultdict(set)
+    answers: dict[int, set] = defaultdict(set)
+    for record in Simulation(config).run().records:
+        if record.name == "ConstraintRequest":
+            classes_asking[record.at].add(qos[record.params["flow"]])
+        elif record.name == "ConstraintResponse":
+            answers[record.at].add(id(record.params))
+    assert answers.keys() == classes_asking.keys()
+    assert all(len(answers[at]) <= len(classes_asking[at]) for at in answers)
+    assert max(len(classes) for classes in classes_asking.values()) == len(QOS_CLASSES)
 
 
 # The generated cells sit 800 m apart with a 600 m radius, so at a 0.3 radio

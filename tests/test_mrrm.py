@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mobsig import mrrm
 from mobsig.core import (
     FE_FLOW_MANAGEMENT,
     FE_HOLM,
@@ -145,27 +146,24 @@ class TestDecideHandover:
         )
 
     def test_needs_strictly_more_than_hysteresis(self):
-        prev = self.sets({A, B}, A)
         new = self.sets({A, B}, B)
         exactly_at_margin = {A: 0.5, B: 0.625}
-        assert decide_handover(self.POLICY, prev, new, exactly_at_margin) is None
+        assert decide_handover(self.POLICY, A, new, exactly_at_margin) is None
         above_margin = {A: 0.5, B: 0.75}
-        assert decide_handover(self.POLICY, prev, new, above_margin) == B
+        assert decide_handover(self.POLICY, A, new, above_margin) == B
 
     def test_no_winner_or_same_winner_means_stay(self):
-        prev = self.sets({A}, A)
-        assert decide_handover(self.POLICY, prev, self.sets({A}, None), {A: 1.0}) is None
-        assert decide_handover(self.POLICY, prev, self.sets({A}, A), {A: 1.0}) is None
+        assert decide_handover(self.POLICY, A, self.sets({A}, None), {A: 1.0}) is None
+        assert decide_handover(self.POLICY, A, self.sets({A}, A), {A: 1.0}) is None
+        assert decide_handover(self.POLICY, None, self.sets(set(), None), {}) is None
 
     def test_first_attachment_has_no_incumbent(self):
-        prev = self.sets(set(), None)
-        assert decide_handover(self.POLICY, prev, self.sets({B}, B), {B: 0.1}) == B
+        assert decide_handover(self.POLICY, None, self.sets({B}, B), {B: 0.1}) == B
 
     def test_incumbent_dropping_out_of_das_forces_the_move(self):
-        prev = self.sets({A, B}, A)
         new = self.sets({B}, B)
         # B scores far worse than A did; it still wins because A is gone
-        assert decide_handover(self.POLICY, prev, new, {B: 0.05}) == B
+        assert decide_handover(self.POLICY, A, new, {B: 0.05}) == B
 
 
 class TestNotifyFlowManagement:
@@ -335,6 +333,7 @@ class TestScanPerTick:
         assert scans == [tick_at]
         requests = self.requests_at(node, tick_at)
         assert [params["flow"] for params in requests] == [1, 2, 3]
+        assert len({id(params) for params in requests}) == 3  # each flow its own
         assert len(requests[0]["candidates"]) == 2
         assert all(params["candidates"] == requests[0]["candidates"] for params in requests)
 
@@ -360,12 +359,13 @@ class TestScanPerTick:
 
 
 class TestSharedOutcomes:
-    """Flows of one tick reuse the last outcome only when they asked the same question."""
+    """Flows of one tick share an outcome only when they asked the same question."""
 
     # cell-b's path is 60 ms long: TIGHT excludes it, REQUESTED does not.
     TIGHT = QosSpec(bandwidth_kbps=1000, max_latency_ms=50)
 
-    def tick_snapshots(self, qos_by_flow):
+    def tick_snapshots(self, qos_by_flow, ticks=1):
+        """The snapshots of each tick, one list per tick."""
         cells = (
             make_cell(),
             make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", center=(300.0, 0.0)),
@@ -379,14 +379,17 @@ class TestSharedOutcomes:
         for flow in qos_by_flow:
             node.flow_management.start_flow(flow)
         node.run()
-        tick_at = node.kernel.now + 1_000_000
-        node.kernel.call_later(1_000_000, node.mrrm.tick, FE_MRRM)
-        node.run()
-        return [r for r in node.recorder.records
-                if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
+        tick_times = []
+        for _ in range(ticks):
+            tick_times.append(node.kernel.now + 1_000_000)
+            node.kernel.call_later(1_000_000, node.mrrm.tick, FE_MRRM)
+            node.run()
+        return [[r for r in node.recorder.records
+                 if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
+                for tick_at in tick_times]
 
     def test_each_qos_gets_its_own_sets_in_turn(self):
-        snapshots = self.tick_snapshots(
+        [snapshots] = self.tick_snapshots(
             {1: REQUESTED, 2: self.TIGHT, 3: REQUESTED, 4: QosSpec(1000, 80)}
         )
         both, near = ["net-1/cell-a", "net-2/cell-b"], ["net-1/cell-a"]
@@ -395,17 +398,36 @@ class TestSharedOutcomes:
         ]
         assert all(s.params["das"] == both for s in snapshots)
 
+    def test_one_outcome_per_qos_class_and_tick(self, monkeypatch):
+        selections = []
+        select = mrrm.select_cas_aas
+        monkeypatch.setattr(mrrm, "select_cas_aas",
+                            lambda *args: selections.append(args) or select(*args))
+        [snapshots] = self.tick_snapshots(
+            {1: REQUESTED, 2: self.TIGHT, 3: REQUESTED, 4: QosSpec(1000, 80), 5: self.TIGHT}
+        )
+        assert [s.params["flow"] for s in snapshots] == [1, 2, 3, 4, 5]
+        # The tick's view is the last one selected on (by its radio scores);
+        # its five cycles, whose QoS classes interleave, select twice.
+        tick_radio = selections[-1][2]
+        on_tick = [ratings for _policy, _sets, radio, ratings in selections if radio is tick_radio]
+        assert len(on_tick) == 2 and on_tick[0] is not on_tick[1]
+
     def test_a_shared_outcome_keeps_each_flows_own_id(self):
-        snapshots = self.tick_snapshots({flow: REQUESTED for flow in (1, 2, 3)})
-        assert [s.params["flow"] for s in snapshots] == [1, 2, 3]
-        first, *rest = snapshots
-        for snapshot in rest:
-            assert snapshot.params is not first.params
-            assert {k: v for k, v in snapshot.params.items() if k != "flow"} == {
-                k: v for k, v in first.params.items() if k != "flow"
-            }
-            # The key lists come from the one outcome of the tick.
-            assert snapshot.params["cas"] is first.params["cas"]
+        ticks = self.tick_snapshots({flow: REQUESTED for flow in (1, 2, 3)}, ticks=2)
+        for snapshots in ticks:
+            assert [s.params["flow"] for s in snapshots] == [1, 2, 3]
+            first, *rest = snapshots
+            for snapshot in rest:
+                assert snapshot.params is not first.params
+                assert {k: v for k, v in snapshot.params.items() if k != "flow"} == {
+                    k: v for k, v in first.params.items() if k != "flow"
+                }
+        # The key lists hold from one tick to the next, so each flow records
+        # its own params object again.
+        earlier, later = ticks
+        assert [s.params for s in later] == [s.params for s in earlier]
+        assert all(b.params is a.params for a, b in zip(earlier, later))
 
 
 class TestViewReuse:
@@ -449,6 +471,18 @@ class TestViewReuse:
         assert [(s["scanned"], s["das"]) for s in snapshots.values()] == [
             (both, both), (both, both), (both, ["net-1/cell-a"])
         ]
+
+    def test_a_flows_request_is_sent_again_while_the_candidates_hold(self):
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
+                                        rat="cellular", center=(300.0, 0.0)))
+        requests, _snapshots = self.run_ticks(
+            cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0),
+            (1_000_000, 2_000_000, 10_000_000, 10_500_000),
+        )
+        setup, held, held_again, crossed, crossed_again = requests
+        assert held is setup and held_again is setup
+        assert crossed is not setup and crossed.candidates == (A,)
+        assert crossed_again is crossed
 
     def test_a_banned_cell_coming_into_range_changes_the_scanned_set(self):
         banned = make_cell(cell_id="cell-c", network_id="net-9", center=(900.0, 0.0))

@@ -115,7 +115,7 @@ class TestRateAccesses:
 
 
 class TestSharedAnswers:
-    """Flows asking the same question in one tick share the answer, and only then."""
+    """Flows asking the same question share the answer, and only then."""
 
     WIDE = QosSpec(bandwidth_kbps=2000, max_latency_ms=80)  # a 1000 kbps path rates 0.5
 
@@ -154,6 +154,19 @@ class TestSharedAnswers:
         again = entity.rate_accesses(ConstraintRequest(flow=4, candidates=candidates))
         assert again is first
         assert len(ratings_made) == 2  # one per candidate, for the first request only
+
+    def test_interleaved_qos_classes_each_keep_their_answer(self, ratings_made):
+        built, candidates = self.entity_with_flows({1: REQUESTED, 2: self.WIDE, 3: REQUESTED})
+        entity = built[4]
+        answers = [entity.rate_accesses(ConstraintRequest(flow=flow, candidates=candidates))
+                   for flow in (1, 2, 3, 2, 1)]
+        assert answers[2] is answers[0] and answers[4] is answers[0]
+        assert answers[3] is answers[1] and answers[1] is not answers[0]
+        assert len(ratings_made) == 4  # two candidates for each of the two classes
+        # Another candidate tuple drops every kept answer.
+        entity.rate_accesses(ConstraintRequest(flow=1, candidates=tuple(list(candidates))))
+        again = entity.rate_accesses(ConstraintRequest(flow=2, candidates=candidates))
+        assert again is not answers[1] and again == answers[1]
 
     def test_equal_candidate_tuple_in_a_new_object_is_rated_afresh(self, ratings_made):
         built, (a, b) = self.entity_with_flows(None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mobsig import simkernel
 from mobsig.core import HOComplete, Result, TunnelStop
 from mobsig.simkernel import (
     TRACE_FIELDS,
@@ -251,23 +252,39 @@ class TestSharedParams:
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
             recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
-        assert recorder.lines() == [_reference_line(r) for r in recorder.records]
+        encoded = []
+        encode = simkernel._encode_params
+        # Not monkeypatch: a function-scoped fixture would span every example.
+        simkernel._encode_params = lambda params: encoded.append(params) or encode(params)
+        try:
+            lines = recorder.lines()
+        finally:
+            simkernel._encode_params = encode
+        assert lines == [_reference_line(r) for r in recorder.records]
+        # Each distinct params object once, in order of first use.
+        assert [id(p) for p in encoded] == list(dict.fromkeys(id(r.params) for r in recorder.records))
 
     def test_a_payload_delivered_twice_in_a_row_renders_once(self, monkeypatch):
+        # However often and however far apart a payload is delivered, its
+        # fields are rendered once; the renderer is counted, not params().
         rendered = []
-        params = TunnelStop.params
-        monkeypatch.setattr(TunnelStop, "params", lambda self: rendered.append(self) or params(self))
+        [(field, render)] = TunnelStop._codecs
+        monkeypatch.setattr(
+            TunnelStop, "_codecs", ((field, lambda v: rendered.append(v) or render(v)),)
+        )
         recorder = TraceRecorder()
         kernel, _ = make_kernel("X", "Y", recorder=recorder)
         shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
-        for receiver, payload in (("X", shared), ("Y", shared), ("X", other), ("X", shared)):
-            kernel.schedule(0, "Z", receiver, payload)
+        deliveries = (("X", shared), ("Y", shared), ("X", other), ("X", shared))
+        for delay, (receiver, payload) in enumerate(deliveries * 2):
+            kernel.schedule(delay * 1000, "Z", receiver, payload)
         kernel.run_until_quiescent()
-        assert rendered == [shared, other, shared]
+        assert rendered == [1, 2]
         records = recorder.records
-        assert [r.receiver for r in records] == ["X", "Y", "X", "X"]
-        assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}]
-        assert records[1].params is records[0].params
+        assert [r.receiver for r in records] == ["X", "Y", "X", "X"] * 2
+        assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}] * 2
+        assert all(r.params is records[0].params for r in records if r.params["flow"] == 1)
+        assert records[6].params is records[2].params
         assert recorder.lines() == [_reference_line(r) for r in records]
 
     def test_unserializable_params_raise_the_json_type_error(self):
