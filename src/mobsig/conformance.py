@@ -2,7 +2,7 @@
 
 A trace is split into handover contexts, one per HOExecutionRequest, each
 running until the next request for the same flow (or the end of the trace).
-Every context is then checked against declarative sequence templates:
+Every context is then checked against sequence templates:
 
 * precedence rules - "if A and B both occur in the context, every A occurs
   before every B", each with a stable human-readable label;
@@ -10,6 +10,14 @@ Every context is then checked against declarative sequence templates:
 * link alternation - attach and detach events on one access must alternate,
   starting with an attach, for every access that is brought up inside the
   context (accesses attached before the context started are exempt).
+
+The templates are not written out: each is derived from one row of HOLM's
+step table. A row's chain is the messages its steps exchange (`holm.STEPS`
+and `holm.STEP_MESSAGES`), then HOComplete, then the post-handover
+notification exchange. The template's rules are the LABELS pairs that occur
+in that order in the chain, and it forbids every other message of the
+vocabulary. A rule can only point forward along its chain, so no template can
+hold a cycle.
 
 Messages that are not part of the handover signaling vocabulary (scan
 snapshots, rating queries, flow-setup traffic) are ignored by the checker.
@@ -23,48 +31,58 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .core import PRIMITIVE_TYPES
+from .holm import STEP_MESSAGES, STEPS
 from .simkernel import TraceRecord
+
+# The post-handover notification exchange that follows every HOComplete but an
+# establishment's.
+_NOTIFICATION = ("HandoverOccurred", "HandoverOccurredResponse")
+
+
+def _messages(steps: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(name for step in steps for name in STEP_MESSAGES[step])
+
 
 # Names that make up handover signaling sequences; used both for conformance
 # and for per-handover message counting in the metrics report.
-SEQUENCE_NAMES = frozenset(
-    {
-        "HOExecutionRequest",
-        "HOComplete",
-        "LinkAttachRequest",
-        "LinkAttachResponse",
-        "LinkSwitchRequest",
-        "LinkSwitchResponse",
-        "LinkDetachRequest",
-        "LinkDetachResponse",
-        "PathSelect",
-        "PathSelected",
-        "BindingUpdate",
-        "BindingAck",
-        "ProxyRouterAdvertisement",
-        "FastBindingUpdate",
-        "FastBindingAck",
-        "TunnelStart",
-        "TunnelStop",
-    }
-)
+SEQUENCE_NAMES = frozenset({"HOExecutionRequest", "HOComplete"}).union(*STEP_MESSAGES.values())
 
 # The checker additionally tracks the post-handover notification exchange.
-CHECKED_NAMES = SEQUENCE_NAMES | {"HandoverOccurred", "HandoverOccurredResponse"}
+CHECKED_NAMES = SEQUENCE_NAMES | set(_NOTIFICATION)
 
-VARIANTS = ("establishment", "mbb", "bbm", "fmip")
-
-_FMIP_ONLY = frozenset(
-    {
-        "ProxyRouterAdvertisement",
-        "FastBindingUpdate",
-        "FastBindingAck",
-        "LinkSwitchRequest",
-        "LinkSwitchResponse",
-        "TunnelStart",
-        "TunnelStop",
-    }
+# The messages only an fmip handover exchanges.
+_FMIP_ONLY = frozenset(_messages(STEPS["fmip"])).difference(
+    *(_messages(steps) for variant, steps in STEPS.items() if variant != "fmip")
 )
+
+# The label of each ordering rule, keyed by (before, after). When two rules
+# are broken at the same record, the one listed first here is reported.
+LABELS: dict[tuple[str, str], str] = {
+    ("PathSelect", "PathSelected"): "path-query-before-answer",
+    ("PathSelected", "BindingUpdate"): "locator-before-binding-update",
+    ("BindingUpdate", "BindingAck"): "binding-update-before-ack",
+    ("BindingAck", "HOComplete"): "binding-ack-before-completion",
+    ("HOComplete", "HandoverOccurred"): "completion-before-indication",
+    ("HandoverOccurred", "HandoverOccurredResponse"): "indication-before-its-ack",
+    ("LinkAttachRequest", "LinkAttachResponse"): "attach-request-before-response",
+    ("LinkDetachRequest", "LinkDetachResponse"): "detach-request-before-response",
+    ("LinkAttachRequest", "LinkDetachRequest"): "attach-before-detach",
+    ("LinkAttachResponse", "PathSelect"): "attach-before-path-query",
+    ("BindingAck", "LinkDetachRequest"): "rebind-before-old-link-teardown",
+    ("LinkDetachResponse", "HOComplete"): "teardown-before-completion",
+    ("LinkDetachRequest", "LinkAttachRequest"): "detach-before-attach",
+    ("LinkDetachResponse", "LinkAttachRequest"): "teardown-done-before-attach",
+    ("ProxyRouterAdvertisement", "FastBindingUpdate"): "advertisement-before-fast-binding",
+    ("FastBindingUpdate", "FastBindingAck"): "fast-binding-before-ack",
+    ("FastBindingAck", "PathSelect"): "preparation-before-path-query",
+    ("FastBindingAck", "LinkSwitchRequest"): "preparation-before-switch",
+    ("PathSelected", "LinkSwitchRequest"): "locator-before-switch",
+    ("LinkSwitchRequest", "LinkSwitchResponse"): "switch-request-before-response",
+    ("LinkSwitchResponse", "TunnelStart"): "switch-before-tunnel",
+    ("TunnelStart", "BindingUpdate"): "tunnel-before-binding-update",
+    ("BindingAck", "TunnelStop"): "binding-ack-before-tunnel-stop",
+    ("TunnelStop", "HOComplete"): "tunnel-stop-before-completion",
+}
 
 
 # A whole line as TraceRecord.to_json writes it: the fixed head, whose strings
@@ -105,43 +123,7 @@ class Precedence:
 class SequenceTemplate:
     name: str
     rules: tuple[Precedence, ...]
-    forbidden: frozenset[str] = frozenset()
-    applies_to: frozenset[str] = frozenset(VARIANTS)
-
-    def __post_init__(self) -> None:
-        names = set()
-        for rule in self.rules:
-            names.update((rule.before, rule.after))
-        unknown = (names | self.forbidden) - CHECKED_NAMES
-        if unknown:
-            raise ValueError(f"template {self.name}: unknown names {sorted(unknown)}")
-        overlap = names & self.forbidden
-        if overlap:
-            raise ValueError(
-                f"template {self.name}: rules reference forbidden names {sorted(overlap)}"
-            )
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        edges: dict[str, set[str]] = {}
-        for rule in self.rules:
-            edges.setdefault(rule.before, set()).add(rule.after)
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(node: str) -> None:
-            if node in done:
-                return
-            if node in visiting:
-                raise ValueError(f"template {self.name}: precedence rules form a cycle")
-            visiting.add(node)
-            for nxt in edges.get(node, ()):
-                visit(nxt)
-            visiting.discard(node)
-            done.add(node)
-
-        for node in list(edges):
-            visit(node)
+    forbidden: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -176,110 +158,25 @@ class SequenceContext:
         return [record for _, record in self.entries]
 
 
-def _core_rules() -> tuple[Precedence, ...]:
-    return (
-        Precedence("PathSelect", "PathSelected", "path-query-before-answer"),
-        Precedence("PathSelected", "BindingUpdate", "locator-before-binding-update"),
-        Precedence("BindingUpdate", "BindingAck", "binding-update-before-ack"),
-        Precedence("BindingAck", "HOComplete", "binding-ack-before-completion"),
-        Precedence("HOComplete", "HandoverOccurred", "completion-before-indication"),
-        Precedence(
-            "HandoverOccurred", "HandoverOccurredResponse", "indication-before-its-ack"
-        ),
+def _template(name: str, steps: tuple[str, ...]) -> SequenceTemplate:
+    """The template of one step row; see the module docstring."""
+    chain = _messages(steps) + ("HOComplete",)
+    if name != "establishment":  # a first attachment is no handover to notify
+        chain += _NOTIFICATION
+    at = {message: index for index, message in enumerate(chain)}
+    rules = tuple(
+        Precedence(before, after, label)
+        for (before, after), label in LABELS.items()
+        if before in at and after in at and at[before] < at[after]
     )
+    forbidden = CHECKED_NAMES - {"HOExecutionRequest"} - set(chain)
+    return SequenceTemplate(name, rules, forbidden)
 
-
-_LINK_PAIRS = (
-    Precedence("LinkAttachRequest", "LinkAttachResponse", "attach-request-before-response"),
-    Precedence("LinkDetachRequest", "LinkDetachResponse", "detach-request-before-response"),
-)
-
-_PLAIN_MIP_FORBIDDEN = frozenset(
-    {
-        "LinkSwitchRequest",
-        "LinkSwitchResponse",
-        "ProxyRouterAdvertisement",
-        "FastBindingUpdate",
-        "FastBindingAck",
-        "TunnelStart",
-        "TunnelStop",
-    }
-)
 
 TEMPLATES: dict[str, SequenceTemplate] = {
-    "generic": SequenceTemplate(
-        name="generic",
-        rules=_core_rules(),
-        applies_to=frozenset(VARIANTS) | {"unclassified"},
-    ),
-    "mbb": SequenceTemplate(
-        name="mbb",
-        rules=_core_rules()
-        + _LINK_PAIRS
-        + (
-            Precedence("LinkAttachRequest", "LinkDetachRequest", "attach-before-detach"),
-            Precedence("LinkAttachResponse", "PathSelect", "attach-before-path-query"),
-            Precedence("BindingAck", "LinkDetachRequest", "rebind-before-old-link-teardown"),
-            Precedence("LinkDetachResponse", "HOComplete", "teardown-before-completion"),
-        ),
-        forbidden=_PLAIN_MIP_FORBIDDEN,
-        applies_to=frozenset({"mbb"}),
-    ),
-    "bbm": SequenceTemplate(
-        name="bbm",
-        rules=_core_rules()
-        + _LINK_PAIRS
-        + (
-            Precedence("LinkDetachRequest", "LinkAttachRequest", "detach-before-attach"),
-            Precedence("LinkDetachResponse", "LinkAttachRequest", "teardown-done-before-attach"),
-            Precedence("LinkAttachResponse", "PathSelect", "attach-before-path-query"),
-        ),
-        forbidden=_PLAIN_MIP_FORBIDDEN,
-        applies_to=frozenset({"bbm"}),
-    ),
-    "fmip": SequenceTemplate(
-        name="fmip",
-        rules=_core_rules()
-        + (
-            Precedence(
-                "ProxyRouterAdvertisement", "FastBindingUpdate", "advertisement-before-fast-binding"
-            ),
-            Precedence("FastBindingUpdate", "FastBindingAck", "fast-binding-before-ack"),
-            Precedence("FastBindingAck", "PathSelect", "preparation-before-path-query"),
-            Precedence("FastBindingAck", "LinkSwitchRequest", "preparation-before-switch"),
-            Precedence("PathSelected", "LinkSwitchRequest", "locator-before-switch"),
-            Precedence("LinkSwitchRequest", "LinkSwitchResponse", "switch-request-before-response"),
-            Precedence("LinkSwitchResponse", "TunnelStart", "switch-before-tunnel"),
-            Precedence("TunnelStart", "BindingUpdate", "tunnel-before-binding-update"),
-            Precedence("BindingAck", "TunnelStop", "binding-ack-before-tunnel-stop"),
-            Precedence("TunnelStop", "HOComplete", "tunnel-stop-before-completion"),
-        ),
-        forbidden=frozenset(
-            {
-                "LinkAttachRequest",
-                "LinkAttachResponse",
-                "LinkDetachRequest",
-                "LinkDetachResponse",
-            }
-        ),
-        applies_to=frozenset({"fmip"}),
-    ),
-    "establishment": SequenceTemplate(
-        name="establishment",
-        rules=tuple(r for r in _core_rules() if "HandoverOccurred" not in (r.before, r.after))
-        + (
-            Precedence("LinkAttachRequest", "LinkAttachResponse", "attach-request-before-response"),
-            Precedence("LinkAttachResponse", "PathSelect", "attach-before-path-query"),
-        ),
-        forbidden=_PLAIN_MIP_FORBIDDEN
-        | {
-            "LinkDetachRequest",
-            "LinkDetachResponse",
-            "HandoverOccurred",
-            "HandoverOccurredResponse",
-        },
-        applies_to=frozenset({"establishment"}),
-    ),
+    # Only what every variant shares: the path query and the binding.
+    "generic": replace(_template("generic", ("path", "bind")), forbidden=frozenset()),
+    **{variant: _template(variant, steps) for variant, steps in STEPS.items()},
 }
 
 assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from primitives"
@@ -475,7 +372,7 @@ def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
         slice_records = context.records
         if template == "auto":
             variant = infer_variant(slice_records)
-            chosen = [t for t in TEMPLATES.values() if variant in t.applies_to]
+            chosen = [TEMPLATES["generic"]] + ([TEMPLATES[variant]] if variant in STEPS else [])
         else:
             chosen = [TEMPLATES[template]]
         for candidate in chosen:

@@ -2,7 +2,10 @@
 
 One HandoverContext tracks each execution request from arrival to its single
 HOComplete. The signaling exchange is generic: STEPS maps each variant to its
-ordered steps, and one step loop runs every row.
+ordered steps, and one step loop runs every row. STEP_MESSAGES names the trace
+messages each step exchanges; the conformance checker builds its templates
+from the two tables and its own rule labels, so a new variant is one STEPS
+row (plus the messages of any new step).
 
 * establishment - attach the first link, configure a locator and bind; there
                   is no previous access or binding to tear down.
@@ -107,6 +110,19 @@ STEPS: dict[str, tuple[str, ...]] = {
     "mbb": ("attach", "path", "bind", "detach"),
     "bbm": ("detach", "attach", "path", "bind"),
     "fmip": ("prepare", "path", "switch", "tunnel_start", "bind", "tunnel_stop"),
+}
+
+# The trace messages each step exchanges, in order. The conformance checker
+# derives its vocabulary and sequence templates from these rows and STEPS.
+STEP_MESSAGES: dict[str, tuple[str, ...]] = {
+    "attach": ("LinkAttachRequest", "LinkAttachResponse"),
+    "detach": ("LinkDetachRequest", "LinkDetachResponse"),
+    "switch": ("LinkSwitchRequest", "LinkSwitchResponse"),
+    "path": ("PathSelect", "PathSelected"),
+    "prepare": ("ProxyRouterAdvertisement", "FastBindingUpdate", "FastBindingAck"),
+    "bind": ("BindingUpdate", "BindingAck"),
+    "tunnel_start": ("TunnelStart",),
+    "tunnel_stop": ("TunnelStop",),
 }
 
 

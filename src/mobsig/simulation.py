@@ -3,8 +3,8 @@
 `Simulation` connects the six functional entities to one event kernel, drives
 the resource manager's decision cycle at the configured scan period, starts
 each flow at its configured time, and runs the kernel until no work remains.
-The result bundles the recorded trace, the completed handover contexts, and a
-JSON-ready metrics report.
+The result bundles the recorded trace and a JSON-ready metrics report built
+from the completed handover contexts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .simkernel import Kernel, SimTime, TraceRecord, TraceRecorder
 @dataclass
 class SimulationResult:
     records: list[TraceRecord]
-    contexts: list[HandoverContext]
     metrics: dict
     final_time_us: SimTime
 
@@ -109,7 +108,6 @@ class Simulation:
         self.kernel.drop_handlers()
         return SimulationResult(
             records=list(self.recorder.records),
-            contexts=list(self.holm.completed),
             metrics=build_metrics(self.recorder.records, self.holm.completed),
             final_time_us=final,
         )

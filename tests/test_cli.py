@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mobsig import cli
-from mobsig.conformance import load_trace
+from mobsig.conformance import TEMPLATES, load_trace
 from mobsig.core import FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
@@ -32,6 +32,104 @@ DEEP_TRACE = ('{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
 # A good record, then one whose message name holds a byte that is not UTF-8.
 UNDECODABLE_TRACE = (b'{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
                      b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
+
+
+BUNDLED = ("mbb", "bbm", "fmip", "multi")
+
+# The exit code and first output line of `check` on each bundled scenario's
+# trace under each --template choice.
+CHECK_VERDICTS = {
+    ("mbb", "auto"): (0, "conformant (88 records, template=auto)"),
+    ("mbb", "bbm"): (
+        1,
+        "violation: line 46: LinkAttachRequest precedes LinkDetachRequest"
+        " [template=bbm rule=detach-before-attach]",
+    ),
+    ("mbb", "establishment"): (
+        1,
+        "violation: line 53: LinkDetachRequest must not occur here"
+        " [template=establishment rule=forbidden:LinkDetachRequest]",
+    ),
+    ("mbb", "fmip"): (
+        1,
+        "violation: line 6: LinkAttachRequest must not occur here"
+        " [template=fmip rule=forbidden:LinkAttachRequest]",
+    ),
+    ("mbb", "generic"): (0, "conformant (88 records, template=generic)"),
+    ("mbb", "mbb"): (0, "conformant (88 records, template=mbb)"),
+    ("bbm", "auto"): (0, "conformant (88 records, template=auto)"),
+    ("bbm", "bbm"): (0, "conformant (88 records, template=bbm)"),
+    ("bbm", "establishment"): (
+        1,
+        "violation: line 46: LinkDetachRequest must not occur here"
+        " [template=establishment rule=forbidden:LinkDetachRequest]",
+    ),
+    ("bbm", "fmip"): (
+        1,
+        "violation: line 6: LinkAttachRequest must not occur here"
+        " [template=fmip rule=forbidden:LinkAttachRequest]",
+    ),
+    ("bbm", "generic"): (0, "conformant (88 records, template=generic)"),
+    ("bbm", "mbb"): (
+        1,
+        "violation: line 46: LinkDetachRequest precedes LinkAttachRequest"
+        " [template=mbb rule=attach-before-detach]",
+    ),
+    ("fmip", "auto"): (0, "conformant (91 records, template=auto)"),
+    ("fmip", "bbm"): (
+        1,
+        "violation: line 46: ProxyRouterAdvertisement must not occur here"
+        " [template=bbm rule=forbidden:ProxyRouterAdvertisement]",
+    ),
+    ("fmip", "establishment"): (
+        1,
+        "violation: line 46: ProxyRouterAdvertisement must not occur here"
+        " [template=establishment rule=forbidden:ProxyRouterAdvertisement]",
+    ),
+    ("fmip", "fmip"): (
+        1,
+        "violation: line 6: LinkAttachRequest must not occur here"
+        " [template=fmip rule=forbidden:LinkAttachRequest]",
+    ),
+    ("fmip", "generic"): (0, "conformant (91 records, template=generic)"),
+    ("fmip", "mbb"): (
+        1,
+        "violation: line 46: ProxyRouterAdvertisement must not occur here"
+        " [template=mbb rule=forbidden:ProxyRouterAdvertisement]",
+    ),
+    ("multi", "auto"): (0, "conformant (200 records, template=auto)"),
+    ("multi", "bbm"): (
+        1,
+        "violation: line 46: LinkAttachRequest precedes LinkDetachRequest"
+        " [template=bbm rule=detach-before-attach]",
+    ),
+    ("multi", "establishment"): (
+        1,
+        "violation: line 53: LinkDetachRequest must not occur here"
+        " [template=establishment rule=forbidden:LinkDetachRequest]",
+    ),
+    ("multi", "fmip"): (
+        1,
+        "violation: line 6: LinkAttachRequest must not occur here"
+        " [template=fmip rule=forbidden:LinkAttachRequest]",
+    ),
+    ("multi", "generic"): (0, "conformant (200 records, template=generic)"),
+    ("multi", "mbb"): (0, "conformant (200 records, template=mbb)"),
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_traces(tmp_path_factory, scenario_path):
+    out = tmp_path_factory.mktemp("bundled")
+    for name in BUNDLED:
+        code = run_cli(
+            "run",
+            "--scenario", str(scenario_path(name)),
+            "--trace", str(out / f"{name}.jsonl"),
+            "--metrics", str(out / f"{name}.metrics.json"),
+        )
+        assert code == 0
+    return {name: out / f"{name}.jsonl" for name in BUNDLED}
 
 
 @pytest.fixture()
@@ -247,6 +345,17 @@ class TestCheck:
         trace, _ = mbb_outputs
         with pytest.raises(SystemExit):
             run_cli("check", "--trace", str(trace), "--template", "imaginary")
+
+    def test_every_template_choice_is_pinned(self):
+        choices = {"auto", *TEMPLATES}
+        assert set(CHECK_VERDICTS) == {(s, t) for s in BUNDLED for t in choices}
+
+    @pytest.mark.parametrize(("scenario", "template"), sorted(CHECK_VERDICTS))
+    def test_bundled_trace_verdict(self, bundled_traces, capsys, scenario, template):
+        code = run_cli("check", "--trace", str(bundled_traces[scenario]), "--template", template)
+        captured = capsys.readouterr()
+        first = (captured.out + captured.err).splitlines()[0]
+        assert (code, first) == CHECK_VERDICTS[scenario, template]
 
 
 class TestDiagram:

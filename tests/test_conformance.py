@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from mobsig.conformance import (
     CHECKED_NAMES,
+    LABELS,
     SEQUENCE_NAMES,
     TEMPLATES,
     AmbiguousTraceError,
-    Precedence,
-    SequenceTemplate,
     check,
     check_trace,
     infer_variant,
@@ -341,31 +340,47 @@ class TestInferVariant:
         assert infer_variant(records) == "unclassified"
 
 
-class TestTemplateValidation:
-    def test_unknown_names_are_rejected(self):
-        with pytest.raises(ValueError, match="unknown names"):
-            SequenceTemplate(
-                name="broken",
-                rules=(Precedence("LinkAttachRequest", "WarpDrive", "x"),),
-            )
+def notified(slice_fn):
+    """A canonical slice; a handover's gets the notification exchange appended."""
+    records = slice_fn()
+    if slice_fn is not establishment_slice:
+        records += [
+            rec("HandoverOccurred", flow=1, provided_qos=QOS),
+            rec("HandoverOccurredResponse", result="success"),
+        ]
+    return records
 
-    def test_rules_must_not_reference_forbidden_names(self):
-        with pytest.raises(ValueError, match="forbidden names"):
-            SequenceTemplate(
-                name="broken",
-                rules=(Precedence("TunnelStart", "TunnelStop", "x"),),
-                forbidden=frozenset({"TunnelStart"}),
-            )
 
-    def test_cyclic_rules_are_rejected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            SequenceTemplate(
-                name="broken",
-                rules=(
-                    Precedence("BindingUpdate", "BindingAck", "x"),
-                    Precedence("BindingAck", "BindingUpdate", "y"),
-                ),
-            )
+# Each template's canonical slice; generic's rules hold in every variant's.
+CANONICAL = {
+    "establishment": establishment_slice,
+    "mbb": mbb_slice,
+    "bbm": bbm_slice,
+    "fmip": fmip_slice,
+    "generic": mbb_slice,
+}
+
+
+class TestDerivedTemplates:
+    def test_rules_are_known_allowed_and_forward_in_their_chain(self):
+        assert set(CANONICAL) == set(TEMPLATES)
+        for name, template in TEMPLATES.items():
+            chain = [r.name for r in notified(CANONICAL[name])[1:]]
+            for rule in template.rules:
+                assert {rule.before, rule.after} <= CHECKED_NAMES, rule
+                assert not {rule.before, rule.after} & template.forbidden, rule
+                assert chain.index(rule.before) < chain.index(rule.after), rule
+
+    @pytest.mark.parametrize("variant", ["establishment", "mbb", "bbm", "fmip"])
+    def test_every_step_boundary_has_a_label(self, variant):
+        records = notified(CANONICAL[variant])
+        # Index 0 is HOExecutionRequest, which opens the context and is not ordered.
+        for i in range(1, len(records) - 1):
+            swapped = list(records)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            before, after = records[i].name, records[i + 1].name
+            verdict = check(swapped, TEMPLATES[variant])
+            assert (verdict.index, verdict.rule) == (i, LABELS[before, after]), (before, after)
 
 
 class TestCheck:

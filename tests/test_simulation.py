@@ -17,8 +17,8 @@ class TestBundledRuns:
     def test_mbb_scenario_timeline(self, bundled_results):
         result = bundled_results["mbb"]
         assert result.final_time_us == 10_000_000
-        assert [ctx.variant for ctx in result.contexts] == ["establishment", "mbb"]
         handovers = result.metrics["handovers"]
+        assert [h["variant"] for h in handovers] == ["establishment", "mbb"]
         assert handovers[0] == {
             "flow": 1,
             "variant": "establishment",
@@ -137,10 +137,9 @@ class TestRunControls:
         }
         result = Simulation(parse_scenario(doc)).run()
         assert result.final_time_us >= 2_000_000
-        variants = [ctx.variant for ctx in result.contexts]
-        assert variants == ["establishment", "establishment"]
-        flows = [ctx.flow for ctx in result.contexts]
-        assert flows == [1, 2]
+        handovers = result.metrics["handovers"]
+        assert [h["variant"] for h in handovers] == ["establishment", "establishment"]
+        assert [h["flow"] for h in handovers] == [1, 2]
 
 
 def _record(name, at, **params):
