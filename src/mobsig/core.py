@@ -185,21 +185,7 @@ def _codec(tp: Any) -> Callable[[Any], Any]:
         return lambda value: None if value is None else render(value)
     if get_origin(tp) is tuple:
         render = _codec(args[0])
-        # Every flow's request in a tick carries the same candidate tuple, so
-        # the list rendered last is reused while the same tuple comes back.
-        # Tuples and their frozen items never change, and holding the tuple
-        # keeps its identity from being reused.
-        last_values: tuple = ()
-        last_rendered: list = []
-
-        def render_tuple(values: tuple) -> list:
-            nonlocal last_values, last_rendered
-            if values is not last_values:
-                last_rendered = [render(value) for value in values]
-                last_values = values
-            return last_rendered
-
-        return render_tuple
+        return lambda values: [render(value) for value in values]
     if tp is Rating:
         render = _codec(AccessId)
         return lambda rating: {**render(rating.access), "rating": rating.path_score}

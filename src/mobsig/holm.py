@@ -1,11 +1,12 @@
 """Handover orchestration: tool selection and the step table every variant runs.
 
 One HandoverContext tracks each execution request from arrival to its single
-HOComplete. The signaling exchange is generic: STEPS maps each variant to its
-ordered steps, and one step loop runs every row. STEP_MESSAGES names the trace
-messages each step exchanges; the conformance checker builds its templates
-from the two tables and its own rule labels, so a new variant is one STEPS
-row (plus the messages of any new step).
+HOComplete: the STEPS row it runs, the index of the step under way, the break
+and restore instants, and the final Result. The signaling exchange is
+generic: STEPS maps each variant to its ordered steps, and one step loop runs
+every row. STEP_MESSAGES names the trace messages each step exchanges; the
+conformance checker builds its templates from the two tables and its own rule
+labels, so a new variant is one STEPS row (plus the messages of any new step).
 
 * establishment - attach the first link, configure a locator and bind; there
                   is no previous access or binding to tear down.
@@ -20,14 +21,18 @@ Every step ends in one completion. A failed step aborts the rest of the row
 and reports the failure; no rollback or reattach is attempted. A successful
 step records its outcome on the context and starts the next step.
 
-MRRM serializes handovers node-wide, so at most one request step is ever
-outstanding; HOLM keeps it in a single slot together with the response type
-that resumes it.
+HOLM runs one handover at a time: a request that arrives while one is under
+way, for any flow, is answered at once with a failed HOComplete ("busy"). So
+one slot holds the active context and one the response type that resumes it.
+MRRM serializes handovers node-wide and never meets that answer.
+
+Interruption is restore minus break. The break is the first detach or switch
+step, else the binding ack; the restore is the tunnel start, else the binding
+ack. So make-before-break and establishment have no gap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum, auto
+from dataclasses import dataclass
 from .core import (
     FE_HOLM,
     FE_MRRM,
@@ -52,55 +57,20 @@ from .protocols import DaemonHost
 from .simkernel import Kernel, SimEvent, SimTime
 
 
-class Tool(Enum):
-    MIP_MBB = "mbb"
-    MIP_BBM = "bbm"
-    FMIP = "fmip"
-
-
-class Phase(Enum):
-    TOOL_SELECTED = auto()
-    PREPARING = auto()
-    PREPARED = auto()
-    PATH_PENDING = auto()
-    PATH_DONE = auto()
-    LINK_CHANGING = auto()
-    BINDING_UPDATING = auto()
-    DONE = auto()
-    FAILED = auto()
-
-
 @dataclass
 class HandoverContext:
-    """Mutable per-handover state machine record."""
+    """One handover, from its execution request to its HOComplete."""
 
     flow: int
     current: AccessId | None
     target: AccessId
-    tool: Tool
+    variant: str  # the STEPS row it runs
     t_start: SimTime
-    phase: Phase = Phase.TOOL_SELECTED
     t_break: SimTime | None = None
     t_restore: SimTime | None = None
     new_locator: Locator | None = None
-    failure_reason: str | None = None
-    history: list[Phase] = field(default_factory=list)
     step: int = 0  # index into STEPS[variant] of the step under way
-
-    def __post_init__(self) -> None:
-        self.history.append(self.phase)
-
-    def advance(self, phase: Phase) -> None:
-        if phase in self.history:
-            raise ValueError(f"phase {phase.name} repeated for flow {self.flow}")
-        self.phase = phase
-        self.history.append(phase)
-
-    @property
-    def variant(self) -> str:
-        if self.current is None:
-            return "establishment"
-        return self.tool.value
+    result: Result | None = None  # set when the handover completes
 
 
 # The ordered steps of each variant. Holm._begin starts a step; Holm._step_done
@@ -126,21 +96,19 @@ STEP_MESSAGES: dict[str, tuple[str, ...]] = {
 }
 
 
-def select_tool(request: HOExecutionRequest, target_cell: Cell) -> Tool:
+def select_tool(request: HOExecutionRequest, target_cell: Cell) -> str:
     """Cheapest capable tool: seamless if the device can, else FMIP, else plain."""
     if request.mbb_flag:
-        return Tool.MIP_MBB
+        return "mbb"
     if target_cell.supports_fmip:
-        return Tool.FMIP
-    return Tool.MIP_BBM
+        return "fmip"
+    return "bbm"
 
 
 def interruption_time(ctx: HandoverContext) -> int:
-    """Connectivity gap of a completed handover in microseconds."""
-    if ctx.phase is not Phase.DONE:
-        raise ValueError("interruption is undefined before the handover completes")
-    if ctx.tool is Tool.MIP_MBB:
-        return 0
+    """Connectivity gap of a successful handover in microseconds."""
+    if ctx.result is None or not ctx.result.ok:
+        raise ValueError("interruption is defined only for a successful handover")
     assert ctx.t_break is not None and ctx.t_restore is not None
     return ctx.t_restore - ctx.t_break
 
@@ -155,10 +123,10 @@ class Holm:
         self._env = env
         self._daemons = daemons
         self._table = flow_table
-        self._contexts: dict[int, HandoverContext] = {}
         self.completed: list[HandoverContext] = []
-        # (response type, context) of the outstanding request
-        self._waiting: tuple[type, HandoverContext] | None = None
+        # The handover under way, and the response type that resumes it.
+        self._active: HandoverContext | None = None
+        self._awaiting: type | None = None
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -167,28 +135,29 @@ class Holm:
             return
         # A response nothing waits for is dropped: a stray one, or a late one
         # for a context that has already ended.
-        waiting = self._waiting
-        if waiting is None or not isinstance(payload, waiting[0]):
+        awaiting = self._awaiting
+        if awaiting is None or not isinstance(payload, awaiting):
             return
-        self._waiting = None
-        self._step_done(waiting[1], payload.result, payload)
+        self._awaiting = None
+        assert self._active is not None
+        self._step_done(self._active, payload.result, payload)
 
     def _start(self, request: HOExecutionRequest, at: SimTime) -> None:
-        if request.flow in self._contexts:
+        if self._active is not None:
             self._send(FE_MRRM, HOComplete(result=Result.failure("busy")))
             return
         if request.current is None:
-            tool = Tool.MIP_MBB  # establishment binds via plain Mobile IP
+            variant = "establishment"
         else:
-            tool = select_tool(request, self._env.cell(request.target))
+            variant = select_tool(request, self._env.cell(request.target))
         ctx = HandoverContext(
             flow=request.flow,
             current=request.current,
             target=request.target,
-            tool=tool,
+            variant=variant,
             t_start=at,
         )
-        self._contexts[request.flow] = ctx
+        self._active = ctx
         self._begin(ctx)
 
     def _begin(self, ctx: HandoverContext) -> None:
@@ -198,15 +167,12 @@ class Holm:
             self._finish(ctx, Result.success())
             return
         step = steps[ctx.step]
-        if step in ("attach", "detach", "switch") and Phase.LINK_CHANGING not in ctx.history:
-            ctx.advance(Phase.LINK_CHANGING)
         if step in ("detach", "switch") and ctx.t_break is None:
             ctx.t_break = self._kernel.now
         match step:
             case "attach":
                 requested = self._table.get(ctx.flow).requested
                 self._request(
-                    ctx,
                     LinkAttachResponse,
                     FE_MRRM,
                     LinkAttachRequest(flow=ctx.flow, target=ctx.target, requested_qos=requested),
@@ -214,7 +180,6 @@ class Holm:
             case "detach":
                 assert ctx.current is not None
                 self._request(
-                    ctx,
                     LinkDetachResponse,
                     FE_MRRM,
                     LinkDetachRequest(flow=ctx.flow, current=ctx.current),
@@ -223,7 +188,6 @@ class Holm:
                 assert ctx.current is not None
                 requested = self._table.get(ctx.flow).requested
                 self._request(
-                    ctx,
                     LinkSwitchResponse,
                     FE_MRRM,
                     LinkSwitchRequest(
@@ -234,19 +198,15 @@ class Holm:
                     ),
                 )
             case "path":
-                ctx.advance(Phase.PATH_PENDING)
-                fmip = ctx.tool is Tool.FMIP
+                fmip = ctx.variant == "fmip"
                 self._request(
-                    ctx,
                     PathSelected,
                     FE_PATH_SELECTION,
                     PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
                 )
             case "prepare":
-                ctx.advance(Phase.PREPARING)
                 self._daemons.prepare(ctx, lambda result: self._step_done(ctx, result))
             case "bind":
-                ctx.advance(Phase.BINDING_UPDATING)
                 assert ctx.new_locator is not None
                 self._daemons.update_binding(
                     ctx, ctx.new_locator, lambda result: self._step_done(ctx, result)
@@ -261,17 +221,13 @@ class Holm:
     ) -> None:
         """Fail the handover on a failed step; else record the outcome and go on."""
         if not result.ok:
-            ctx.failure_reason = result.reason or "failed"
-            self._finish(ctx, Result.failure(ctx.failure_reason))
+            self._finish(ctx, result)
             return
         now = self._kernel.now
         match STEPS[ctx.variant][ctx.step]:
-            case "prepare":
-                ctx.advance(Phase.PREPARED)
             case "path":
                 assert isinstance(reply, PathSelected)
                 ctx.new_locator = reply.new_locator
-                ctx.advance(Phase.PATH_DONE)
             case "tunnel_start":
                 # Forwarding over the tunnel restores service at attach time.
                 ctx.t_restore = now
@@ -286,13 +242,13 @@ class Holm:
         self._begin(ctx)
 
     def _finish(self, ctx: HandoverContext, result: Result) -> None:
-        ctx.advance(Phase.DONE if result.ok else Phase.FAILED)
-        del self._contexts[ctx.flow]
+        ctx.result = result
+        self._active = None
         self.completed.append(ctx)
         self._send(FE_MRRM, HOComplete(result=result))
 
-    def _request(self, ctx: HandoverContext, reply: type, receiver: str, message) -> None:
-        self._waiting = (reply, ctx)
+    def _request(self, reply: type, receiver: str, message) -> None:
+        self._awaiting = reply
         self._send(receiver, message)
 
     def _send(self, receiver: str, payload) -> None:

@@ -25,7 +25,7 @@ from .core import (
 )
 from .environment import Environment
 from .flowmgmt import FlowManagement, FlowRecord, FlowTable
-from .holm import HandoverContext, Holm, Phase, interruption_time
+from .holm import HandoverContext, Holm, interruption_time
 from .mrrm import Mrrm
 from .path_selection import PathSelection
 from .protocols import DaemonHost
@@ -146,16 +146,16 @@ def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -
             "t_request_us": ctx.t_start,
             "interruption_us": None,
             "message_count": message_count,
-            "result": "success" if ctx.phase is Phase.DONE else "failure",
+            "result": "success" if ctx.result.ok else "failure",
         }
-        if ctx.phase is Phase.DONE:
+        if ctx.result.ok:
             gap = interruption_time(ctx)
             entry["interruption_us"] = gap
             succeeded += 1
             total_interruption += gap
             max_interruption = max(max_interruption, gap)
         else:
-            entry["reason"] = ctx.failure_reason
+            entry["reason"] = ctx.result.reason
             failed += 1
         totals_by_variant[ctx.variant] = totals_by_variant.get(ctx.variant, 0) + 1
         handovers.append(entry)

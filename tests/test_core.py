@@ -313,14 +313,3 @@ def test_primitive_name_rejects_foreign_classes():
     with pytest.raises(ValueError):
         primitive_name(NotAPrimitive())
 
-
-def test_a_tuple_renders_once_while_it_comes_back():
-    """The flows of one tick share the rendered candidate list; an equal new tuple renders anew."""
-    candidates = (A, B)
-    first = ConstraintRequest(flow=1, candidates=candidates).params()
-    second = ConstraintRequest(flow=2, candidates=candidates).params()
-    assert second["candidates"] is first["candidates"]
-    fresh = ConstraintRequest(flow=3, candidates=tuple([A, B])).params()
-    assert fresh["candidates"] is not first["candidates"]
-    assert fresh["candidates"] == first["candidates"] == [wire(A), wire(B)]
-    assert ConstraintRequest(flow=4, candidates=(B,)).params()["candidates"] == [wire(B)]

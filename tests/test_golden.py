@@ -10,7 +10,9 @@ before flows of one tick began to share answers (a second test counts the
 answers they share), and the long walk under a policy whose radio floor and
 network ban move scanned cells in and out of the detected set, whose digests
 were taken before scans skipped cells out of reach and ticks reused the radio
-view. The files under bench/ are only read.
+view. A third variant, the long walk under slow signalling, fails most of its
+handovers, so the failure path of every step is pinned as well. The files
+under bench/ are only read.
 """
 
 from __future__ import annotations
@@ -131,3 +133,26 @@ def test_generated_long_walk_under_a_strict_policy_keeps_its_digests(tmp_path):
     strict = tmp_path / "strict-policy.json"
     strict.write_text(json.dumps(document), encoding="utf-8")
     assert run_digests(strict, tmp_path) == STRICT_POLICY_DIGESTS
+
+
+# A binding round trip and an FMIP hop of 4 s outlast the walk's stay in a
+# cell, so almost every handover fails: 3 succeed and 2 345 fail (1
+# out_of_coverage, 1 165 not_attached, 1 179 link_lost). The digests were
+# taken while HOLM still kept a phase history beside its step index.
+SLOW_SIGNALLING = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
+SLOW_SIGNALLING_DIGESTS = {
+    "trace": "9d51c786feb28db197d9ba42710863b019c4e5d6054100023283b1eb105bd3b9",
+    "metrics": "62d492ec10c8f9d8840a186f866d10a98ce3b39c7d03a3fa8fc6aa57489589b7",
+}
+
+
+def test_generated_long_walk_with_slow_signalling_keeps_its_digests(tmp_path):
+    scenario = generated_scenario("long-walk", tmp_path)
+    document = json.loads(scenario.read_text(encoding="utf-8"))
+    document["latencies"].update(SLOW_SIGNALLING)
+    slow = tmp_path / "slow-signalling.json"
+    slow.write_text(json.dumps(document), encoding="utf-8")
+    assert run_digests(slow, tmp_path) == SLOW_SIGNALLING_DIGESTS
+    totals = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["totals"]
+    assert (totals["succeeded"], totals["failed"]) == (3, 2345)
+    assert cli.main(["check", "--trace", str(tmp_path / "trace.jsonl")]) == 0

@@ -13,15 +13,10 @@ from mobsig.core import (
     QosSpec,
     Result,
 )
-from mobsig.holm import (
-    HandoverContext,
-    Phase,
-    Tool,
-    interruption_time,
-    select_tool,
-)
+from mobsig.flowmgmt import FlowRecord
+from mobsig.holm import HandoverContext, interruption_time, select_tool
 
-from support import Node, make_cell
+from support import REQUESTED, Node, make_cell
 
 MBB_HANDOVER_SEQUENCE = [
     "HOExecutionRequest",
@@ -76,30 +71,7 @@ ESTABLISHMENT_SEQUENCE = [
     "HOComplete",
 ]
 
-# Phase history shared by establishment, mbb and bbm: one link change, then
-# locator selection and binding.
-LINK_STEP_HISTORY = [
-    Phase.TOOL_SELECTED,
-    Phase.LINK_CHANGING,
-    Phase.PATH_PENDING,
-    Phase.PATH_DONE,
-    Phase.BINDING_UPDATING,
-    Phase.DONE,
-]
-
-FMIP_HISTORY = [
-    Phase.TOOL_SELECTED,
-    Phase.PREPARING,
-    Phase.PREPARED,
-    Phase.PATH_PENDING,
-    Phase.PATH_DONE,
-    Phase.LINK_CHANGING,
-    Phase.BINDING_UPDATING,
-    Phase.DONE,
-]
-
-
-def colocated_node(fmip_target=False, target_center=(0.0, 0.0)):
+def colocated_node(fmip_target=False, target_center=(0.0, 0.0), flows=(1,)):
     """Two overlapping cells so link changes never fail on coverage."""
     cells = (
         make_cell(),
@@ -112,7 +84,7 @@ def colocated_node(fmip_target=False, target_center=(0.0, 0.0)):
             capacity=(800, 90),
         ),
     )
-    node = Node(cells=cells)
+    node = Node(cells=cells, flows=tuple(FlowRecord(flow=f, requested=REQUESTED) for f in flows))
     return node, cells[0].access, cells[1].access
 
 
@@ -129,37 +101,35 @@ def request_handover(node, flow, current, target, mbb_flag):
 class TestSelectTool:
     def test_mbb_capable_always_wins(self):
         request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=True)
-        assert select_tool(request, make_cell(supports_fmip=True)) is Tool.MIP_MBB
+        assert select_tool(request, make_cell(supports_fmip=True)) == "mbb"
 
     def test_fmip_when_target_supports_it(self):
         request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=False)
-        assert select_tool(request, make_cell(supports_fmip=True)) is Tool.FMIP
+        assert select_tool(request, make_cell(supports_fmip=True)) == "fmip"
 
     def test_plain_bbm_as_the_fallback(self):
         request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=False)
-        assert select_tool(request, make_cell(supports_fmip=False)) is Tool.MIP_BBM
+        assert select_tool(request, make_cell(supports_fmip=False)) == "bbm"
 
 
 class TestHandoverContext:
-    def test_phases_never_repeat(self):
-        ctx = HandoverContext(
-            flow=1, current=None, target=make_cell().access, tool=Tool.MIP_MBB, t_start=0
-        )
-        ctx.advance(Phase.LINK_CHANGING)
-        with pytest.raises(ValueError):
-            ctx.advance(Phase.LINK_CHANGING)
-
     def test_variant_names(self):
-        target = make_cell().access
-        ctx = HandoverContext(flow=1, current=None, target=target, tool=Tool.MIP_MBB, t_start=0)
-        assert ctx.variant == "establishment"
-        moved = HandoverContext(flow=1, current=target, target=target, tool=Tool.FMIP, t_start=0)
-        assert moved.variant == "fmip"
+        """A request without a current access establishes, whatever the tool would be."""
+        node, a, b = colocated_node(fmip_target=True)
+        request_handover(node, 1, current=None, target=b, mbb_flag=True)
+        request_handover(node, 1, current=b, target=a, mbb_flag=True)
+        request_handover(node, 1, current=a, target=b, mbb_flag=False)
+        assert [ctx.variant for ctx in node.holm.completed] == ["establishment", "mbb", "fmip"]
+        assert all(ctx.result.ok for ctx in node.holm.completed)
 
     def test_interruption_undefined_until_done(self):
         ctx = HandoverContext(
-            flow=1, current=None, target=make_cell().access, tool=Tool.MIP_BBM, t_start=0
+            flow=1, current=None, target=make_cell().access, variant="bbm", t_start=0
         )
+        with pytest.raises(ValueError):
+            interruption_time(ctx)
+        ctx.t_break = 0
+        ctx.result = Result.failure("link_lost")
         with pytest.raises(ValueError):
             interruption_time(ctx)
 
@@ -172,10 +142,9 @@ class TestEstablishment:
         assert final == 190_000  # attach 50 ms, locator 100 ms, binding 40 ms
         ctx = node.holm.completed[0]
         assert ctx.variant == "establishment"
-        assert ctx.tool is Tool.MIP_MBB  # forced, even though mbb_flag was false
+        assert ctx.result.ok
         assert interruption_time(ctx) == 0
         assert ctx.t_break == ctx.t_restore == 190_000  # marked at the binding ack
-        assert ctx.history == LINK_STEP_HISTORY
 
     def test_locator_registered_with_the_daemon(self):
         node, a, _ = colocated_node()
@@ -197,7 +166,7 @@ class TestMakeBeforeBreak:
         assert ctx.variant == "mbb"
         assert interruption_time(ctx) == 0
         assert ctx.t_break == ctx.t_restore  # hand-off happens at the binding ack
-        assert ctx.history == LINK_STEP_HISTORY
+        assert ctx.result.ok
 
     def test_old_link_is_released(self):
         node, a, b = colocated_node()
@@ -219,16 +188,15 @@ class TestBreakBeforeMake:
         # teardown 10 + setup 50 + locator 100 + binding rtt 40 (ms)
         assert ctx.t_restore == 50_000 + 200_000  # the binding ack
         assert interruption_time(ctx) == 200_000
-        assert ctx.history == LINK_STEP_HISTORY
+        assert ctx.result.ok
 
     def test_attach_failure_leaves_the_flow_unconnected(self):
         node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
         node.attach_now(1, a)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
         ctx = node.holm.completed[0]
-        assert ctx.phase is Phase.FAILED
-        assert ctx.failure_reason == "out_of_coverage"
-        assert ctx.history == [Phase.TOOL_SELECTED, Phase.LINK_CHANGING, Phase.FAILED]
+        assert ctx.result == Result.failure("out_of_coverage")
+        assert ctx.step == 1  # the attach, after the detach
         assert ctx.t_break == 50_000 and ctx.t_restore is None
         # the old link was already torn down and no rollback is attempted
         assert not node.env.attached(1, a)
@@ -251,7 +219,7 @@ class TestFmip:
         assert interruption_time(ctx) == 60_000
         assert ctx.t_break == 50_000 + 15_000  # after the three preparation hops
         assert ctx.t_restore == ctx.t_break + 60_000  # the tunnel starts at attach time
-        assert ctx.history == FMIP_HISTORY
+        assert ctx.result.ok
         assert final == 50_000 + 15_000 + 60_000 + 40_000
 
     def test_failure_when_preparation_is_impossible(self):
@@ -259,27 +227,28 @@ class TestFmip:
         # never attached to a: preparation runs over the old link and fails
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
         ctx = node.holm.completed[0]
-        assert ctx.phase is Phase.FAILED
-        assert ctx.failure_reason == "link_lost"
-        assert ctx.history == [Phase.TOOL_SELECTED, Phase.PREPARING, Phase.FAILED]
+        assert ctx.result == Result.failure("link_lost")
+        assert ctx.step == 0  # the preparation
         assert ctx.t_break is None and ctx.t_restore is None
         assert "PathSelect" not in node.names()
 
 
 class TestSerialization:
-    def test_second_request_for_the_same_flow_is_busy(self):
-        node, a, b = colocated_node()
+    @pytest.mark.parametrize("second_flow", [1, 2], ids=["same-flow", "another-flow"])
+    def test_second_request_while_one_runs_is_busy(self, second_flow):
+        node, a, b = colocated_node(flows=(1, 2))
         node.attach_now(1, a)
-        payload = HOExecutionRequest(flow=1, current=a, target=b, mbb_flag=True)
-        node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
-        node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
+        node.attach_now(2, a)
+        for flow in (1, second_flow):
+            payload = HOExecutionRequest(flow=flow, current=a, target=b, mbb_flag=True)
+            node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
         node.run()
         completions = [
             r.params for r in node.recorder.records if r.name == "HOComplete"
         ]
-        assert completions[0] == {"reason": "busy", "result": "failure"}
-        assert completions[1] == {"result": "success"}
-        assert len(node.holm.completed) == 1
+        assert completions == [{"reason": "busy", "result": "failure"}, {"result": "success"}]
+        [ctx] = node.holm.completed
+        assert ctx.flow == 1 and ctx.result.ok
 
     def test_mbb_and_fmip_interruption_ranking(self):
         """The seamless tool beats FMIP, which beats plain break-before-make."""
@@ -308,7 +277,7 @@ class TestUnexpectedResponses:
         expected = ESTABLISHMENT_SEQUENCE[:2] + ["PathSelected"] + ESTABLISHMENT_SEQUENCE[2:]
         assert node.names(sequence_only=True) == expected
         [ctx] = node.holm.completed
-        assert ctx.phase is Phase.DONE
+        assert ctx.result.ok
         assert ctx.new_locator != stray
 
     def test_response_after_its_context_failed_is_ignored(self):
@@ -316,7 +285,7 @@ class TestUnexpectedResponses:
         node.attach_now(1, a)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
         [ctx] = node.holm.completed
-        assert ctx.phase is Phase.FAILED
+        assert not ctx.result.ok
         before = len(node.recorder.records)
         late = (
             LinkAttachResponse(result=Result.success(), granted_qos=QosSpec(800, 90)),
@@ -328,4 +297,4 @@ class TestUnexpectedResponses:
         names = [record.name for record in node.recorder.records[before:]]
         assert names == ["LinkAttachResponse", "PathSelected"]
         assert node.holm.completed == [ctx]
-        assert ctx.phase is Phase.FAILED
+        assert ctx.result == Result.failure("out_of_coverage")

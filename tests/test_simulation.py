@@ -3,8 +3,8 @@
 import gc
 import weakref
 
-from mobsig.core import AccessId
-from mobsig.holm import HandoverContext, Phase, Tool
+from mobsig.core import AccessId, Result
+from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
 from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation, build_metrics
@@ -146,11 +146,11 @@ def _record(name, at, **params):
     return TraceRecord(at=at, sender="X", receiver="Y", name=name, params=params)
 
 
-def _done_context(flow, t_start, tool=Tool.MIP_MBB):
-    ctx = HandoverContext(flow=flow, current=A, target=B, tool=tool, t_start=t_start)
-    ctx.t_break = ctx.t_restore = t_start
-    ctx.advance(Phase.DONE)
-    return ctx
+def _done_context(flow, t_start, variant="mbb"):
+    return HandoverContext(
+        flow=flow, current=A, target=B, variant=variant, t_start=t_start,
+        t_break=t_start, t_restore=t_start, result=Result.success(),
+    )
 
 
 class TestBuildMetrics:
@@ -166,9 +166,10 @@ class TestBuildMetrics:
         assert [h["message_count"] for h in metrics["handovers"]] == [2, 2]
 
     def test_failed_context_reports_reason_and_no_gap(self):
-        ctx = HandoverContext(flow=1, current=A, target=B, tool=Tool.MIP_BBM, t_start=5)
-        ctx.failure_reason = "out_of_coverage"
-        ctx.advance(Phase.FAILED)
+        ctx = HandoverContext(
+            flow=1, current=A, target=B, variant="bbm", t_start=5, t_break=5,
+            result=Result.failure("out_of_coverage"),
+        )
         metrics = build_metrics([_record("HOExecutionRequest", 5, flow=1)], [ctx])
         entry = metrics["handovers"][0]
         assert entry["result"] == "failure"
