@@ -10,6 +10,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -38,19 +39,29 @@ _BASE_COLUMNS = (
 )
 
 
+def _shown(name: str) -> str:
+    """A name as a diagram shows it: as it is when printable, else as its JSON
+    string literal, so no line separator or control character reaches a row."""
+    return name if name.isprintable() else json.dumps(name)
+
+
 def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> str:
     """Render a trace as a plain-text sequence diagram, one row per message."""
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(_BASE_COLUMNS) + sorted(seen - set(_BASE_COLUMNS))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
-    header = " " * _TIME_GUTTER + "".join(fe.center(width) for fe in columns)
-    lines = [header.rstrip()]
-    # A trace has few distinct (sender, receiver) pairs, so each arrow is drawn once.
-    arrows: dict[tuple[str, str], str] = {}
+    header = " " * _TIME_GUTTER + "".join(_shown(fe).center(width) for fe in columns)
+    out = io.StringIO()
+    out.write(header.rstrip() + "\n")
+    # A trace has few distinct heads (sender, receiver, name), so each is drawn
+    # once: without a flow tag, stripped as the row's end, and with one. Records
+    # come in time order, so a row mostly repeats the last row's time stamp.
+    heads: dict[tuple[str, str, str], tuple[str, str]] = {}
+    last_at = stamp = None
     for record in records:
-        pair = (record.sender, record.receiver)
-        arrow = arrows.get(pair)
-        if arrow is None:
+        head = (record.sender, record.receiver, record.name)
+        drawn = heads.get(head)
+        if drawn is None:
             row = [" "] * (len(columns) * width)
             for center in centers.values():
                 row[center] = "|"
@@ -65,11 +76,19 @@ def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> st
                     row[dst - 1] = ">"
                 else:
                     row[dst + 1] = "<"
-            arrow = arrows[pair] = "".join(row).rstrip()
+            text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
+            drawn = heads[head] = (text.rstrip(), text)
+        if record.at != last_at:
+            last_at = record.at
+            stamp = f"{last_at:>10}"
         flow = record.params.get("flow")
-        tag = "" if flow is None else f" [flow={flow}]"
-        lines.append(f"{record.at:>10}  {arrow}  {record.name}{tag}".rstrip())
-    return "\n".join(lines) + "\n"
+        if flow is None:
+            out.write(f"{stamp}{drawn[0]}\n")
+        else:
+            if type(flow) is not int:  # a bool or any other JSON value, as JSON
+                flow = json.dumps(flow)
+            out.write(f"{stamp}{drawn[1]} [flow={flow}]\n")
+    return out.getvalue()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

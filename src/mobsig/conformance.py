@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any
 
 from .core import PRIMITIVE_TYPES
@@ -88,13 +89,23 @@ LABELS: dict[tuple[str, str], str] = {
 # A whole line as TraceRecord.to_json writes it: the fixed head, whose strings
 # need no unescaping and whose `t` is short enough that int() reads it as
 # json.loads does, then the params text up to the line's last "}" before
-# trailing JSON whitespace.
-_WRITER_STR = r'"([^"\\\x00-\x1f]*)"'
+# trailing JSON whitespace. The three head strings are captured as one text,
+# from the first character of `from` to the last of `msg`.
+_WRITER_STR = r'[^"\\\x00-\x1f]*'
 _WRITER_LINE = re.compile(
-    r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"from":' + _WRITER_STR + ',"to":' + _WRITER_STR
-    + ',"msg":' + _WRITER_STR + r',"params":(.*)\}[ \t\r\n]*\Z',
+    r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"from":"(' + _WRITER_STR + '","to":"' + _WRITER_STR
+    + '","msg":"' + _WRITER_STR + r')","params":(.*)\}[ \t\r\n]*\Z',
     re.DOTALL,
 )
+
+
+@lru_cache(maxsize=1024)
+def _split_head(head: str) -> tuple[str, str, str]:
+    """(from, to, msg) of a head text _WRITER_LINE captured; shared by every
+    call, so a trace's recurring heads are split once per process."""
+    return tuple(head.split('"')[::4])
+
+
 # What errors="surrogateescape" makes of a byte that is not valid UTF-8.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -185,19 +196,24 @@ assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from p
 def parse_trace(lines) -> list[TraceRecord]:
     """Parse JSON-Lines trace text into records; blank lines are skipped.
 
-    A line in the layout ``TraceRecord.to_json`` writes takes a fast path: its
-    head is matched by one pattern and its params text is decoded once per
-    call, so records whose params texts are equal share one read-only dict.
-    Any other line goes to ``TraceRecord.from_json``, which accepts, rejects
-    and words its errors as it always has.
+    A line in the layout ``TraceRecord.to_json`` writes takes a fast path: one
+    pattern matches it, and each distinct head (``from``, ``to`` and ``msg``)
+    and params text is read once per call. Records whose heads are equal share
+    their three strings, records whose params texts are equal share one
+    read-only dict, and a run of records with equal ``t`` shares one int. Any
+    other line goes to ``TraceRecord.from_json``, which accepts, rejects and
+    words its errors as it always has.
     """
     records = []
+    heads_by_text: dict[str, tuple[str, str, str]] = {}
     params_by_text: dict[str, dict[str, Any]] = {}
+    # Records come in time order, so a record mostly shares the last one's `t`.
+    last_at_text = at = None
     match = _WRITER_LINE.match
     for lineno, line in enumerate(lines, start=1):
         m = match(line)
         if m is not None:
-            at, sender, receiver, name, params_text = m.groups()
+            at_text, head_text, params_text = m.groups()
             params = params_by_text.get(params_text)
             if params is None:
                 try:
@@ -207,7 +223,14 @@ def parse_trace(lines) -> list[TraceRecord]:
                 if type(params) is dict:
                     params_by_text[params_text] = params
             if type(params) is dict:
-                records.append(TraceRecord(int(at), sender, receiver, name, params, lineno))
+                # A dict lookup is cheaper than the shared cache's call, which
+                # spares a small trace the splits of heads seen before.
+                head = heads_by_text.get(head_text)
+                if head is None:
+                    head = heads_by_text[head_text] = _split_head(head_text)
+                if at_text != last_at_text:
+                    last_at_text, at = at_text, int(at_text)
+                records.append(TraceRecord(at, *head, params, lineno))
                 continue
         if not line.strip():
             continue

@@ -69,7 +69,8 @@ class TraceRecord:
     ``params`` may be shared with other records and is read-only: a recorded
     one with the records of the same answer (see ``TraceRecorder``), a parsed
     one with every record of the trace whose params text is equal (see
-    ``conformance.parse_trace``).
+    ``conformance.parse_trace``). A parsed record also shares its ``sender``,
+    ``receiver`` and ``name`` strings with every record of equal head.
     """
 
     at: SimTime

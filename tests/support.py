@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 
+from hypothesis import strategies as st
+
 from mobsig.core import (
     FE_DAEMON,
     FE_ENVIRONMENT,
@@ -25,6 +27,14 @@ from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, TraceRecorder
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
+
+# Any value json.loads can return, kept small.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
 
 
 def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:

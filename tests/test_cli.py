@@ -11,6 +11,8 @@ from mobsig.conformance import TEMPLATES, load_trace
 from mobsig.core import FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
+from support import json_values
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -409,6 +411,15 @@ class TestDiagram:
         assert captured.err == "trace error: line 2: params nested too deeply\n"
         assert captured.out == ""
 
+    def test_a_record_stays_on_one_row(self, tmp_path, capsys):
+        trace = tmp_path / "line-break.jsonl"
+        trace.write_text('{"t":0,"from":"MRRM","to":"HOLM","msg":"A\\nB","params":{"flow":true}}\n')
+        assert run_cli("diagram", "--trace", str(trace)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].endswith('  "A\\nB" [flow=true]')
+        assert run_cli("check", "--trace", str(trace)) == 0
+
     def test_rendering_is_deterministic(self, mbb_outputs, capsys):
         trace, _ = mbb_outputs
         run_cli("diagram", "--trace", str(trace))
@@ -432,12 +443,19 @@ class TestRenderDiagram:
         assert "<" in out.splitlines()[1]  # arrow pointing left toward MRRM
 
 
+def _escaped(name):
+    return name if name.isprintable() else json.dumps(name)
+
+
 def _row_by_row_diagram(records, width=12):
-    """render_diagram as it drew every row in full, kept as the reference."""
+    """render_diagram as it drew every row in full, kept as the reference.
+
+    A name that is not printable shows as its JSON string literal, and a flow
+    that is not an int as its JSON text."""
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
-    lines = [" " * 12 + "".join(fe.center(width) for fe in columns)]
+    lines = [" " * 12 + "".join(_escaped(fe).center(width) for fe in columns)]
     for record in records:
         row = [" "] * (len(columns) * width)
         for center in centers.values():
@@ -453,10 +471,10 @@ def _row_by_row_diagram(records, width=12):
                 row[dst - 1] = ">"
             else:
                 row[dst + 1] = "<"
-        label = record.name
+        label = _escaped(record.name)
         flow = record.params.get("flow")
         if flow is not None:
-            label += f" [flow={flow}]"
+            label += f" [flow={flow if type(flow) is int else json.dumps(flow)}]"
         lines.append(f"{record.at:>10}  " + "".join(row).rstrip() + "  " + label)
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
@@ -471,7 +489,7 @@ diagram_records = st.builds(
     receiver=entities,
     name=padded_names,
     params=st.fixed_dictionaries(
-        {}, optional={"flow": st.none() | st.integers() | st.text(max_size=3)}
+        {}, optional={"flow": st.none() | st.booleans() | st.integers() | st.text(max_size=3)}
     ),
 )
 
@@ -479,6 +497,21 @@ diagram_records = st.builds(
 @given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14))
 def test_render_diagram_equals_row_by_row_drawing(records, width):
     assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
+
+
+names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()
+
+
+@given(records=st.lists(st.builds(
+    TraceRecord,
+    at=st.integers(),
+    sender=names,
+    receiver=names,
+    name=st.text(),
+    params=st.fixed_dictionaries({}, optional={"flow": json_values}),
+)))
+def test_render_diagram_draws_one_line_per_record(records):
+    assert cli.render_diagram(records).count("\n") == len(records) + 1
 
 
 def test_argv_is_required():

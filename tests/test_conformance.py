@@ -19,7 +19,11 @@ from mobsig.conformance import (
     parse_trace,
     segment_contexts,
 )
+from mobsig.scenario import parse_scenario
 from mobsig.simkernel import TraceRecord
+from mobsig.simulation import Simulation
+
+from support import json_values
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
 ACC_B = {"cell_id": "cell-b", "network_id": "net-2", "rat": "cellular"}
@@ -179,13 +183,6 @@ def _outcome(read, lines):
         return f"ValueError: {exc}"
 
 
-json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=8,
-)
 params_objects = st.dictionaries(st.text(max_size=4), json_values, max_size=3)
 
 
@@ -269,6 +266,20 @@ def test_equal_params_texts_share_one_dict_within_a_call_only():
     assert first[0].params is first[2].params
     assert first[0].params is not first[1].params
     assert parse_trace(lines)[0].params is not first[0].params
+
+
+def test_records_with_equal_heads_share_their_strings(scenario_path):
+    """On a simulated multi-flow trace, each distinct head is one set of objects."""
+    document = json.loads(scenario_path("multi").read_text(encoding="utf-8"))
+    document["flows"] = [dict(document["flows"][0], id=flow, start_us=(flow - 1) * 500_000)
+                         for flow in (1, 2, 3, 4)]
+    result = Simulation(parse_scenario(document)).run()
+    records = parse_trace(record.to_json() for record in result.records)
+    assert {record.params.get("flow") for record in records} >= {1, 2, 3, 4}
+    heads = [(record.sender, record.receiver, record.name) for record in records]
+    assert len({tuple(map(id, head)) for head in heads}) == len(set(heads))
+    # The trace is in time order, so records with equal `t` follow each other.
+    assert len({id(record.at) for record in records}) == len({record.at for record in records})
 
 
 class TestSegmentation:

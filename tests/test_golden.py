@@ -11,7 +11,8 @@ answers they share), and the long walk under a policy whose radio floor and
 network ban move scanned cells in and out of the detected set, whose digests
 were taken before scans skipped cells out of reach and ticks reused the radio
 view. A third variant, the long walk under slow signalling, fails most of its
-handovers, so the failure path of every step is pinned as well. The files
+handovers, so the failure path of every step is pinned as well. The diagram
+of each bundled and generated trace is pinned by its digest too. The files
 under bench/ are only read.
 """
 
@@ -70,6 +71,28 @@ def test_generated_long_walk_run_matches_golden_digests(tmp_path):
 def test_generated_multiflow_run_matches_golden_digests(tmp_path):
     expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
     assert run_digests(generated_scenario("multiflow-dense", tmp_path), tmp_path) == expected
+
+
+# The SHA-256 of what `mobsig diagram` prints for each trace above, taken
+# before the reader shared the strings of equal heads and the diagram was
+# written into one buffer.
+DIAGRAM_DIGESTS = {
+    "mbb": "11f1a4dc683bcb2ef81aad9b9822fab1c6d9adfd8405f9850abfe53395a313b0",
+    "bbm": "efea70c7c5c60cabadf09a8042fd76f5e95de1610f86a28d1c8972a3a86d4ff8",
+    "fmip": "ff32646d7e2c978f1b91a87580c1e83ca8a5db6af0462561057ae355e215c3f9",
+    "multi": "cbba24dd6be1293a16728685f2ce218e62206788a9ea7ce40d739660b7dcbb5c",
+    "long-walk": "8ba558ce74c0592cc059fe00ff6816b740a4a97b1845a972326b2ee06dfc8004",
+    "multiflow-dense": "fa72538dca98cabdf731ec06e261f124b44a0b9b8b3f5c39ba870dda288b312f",
+}
+
+
+@pytest.mark.parametrize("name", DIAGRAM_DIGESTS)
+def test_diagram_matches_its_pinned_digest(name, scenario_path, tmp_path, capsys):
+    scenario = scenario_path(name) if name in BUNDLED else generated_scenario(name, tmp_path)
+    run_digests(scenario, tmp_path)
+    capsys.readouterr()
+    assert cli.main(["diagram", "--trace", str(tmp_path / "trace.jsonl")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIAGRAM_DIGESTS[name]
 
 
 # Requested QoS classes given to the generated flows in turn. Neighbouring
