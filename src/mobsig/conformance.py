@@ -161,7 +161,6 @@ class Verdict:
 class SequenceContext:
     """One handover execution span inside a trace."""
 
-    flow: int
     entries: list[tuple[int, TraceRecord]]
 
     @property
@@ -269,7 +268,7 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
         if record.name == "HOExecutionRequest":
             flow = record.params["flow"]
             open_contexts.pop(flow, None)
-            context = SequenceContext(flow=flow, entries=[(index, record)])
+            context = SequenceContext(entries=[(index, record)])
             open_contexts[flow] = context
             contexts.append(context)
             continue

@@ -2,7 +2,7 @@
 
 Ratings answer MRRM's constraint requests; locator selection answers HOLM's
 PathSelect and defers to the environment for the actual allocation, proactively
-(zero cost, FMIP-prepared targets only) or via ordinary locator configuration.
+(zero cost, FMIP handovers only) or via ordinary locator configuration.
 
 A scan tick sends every active flow's request with the one candidate tuple of
 that tick, and MRRM keeps that tuple across ticks while the detected set holds,
@@ -33,7 +33,6 @@ from .core import (
 )
 from .environment import Environment
 from .flowmgmt import FlowTable
-from .protocols import DaemonHost
 from .simkernel import Kernel, SimEvent, TraceRecorder
 
 ANNOTATION_UNKNOWN_ACCESS = "UnknownAccessRated"
@@ -75,14 +74,12 @@ class PathSelection:
         env: Environment,
         models: dict[AccessId, PathModel],
         flow_table: FlowTable,
-        daemons: DaemonHost,
     ) -> None:
         self._kernel = kernel
         self._recorder = recorder
         self._env = env
         self._models = dict(models)
         self._table = flow_table
-        self._daemons = daemons
         # The answers for _candidates, each with its unknown-access keys, by
         # requested QoS; see the module docstring.
         self._candidates: tuple[AccessId, ...] | None = None
@@ -124,20 +121,19 @@ class PathSelection:
         return response
 
     def select_path(self, request: PathSelect) -> None:
-        """Allocate the new locator for the selected target and answer HOLM."""
-        if request.fmip_flag:
-            if not self._env.cell(request.target).supports_fmip:
-                self._respond_failure("fmip_unsupported")
-                return
-            if self._daemons.state(request.flow).prepared_for != request.target:
-                self._respond_failure("not_prepared")
-                return
-            proactive = True
-        else:
-            if not self._env.attached(request.flow, request.target):
-                self._respond_failure("not_attached")
-                return
-            proactive = False
+        """Allocate the new locator for the selected target and answer HOLM.
+
+        An FMIP handover prepared the target before it asks, so its locator is
+        allocated proactively, before the link is attached.
+        """
+        if not request.fmip_flag and not self._env.attached(request.flow, request.target):
+            self._kernel.schedule(
+                0,
+                FE_PATH_SELECTION,
+                FE_HOLM,
+                PathSelected(result=Result.failure("not_attached"), new_locator=None),
+            )
+            return
 
         def allocated(result: Result, locator) -> None:
             self._kernel.schedule(
@@ -147,12 +143,4 @@ class PathSelection:
                 PathSelected(result=result, new_locator=locator),
             )
 
-        self._env.allocate_locator(request.flow, request.target, proactive, allocated)
-
-    def _respond_failure(self, reason: str) -> None:
-        self._kernel.schedule(
-            0,
-            FE_PATH_SELECTION,
-            FE_HOLM,
-            PathSelected(result=Result.failure(reason), new_locator=None),
-        )
+        self._env.allocate_locator(request.flow, request.target, request.fmip_flag, allocated)

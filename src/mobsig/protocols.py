@@ -4,11 +4,16 @@ HOLM invokes the daemon node-internally (plain method calls; the slow calls
 finish through a completion callback). The messages it exchanges with the
 network side travel through the event kernel between the Daemon and Env
 entities and therefore show up in the trace.
+
+The daemon serves the one handover HOLM runs, so at most one network reply is
+awaited at a time: one slot holds its type, the handover and the completion.
+The order of the steps is HOLM's; the daemon checks only what the environment
+answers: whether the old link still holds, whether a locator is still valid,
+and whether the target is attached when the tunnel starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .core import (
@@ -37,15 +42,6 @@ class HandoverState(Protocol):
     target: AccessId
 
 
-@dataclass
-class FmipState:
-    """Per-flow FMIP bookkeeping."""
-
-    prepared_for: AccessId | None = None
-    tunnel_active: bool = False
-    binding_acked: bool = False
-
-
 class DaemonHost:
     """The Daemon functional entity.
 
@@ -60,14 +56,8 @@ class DaemonHost:
         self._env = env
         self._binding_rtt_us = binding_rtt_us
         self._fmip_oneway_us = fmip_oneway_us
-        self._states: dict[int, FmipState] = {}
-        # flow -> completion of the binding update in flight
-        self._binding_waiters: dict[int, Callable[[Result], None]] = {}
-        # flow -> (handover, completion) of the preparation in flight
-        self._preparations: dict[int, tuple[HandoverState, Callable[[Result], None]]] = {}
-
-    def state(self, flow: int) -> FmipState:
-        return self._states.setdefault(flow, FmipState())
+        # The awaited reply's type, the handover it serves and its completion.
+        self._waiting: tuple[type, HandoverState, Callable[[Result], None]] | None = None
 
     def update_binding(
         self, ctx: HandoverState, new_locator: Locator, done: Callable[[Result], None]
@@ -78,7 +68,7 @@ class DaemonHost:
         self._kernel.schedule(
             0, FE_DAEMON, FE_ENVIRONMENT, BindingUpdate(flow=ctx.flow, locator=new_locator)
         )
-        self._binding_waiters[ctx.flow] = done
+        self._waiting = (BindingAck, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._binding_rtt_us),
             FE_ENVIRONMENT,
@@ -91,13 +81,7 @@ class DaemonHost:
         if not self._on_old_link(ctx):
             self._kernel.call_later(0, lambda: done(Result.failure("link_lost")), FE_DAEMON)
             return
-        if not self._env.cell(ctx.target).supports_fmip:
-            self._kernel.call_later(
-                0, lambda: done(Result.failure("fmip_unsupported")), FE_DAEMON
-            )
-            return
-        self._preparations[ctx.flow] = (ctx, done)
-        self.state(ctx.flow).binding_acked = False
+        self._waiting = (ProxyRouterAdvertisement, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._fmip_oneway_us),
             FE_ENVIRONMENT,
@@ -107,12 +91,8 @@ class DaemonHost:
 
     def tunnel_start(self, ctx: HandoverState) -> Result:
         """Start forwarding once the prepared target is attached."""
-        state = self.state(ctx.flow)
-        if state.prepared_for != ctx.target:
-            return Result.failure("not_prepared")
         if not self._env.attached(ctx.flow, ctx.target):
             return Result.failure("not_attached")
-        state.tunnel_active = True
         assert ctx.current is not None
         self._kernel.schedule(
             0,
@@ -123,29 +103,24 @@ class DaemonHost:
         return Result.success()
 
     def tunnel_stop(self, ctx: HandoverState) -> Result:
-        """Stop forwarding, but only after the new binding is acked."""
-        state = self.state(ctx.flow)
-        if not state.tunnel_active:
-            return Result.failure("no_tunnel")
-        if not state.binding_acked:
-            return Result.failure("binding_pending")
-        state.tunnel_active = False
-        state.prepared_for = None
+        """Stop forwarding; HOLM calls this once the new binding is acked."""
         self._kernel.schedule(0, FE_DAEMON, FE_ENVIRONMENT, TunnelStop(flow=ctx.flow))
         return Result.success()
 
     def handle(self, event: SimEvent) -> None:
-        """Network replies; one for a flow with nothing in flight is dropped."""
+        """Network replies; one that is not the awaited type and flow is dropped."""
         payload = event.payload
+        if self._waiting is None:
+            return
+        reply, ctx, done = self._waiting
+        if not isinstance(payload, reply) or payload.flow != ctx.flow:
+            return
+        self._waiting = None
         if isinstance(payload, ProxyRouterAdvertisement):
-            preparation = self._preparations.get(payload.flow)
-            if preparation is None:
-                return
-            ctx = preparation[0]
             if not self._on_old_link(ctx):
-                del self._preparations[ctx.flow]
-                preparation[1](Result.failure("link_lost"))
+                done(Result.failure("link_lost"))
                 return
+            self._waiting = (FastBindingAck, ctx, done)
             to_router = self._env.latency(self._fmip_oneway_us)
             self._kernel.schedule(
                 to_router,
@@ -159,26 +134,11 @@ class DaemonHost:
                 FE_DAEMON,
                 FastBindingAck(flow=ctx.flow, result=Result.success()),
             )
-        elif isinstance(payload, FastBindingAck):
-            preparation = self._preparations.pop(payload.flow, None)
-            if preparation is None:
-                return
-            ctx, done = preparation
-            result = payload.result
-            if result.ok and not self._on_old_link(ctx):
-                result = Result.failure("link_lost")
-            if result.ok:
-                self.state(ctx.flow).prepared_for = ctx.target
-            done(result)
-        elif isinstance(payload, BindingAck):
-            done = self._binding_waiters.pop(payload.flow, None)
-            if done is None:
-                return
-            if payload.result.ok:
-                state = self._states.get(payload.flow)
-                if state is not None:
-                    state.binding_acked = True
-            done(payload.result)
+            return
+        result = payload.result
+        if isinstance(payload, FastBindingAck) and result.ok and not self._on_old_link(ctx):
+            result = Result.failure("link_lost")
+        done(result)
 
     def _on_old_link(self, ctx: HandoverState) -> bool:
         return ctx.current is not None and self._env.attached(ctx.flow, ctx.current)

@@ -96,7 +96,7 @@ class TraceRecord:
     def from_json(cls, line: str, lineno: int | None = None) -> "TraceRecord":
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ValueError(f"line {lineno}: not valid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"line {lineno}: params nested too deeply") from None

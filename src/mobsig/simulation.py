@@ -71,7 +71,6 @@ class Simulation:
             self.environment,
             config.path_models,
             self.flow_table,
-            self.daemons,
         )
         self.flow_management = FlowManagement(self.kernel, self.flow_table)
         self.mrrm = Mrrm(

@@ -138,7 +138,6 @@ class Node:
             self.env,
             path_models,
             self.table,
-            self.daemons,
         )
         self.flow_management = FlowManagement(self.kernel, self.table)
         self.mrrm = Mrrm(

@@ -36,6 +36,16 @@ UNDECODABLE_TRACE = (b'{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n
                      b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
 
 
+# A good record, then one with an integer of 5 000 digits, past the limit of
+# Python's int-from-text conversion, in params or in `t`.
+LONG_INT_TRACES = {
+    "params": '{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
+              '{"t":1,"from":"MRRM","to":"HOLM","msg":"X","params":{"flow":' + "9" * 5_000 + "}}\n",
+    "t": '{"t":0,"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n'
+         '{"t":' + "9" * 5_000 + ',"from":"MRRM","to":"HOLM","msg":"X","params":{}}\n',
+}
+
+
 BUNDLED = ("mbb", "bbm", "fmip", "multi")
 
 # The exit code and first output line of `check` on each bundled scenario's
@@ -324,6 +334,13 @@ class TestCheck:
         assert run_cli("check", "--trace", str(trace)) == 2
         assert capsys.readouterr().err == "trace error: line 2: params nested too deeply\n"
 
+    @pytest.mark.parametrize("where", LONG_INT_TRACES)
+    def test_integer_past_the_digit_limit_exits_2_with_its_line(self, tmp_path, capsys, where):
+        trace = tmp_path / "long-int.jsonl"
+        trace.write_text(LONG_INT_TRACES[where])
+        assert run_cli("check", "--trace", str(trace)) == 2
+        assert capsys.readouterr().err.startswith("trace error: line 2: not valid JSON: ")
+
     def test_crlf_line_ends_give_the_same_verdicts(self, mbb_outputs, tmp_path, capsys):
         trace, _ = mbb_outputs
         lines = trace.read_text().splitlines()
@@ -409,6 +426,15 @@ class TestDiagram:
         assert run_cli("diagram", "--trace", str(trace)) == 2
         captured = capsys.readouterr()
         assert captured.err == "trace error: line 2: params nested too deeply\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", LONG_INT_TRACES)
+    def test_integer_past_the_digit_limit_exits_2_with_its_line(self, tmp_path, capsys, where):
+        trace = tmp_path / "long-int.jsonl"
+        trace.write_text(LONG_INT_TRACES[where])
+        assert run_cli("diagram", "--trace", str(trace)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("trace error: line 2: not valid JSON: ")
         assert captured.out == ""
 
     def test_a_record_stays_on_one_row(self, tmp_path, capsys):

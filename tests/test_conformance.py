@@ -298,7 +298,7 @@ class TestSegmentation:
             rec("BindingUpdate", flow=1, locator=LOC_B),
         ]
         contexts = segment_contexts(records)
-        assert [c.flow for c in contexts] == [1, 2]
+        assert [c.records[0].params["flow"] for c in contexts] == [1, 2]
         assert [index for index, _ in contexts[0].entries] == [0, 3]
         assert [index for index, _ in contexts[1].entries] == [1, 2]
 

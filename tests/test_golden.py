@@ -10,8 +10,9 @@ before flows of one tick began to share answers (a second test counts the
 answers they share), and the long walk under a policy whose radio floor and
 network ban move scanned cells in and out of the detected set, whose digests
 were taken before scans skipped cells out of reach and ticks reused the radio
-view. A third variant, the long walk under slow signalling, fails most of its
-handovers, so the failure path of every step is pinned as well. The diagram
+view. A third variant, slow signalling on the long walk and on the multi-flow
+scenario, fails most of their handovers, so the failure path of every step is
+pinned as well. The diagram
 of each bundled and generated trace is pinned by its digest too. The files
 under bench/ are only read.
 """
@@ -179,3 +180,24 @@ def test_generated_long_walk_with_slow_signalling_keeps_its_digests(tmp_path):
     totals = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["totals"]
     assert (totals["succeeded"], totals["failed"]) == (3, 2345)
     assert cli.main(["check", "--trace", str(tmp_path / "trace.jsonl")]) == 0
+
+
+# The same slow signalling on the 16 flows of the multi-flow scenario: 16
+# establishments succeed and 643 handovers fail (298 fmip link_lost, 344 bbm
+# not_attached, 1 out_of_coverage), so failed replies of many flows interleave.
+# The digests were taken while the Daemon still kept FMIP state per flow.
+MULTIFLOW_SLOW_SIGNALLING_DIGESTS = {
+    "trace": "7b6dec34fc94e6564e986b5f131dc03cb81f725d5fe1417f4ef624305bf07c7f",
+    "metrics": "804e38b253e42f33b760348de1e210d026bc80dae963b56e12c9b47ed942eb02",
+}
+
+
+def test_generated_multiflow_with_slow_signalling_keeps_its_digests(tmp_path):
+    scenario = generated_scenario("multiflow-dense", tmp_path)
+    document = json.loads(scenario.read_text(encoding="utf-8"))
+    document["latencies"].update(SLOW_SIGNALLING)
+    slow = tmp_path / "slow-signalling.json"
+    slow.write_text(json.dumps(document), encoding="utf-8")
+    assert run_digests(slow, tmp_path) == MULTIFLOW_SLOW_SIGNALLING_DIGESTS
+    totals = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["totals"]
+    assert (totals["succeeded"], totals["failed"]) == (16, 643)

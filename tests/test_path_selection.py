@@ -23,14 +23,13 @@ from mobsig.path_selection import (
     rate_access,
 )
 from mobsig import path_selection
-from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, TraceRecorder
 
 from support import REQUESTED, default_model, make_cell
 
 
 def build_entity(cells, models=None, flows=None):
-    """PathSelection wired to real env and daemons, with probes for HOLM/MRRM.
+    """PathSelection wired to a real env, with probes for HOLM/MRRM.
 
     flows maps flow id to requested QoS; by default flows 1 and 4 request REQUESTED.
     """
@@ -44,19 +43,18 @@ def build_entity(cells, models=None, flows=None):
         rng=random.Random(0),
         jitter_us=0,
     )
-    daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     if models is None:
         models = {cell.access: default_model() for cell in cells}
     if flows is None:
         flows = {1: REQUESTED, 4: REQUESTED}
     table = FlowTable([FlowRecord(flow=flow, requested=qos) for flow, qos in flows.items()])
-    entity = PathSelection(kernel, recorder, env, models, table, daemons)
+    entity = PathSelection(kernel, recorder, env, models, table)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)
     kernel.register(FE_HOLM, lambda e: holm_in.append(e.payload))
     kernel.register(FE_MRRM, lambda e: mrrm_in.append(e.payload))
     kernel.register(FE_ENVIRONMENT, env.handle)
-    return kernel, recorder, env, daemons, entity, holm_in, mrrm_in
+    return kernel, recorder, env, entity, holm_in, mrrm_in
 
 
 class TestPathModel:
@@ -95,7 +93,7 @@ class TestRateAccesses:
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
         a, b = (cell.access for cell in cells)
         models = {a: default_model(), b: PathModel(500, 40, True)}
-        kernel, _, _, _, entity, _, mrrm_in = build_entity(cells, models)
+        kernel, _, _, entity, _, mrrm_in = build_entity(cells, models)
         kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, ConstraintRequest(flow=1, candidates=(b, a)))
         kernel.run_until_quiescent()
         ratings = mrrm_in[0].ratings
@@ -105,7 +103,7 @@ class TestRateAccesses:
     def test_unmodeled_access_rates_zero_and_is_annotated(self):
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
         a, b = (cell.access for cell in cells)
-        kernel, recorder, _, _, entity, _, mrrm_in = build_entity(cells, {a: default_model()})
+        kernel, recorder, _, entity, _, mrrm_in = build_entity(cells, {a: default_model()})
         kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, ConstraintRequest(flow=4, candidates=(a, b)))
         kernel.run_until_quiescent()
         assert [r.path_score for r in mrrm_in[0].ratings] == [1.0, 0.0]
@@ -129,7 +127,7 @@ class TestSharedAnswers:
 
     def test_each_qos_gets_its_own_ratings_in_turn(self):
         built, candidates = self.entity_with_flows({1: REQUESTED, 2: self.WIDE, 3: REQUESTED})
-        entity = built[4]
+        entity = built[3]
         scores = {
             flow: [r.path_score for r in entity.rate_accesses(
                 ConstraintRequest(flow=flow, candidates=candidates)).ratings]
@@ -149,7 +147,7 @@ class TestSharedAnswers:
     def test_same_tuple_and_equal_qos_share_one_response(self, ratings_made):
         # Flow 4's QoS is equal to flow 1's but a separate object.
         built, candidates = self.entity_with_flows({1: REQUESTED, 4: QosSpec(1000, 80)})
-        entity = built[4]
+        entity = built[3]
         first = entity.rate_accesses(ConstraintRequest(flow=1, candidates=candidates))
         again = entity.rate_accesses(ConstraintRequest(flow=4, candidates=candidates))
         assert again is first
@@ -157,7 +155,7 @@ class TestSharedAnswers:
 
     def test_interleaved_qos_classes_each_keep_their_answer(self, ratings_made):
         built, candidates = self.entity_with_flows({1: REQUESTED, 2: self.WIDE, 3: REQUESTED})
-        entity = built[4]
+        entity = built[3]
         answers = [entity.rate_accesses(ConstraintRequest(flow=flow, candidates=candidates))
                    for flow in (1, 2, 3, 2, 1)]
         assert answers[2] is answers[0] and answers[4] is answers[0]
@@ -170,7 +168,7 @@ class TestSharedAnswers:
 
     def test_equal_candidate_tuple_in_a_new_object_is_rated_afresh(self, ratings_made):
         built, (a, b) = self.entity_with_flows(None)
-        entity = built[4]
+        entity = built[3]
         first = entity.rate_accesses(ConstraintRequest(flow=1, candidates=(a, b)))
         fresh = entity.rate_accesses(ConstraintRequest(flow=4, candidates=tuple([a, b])))
         assert fresh is not first and fresh == first
@@ -179,7 +177,7 @@ class TestSharedAnswers:
     def test_unknown_access_is_annotated_for_every_requesting_flow(self):
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
         a, b = (cell.access for cell in cells)
-        kernel, recorder, _, _, _, _, mrrm_in = build_entity(cells, {a: default_model()})
+        kernel, recorder, _, _, _, mrrm_in = build_entity(cells, {a: default_model()})
         candidates = (a, b)
         for flow in (1, 4):
             kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION,
@@ -205,13 +203,13 @@ class TestSelectPath:
 
     def test_ordinary_selection_needs_an_attached_link(self):
         cells = (make_cell(),)
-        kernel, _, _, _, _, holm_in, _ = build_entity(cells)
+        kernel, _, _, _, holm_in, _ = build_entity(cells)
         answer = self.run_select(kernel, holm_in, 1, cells[0].access, fmip_flag=False)
         assert not answer.result.ok and answer.result.reason == "not_attached"
 
     def test_ordinary_selection_allocates_on_the_target(self):
         cells = (make_cell(),)
-        kernel, _, env, _, _, holm_in, _ = build_entity(cells)
+        kernel, _, env, _, holm_in, _ = build_entity(cells)
         env.link_attach(1, cells[0].access, REQUESTED, lambda r, q: None)
         kernel.run_until_quiescent()
         answer = self.run_select(kernel, holm_in, 1, cells[0].access, fmip_flag=False)
@@ -221,21 +219,14 @@ class TestSelectPath:
 
     def test_proactive_selection_requires_fmip_support(self):
         cells = (make_cell(supports_fmip=False),)
-        kernel, _, _, _, _, holm_in, _ = build_entity(cells)
+        kernel, _, _, _, holm_in, _ = build_entity(cells)
         answer = self.run_select(kernel, holm_in, 1, cells[0].access, fmip_flag=True)
         assert answer.result.reason == "fmip_unsupported"
 
-    def test_proactive_selection_requires_preparation(self):
+    def test_proactive_selection_is_instant(self):
         cells = (make_cell(supports_fmip=True),)
-        kernel, _, _, _, _, holm_in, _ = build_entity(cells)
-        answer = self.run_select(kernel, holm_in, 1, cells[0].access, fmip_flag=True)
-        assert answer.result.reason == "not_prepared"
-
-    def test_proactive_selection_after_preparation_is_instant(self):
-        cells = (make_cell(supports_fmip=True),)
-        kernel, _, env, daemons, _, holm_in, _ = build_entity(cells)
+        kernel, _, env, _, holm_in, _ = build_entity(cells)
         target = cells[0].access
-        daemons.state(1).prepared_for = target
         answer = self.run_select(kernel, holm_in, 1, target, fmip_flag=True)
         assert answer.result.ok
         assert kernel.now == 0  # no locator configuration latency on the new link

@@ -131,7 +131,6 @@ class TestFmipPrepare:
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 3 * 5_000
-        assert daemons.state(1).prepared_for == b
         hops = [(r.name, r.at - t0) for r in recorder.records if r.at > t0]
         assert hops == [
             ("ProxyRouterAdvertisement", 5_000),
@@ -146,14 +145,6 @@ class TestFmipPrepare:
         kernel.run_until_quiescent()
         assert done[0].reason == "link_lost"
 
-    def test_requires_fmip_support_on_the_target(self):
-        kernel, _, env, daemons, a, b = build_host()
-        attach(kernel, env, 1, b)
-        done = []
-        daemons.prepare(Ctx(1, b, a), lambda r: done.append(r))  # a has no FMIP
-        kernel.run_until_quiescent()
-        assert done[0].reason == "fmip_unsupported"
-
 
 class TestTunnel:
     def prepared_host(self):
@@ -163,12 +154,12 @@ class TestTunnel:
         kernel.run_until_quiescent()
         return kernel, recorder, env, daemons, a, b
 
-    def test_start_needs_preparation_then_attachment(self):
-        kernel, _, env, daemons, a, b = build_host()
+    def test_start_needs_the_target_attached(self):
+        kernel, recorder, env, daemons, a, b = self.prepared_host()
         ctx = Ctx(1, a, b)
-        assert daemons.tunnel_start(ctx).reason == "not_prepared"
-        kernel2, _, env2, daemons2, a2, b2 = self.prepared_host()
-        assert daemons2.tunnel_start(Ctx(1, a2, b2)).reason == "not_attached"
+        assert daemons.tunnel_start(ctx).reason == "not_attached"
+        attach(kernel, env, 1, b)
+        assert daemons.tunnel_start(ctx).ok
 
     def test_full_tunnel_lifecycle(self):
         kernel, recorder, env, daemons, a, b = self.prepared_host()
@@ -176,15 +167,50 @@ class TestTunnel:
         attach(kernel, env, 1, b)
         assert daemons.tunnel_start(ctx).ok
         kernel.run_until_quiescent()
-        assert any(r.name == "TunnelStart" for r in recorder.records)
-        # stopping before the new binding is acknowledged must be refused
-        assert daemons.tunnel_stop(ctx).reason == "binding_pending"
         locator = allocate(kernel, env, 1, b)
         daemons.update_binding(ctx, locator, lambda r: None)
         kernel.run_until_quiescent()
         assert daemons.tunnel_stop(ctx).ok
         kernel.run_until_quiescent()
-        assert any(r.name == "TunnelStop" for r in recorder.records)
-        assert daemons.state(1).prepared_for is None
-        assert daemons.tunnel_stop(ctx).reason == "no_tunnel"
+        tunnel = [(r.name, r.sender, r.receiver) for r in recorder.records
+                  if r.name in ("TunnelStart", "BindingAck", "TunnelStop")]
+        assert tunnel == [
+            ("TunnelStart", FE_DAEMON, FE_ENVIRONMENT),
+            ("BindingAck", FE_ENVIRONMENT, FE_DAEMON),
+            ("TunnelStop", FE_DAEMON, FE_ENVIRONMENT),
+        ]
 
+
+class TestOneAwaitedReply:
+    """While a reply is awaited, one of its type for another flow is dropped."""
+
+    @pytest.mark.parametrize(
+        "stray, at",
+        [
+            (ProxyRouterAdvertisement(flow=9, target=AccessId("cell-b", "net-2", "cellular")), 0),
+            (FastBindingAck(flow=9, result=Result.failure("stray")), 7_500),
+        ],
+        ids=lambda value: type(value).__name__ if not isinstance(value, int) else str(value),
+    )
+    def test_preparation_ignores_another_flows_reply(self, stray, at):
+        kernel, recorder, env, daemons, a, b = build_host()
+        attach(kernel, env, 1, a)
+        t0 = kernel.now
+        done = []
+        daemons.prepare(Ctx(1, a, b), lambda r: done.append((r, kernel.now)))
+        kernel.schedule(at, FE_ENVIRONMENT, FE_DAEMON, stray)
+        kernel.run_until_quiescent()
+        assert done == [(Result.success(), t0 + 3 * 5_000)]
+        assert [r.params["flow"] for r in recorder.records if r.name == "FastBindingUpdate"] == [1]
+
+    def test_binding_ignores_another_flows_ack(self):
+        kernel, _, env, daemons, a, _ = build_host()
+        attach(kernel, env, 1, a)
+        locator = allocate(kernel, env, 1, a)
+        t0 = kernel.now
+        done = []
+        daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append((r, kernel.now)))
+        stray = BindingAck(flow=9, result=Result.failure("stray"))
+        kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, stray)
+        kernel.run_until_quiescent()
+        assert done == [(Result.success(), t0 + 40_000)]

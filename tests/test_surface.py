@@ -23,7 +23,6 @@ import mobsig
 # Failure paths that no bundled or generated workload reaches yet.
 EXEMPT = {
     "Result.failure",
-    "PathSelection._respond_failure",
     "SimulationError.__init__",
     "AmbiguousTraceError.__init__",
 }
