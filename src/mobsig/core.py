@@ -45,10 +45,6 @@ class AccessId:
     rat: str
 
     def __post_init__(self) -> None:
-        if not self.cell_id:
-            raise ValueError("AccessId.cell_id must be non-empty")
-        if not self.network_id:
-            raise ValueError("AccessId.network_id must be non-empty")
         # Sets, dict lookups and trace keys use these on every scan; the fields
         # never change, so both are computed once. The hash is the one the
         # dataclass would generate.
@@ -74,12 +70,6 @@ class QosSpec:
 
     bandwidth_kbps: int
     max_latency_ms: int
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_kbps < 0:
-            raise ValueError("QosSpec.bandwidth_kbps must be >= 0")
-        if self.max_latency_ms < 0:
-            raise ValueError("QosSpec.max_latency_ms must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -38,26 +38,12 @@ class Cell:
     supports_fmip: bool
     capacity_qos: QosSpec
 
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError("Cell.radius_m must be > 0")
-        for name in ("link_setup_us", "link_teardown_us", "locator_config_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"Cell.{name} must be >= 0")
-
 
 @dataclass(frozen=True)
 class Trajectory:
     """Piecewise-linear terminal path; clamps to the end points outside it."""
 
     waypoints: tuple[tuple[SimTime, tuple[float, float]], ...]
-
-    def __post_init__(self) -> None:
-        if not self.waypoints:
-            raise ValueError("Trajectory needs at least one waypoint")
-        times = [t for t, _ in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("Trajectory waypoint times must be strictly increasing")
 
     @property
     def end_time_us(self) -> SimTime:
@@ -106,8 +92,6 @@ class Environment:
         self._kernel = kernel
         self._recorder = recorder
         self._cells = {cell.access: cell for cell in cells}
-        if len(self._cells) != len(cells):
-            raise ValueError("duplicate AccessId among cells")
         # Each cell with its rank in cell_id order, sorted by centre x.
         by_id = sorted(cells, key=lambda c: c.access.cell_id)
         self._by_x = sorted(enumerate(by_id), key=lambda item: item[1].center_xy[0])

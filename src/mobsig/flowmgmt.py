@@ -24,8 +24,6 @@ from .core import (
 )
 from .simkernel import Kernel, SimEvent
 
-FLOW_STATES = ("new", "pending", "active", "failed")
-
 
 @dataclass
 class FlowRecord:
@@ -33,30 +31,17 @@ class FlowRecord:
 
     flow: int
     requested: QosSpec
-    state: str = "new"
+    state: str = "new"  # then "pending", and "active" or "failed"
     current_access: AccessId | None = None
     granted_qos: QosSpec | None = None
     provided_qos: QosSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.flow < 0:
-            raise ValueError("flow id must be non-negative")
-        if self.state not in FLOW_STATES:
-            raise ValueError(f"unknown flow state {self.state!r}")
 
 
 class FlowTable:
     """Shared flow registry, keyed by flow id."""
 
-    def __init__(self, records: list[FlowRecord] | None = None) -> None:
-        self._records: dict[int, FlowRecord] = {}
-        for record in records or ():
-            self.add(record)
-
-    def add(self, record: FlowRecord) -> None:
-        if record.flow in self._records:
-            raise ValueError(f"duplicate flow id {record.flow}")
-        self._records[record.flow] = record
+    def __init__(self, records: list[FlowRecord]) -> None:
+        self._records = {record.flow: record for record in records}
 
     def get(self, flow: int) -> FlowRecord | None:
         return self._records.get(flow)

@@ -79,16 +79,6 @@ class MrrmPolicy:
     weight_path: float = 0.5
     mbb_capable: bool = True
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_radio_score <= 1.0:
-            raise ValueError("MrrmPolicy.min_radio_score must lie in [0, 1]")
-        if self.hysteresis < 0.0:
-            raise ValueError("MrrmPolicy.hysteresis must be >= 0")
-        if self.weight_radio < 0.0 or self.weight_path < 0.0:
-            raise ValueError("MrrmPolicy weights must be >= 0")
-        if abs(self.weight_radio + self.weight_path - 1.0) > 1e-9:
-            raise ValueError("MrrmPolicy weights must sum to 1")
-
 
 def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessSets:
     """Filter the scan into the detected access set by network ban and radio floor."""

@@ -10,8 +10,7 @@ so flows that request equal QoS ask the same question, on one tick and on
 later ones. The answers for the current candidate tuple are kept, one per
 requested QoS, until a request brings another tuple: a request with the same
 tuple object and an equal requested QoS gets the same ConstraintResponse object
-back, however the QoS classes of the flows interleave, and only the
-unknown-access annotation, which names the flow, is written again.
+back, however the QoS classes of the flows interleave.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from .core import (
 )
 from .environment import Environment
 from .flowmgmt import FlowTable
-from .simkernel import Kernel, SimEvent, TraceRecorder
-
-ANNOTATION_UNKNOWN_ACCESS = "UnknownAccessRated"
+from .simkernel import Kernel, SimEvent
 
 
 @dataclass(frozen=True)
@@ -46,16 +43,10 @@ class PathModel:
     path_latency_ms: int
     policy_allowed: bool
 
-    def __post_init__(self) -> None:
-        if self.bottleneck_bandwidth_kbps < 0:
-            raise ValueError("PathModel.bottleneck_bandwidth_kbps must be >= 0")
-        if self.path_latency_ms < 0:
-            raise ValueError("PathModel.path_latency_ms must be >= 0")
 
-
-def rate_access(model: PathModel | None, requested: QosSpec) -> float:
+def rate_access(model: PathModel, requested: QosSpec) -> float:
     """Score one access's path in [0, 1]; 0 means unusable."""
-    if model is None or not model.policy_allowed:
+    if not model.policy_allowed:
         return 0.0
     if model.path_latency_ms > requested.max_latency_ms:
         return 0.0
@@ -70,20 +61,19 @@ class PathSelection:
     def __init__(
         self,
         kernel: Kernel,
-        recorder: TraceRecorder,
         env: Environment,
         models: dict[AccessId, PathModel],
         flow_table: FlowTable,
     ) -> None:
         self._kernel = kernel
-        self._recorder = recorder
         self._env = env
+        # Every candidate comes from a scan of the scenario's cells, and the
+        # scenario holds a model for each cell.
         self._models = dict(models)
         self._table = flow_table
-        # The answers for _candidates, each with its unknown-access keys, by
-        # requested QoS; see the module docstring.
+        # The answers for _candidates by requested QoS; see the module docstring.
         self._candidates: tuple[AccessId, ...] | None = None
-        self._answers: dict[QosSpec, tuple[ConstraintResponse, list[str]]] = {}
+        self._answers: dict[QosSpec, ConstraintResponse] = {}
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -98,25 +88,13 @@ class PathSelection:
         if request.candidates is not self._candidates:
             self._candidates = request.candidates
             self._answers.clear()
-        answer = self._answers.get(requested)
-        if answer is None:
-            ratings = []
-            unknown = []
-            for access in request.candidates:
-                model = self._models.get(access)
-                if model is None:
-                    unknown.append(access.key)
-                ratings.append(Rating(access=access, path_score=rate_access(model, requested)))
-            unknown.sort()
-            answer = self._answers[requested] = (ConstraintResponse(ratings=tuple(ratings)), unknown)
-        response, unknown = answer
-        if unknown:
-            self._recorder.annotate(
-                self._kernel.now,
-                FE_PATH_SELECTION,
-                FE_PATH_SELECTION,
-                ANNOTATION_UNKNOWN_ACCESS,
-                {"accesses": unknown, "flow": request.flow},
+        response = self._answers.get(requested)
+        if response is None:
+            response = self._answers[requested] = ConstraintResponse(
+                ratings=tuple(
+                    Rating(access=access, path_score=rate_access(self._models[access], requested))
+                    for access in request.candidates
+                )
             )
         return response
 
@@ -124,16 +102,9 @@ class PathSelection:
         """Allocate the new locator for the selected target and answer HOLM.
 
         An FMIP handover prepared the target before it asks, so its locator is
-        allocated proactively, before the link is attached.
+        allocated proactively, before the link is attached. The environment
+        answers a target that is not attached.
         """
-        if not request.fmip_flag and not self._env.attached(request.flow, request.target):
-            self._kernel.schedule(
-                0,
-                FE_PATH_SELECTION,
-                FE_HOLM,
-                PathSelected(result=Result.failure("not_attached"), new_locator=None),
-            )
-            return
 
         def allocated(result: Result, locator) -> None:
             self._kernel.schedule(

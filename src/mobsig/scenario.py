@@ -4,7 +4,9 @@ A scenario is a JSON object describing radio cells, terminal movement, the
 handover policy, silicon-to-network latencies, and the data flows to start.
 Validation is strict: every problem is reported with the dotted path of the
 offending field (for example ``cells[0].radius_m``) so batch tooling can point
-at the exact input line.
+at the exact input line. This module is the only place a scenario is checked:
+the value types it builds (cells, trajectory, policy, path models, flows) hold
+what it accepted and check nothing again.
 """
 
 from __future__ import annotations
@@ -304,8 +306,12 @@ def load_scenario(path: str, seed_override: int | None = None) -> ScenarioConfig
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ScenarioError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
     return parse_scenario(data, seed_override=seed_override)

@@ -66,11 +66,7 @@ class Simulation:
         )
         self.holm = Holm(self.kernel, self.environment, self.daemons, self.flow_table)
         self.path_selection = PathSelection(
-            self.kernel,
-            self.recorder,
-            self.environment,
-            config.path_models,
-            self.flow_table,
+            self.kernel, self.environment, config.path_models, self.flow_table
         )
         self.flow_management = FlowManagement(self.kernel, self.flow_table)
         self.mrrm = Mrrm(

@@ -132,13 +132,7 @@ class Node:
         self.table = FlowTable(list(flows))
         self.daemons = DaemonHost(self.kernel, self.env, binding_rtt_us, fmip_oneway_us)
         self.holm = Holm(self.kernel, self.env, self.daemons, self.table)
-        self.path_selection = PathSelection(
-            self.kernel,
-            self.recorder,
-            self.env,
-            path_models,
-            self.table,
-        )
+        self.path_selection = PathSelection(self.kernel, self.env, path_models, self.table)
         self.flow_management = FlowManagement(self.kernel, self.table)
         self.mrrm = Mrrm(
             self.kernel, self.recorder, self.env, policy or MrrmPolicy(), self.table

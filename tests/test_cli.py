@@ -205,6 +205,27 @@ class TestRun:
         assert "scenario error:" in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff{}",
+            b'{"seed": ' + b"1" * 5000 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf-8", "integer-past-the-digit-limit", "nested-too-deeply"],
+    )
+    def test_unreadable_scenario_exits_2_without_trace(self, tmp_path, capsys, content):
+        scenario = tmp_path / "unreadable.json"
+        scenario.write_bytes(content)
+        trace = tmp_path / "never.jsonl"
+        code = run_cli(
+            "run", "--scenario", str(scenario), "--trace", str(trace),
+            "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
+        assert not trace.exists()
+
     def test_schema_violation_names_the_field(self, tmp_path, scenario_path, capsys):
         doc = json.loads((scenario_path("mbb")).read_text())
         doc["cells"][0]["radius_m"] = 0

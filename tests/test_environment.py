@@ -123,33 +123,7 @@ def two_cells():
     )
 
 
-class TestCellValidation:
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            make_cell(radius_m=0.0)
-
-    def test_rejects_negative_latencies(self):
-        with pytest.raises(ValueError):
-            make_cell(setup_us=-1)
-        with pytest.raises(ValueError):
-            make_cell(teardown_us=-1)
-        with pytest.raises(ValueError):
-            make_cell(locator_us=-1)
-
-    def test_rejects_duplicate_accesses(self):
-        with pytest.raises(ValueError):
-            build_env((make_cell(), make_cell()))
-
-
 class TestTrajectory:
-    def test_needs_a_waypoint(self):
-        with pytest.raises(ValueError):
-            Trajectory(waypoints=())
-
-    def test_times_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            Trajectory(waypoints=((0, (0.0, 0.0)), (0, (1.0, 0.0))))
-
     def test_clamps_outside_the_time_span(self):
         trajectory = Trajectory(waypoints=((1_000, (0.0, 0.0)), (2_000, (10.0, 0.0))))
         assert trajectory.position(0) == (0.0, 0.0)

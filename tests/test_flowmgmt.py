@@ -26,22 +26,7 @@ def build_entity(*flows):
     return kernel, table, entity, mrrm_in
 
 
-class TestFlowRecord:
-    def test_rejects_negative_flow_ids(self):
-        with pytest.raises(ValueError):
-            FlowRecord(flow=-1, requested=REQUESTED)
-
-    def test_rejects_unknown_states(self):
-        with pytest.raises(ValueError):
-            FlowRecord(flow=1, requested=REQUESTED, state="paused")
-
-
 class TestFlowTable:
-    def test_duplicate_ids_are_rejected(self):
-        table = FlowTable([FlowRecord(flow=1, requested=REQUESTED)])
-        with pytest.raises(ValueError):
-            table.add(FlowRecord(flow=1, requested=REQUESTED))
-
     def test_lookup_and_sorted_listing(self):
         table = FlowTable(
             [FlowRecord(flow=5, requested=REQUESTED), FlowRecord(flow=2, requested=REQUESTED)]

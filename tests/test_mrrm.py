@@ -39,22 +39,6 @@ B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
 POOL = tuple(AccessId(cell_id=f"cell-{i}", network_id=f"net-{i % 2}", rat="wlan") for i in range(4))
 
 
-class TestPolicyValidation:
-    def test_rejects_radio_floor_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            MrrmPolicy(min_radio_score=1.5)
-
-    def test_rejects_negative_hysteresis(self):
-        with pytest.raises(ValueError):
-            MrrmPolicy(hysteresis=-0.1)
-
-    def test_rejects_weights_not_summing_to_one(self):
-        with pytest.raises(ValueError):
-            MrrmPolicy(weight_radio=0.7, weight_path=0.7)
-        with pytest.raises(ValueError):
-            MrrmPolicy(weight_radio=-0.5, weight_path=1.5)
-
-
 class TestBuildDas:
     def test_filters_forbidden_networks_and_weak_radio(self):
         policy = MrrmPolicy(forbidden_networks=frozenset({"net-2"}), min_radio_score=0.3)

@@ -16,12 +16,7 @@ from mobsig.core import (
 )
 from mobsig.environment import Environment, Trajectory
 from mobsig.flowmgmt import FlowRecord, FlowTable
-from mobsig.path_selection import (
-    ANNOTATION_UNKNOWN_ACCESS,
-    PathModel,
-    PathSelection,
-    rate_access,
-)
+from mobsig.path_selection import PathModel, PathSelection, rate_access
 from mobsig import path_selection
 from mobsig.simkernel import Kernel, TraceRecorder
 
@@ -48,7 +43,7 @@ def build_entity(cells, models=None, flows=None):
     if flows is None:
         flows = {1: REQUESTED, 4: REQUESTED}
     table = FlowTable([FlowRecord(flow=flow, requested=qos) for flow, qos in flows.items()])
-    entity = PathSelection(kernel, recorder, env, models, table)
+    entity = PathSelection(kernel, env, models, table)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)
     kernel.register(FE_HOLM, lambda e: holm_in.append(e.payload))
@@ -57,17 +52,8 @@ def build_entity(cells, models=None, flows=None):
     return kernel, recorder, env, entity, holm_in, mrrm_in
 
 
-class TestPathModel:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            PathModel(bottleneck_bandwidth_kbps=-1, path_latency_ms=10, policy_allowed=True)
-        with pytest.raises(ValueError):
-            PathModel(bottleneck_bandwidth_kbps=10, path_latency_ms=-1, policy_allowed=True)
-
-
 class TestRateAccess:
     def test_unknown_or_disallowed_paths_are_unusable(self):
-        assert rate_access(None, REQUESTED) == 0.0
         banned = PathModel(2000, 40, policy_allowed=False)
         assert rate_access(banned, REQUESTED) == 0.0
 
@@ -99,17 +85,6 @@ class TestRateAccesses:
         ratings = mrrm_in[0].ratings
         assert [r.access for r in ratings] == [b, a]
         assert [r.path_score for r in ratings] == [0.5, 1.0]
-
-    def test_unmodeled_access_rates_zero_and_is_annotated(self):
-        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
-        a, b = (cell.access for cell in cells)
-        kernel, recorder, _, entity, _, mrrm_in = build_entity(cells, {a: default_model()})
-        kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, ConstraintRequest(flow=4, candidates=(a, b)))
-        kernel.run_until_quiescent()
-        assert [r.path_score for r in mrrm_in[0].ratings] == [1.0, 0.0]
-        notes = [r for r in recorder.records if r.name == ANNOTATION_UNKNOWN_ACCESS]
-        assert len(notes) == 1
-        assert notes[0].params == {"accesses": ["net-2/cell-b"], "flow": 4}
 
 
 class TestSharedAnswers:
@@ -173,22 +148,6 @@ class TestSharedAnswers:
         fresh = entity.rate_accesses(ConstraintRequest(flow=4, candidates=tuple([a, b])))
         assert fresh is not first and fresh == first
         assert len(ratings_made) == 4
-
-    def test_unknown_access_is_annotated_for_every_requesting_flow(self):
-        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2"))
-        a, b = (cell.access for cell in cells)
-        kernel, recorder, _, _, _, mrrm_in = build_entity(cells, {a: default_model()})
-        candidates = (a, b)
-        for flow in (1, 4):
-            kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION,
-                            ConstraintRequest(flow=flow, candidates=candidates))
-        kernel.run_until_quiescent()
-        assert mrrm_in[1] is mrrm_in[0]  # the second answer came from the cache
-        notes = [r.params for r in recorder.records if r.name == ANNOTATION_UNKNOWN_ACCESS]
-        assert notes == [
-            {"accesses": ["net-2/cell-b"], "flow": 1},
-            {"accesses": ["net-2/cell-b"], "flow": 4},
-        ]
 
 
 class TestSelectPath:

@@ -234,6 +234,48 @@ class TestFlowErrors:
         expect_error(doc, "flows[0].start_us", "must be >= 0")
 
 
+# Rejections that the value types built from a scenario do not repeat, by case
+# name: the edits to the base document, the field path named and a fragment of
+# the message.
+ONLY_HERE = {
+    "link_setup_us": ({("cells", 0, "link_setup_us"): -1}, "cells[0].link_setup_us", ">= 0"),
+    "link_teardown_us": (
+        {("cells", 0, "link_teardown_us"): -1}, "cells[0].link_teardown_us", ">= 0"),
+    "locator_config_us": (
+        {("cells", 0, "locator_config_us"): -1}, "cells[0].locator_config_us", ">= 0"),
+    "cell_id": ({("cells", 0, "cell_id"): ""}, "cells[0].cell_id", "non-empty string"),
+    "network_id": ({("cells", 0, "network_id"): ""}, "cells[0].network_id", "non-empty string"),
+    "rat": ({("cells", 0, "rat"): ""}, "cells[0].rat", "non-empty string"),
+    "requested_max_latency_ms": (
+        {("flows", 0, "requested_qos", "max_latency_ms"): -1},
+        "flows[0].requested_qos.max_latency_ms", ">= 0"),
+    "hysteresis": ({("policy", "hysteresis"): -0.1}, "policy.hysteresis", ">= 0"),
+    "negative_weight": (
+        {("policy", "weight_radio"): -0.5, ("policy", "weight_path"): 1.5},
+        "policy.weight_radio", ">= 0"),
+    "bottleneck_bandwidth_kbps": (
+        {("path_models", "net-1/cell-a", "bottleneck_bandwidth_kbps"): -1},
+        "path_models.net-1/cell-a.bottleneck_bandwidth_kbps", ">= 0"),
+    "path_latency_ms": (
+        {("path_models", "net-1/cell-a", "path_latency_ms"): -1},
+        "path_models.net-1/cell-a.path_latency_ms", ">= 0"),
+    "flow_id": ({("flows", 0, "id"): -1}, "flows[0].id", ">= 0"),
+}
+
+
+class TestRejectedOnlyHere:
+    @pytest.mark.parametrize("case", ONLY_HERE)
+    def test_field(self, case):
+        edits, field, fragment = ONLY_HERE[case]
+        doc = base_doc()
+        for keys, value in edits.items():
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        expect_error(doc, field, fragment)
+
+
 class TestLoadScenario:
     def test_bundled_scenarios_are_valid(self, bundled_configs):
         for name, config in bundled_configs.items():
