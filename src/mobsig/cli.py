@@ -10,7 +10,6 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -29,6 +28,8 @@ from .simulation import Simulation
 
 _COLUMN_WIDTH = 12
 _TIME_GUTTER = 12
+# Rows that render_diagram joins into one chunk of its text.
+_DIAGRAM_CHUNK_ROWS = 2048
 _BASE_COLUMNS = (
     FE_MRRM,
     FE_HOLM,
@@ -46,49 +47,55 @@ def _shown(name: str) -> str:
 
 
 def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> str:
-    """Render a trace as a plain-text sequence diagram, one row per message."""
+    """Render a trace as a plain-text sequence diagram, one row per message.
+
+    The rows of each _DIAGRAM_CHUNK_ROWS records are joined into one chunk, and
+    the text is one join of the header and the chunks.
+    """
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(_BASE_COLUMNS) + sorted(seen - set(_BASE_COLUMNS))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
     header = " " * _TIME_GUTTER + "".join(_shown(fe).center(width) for fe in columns)
-    out = io.StringIO()
-    out.write(header.rstrip() + "\n")
+    chunks = [header.rstrip() + "\n"]
     # A trace has few distinct heads (sender, receiver, name), so each is drawn
     # once: without a flow tag, stripped as the row's end, and with one. Records
     # come in time order, so a row mostly repeats the last row's time stamp.
     heads: dict[tuple[str, str, str], tuple[str, str]] = {}
     last_at = stamp = None
-    for record in records:
-        head = (record.sender, record.receiver, record.name)
-        drawn = heads.get(head)
-        if drawn is None:
-            row = [" "] * (len(columns) * width)
-            for center in centers.values():
-                row[center] = "|"
-            src = centers[record.sender]
-            dst = centers[record.receiver]
-            if src == dst:
-                row[src] = "*"
-            else:
-                for x in range(min(src, dst) + 1, max(src, dst)):
-                    row[x] = "-"
-                if dst > src:
-                    row[dst - 1] = ">"
+    for start in range(0, len(records), _DIAGRAM_CHUNK_ROWS):
+        rows = []
+        for record in records[start:start + _DIAGRAM_CHUNK_ROWS]:
+            head = (record.sender, record.receiver, record.name)
+            drawn = heads.get(head)
+            if drawn is None:
+                row = [" "] * (len(columns) * width)
+                for center in centers.values():
+                    row[center] = "|"
+                src = centers[record.sender]
+                dst = centers[record.receiver]
+                if src == dst:
+                    row[src] = "*"
                 else:
-                    row[dst + 1] = "<"
-            text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
-            drawn = heads[head] = (text.rstrip(), text)
-        if record.at != last_at:
-            last_at = record.at
-            stamp = f"{last_at:>10}"
-        flow = record.params.get("flow")
-        if flow is None:
-            out.write(f"{stamp}{drawn[0]}\n")
-        else:
-            if type(flow) is not int:  # a bool or any other JSON value, as JSON
-                flow = json.dumps(flow)
-            out.write(f"{stamp}{drawn[1]} [flow={flow}]\n")
-    return out.getvalue()
+                    for x in range(min(src, dst) + 1, max(src, dst)):
+                        row[x] = "-"
+                    if dst > src:
+                        row[dst - 1] = ">"
+                    else:
+                        row[dst + 1] = "<"
+                text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
+                drawn = heads[head] = (text.rstrip(), text)
+            if record.at != last_at:
+                last_at = record.at
+                stamp = f"{last_at:>10}"
+            flow = record.params.get("flow")
+            if flow is None:
+                rows.append(f"{stamp}{drawn[0]}\n")
+            else:
+                if type(flow) is not int:  # a bool or any other JSON value, as JSON
+                    flow = json.dumps(flow)
+                rows.append(f"{stamp}{drawn[1]} [flow={flow}]\n")
+        chunks.append("".join(rows))
+    return "".join(chunks)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -109,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 3
     try:
         simulation.recorder.write(args.trace)
-        with open(args.metrics, "w", encoding="utf-8") as handle:
+        with open(args.metrics, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(result.metrics, handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as exc:

@@ -199,13 +199,20 @@ def parse_trace(lines) -> list[TraceRecord]:
     pattern matches it, and each distinct head (``from``, ``to`` and ``msg``)
     and params text is read once per call. Records whose heads are equal share
     their three strings, records whose params texts are equal share one
-    read-only dict, and a run of records with equal ``t`` shares one int. Any
-    other line goes to ``TraceRecord.from_json``, which accepts, rejects and
-    words its errors as it always has.
+    read-only dict, and a run of records with equal ``t`` shares one int.
+    Equal keys of the params dicts, at any depth, are one string per call;
+    values are not shared. Any other line goes to ``TraceRecord.from_json``,
+    which accepts, rejects and words its errors as it always has.
     """
     records = []
     heads_by_text: dict[str, tuple[str, str, str]] = {}
     params_by_text: dict[str, dict[str, Any]] = {}
+    share_key = {}.setdefault  # one string per distinct key, for this call alone
+
+    def with_shared_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        return {share_key(key, key): value for key, value in pairs}
+
+    decode = json.JSONDecoder(object_pairs_hook=with_shared_keys).raw_decode
     # Records come in time order, so a record mostly shares the last one's `t`.
     last_at_text = at = None
     match = _WRITER_LINE.match
@@ -216,9 +223,14 @@ def parse_trace(lines) -> list[TraceRecord]:
             params = params_by_text.get(params_text)
             if params is None:
                 try:
-                    params = json.loads(params_text)
+                    params, end = decode(params_text)
                 except (ValueError, RecursionError):
-                    pass  # TraceRecord.from_json words the error
+                    end = None
+                if end != len(params_text):  # padded, malformed or followed by more
+                    try:
+                        params = json.loads(params_text)
+                    except (ValueError, RecursionError):
+                        params = None  # TraceRecord.from_json words the error
                 if type(params) is dict:
                     params_by_text[params_text] = params
             if type(params) is dict:

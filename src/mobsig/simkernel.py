@@ -23,6 +23,9 @@ _TRACE_KEYS = frozenset(TRACE_FIELDS)
 
 _raise_unserializable = json.JSONEncoder().default
 
+# Records that TraceRecorder.write encodes and writes at a time.
+_WRITE_CHUNK_RECORDS = 4096
+
 
 def _encode_params(params: dict[str, Any]) -> str:
     """json.dumps(params, sort_keys=True, separators=(",", ":")), without its set-up.
@@ -70,7 +73,8 @@ class TraceRecord:
     one with the records of the same answer (see ``TraceRecorder``), a parsed
     one with every record of the trace whose params text is equal (see
     ``conformance.parse_trace``). A parsed record also shares its ``sender``,
-    ``receiver`` and ``name`` strings with every record of equal head.
+    ``receiver`` and ``name`` strings with every record of equal head, and
+    each params key string with every equal key of the trace.
     """
 
     at: SimTime
@@ -120,7 +124,9 @@ class TraceRecorder:
     Entities send a recurring answer (one answer to the flows of a scan tick,
     or one flow's unchanged request on later ticks) as the same primitive, and
     a primitive renders its params once, so every record of that answer shares
-    one params dict; ``lines`` encodes each shared dict once.
+    one params dict; ``lines`` encodes each shared dict once. ``write`` streams:
+    it holds the lines of one chunk of records at a time, and keeps one
+    encoding per distinct params object across its chunks.
     """
 
     def __init__(self) -> None:
@@ -141,15 +147,22 @@ class TraceRecorder:
             TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
         )
 
-    def lines(self) -> list[str]:
-        """One JSON line per record; each distinct params object is encoded once.
+    def lines(
+        self, start: int = 0, stop: int | None = None, encoded: dict[int, str] | None = None
+    ) -> list[str]:
+        """One JSON line per record of ``records[start:stop]`` (all of them by
+        default); each distinct params object is encoded once.
 
-        The encodings are keyed by the params object's id for this call alone:
-        the records keep every params object alive until it returns.
+        ``encoded`` maps a params object's id to its encoding and is filled as
+        it goes; a caller passes the same dict to the calls for one trace to
+        encode each object once across them. The ids are valid only while the
+        records keep every params object alive, so a dict must not outlive the
+        calls it was made for; without one, the encodings last this call alone.
         """
         lines = []
-        encoded: dict[int, str] = {}
-        for record in self.records:
+        if encoded is None:
+            encoded = {}
+        for record in self.records[start:stop]:
             params = record.params
             params_json = encoded.get(id(params))
             if params_json is None:
@@ -158,9 +171,17 @@ class TraceRecorder:
         return lines
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
+        """Write one line per record, each ending in LF on every platform.
+
+        The records are encoded and written _WRITE_CHUNK_RECORDS at a time,
+        with one encoding per distinct params object across the chunks, so the
+        text of the whole file is never held.
+        """
+        encoded: dict[int, str] = {}
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for start in range(0, len(self.records), _WRITE_CHUNK_RECORDS):
+                for line in self.lines(start, start + _WRITE_CHUNK_RECORDS, encoded):
+                    fh.write(line + "\n")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobsig import cli
+from mobsig import cli, simkernel
 from mobsig.conformance import TEMPLATES, load_trace
 from mobsig.core import FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
@@ -179,6 +179,21 @@ class TestRun:
         out = capsys.readouterr().out
         assert "run complete:" in out
         assert "2 handovers (2 ok, 0 failed)" in out
+
+    def test_trace_and_metrics_are_opened_with_lf_line_ends(self, tmp_path, scenario_path,
+                                                            monkeypatch):
+        opened = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode, kwargs.get("newline")))
+            return open(file, mode, *args, **kwargs)
+
+        for module in (simkernel, cli):
+            monkeypatch.setattr(module, "open", spy, raising=False)
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        assert run_cli("run", "--scenario", str(scenario_path("mbb")),
+                       "--trace", str(trace), "--metrics", str(metrics)) == 0
+        assert opened == [(str(trace), "w", "\n"), (str(metrics), "w", "\n")]
 
     def test_reruns_are_byte_identical(self, tmp_path, scenario_path):
         paths = []
@@ -541,9 +556,13 @@ diagram_records = st.builds(
 )
 
 
-@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14))
-def test_render_diagram_equals_row_by_row_drawing(records, width):
-    assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
+@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14),
+       chunk=st.integers(1, 5))
+def test_render_diagram_equals_row_by_row_drawing(records, width, chunk):
+    # A small chunk makes the rows of one diagram span several chunks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_DIAGRAM_CHUNK_ROWS", chunk)
+        assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
 
 
 names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()

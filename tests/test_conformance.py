@@ -268,6 +268,39 @@ def test_equal_params_texts_share_one_dict_within_a_call_only():
     assert parse_trace(lines)[0].params is not first[0].params
 
 
+def _keys(value):
+    """Every dict key in value, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_equal_params_keys_share_one_string_within_a_call_only():
+    # Keys of two characters or more: CPython keeps one object for each
+    # one-character string, whoever decodes it.
+    lines = [rec("HOComplete", flow=1, result={"flow": 2, "access": [{"flow": 3}]}).to_json(),
+             rec("BindingAck", flow=2, access={"result": "ok"}).to_json(),
+             rec("PathSelected", result=[{"access": {"flow": 4}}]).to_json()]
+    first, second = parse_trace(lines), parse_trace(lines)
+    keys = [key for record in first for key in _keys(record.params)]
+    assert set(keys) == {"flow", "result", "access"}
+    assert len({id(key) for key in keys}) == 3
+    again = {key: id(key) for record in second for key in _keys(record.params)}
+    assert all(id(key) != again[key] for key in keys)
+
+
+@pytest.mark.parametrize("params", [' {"ab":1}', '{"ab":1} ', '{"ab":1}\t\r\n'])
+def test_padded_params_text_reads_as_from_json_does(params):
+    line = '{"t":0,"from":"a","to":"b","msg":"M","params":' + params + "}"
+    [record] = parse_trace([line])
+    assert record.params == {"ab": 1}
+    assert repr(record) == repr(TraceRecord.from_json(line, 1))
+
+
 def test_records_with_equal_heads_share_their_strings(scenario_path):
     """On a simulated multi-flow trace, each distinct head is one set of objects."""
     document = json.loads(scenario_path("multi").read_text(encoding="utf-8"))

@@ -13,7 +13,8 @@ were taken before scans skipped cells out of reach and ticks reused the radio
 view. A third variant, slow signalling on the long walk and on the multi-flow
 scenario, fails most of their handovers, so the failure path of every step is
 pinned as well. The diagram
-of each bundled and generated trace is pinned by its digest too. The files
+of each bundled and generated trace is pinned by its digest too, and writing
+the generated multi-flow trace must stay within a memory bound. The files
 under bench/ are only read.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -72,6 +74,23 @@ def test_generated_long_walk_run_matches_golden_digests(tmp_path):
 def test_generated_multiflow_run_matches_golden_digests(tmp_path):
     expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
     assert run_digests(generated_scenario("multiflow-dense", tmp_path), tmp_path) == expected
+
+
+def test_writing_the_generated_multiflow_trace_holds_under_its_size(tmp_path):
+    """The writer streams: what it allocates on top of the records peaks
+    below three quarters of the file it writes. Building every line before
+    writing one peaked at 1.68 times the file."""
+    simulation = Simulation(load_scenario(str(generated_scenario("multiflow-dense", tmp_path))))
+    simulation.run()
+    trace = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        simulation.recorder.write(str(trace))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = trace.stat().st_size
+    assert peak < 0.75 * size, f"writing peaked at {peak / size:.2f} times the trace's {size} bytes"
 
 
 # The SHA-256 of what `mobsig diagram` prints for each trace above, taken

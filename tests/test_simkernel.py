@@ -1,6 +1,8 @@
 """Event kernel ordering and the JSON-Lines trace format."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -307,6 +309,41 @@ class TestSharedParams:
             record.to_json()
         inner.clear()  # the same objects again, now encodable
         assert record.to_json().endswith('"params":{"v":[]}}')
+
+
+class TestStreamedWrite:
+    """write() encodes and writes the records a chunk at a time; the file is the same."""
+
+    @given(chunk=st.integers(min_value=1, max_value=4), data=st.data())
+    def test_chunks_write_the_reference_lines_and_encode_each_params_once(self, chunk, data):
+        pool = data.draw(st.lists(st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+                                  min_size=1, max_size=4))
+        # Up to 14 records over chunks of 1 to 4: a params object recurs
+        # within a chunk and across chunk boundaries.
+        picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=14))
+        recorder = TraceRecorder()
+        for at, index in enumerate(picks):
+            recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+        encoded, served = [], []
+        encode, lines = simkernel._encode_params, TraceRecorder.lines
+
+        def counted_lines(self, *args, **kwargs):
+            served.append(lines(self, *args, **kwargs))
+            return served[-1]
+
+        # Not the monkeypatch fixture: a function-scoped fixture would span every example.
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(simkernel, "_WRITE_CHUNK_RECORDS", chunk)
+            patch.setattr(simkernel, "_encode_params", lambda params: encoded.append(params) or encode(params))
+            patch.setattr(TraceRecorder, "lines", counted_lines)
+            path = Path(tmp) / "trace.jsonl"
+            recorder.write(str(path))
+            text = path.read_bytes().decode("utf-8")
+        assert text == "".join(_reference_line(r) + "\n" for r in recorder.records)
+        # Each distinct params object once per write, in order of first use.
+        assert [id(p) for p in encoded] == list(dict.fromkeys(id(r.params) for r in recorder.records))
+        assert all(len(part) <= chunk for part in served)
+        assert len(served) == -(-len(picks) // chunk)
 
 
 class TestRecorder:
