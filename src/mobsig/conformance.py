@@ -270,30 +270,78 @@ def _utf8_lines(lines):
         yield line
 
 
+# The access fields that infer_variant and _link_events read, by message, each
+# with whether it may be null.
+_ACCESS_FIELDS = {
+    "HOExecutionRequest": (("current", True),),
+    "LinkAttachRequest": (("target", False),),
+    "LinkSwitchRequest": (("current", False), ("target", False)),
+    "LinkDetachRequest": (("current", False),),
+}
+
+
+def _malformed(record: TraceRecord, index: int, problem: str) -> ValueError:
+    """The error for a params field the checker reads, naming the record's line."""
+    where = f"line {record.line}" if record.line else f"record {index}"
+    return ValueError(f"{where}: {record.name}{problem}")
+
+
+def _check_access_fields(
+    record: TraceRecord, index: int, fields: tuple[tuple[str, bool], ...]
+) -> None:
+    """Raise ValueError, naming the line, for an access field the checker reads
+    that is missing or is not an object with string network_id and cell_id."""
+    params = record.params
+    for field, nullable in fields:
+        if field not in params:
+            raise _malformed(record, index, f" has no '{field}'")
+        value = params[field]
+        if value is None and nullable:
+            continue
+        if not (type(value) is dict and type(value.get("network_id")) is str
+                and type(value.get("cell_id")) is str):
+            raise _malformed(record, index, f"'s '{field}' needs an access object "
+                                            "with string network_id and cell_id")
+
+
 def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
-    """Split a trace into handover contexts; raises AmbiguousTraceError."""
+    """Split a trace into handover contexts.
+
+    Raises AmbiguousTraceError, and ValueError naming the line of a record
+    whose flow, current or target the checker reads but cannot.
+    """
     contexts: list[SequenceContext] = []
     open_contexts: dict[int, SequenceContext] = {}
     for index, record in enumerate(records):
-        if record.name not in CHECKED_NAMES:
+        name = record.name
+        if name not in CHECKED_NAMES:
             continue
-        if record.name == "HOExecutionRequest":
-            flow = record.params["flow"]
+        # A request needs an integer flow id, and any other record's flow id
+        # must be one; json.loads gives exact types, so a bool is not one.
+        flow = record.params.get("flow")
+        if type(flow) is not int and (flow is not None or name == "HOExecutionRequest"):
+            raise _malformed(record, index,
+                             " has no 'flow'" if flow is None else " needs an integer 'flow'")
+        fields = _ACCESS_FIELDS.get(name)
+        if name == "HOExecutionRequest":
+            _check_access_fields(record, index, fields)
             open_contexts.pop(flow, None)
             context = SequenceContext(entries=[(index, record)])
             open_contexts[flow] = context
             contexts.append(context)
             continue
-        flow = record.params.get("flow")
         if flow is not None:
             context = open_contexts.get(flow)
-            if context is not None:
-                context.entries.append((index, record))
         elif len(open_contexts) == 1:
-            next(iter(open_contexts.values())).entries.append((index, record))
+            context = next(iter(open_contexts.values()))
         elif len(open_contexts) > 1:
             raise AmbiguousTraceError(record, index)
-        # No open context: pre-handover traffic, nothing to attribute.
+        else:
+            context = None  # no open context: pre-handover traffic, nothing to attribute
+        if context is not None:
+            if fields is not None:
+                _check_access_fields(record, index, fields)
+            context.entries.append((index, record))
     return contexts
 
 
@@ -388,7 +436,11 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
 
 
 def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
-    """Check a trace against one named template, or per-variant with "auto"."""
+    """Check a trace against one named template, or per-variant with "auto".
+
+    Raises ValueError, naming the line, for a record whose flow, current or
+    target the checker reads but cannot (see segment_contexts).
+    """
     if template != "auto" and template not in TEMPLATES:
         raise KeyError(f"unknown template {template!r}")
     try:

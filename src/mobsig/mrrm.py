@@ -7,18 +7,20 @@ to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
 flow's cycle; an establishment cycle scans at its own time. The detected set
 changes only at cell borders, so while a scan finds the same accesses with the
-same DAS membership the new view keeps the last view's sets, candidate tuple
-and key lists and takes only the radio scores anew.
+same DAS membership MRRM keeps the last view (its sets, candidate tuple and key
+lists) as it is, across ticks; each cycle carries its own scan's radio scores.
 
-Answers that recur are kept and sent again as the same object, so each renders
-and encodes once in the trace:
+What recurs is derived once and sent again as the same object, so each
+primitive renders and encodes once in the trace:
 
 * a flow's ConstraintRequest, while the view's candidate tuple is the same
   object; path selection then answers flows that request equal QoS with the
   same ConstraintResponse, on this tick and on later ones;
-* the outcome of one view and one ConstraintResponse (CAS/AAS, combined
-  scores and the sorted keys of the snapshot), for every response of the
-  current view; only the per-flow handover decision differs;
+* from one view and one ConstraintResponse: the CAS, its sorted keys and the
+  weighted path scores, checked once against the DAS; a cycle on them, on any
+  tick, computes only its combined scores and the winning access;
+* from one view, one ConstraintResponse and one winning access: the
+  AccessSets and the sorted AAS keys of the snapshot;
 * a flow's snapshot params, while its four key lists are equal.
 
 No two flows share a request or a snapshot, since both carry the flow id.
@@ -92,36 +94,45 @@ def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessS
     return AccessSets(scanned=scanned, das=das)
 
 
-def select_cas_aas(
-    policy: MrrmPolicy,
-    das_sets: AccessSets,
-    radio: Mapping[AccessId, float],
-    ratings: tuple[Rating, ...],
-) -> tuple[AccessSets, dict[AccessId, float]]:
-    """Derive CAS (usable paths) and AAS (best combined score) from the ratings.
+def derive_cas(
+    policy: MrrmPolicy, das: frozenset[AccessId], ratings: tuple[Rating, ...]
+) -> tuple[frozenset[AccessId], dict[AccessId, float]]:
+    """Derive CAS (usable paths) and each rated access's weighted path score.
 
-    The combined score weighs MRRM's own radio score from its scan (0 for an
-    access the scan did not see) against the path score in the rating. Ties on
-    the combined score go to the lexicographically smallest (network_id,
-    cell_id). Ratings must cover only DAS members.
+    Neither depends on the radio scores, so both hold for every cycle on the
+    same DAS and ratings. Ratings must cover only DAS members.
     """
     for rating in ratings:
-        if rating.access not in das_sets.das:
+        if rating.access not in das:
             raise ValueError(f"rating for access outside das: {rating.access.key}")
-    combined = {
-        r.access: policy.weight_radio * radio.get(r.access, 0.0)
-        + policy.weight_path * r.path_score
-        for r in ratings
-    }
     cas = frozenset(r.access for r in ratings if r.path_score > 0.0)
-    aas: frozenset[AccessId] = frozenset()
-    if cas:
-        best = min(cas, key=lambda a: (-combined[a],) + access_sort_key(a))
-        aas = frozenset({best})
-    return (
-        AccessSets(scanned=das_sets.scanned, das=das_sets.das, cas=cas, aas=aas),
-        combined,
-    )
+    path = {r.access: policy.weight_path * r.path_score for r in ratings}
+    return cas, path
+
+
+def select_aas(
+    policy: MrrmPolicy,
+    cas_order: tuple[AccessId, ...],
+    radio: Mapping[AccessId, float],
+    path: Mapping[AccessId, float],
+) -> tuple[AccessId | None, dict[AccessId, float]]:
+    """Return the AAS member (the CAS access with the best combined score) and
+    the combined scores of every rated access.
+
+    The combined score weighs MRRM's own radio score from its scan (0 for an
+    access the scan did not see) against the weighted path score. cas_order is
+    the CAS sorted by access_sort_key, so ties on the combined score go to the
+    lexicographically smallest (network_id, cell_id).
+    """
+    weight_radio = policy.weight_radio
+    combined = {
+        access: weight_radio * radio.get(access, 0.0) + score for access, score in path.items()
+    }
+    best = None
+    for access in cas_order:
+        if best is None or combined[access] > combined[best]:
+            best = access
+    return best, combined
 
 
 def decide_handover(
@@ -159,28 +170,30 @@ def notify_flow_management(
 
 @dataclass(frozen=True)
 class _RadioView:
-    """One scan as the decision cycles see it; shared read-only by the flows of a tick.
+    """A scan's accesses and DAS membership as the decision cycles see them.
 
-    All but ``radio`` derive from the scanned accesses and their DAS membership
-    alone, and are shared with the views of later ticks while those hold. The
-    sorted key lists go into every snapshot taken on this view as they are.
+    Shared read-only by the cycles of a tick, and by the ticks after it while
+    their scans find the same accesses with the same DAS membership. The
+    radio scores belong to one scan and travel in each cycle. The sorted key
+    lists go into every snapshot taken on this view as they are.
     """
 
     sets: AccessSets
-    radio: dict[AccessId, float]
     candidates: tuple[AccessId, ...]
     das_keys: list[str]
     scanned_keys: list[str]
 
 
 @dataclass(frozen=True)
-class _Outcome:
-    """CAS/AAS derived from one view and one ConstraintResponse; shared read-only."""
+class _Rated:
+    """What one view and one ConstraintResponse fix for every cycle on them."""
 
-    sets: AccessSets
-    combined: dict[AccessId, float]
-    aas_keys: list[str]
+    cas: frozenset[AccessId]
+    path: dict[AccessId, float]
+    cas_order: tuple[AccessId, ...]
     cas_keys: list[str]
+    # The AccessSets and sorted AAS keys of each winning access seen so far.
+    outcomes: dict[AccessId | None, tuple[AccessSets, list[str]]]
 
 
 @dataclass
@@ -188,6 +201,7 @@ class _CycleState:
     flow: int
     establishing: bool
     view: _RadioView
+    radio: dict[AccessId, float]
 
 
 @dataclass
@@ -221,10 +235,10 @@ class Mrrm:
         # membership that it was built from.
         self._view: _RadioView | None = None
         self._view_membership: list[tuple[AccessId, bool]] | None = None
-        # The outcomes of _outcome_view, by the id of their response; the
-        # entry holds the response, so its id stays its own.
-        self._outcome_view: _RadioView | None = None
-        self._outcomes: dict[int, tuple[ConstraintResponse, _Outcome]] = {}
+        # What _rated_view and each of its responses fix, by the id of the
+        # response; the entry holds the response, so its id stays its own.
+        self._rated_view: _RadioView | None = None
+        self._rated: dict[int, tuple[ConstraintResponse, _Rated]] = {}
         # Each flow's last request and last snapshot params.
         self._requests: dict[int, ConstraintRequest] = {}
         self._snapshots: dict[int, dict] = {}
@@ -254,42 +268,35 @@ class Mrrm:
         records = self._table.active_records()
         if not records:
             return
-        view = self._radio_view()
+        view, radio = self._radio_view()
         for record in records:
-            self._start_cycle(record.flow, establishing=False, view=view)
+            self._start_cycle(record.flow, view, radio, establishing=False)
 
     # -- decision cycle -------------------------------------------------------------
 
-    def _radio_view(self) -> _RadioView:
+    def _radio_view(self) -> tuple[_RadioView, dict[AccessId, float]]:
+        """Scan now: the view, the last one while its membership holds, and the radio scores."""
         scan = self._env.scan(self._kernel.now)
         forbidden, floor = self.policy.forbidden_networks, self.policy.min_radio_score
         membership = [
             (access, access.network_id not in forbidden and score >= floor)
             for access, score in scan
         ]
-        if membership == self._view_membership:
-            last = self._view
+        if membership != self._view_membership:
+            sets = build_das(self.policy, scan)
             self._view = _RadioView(
-                sets=last.sets,
-                radio=dict(scan),
-                candidates=last.candidates,
-                das_keys=last.das_keys,
-                scanned_keys=last.scanned_keys,
+                sets=sets,
+                candidates=tuple(sorted(sets.das, key=access_sort_key)),
+                das_keys=sorted(a.key for a in sets.das),
+                scanned_keys=sorted(a.key for a in sets.scanned),
             )
-            return self._view
-        sets = build_das(self.policy, scan)
-        self._view = _RadioView(
-            sets=sets,
-            radio=dict(scan),
-            candidates=tuple(sorted(sets.das, key=access_sort_key)),
-            das_keys=sorted(a.key for a in sets.das),
-            scanned_keys=sorted(a.key for a in sets.scanned),
-        )
-        self._view_membership = membership
-        return self._view
+            self._view_membership = membership
+        return self._view, dict(scan)
 
-    def _start_cycle(self, flow: int, establishing: bool, view: _RadioView) -> None:
-        self._cycles.append(_CycleState(flow=flow, establishing=establishing, view=view))
+    def _start_cycle(
+        self, flow: int, view: _RadioView, radio: dict[AccessId, float], establishing: bool
+    ) -> None:
+        self._cycles.append(_CycleState(flow, establishing, view, radio))
         request = self._requests.get(flow)
         if request is None or request.candidates is not view.candidates:
             request = ConstraintRequest(flow=flow, candidates=view.candidates)
@@ -300,26 +307,20 @@ class Mrrm:
         if self._inflight is not None:
             self._deferred_setups.append(setup)
             return
-        self._start_cycle(setup.flow, establishing=True, view=self._radio_view())
+        self._start_cycle(setup.flow, *self._radio_view(), establishing=True)
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
         cycle = self._cycles.popleft()
         view = cycle.view
-        if view is not self._outcome_view:
-            self._outcomes.clear()
-            self._outcome_view = view
-        entry = self._outcomes.get(id(response))
-        if entry is None:
-            sets, combined = select_cas_aas(self.policy, view.sets, view.radio, response.ratings)
-            entry = self._outcomes[id(response)] = (response, _Outcome(
-                sets=sets,
-                combined=combined,
-                aas_keys=sorted(a.key for a in sets.aas),
-                cas_keys=sorted(a.key for a in sets.cas),
-            ))
-        outcome = entry[1]
-        self._snapshot(cycle.flow, view, outcome)
-        sets, combined = outcome.sets, outcome.combined
+        rated = self._rate(view, response)
+        winner, combined = select_aas(self.policy, rated.cas_order, cycle.radio, rated.path)
+        outcome = rated.outcomes.get(winner)
+        if outcome is None:
+            aas = frozenset() if winner is None else frozenset({winner})
+            sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas, aas=aas)
+            outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas))
+        sets, aas_keys = outcome
+        self._snapshot(cycle.flow, view, aas_keys, rated.cas_keys)
         record = self._table.get(cycle.flow)
         if cycle.establishing:
             self._finish_establishment_cycle(record, sets)
@@ -330,6 +331,23 @@ class Mrrm:
         if target is not None:
             self._emit_request(record, current=record.current_access, target=target,
                                establishing=False)
+
+    def _rate(self, view: _RadioView, response: ConstraintResponse) -> _Rated:
+        """What view and response fix for a cycle, derived at their first cycle."""
+        if view is not self._rated_view:
+            self._rated.clear()
+            self._rated_view = view
+        entry = self._rated.get(id(response))
+        if entry is None:
+            cas, path = derive_cas(self.policy, view.sets.das, response.ratings)
+            entry = self._rated[id(response)] = (response, _Rated(
+                cas=cas,
+                path=path,
+                cas_order=tuple(sorted(cas, key=access_sort_key)),
+                cas_keys=sorted(a.key for a in cas),
+                outcomes={},
+            ))
+        return entry[1]
 
     def _finish_establishment_cycle(self, record, sets: AccessSets) -> None:
         if self._inflight is not None:
@@ -396,7 +414,7 @@ class Mrrm:
     def _drain_deferred(self) -> None:
         if self._inflight is None and self._deferred_setups:
             setup = self._deferred_setups.popleft()
-            self._start_cycle(setup.flow, establishing=True, view=self._radio_view())
+            self._start_cycle(setup.flow, *self._radio_view(), establishing=True)
 
     # -- link command relay ------------------------------------------------------------
 
@@ -433,20 +451,22 @@ class Mrrm:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _snapshot(self, flow: int, view: _RadioView, outcome: _Outcome) -> None:
-        # The key lists are shared by every snapshot of the same view and
-        # outcome; the flow's last params are recorded again while they hold.
+    def _snapshot(
+        self, flow: int, view: _RadioView, aas_keys: list[str], cas_keys: list[str]
+    ) -> None:
+        # The key lists are shared by every snapshot of the same view, response
+        # and winner; the flow's last params are recorded again while they hold.
         params = self._snapshots.get(flow)
         if (
             params is None
-            or params["aas"] != outcome.aas_keys
-            or params["cas"] != outcome.cas_keys
+            or params["aas"] != aas_keys
+            or params["cas"] != cas_keys
             or params["das"] != view.das_keys
             or params["scanned"] != view.scanned_keys
         ):
             params = self._snapshots[flow] = {
-                "aas": outcome.aas_keys,
-                "cas": outcome.cas_keys,
+                "aas": aas_keys,
+                "cas": cas_keys,
                 "das": view.das_keys,
                 "flow": flow,
                 "scanned": view.scanned_keys,

@@ -27,16 +27,24 @@ _raise_unserializable = json.JSONEncoder().default
 _WRITE_CHUNK_RECORDS = 4096
 
 
-def _encode_params(params: dict[str, Any]) -> str:
-    """json.dumps(params, sort_keys=True, separators=(",", ":")), without its set-up.
+def _params_encoder() -> Callable[[Any, int], Any]:
+    """A C encoder for json.dumps(..., sort_keys=True, separators=(",", ":")).
 
     json.dumps builds an encoder and then a C encoder per call; this builds the
-    C encoder alone. A fresh markers dict keeps the circular-reference check,
-    and the stock `default` raises the same TypeError for a value JSON cannot
-    hold.
+    C encoder alone, to be used for as many values as its caller likes. Its
+    markers dict keeps the circular-reference check (an encoding that ends
+    removes its own marks), and the stock `default` raises the same TypeError
+    for a value JSON cannot hold.
     """
-    encode = c_make_encoder({}, _raise_unserializable, _encode_str, None, ":", ",",
-                            True, False, True)
+    return c_make_encoder({}, _raise_unserializable, _encode_str, None, ":", ",",
+                          True, False, True)
+
+
+def _encode_params(params: dict[str, Any], encode: Callable[[Any, int], Any] | None = None) -> str:
+    """json.dumps(params, sort_keys=True, separators=(",", ":")), with encode if
+    given (from _params_encoder), else with an encoder of its own."""
+    if encode is None:
+        encode = _params_encoder()
     return "".join(encode(params, 0))
 
 
@@ -84,16 +92,22 @@ class TraceRecord:
     params: dict[str, Any]
     line: int | None = None  # 1-based source line when parsed from a file
 
-    def to_json(self, params_json: str | None = None) -> str:
+    def to_json(self, params_json: str | None = None, head_json: str | None = None) -> str:
         """The same bytes as json.dumps(separators=(",", ":")) of the head, with
-        params key-sorted; params_json is params already encoded that way.
+        params key-sorted; params_json is params already encoded that way, and
+        head_json is ``head_json()`` of a record with an equal head.
         conformance.parse_trace reads lines in exactly this layout on a fast path."""
         if params_json is None:
             params_json = _encode_params(self.params)
+        if head_json is None:
+            head_json = self.head_json()
+        return f'{{"t":{self.at},{head_json},"params":{params_json}}}'
+
+    def head_json(self) -> str:
+        """The from, to and msg fields of this record's line, as to_json lays them out."""
         return (
-            f'{{"t":{self.at},"from":{_encode_str(self.sender)},'
-            f'"to":{_encode_str(self.receiver)},"msg":{_encode_str(self.name)},'
-            f'"params":{params_json}}}'
+            f'"from":{_encode_str(self.sender)},"to":{_encode_str(self.receiver)},'
+            f'"msg":{_encode_str(self.name)}'
         )
 
     @classmethod
@@ -124,9 +138,10 @@ class TraceRecorder:
     Entities send a recurring answer (one answer to the flows of a scan tick,
     or one flow's unchanged request on later ticks) as the same primitive, and
     a primitive renders its params once, so every record of that answer shares
-    one params dict; ``lines`` encodes each shared dict once. ``write`` streams:
-    it holds the lines of one chunk of records at a time, and keeps one
-    encoding per distinct params object across its chunks.
+    one params dict; ``lines`` encodes each shared dict once, and each distinct
+    head (from, to and msg) once, with one C encoder. ``write`` streams: it
+    holds the lines of one chunk of records at a time, and keeps those
+    encodings and that encoder across its chunks.
     """
 
     def __init__(self) -> None:
@@ -148,40 +163,56 @@ class TraceRecorder:
         )
 
     def lines(
-        self, start: int = 0, stop: int | None = None, encoded: dict[int, str] | None = None
+        self, start: int = 0, stop: int | None = None, encoded: _Encodings | None = None
     ) -> list[str]:
         """One JSON line per record of ``records[start:stop]`` (all of them by
-        default); each distinct params object is encoded once.
+        default); each distinct params object and each distinct head is
+        encoded once.
 
-        ``encoded`` maps a params object's id to its encoding and is filled as
-        it goes; a caller passes the same dict to the calls for one trace to
-        encode each object once across them. The ids are valid only while the
-        records keep every params object alive, so a dict must not outlive the
-        calls it was made for; without one, the encodings last this call alone.
+        ``encoded`` holds the encodings and is filled as it goes; a caller
+        passes the same one to the calls for one trace to encode each params
+        object and head once across them. It keys params by their ids, which
+        are valid only while the records keep every params object alive, so it
+        must not outlive the calls it was made for; without one, the encodings
+        last this call alone.
         """
-        lines = []
         if encoded is None:
-            encoded = {}
+            encoded = _Encodings()
+        encode, params_by_id, heads = encoded.encode, encoded.params, encoded.heads
+        lines = []
         for record in self.records[start:stop]:
             params = record.params
-            params_json = encoded.get(id(params))
+            params_json = params_by_id.get(id(params))
             if params_json is None:
-                params_json = encoded[id(params)] = _encode_params(params)
-            lines.append(record.to_json(params_json))
+                params_json = params_by_id[id(params)] = _encode_params(params, encode)
+            head = (record.sender, record.receiver, record.name)
+            head_json = heads.get(head)
+            if head_json is None:
+                head_json = heads[head] = record.head_json()
+            lines.append(record.to_json(params_json, head_json))
         return lines
 
     def write(self, path: str) -> None:
         """Write one line per record, each ending in LF on every platform.
 
-        The records are encoded and written _WRITE_CHUNK_RECORDS at a time,
-        with one encoding per distinct params object across the chunks, so the
-        text of the whole file is never held.
+        The records are encoded and written _WRITE_CHUNK_RECORDS at a time, one
+        write call per chunk, with one set of encodings across the chunks, so
+        the text of the whole file is never held.
         """
-        encoded: dict[int, str] = {}
+        encoded = _Encodings()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for start in range(0, len(self.records), _WRITE_CHUNK_RECORDS):
-                for line in self.lines(start, start + _WRITE_CHUNK_RECORDS, encoded):
-                    fh.write(line + "\n")
+                fh.write("\n".join(self.lines(start, start + _WRITE_CHUNK_RECORDS, encoded)) + "\n")
+
+
+class _Encodings:
+    """What the ``lines`` calls for one trace share: one params encoder, each
+    params object's encoding by its id, and each head's encoding."""
+
+    def __init__(self) -> None:
+        self.encode = _params_encoder()
+        self.params: dict[int, str] = {}
+        self.heads: dict[tuple[str, str, str], str] = {}
 
 
 @dataclass

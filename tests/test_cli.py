@@ -329,6 +329,32 @@ class TestCheck:
         assert err.startswith("trace error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("msg, field, value, message", [
+        ("HOExecutionRequest", "flow", None, "HOExecutionRequest has no 'flow'"),
+        ("LinkAttachRequest", "target", None, "LinkAttachRequest has no 'target'"),
+        ("HOExecutionRequest", "flow", [1], "HOExecutionRequest needs an integer 'flow'"),
+        ("LinkAttachRequest", "flow", True, "LinkAttachRequest needs an integer 'flow'"),
+        ("LinkDetachRequest", "current", "net-1/cell-a", "LinkDetachRequest's 'current' needs"),
+        ("HOExecutionRequest", "current", {"cell_id": "cell-a"},
+         "HOExecutionRequest's 'current' needs"),
+    ])
+    def test_malformed_params_exit_2_naming_their_line(self, mbb_outputs, tmp_path, capsys,
+                                                        msg, field, value, message):
+        # The first record named msg loses field (value None) or gets value.
+        trace, _ = mbb_outputs
+        lines = trace.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if f'"msg":"{msg}"' in line)
+        record = json.loads(lines[lineno - 1])
+        if value is None:
+            del record["params"][field]
+        else:
+            record["params"][field] = value
+        lines[lineno - 1] = json.dumps(record)
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--trace", str(malformed)) == 2
+        assert capsys.readouterr().err.startswith(f"trace error: line {lineno}: {message}")
+
     def test_mistyped_access_exits_2(self, mbb_outputs, tmp_path, capsys):
         trace, _ = mbb_outputs
         lines = trace.read_text().splitlines()

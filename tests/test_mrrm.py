@@ -1,10 +1,11 @@
 """Access selection policy, handover decisions, and the MRRM entity."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobsig import mrrm
+import mrrm_oracle
+from mobsig import mrrm, simulation
 from mobsig.core import (
     FE_FLOW_MANAGEMENT,
     FE_HOLM,
@@ -19,6 +20,7 @@ from mobsig.core import (
     QosSpec,
     Rating,
     Result,
+    access_sort_key,
 )
 from mobsig.environment import Trajectory
 from mobsig.flowmgmt import FlowRecord
@@ -27,10 +29,12 @@ from mobsig.mrrm import (
     MrrmPolicy,
     build_das,
     decide_handover,
+    derive_cas,
     notify_flow_management,
-    select_cas_aas,
+    select_aas,
 )
 from mobsig.path_selection import PathModel
+from mobsig.scenario import parse_scenario
 
 from support import REQUESTED, Node, is_nested, make_cell
 
@@ -50,6 +54,14 @@ class TestBuildDas:
     def test_radio_floor_is_inclusive(self):
         sets = build_das(MrrmPolicy(min_radio_score=0.5), [(A, 0.5)])
         assert sets.das == frozenset({A})
+
+
+def select_cas_aas(policy, das_sets, radio, ratings):
+    """derive_cas, then select_aas, composed as one MRRM cycle composes them."""
+    cas, path = derive_cas(policy, das_sets.das, ratings)
+    winner, combined = select_aas(policy, tuple(sorted(cas, key=access_sort_key)), radio, path)
+    aas = frozenset() if winner is None else frozenset({winner})
+    return AccessSets(scanned=das_sets.scanned, das=das_sets.das, cas=cas, aas=aas), combined
 
 
 class TestSelectCasAas:
@@ -114,6 +126,29 @@ class TestSelectCasAas:
             MrrmPolicy(), AccessSets(scanned=das, das=das), radio, ratings
         )
         assert is_nested(selected)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+            ),
+            max_size=4,
+            unique_by=lambda t: t[0],
+        ),
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+    )
+    def test_derive_then_select_equals_the_reference(self, rated, weight_radio):
+        # Scores from a few values make ties on the combined score common.
+        policy = MrrmPolicy(weight_radio=weight_radio, weight_path=1.0 - weight_radio)
+        das = frozenset(POOL)
+        radio = {POOL[i]: score for i, _, score in rated}
+        ratings = tuple(Rating(POOL[i], path) for i, path, _ in rated)
+        sets = AccessSets(scanned=das, das=das)
+        assert select_cas_aas(policy, sets, radio, ratings) == mrrm_oracle.select_cas_aas(
+            policy, sets, radio, ratings
+        )
 
 
 class TestDecideHandover:
@@ -348,8 +383,8 @@ class TestSharedOutcomes:
     # cell-b's path is 60 ms long: TIGHT excludes it, REQUESTED does not.
     TIGHT = QosSpec(bandwidth_kbps=1000, max_latency_ms=50)
 
-    def tick_snapshots(self, qos_by_flow, ticks=1):
-        """The snapshots of each tick, one list per tick."""
+    def established_node(self, qos_by_flow):
+        """A still node whose flows, one per entry, are all set up."""
         cells = (
             make_cell(),
             make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", center=(300.0, 0.0)),
@@ -363,6 +398,11 @@ class TestSharedOutcomes:
         for flow in qos_by_flow:
             node.flow_management.start_flow(flow)
         node.run()
+        return node
+
+    def tick_snapshots(self, qos_by_flow, ticks=1, node=None):
+        """The snapshots of each tick, one list per tick."""
+        node = node or self.established_node(qos_by_flow)
         tick_times = []
         for _ in range(ticks):
             tick_times.append(node.kernel.now + 1_000_000)
@@ -382,20 +422,29 @@ class TestSharedOutcomes:
         ]
         assert all(s.params["das"] == both for s in snapshots)
 
-    def test_one_outcome_per_qos_class_and_tick(self, monkeypatch):
-        selections = []
-        select = mrrm.select_cas_aas
-        monkeypatch.setattr(mrrm, "select_cas_aas",
-                            lambda *args: selections.append(args) or select(*args))
-        [snapshots] = self.tick_snapshots(
-            {1: REQUESTED, 2: self.TIGHT, 3: REQUESTED, 4: QosSpec(1000, 80), 5: self.TIGHT}
-        )
-        assert [s.params["flow"] for s in snapshots] == [1, 2, 3, 4, 5]
-        # The tick's view is the last one selected on (by its radio scores);
-        # its five cycles, whose QoS classes interleave, select twice.
-        tick_radio = selections[-1][2]
-        on_tick = [ratings for _policy, _sets, radio, ratings in selections if radio is tick_radio]
-        assert len(on_tick) == 2 and on_tick[0] is not on_tick[1]
+    def test_one_derivation_per_qos_class_and_view(self, monkeypatch):
+        qos_by_flow = {1: REQUESTED, 2: self.TIGHT, 3: REQUESTED, 4: QosSpec(1000, 90),
+                       5: self.TIGHT}
+        derived, selected = [], []
+        derive, select = mrrm.derive_cas, mrrm.select_aas
+        monkeypatch.setattr(mrrm, "derive_cas",
+                            lambda *args: derived.append(args) or derive(*args))
+        monkeypatch.setattr(mrrm, "select_aas",
+                            lambda *args: selected.append(args) or select(*args))
+        node = self.established_node(qos_by_flow)
+        # The node stands still, so every scan keeps the setups' view: its
+        # three QoS classes are derived once each, during the setups.
+        assert len(derived) == 3 and len({id(ratings) for _p, _das, ratings in derived}) == 3
+        setup_cycles = len(selected)
+        ticks = self.tick_snapshots(qos_by_flow, ticks=2, node=node)
+        assert [[s.params["flow"] for s in snapshots] for snapshots in ticks] == [[1, 2, 3, 4, 5]] * 2
+        assert len(derived) == 3
+        # Every cycle selects once, on its own tick's radio scores.
+        on_ticks = selected[setup_cycles:]
+        assert len(on_ticks) == 10
+        radios = [radio for _policy, _order, radio, _path in on_ticks]
+        assert all(radio is radios[0] for radio in radios[:5])
+        assert all(radio is radios[5] for radio in radios[5:]) and radios[5] is not radios[0]
 
     def test_a_shared_outcome_keeps_each_flows_own_id(self):
         ticks = self.tick_snapshots({flow: REQUESTED for flow in (1, 2, 3)}, ticks=2)
@@ -456,6 +505,17 @@ class TestViewReuse:
             (both, both), (both, both), (both, ["net-1/cell-a"])
         ]
 
+    def test_a_held_view_is_derived_once_and_a_new_one_anew(self, monkeypatch):
+        derived = []
+        derive = mrrm.derive_cas
+        monkeypatch.setattr(mrrm, "derive_cas", lambda *args: derived.append(args) or derive(*args))
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
+                                        rat="cellular", center=(300.0, 0.0)))
+        self.run_ticks(cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0),
+                       (1_000_000, 2_000_000, 10_000_000, 10_500_000))
+        # The setup's view holds for two ticks; cell-b then leaves the DAS.
+        assert [das for _policy, das, _ratings in derived] == [frozenset({A, B}), frozenset({A})]
+
     def test_a_flows_request_is_sent_again_while_the_candidates_hold(self):
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
                                         rat="cellular", center=(300.0, 0.0)))
@@ -482,3 +542,86 @@ class TestViewReuse:
             (["net-1/cell-a"], ["net-1/cell-a"]),
             (["net-1/cell-a", "net-9/cell-c"], ["net-1/cell-a"]),
         ]
+
+
+@st.composite
+def scenario_documents(draw):
+    """Small scenarios on a coarse grid, so that scans often tie: three networks
+    of which some may be forbidden, a radio floor, path models that rule cells
+    out, one to four flows over a few QoS classes, with or without jitter, and
+    a binding round trip of 40 ms or of 4 s, which makes handovers fail."""
+    networks = ("net-1", "net-2", "net-3")
+    spots = st.tuples(st.sampled_from((0.0, 400.0, 800.0, 1200.0)), st.sampled_from((-200.0, 0.0, 200.0)))
+    cells, models = [], {}
+    for i in range(draw(st.integers(min_value=2, max_value=5))):
+        cell = {
+            "cell_id": f"cell-{i}", "network_id": draw(st.sampled_from(networks)),
+            "rat": draw(st.sampled_from(("wlan", "cellular"))),
+            "center": list(draw(spots)), "radius_m": draw(st.sampled_from((400.0, 600.0))),
+            "link_setup_us": 50_000, "link_teardown_us": 10_000, "locator_config_us": 100_000,
+            "supports_fmip": draw(st.booleans()),
+            "capacity": dict(zip(("bandwidth_kbps", "max_latency_ms"),
+                                 draw(st.sampled_from(((2000, 40), (800, 90)))))),
+        }
+        cells.append(cell)
+        bandwidth, latency, allowed = draw(st.sampled_from(
+            ((2000, 40, True), (1000, 40, True), (500, 40, True), (2000, 60, True), (2000, 40, False))
+        ))
+        models[f"{cell['network_id']}/{cell['cell_id']}"] = {
+            "bottleneck_bandwidth_kbps": bandwidth, "path_latency_ms": latency,
+            "policy_allowed": allowed,
+        }
+    times = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+    trajectory = [{"t_us": 0, "xy": list(draw(spots))}]
+    for step in times:
+        trajectory.append({"t_us": trajectory[-1]["t_us"] + step * 1_000_000, "xy": list(draw(spots))})
+    weight_radio = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))
+    qos = st.sampled_from(((1000, 80), (1000, 50), (2000, 80)))
+    flows = [{"id": flow, "start_us": draw(st.sampled_from((0, 500_000, 2_000_000))),
+              "requested_qos": dict(zip(("bandwidth_kbps", "max_latency_ms"), draw(qos)))}
+             for flow in range(1, draw(st.integers(min_value=1, max_value=4)) + 1)]
+    return {
+        "seed": draw(st.integers(min_value=0, max_value=3)),
+        "scan_period_us": draw(st.sampled_from((250_000, 500_000, 1_000_000))),
+        "jitter_us": draw(st.sampled_from((0, 20_000))),
+        "cells": cells,
+        "trajectory": trajectory,
+        "policy": {
+            "forbidden_networks": draw(st.lists(st.sampled_from(networks), max_size=2, unique=True)),
+            "min_radio_score": draw(st.sampled_from((0.0, 0.05, 0.3, 0.5))),
+            "hysteresis": draw(st.sampled_from((0.0, 0.05, 0.1))),
+            "weight_radio": weight_radio,
+            "weight_path": 1.0 - weight_radio,
+            "mbb_capable": draw(st.booleans()),
+        },
+        "path_models": models,
+        "latencies": {"binding_rtt_us": draw(st.sampled_from((40_000, 4_000_000))),
+                      "fmip_oneway_us": 5_000},
+        "flows": flows,
+    }
+
+
+class TestReuseOracle:
+    """MRRM's reuse across cycles and ticks decides as a cycle that derives
+    everything anew (tests/mrrm_oracle.py) does."""
+
+    DECISIONS = (ANNOTATION_ACCESS_SETS, "HOExecutionRequest")
+
+    @staticmethod
+    def decisions(config, entity=None):
+        """(t, name, params) of every snapshot and execution request of a run,
+        with entity in place of Mrrm if given."""
+        with pytest.MonkeyPatch.context() as patch:
+            if entity is not None:
+                patch.setattr(simulation, "Mrrm", entity)
+            result = simulation.Simulation(config).run()
+        return [(r.at, r.name, r.params) for r in result.records
+                if r.name in TestReuseOracle.DECISIONS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=scenario_documents())
+    def test_snapshots_and_requests_equal_the_reference(self, document):
+        config = parse_scenario(document)
+        decisions = self.decisions(config)
+        assert decisions == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
+        assert any(name == ANNOTATION_ACCESS_SETS for _at, name, _params in decisions)

@@ -257,7 +257,7 @@ class TestSharedParams:
         encoded = []
         encode = simkernel._encode_params
         # Not monkeypatch: a function-scoped fixture would span every example.
-        simkernel._encode_params = lambda params: encoded.append(params) or encode(params)
+        simkernel._encode_params = lambda params, *rest: encoded.append(params) or encode(params, *rest)
         try:
             lines = recorder.lines()
         finally:
@@ -324,8 +324,9 @@ class TestStreamedWrite:
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
             recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
-        encoded, served = [], []
+        encoded, encoders, heads, served = [], [], [], []
         encode, lines = simkernel._encode_params, TraceRecorder.lines
+        make_encoder, head_json = simkernel._params_encoder, TraceRecord.head_json
 
         def counted_lines(self, *args, **kwargs):
             served.append(lines(self, *args, **kwargs))
@@ -334,14 +335,22 @@ class TestStreamedWrite:
         # Not the monkeypatch fixture: a function-scoped fixture would span every example.
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             patch.setattr(simkernel, "_WRITE_CHUNK_RECORDS", chunk)
-            patch.setattr(simkernel, "_encode_params", lambda params: encoded.append(params) or encode(params))
+            patch.setattr(simkernel, "_encode_params",
+                          lambda params, *rest: encoded.append(params) or encode(params, *rest))
+            patch.setattr(simkernel, "_params_encoder", lambda: encoders.append(1) or make_encoder())
+            patch.setattr(TraceRecord, "head_json",
+                          lambda record: heads.append((record.sender, record.receiver, record.name))
+                          or head_json(record))
             patch.setattr(TraceRecorder, "lines", counted_lines)
             path = Path(tmp) / "trace.jsonl"
             recorder.write(str(path))
             text = path.read_bytes().decode("utf-8")
         assert text == "".join(_reference_line(r) + "\n" for r in recorder.records)
-        # Each distinct params object once per write, in order of first use.
+        # Each distinct params object and each distinct head once per write, in
+        # order of first use, all params with one encoder.
         assert [id(p) for p in encoded] == list(dict.fromkeys(id(r.params) for r in recorder.records))
+        assert heads == list(dict.fromkeys((r.sender, r.receiver, r.name) for r in recorder.records))
+        assert len(encoders) == 1
         assert all(len(part) <= chunk for part in served)
         assert len(served) == -(-len(picks) // chunk)
 

@@ -2,8 +2,9 @@
 
 The test imports a fresh copy of mobsig and runs ``mobsig run``, ``check`` and
 ``diagram`` over the bundled scenarios, a trace in a layout other than the
-writer's, a tampered trace, a trace that is not UTF-8 and an invalid scenario
-under ``sys.setprofile``. Every module-level function and every method
+writer's, a tampered trace, a trace that is not UTF-8, a trace whose params
+lack a field the checker reads and an invalid scenario under
+``sys.setprofile``. Every module-level function and every method
 of a class defined in ``src/mobsig`` must be entered; one that runs only at
 import counts as reached. Code that only the tests call belongs in the tests.
 Nested functions and lambdas are not counted.
@@ -92,6 +93,11 @@ def _run_the_cli(cli, scenario_dir: Path, out: Path) -> None:
     undecodable = out / "undecodable.jsonl"
     undecodable.write_bytes(b"\xff\n")
     assert cli.main(["check", "--trace", str(undecodable)]) == 2
+
+    flowless = out / "flowless.jsonl"
+    flowless.write_text('{"t":0,"from":"MRRM","to":"HOLM","msg":"HOExecutionRequest",'
+                        '"params":{"current":null,"mbb_flag":true}}\n')
+    assert cli.main(["check", "--trace", str(flowless)]) == 2
 
     invalid = json.loads((scenario_dir / "mbb.json").read_text())
     invalid["cells"][0]["radius_m"] = -1
