@@ -19,6 +19,9 @@ in that order in the chain, and it forbids every other message of the
 vocabulary. A rule can only point forward along its chain, so no template can
 hold a cycle.
 
+Under "auto" each context is checked against "generic", then against the
+template of its STEPS row, which infer_variant reads from the step table alone.
+
 Messages that are not part of the handover signaling vocabulary (scan
 snapshots, rating queries, flow-setup traffic) are ignored by the checker.
 """
@@ -50,11 +53,6 @@ SEQUENCE_NAMES = frozenset({"HOExecutionRequest", "HOComplete"}).union(*STEP_MES
 
 # The checker additionally tracks the post-handover notification exchange.
 CHECKED_NAMES = SEQUENCE_NAMES | set(_NOTIFICATION)
-
-# The messages only an fmip handover exchanges.
-_FMIP_ONLY = frozenset(_messages(STEPS["fmip"])).difference(
-    *(_messages(steps) for variant, steps in STEPS.items() if variant != "fmip")
-)
 
 # The label of each ordering rule, keyed by (before, after). When two rules
 # are broken at the same record, the one listed first here is reported.
@@ -188,6 +186,14 @@ TEMPLATES: dict[str, SequenceTemplate] = {
     "generic": replace(_template("generic", ("path", "bind")), forbidden=frozenset()),
     **{variant: _template(variant, steps) for variant, steps in STEPS.items()},
 }
+
+# The handover rows (all but establishment) by their opener, the message that
+# opens their first step. A shared opener lists the smallest vocabulary first
+# and goes to the first row whose vocabulary covers the context.
+_BY_OPENER: dict[str, list[SequenceTemplate]] = {}
+for _row in sorted(STEPS, key=lambda row: -len(TEMPLATES[row].forbidden)):
+    if _row != "establishment":
+        _BY_OPENER.setdefault(STEP_MESSAGES[STEPS[_row][0]][0], []).append(TEMPLATES[_row])
 
 assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from primitives"
 
@@ -346,21 +352,15 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
 
 
 def infer_variant(records: list[TraceRecord]) -> str:
-    """Classify a context slice by its signaling vocabulary and link order."""
-    names = [r.name for r in records]
-    if any(name in _FMIP_ONLY for name in names):
-        return "fmip"
-    for record in records:
-        if record.name == "HOExecutionRequest":
-            if record.params.get("current") is None:
-                return "establishment"
-            break
-    attach = names.index("LinkAttachRequest") if "LinkAttachRequest" in names else None
-    detach = names.index("LinkDetachRequest") if "LinkDetachRequest" in names else None
-    if detach is not None and (attach is None or detach < attach):
-        return "bbm"
-    if attach is not None:
-        return "mbb"
+    """The STEPS row a context slice runs: establishment if its request, the
+    first record, has no current access (as in HOLM), else the first opener's."""
+    if records[0].params["current"] is None:
+        return "establishment"
+    names = [record.name for record in records]
+    for name in names:
+        rows = _BY_OPENER.get(name)
+        if rows is not None:
+            return next((row.name for row in rows if row.forbidden.isdisjoint(names)), rows[0].name)
     return "unclassified"
 
 

@@ -21,10 +21,10 @@ Every step ends in one completion. A failed step aborts the rest of the row
 and reports the failure; no rollback or reattach is attempted. A successful
 step records its outcome on the context and starts the next step.
 
-HOLM runs one handover at a time: a request that arrives while one is under
-way, for any flow, is answered at once with a failed HOComplete ("busy"). So
-one slot holds the active context and one the response type that resumes it.
-MRRM serializes handovers node-wide and never meets that answer.
+HOLM runs one handover at a time, so one slot holds the active context and
+one the response type that resumes it. MRRM serializes handovers node-wide;
+a request that arrives while one is under way, for any flow, breaks that
+invariant and ends the run with a SimulationError.
 
 Interruption is restore minus break. The break is the first detach or switch
 step, else the binding ack; the restore is the tunnel start, else the binding
@@ -143,9 +143,7 @@ class Holm:
         self._step_done(self._active, payload.result, payload)
 
     def _start(self, request: HOExecutionRequest, at: SimTime) -> None:
-        if self._active is not None:
-            self._send(FE_MRRM, HOComplete(result=Result.failure("busy")))
-            return
+        assert self._active is None, "a handover request while another runs"
         if request.current is None:
             variant = "establishment"
         else:

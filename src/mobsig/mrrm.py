@@ -384,8 +384,7 @@ class Mrrm:
 
     def _on_ho_complete(self, complete: HOComplete) -> None:
         pending = self._inflight
-        if pending is None:
-            return  # completion for a request this entity never issued
+        assert pending is not None, "a completion for a request never issued"
         self._inflight = None
         record = self._table.get(pending.flow)
         succeeded = complete.result.ok and pending.granted is not None

@@ -10,7 +10,6 @@ from the completed handover contexts.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -113,16 +112,12 @@ def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -
 
     Each handover spans its HOExecutionRequest up to the next request in the
     trace (handovers on one node never overlap); the message count covers the
-    signaling-sequence records inside that span.
+    signaling-sequence records inside that span. HOLM completes its requests
+    one at a time, in trace order, so the i-th context owns the i-th span.
     """
-    # Span i's sequence-record count is counts[i]; spans maps (flow, request
-    # time) to the indices of its spans in trace order, and each context takes
-    # the first one left.
     counts: list[int] = []
-    spans: dict[tuple[int, SimTime], deque[int]] = {}
     for record in records:
         if record.name == "HOExecutionRequest":
-            spans.setdefault((record.params["flow"], record.at), deque()).append(len(counts))
             counts.append(0)
         if counts and record.name in SEQUENCE_NAMES:
             counts[-1] += 1
@@ -132,9 +127,7 @@ def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -
     total_interruption = 0
     max_interruption = 0
 
-    for ctx in contexts:
-        queue = spans.get((ctx.flow, ctx.t_start))
-        message_count = counts[queue.popleft()] if queue else 0
+    for ctx, message_count in zip(contexts, counts, strict=True):
         entry = {
             "flow": ctx.flow,
             "variant": ctx.variant,

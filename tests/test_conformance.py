@@ -1,11 +1,13 @@
 """Trace segmentation, variant inference, and template checking."""
 
+import importlib.util
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobsig import holm
 from mobsig.conformance import (
     CHECKED_NAMES,
     LABELS,
@@ -24,6 +26,7 @@ from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation
 
 from support import json_values
+from variant_oracle import reference_variant
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
 ACC_B = {"cell_id": "cell-b", "network_id": "net-2", "rat": "cellular"}
@@ -382,6 +385,57 @@ class TestInferVariant:
             rec("HOComplete", result="success"),
         ]
         assert infer_variant(records) == "unclassified"
+
+    def test_a_new_row_is_classified_from_the_step_table_alone(self, monkeypatch):
+        """A Proxy Mobile IPv6 style row, with no terminal binding update."""
+        monkeypatch.setitem(holm.STEPS, "pmip", ("attach", "path", "detach"))
+        spec = importlib.util.find_spec("mobsig.conformance")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        pmip = [record for record in notified(mbb_slice)
+                if record.name not in ("BindingUpdate", "BindingAck")]
+        assert fresh.infer_variant(pmip) == "pmip"
+        assert fresh.infer_variant(notified(mbb_slice)) == "mbb"
+        assert fresh.check_trace(establishment_slice() + pmip + notified(mbb_slice)).ok
+        assert infer_variant(pmip) == "mbb"  # the checker as imported knows no pmip row
+
+
+@st.composite
+def slow_walks(draw):
+    """A one-flow walk along 3 to 8 cells, each handover style, mostly with
+    signalling so slow that the walk outruns it: handovers then fail, and
+    later ones find their current link gone."""
+    cells = draw(st.integers(3, 8))
+    fmip = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    latency = draw(st.sampled_from([5_000, 1_500_000, 4_000_000]))
+    walk_us = draw(st.integers(1, 6)) * 1_000_000 * cells
+    docs = [{"cell_id": f"cell-{i}", "network_id": f"net-{i}", "rat": "wlan",
+             "center": [i * 800.0, 0.0], "radius_m": 600.0, "link_setup_us": 50_000,
+             "link_teardown_us": 10_000, "locator_config_us": 100_000,
+             "supports_fmip": fmip[i], "capacity": QOS} for i in range(cells)]
+    return {
+        "seed": draw(st.integers(0, 1000)),
+        "scan_period_us": 500_000,
+        "jitter_us": draw(st.sampled_from([0, 20_000])),
+        "cells": docs,
+        "trajectory": [{"t_us": 0, "xy": [0.0, 0.0]},
+                       {"t_us": walk_us, "xy": [(cells - 1) * 800.0, 0.0]}],
+        "policy": {"forbidden_networks": [], "min_radio_score": 0.05, "hysteresis": 0.1,
+                   "weight_radio": 0.5, "weight_path": 0.5, "mbb_capable": draw(st.booleans())},
+        "path_models": {f"net-{i}/cell-{i}": {"bottleneck_bandwidth_kbps": 2000,
+                                              "path_latency_ms": 40, "policy_allowed": True}
+                        for i in range(cells)},
+        "latencies": {"binding_rtt_us": latency, "fmip_oneway_us": latency},
+        "flows": [{"id": 1, "requested_qos": QOS, "start_us": 0}],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=slow_walks())
+def test_auto_classifies_every_context_as_the_reference_does(document):
+    result = Simulation(parse_scenario(document)).run()
+    for context in segment_contexts(result.records):
+        assert infer_variant(context.records) == reference_variant(context.records)
 
 
 def notified(slice_fn):

@@ -115,11 +115,7 @@ class TestAccessId:
 class TestLocator:
     def test_rejects_empty_address(self):
         with pytest.raises(ValueError):
-            Locator(address="", access=A, kind="home")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Locator(address="x", access=A, kind="roaming")
+            Locator(address="", access=A, kind="care_of")
 
 
 class TestRating:

@@ -6,6 +6,7 @@ from mobsig.core import (
     FE_HOLM,
     FE_MRRM,
     FE_PATH_SELECTION,
+    HOComplete,
     HOExecutionRequest,
     LinkAttachResponse,
     Locator,
@@ -15,6 +16,7 @@ from mobsig.core import (
 )
 from mobsig.flowmgmt import FlowRecord
 from mobsig.holm import HandoverContext, interruption_time, select_tool
+from mobsig.simkernel import SimulationError
 
 from support import REQUESTED, Node, make_cell
 
@@ -85,6 +87,11 @@ def colocated_node(fmip_target=False, target_center=(0.0, 0.0), flows=(1,)):
         ),
     )
     node = Node(cells=cells, flows=tuple(FlowRecord(flow=f, requested=REQUESTED) for f in flows))
+    # The tests, not MRRM, send the requests, so MRRM never sees a completion.
+    relay = node.mrrm.handle
+    node.kernel.register(
+        FE_MRRM, lambda event: None if isinstance(event.payload, HOComplete) else relay(event)
+    )
     return node, cells[0].access, cells[1].access
 
 
@@ -236,19 +243,17 @@ class TestFmip:
 class TestSerialization:
     @pytest.mark.parametrize("second_flow", [1, 2], ids=["same-flow", "another-flow"])
     def test_second_request_while_one_runs_is_busy(self, second_flow):
+        """MRRM never sends a second request while one runs; one that does ends the run."""
         node, a, b = colocated_node(flows=(1, 2))
         node.attach_now(1, a)
         node.attach_now(2, a)
         for flow in (1, second_flow):
             payload = HOExecutionRequest(flow=flow, current=a, target=b, mbb_flag=True)
             node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
-        node.run()
-        completions = [
-            r.params for r in node.recorder.records if r.name == "HOComplete"
-        ]
-        assert completions == [{"reason": "busy", "result": "failure"}, {"result": "success"}]
-        [ctx] = node.holm.completed
-        assert ctx.flow == 1 and ctx.result.ok
+        with pytest.raises(SimulationError, match="a handover request while another runs"):
+            node.run()
+        assert not node.holm.completed
+        assert "HOComplete" not in node.names()
 
     def test_mbb_and_fmip_interruption_ranking(self):
         """The seamless tool beats FMIP, which beats plain break-before-make."""

@@ -35,6 +35,7 @@ from mobsig.mrrm import (
 )
 from mobsig.path_selection import PathModel
 from mobsig.scenario import parse_scenario
+from mobsig.simkernel import SimulationError
 
 from support import REQUESTED, Node, is_nested, make_cell
 
@@ -276,10 +277,11 @@ class TestMrrmEntity:
         names = [r.name for r in node.recorder.records if r.name in ("HOExecutionRequest", "HOComplete")]
         assert names == ["HOExecutionRequest", "HOComplete", "HOExecutionRequest", "HOComplete"]
 
-    def test_stray_completion_is_ignored(self):
+    def test_stray_completion_is_an_error(self):
         node = moving_node()
         node.kernel.schedule(0, FE_HOLM, FE_MRRM, HOComplete(result=Result.success()))
-        node.run()
+        with pytest.raises(SimulationError, match="a completion for a request never issued"):
+            node.run()
         assert not any(
             r.name in ("AccessFlowSetupResponse", "HandoverOccurred")
             for r in node.recorder.records

@@ -3,6 +3,8 @@
 import gc
 import weakref
 
+import pytest
+
 from mobsig.core import AccessId, Result
 from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
@@ -178,9 +180,11 @@ class TestBuildMetrics:
         assert metrics["totals"]["failed"] == 1
         assert metrics["totals"]["total_interruption_us"] == 0
 
-    def test_context_without_a_matching_request_counts_nothing(self):
-        metrics = build_metrics([], [_done_context(1, 0)])
-        assert metrics["handovers"][0]["message_count"] == 0
+    def test_context_without_a_matching_request_raises(self):
+        with pytest.raises(ValueError):
+            build_metrics([], [_done_context(1, 0)])
+        with pytest.raises(ValueError):
+            build_metrics([_record("HOExecutionRequest", 0, flow=1)], [])
 
     def test_twin_requests_at_the_same_time_pair_one_to_one(self):
         records = [
