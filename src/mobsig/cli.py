@@ -14,14 +14,7 @@ import json
 import sys
 
 from .conformance import TEMPLATES, check_trace, load_trace
-from .core import (
-    FE_DAEMON,
-    FE_ENVIRONMENT,
-    FE_FLOW_MANAGEMENT,
-    FE_HOLM,
-    FE_MRRM,
-    FE_PATH_SELECTION,
-)
+from .core import FUNCTIONAL_ENTITIES
 from .scenario import ScenarioError, load_scenario
 from .simkernel import SimulationError, TraceRecord
 from .simulation import Simulation
@@ -30,14 +23,6 @@ _COLUMN_WIDTH = 12
 _TIME_GUTTER = 12
 # Rows that render_diagram joins into one chunk of its text.
 _DIAGRAM_CHUNK_ROWS = 2048
-_BASE_COLUMNS = (
-    FE_MRRM,
-    FE_HOLM,
-    FE_PATH_SELECTION,
-    FE_FLOW_MANAGEMENT,
-    FE_ENVIRONMENT,
-    FE_DAEMON,
-)
 
 
 def _shown(name: str) -> str:
@@ -53,7 +38,7 @@ def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> st
     the text is one join of the header and the chunks.
     """
     seen = {r.sender for r in records} | {r.receiver for r in records}
-    columns = list(_BASE_COLUMNS) + sorted(seen - set(_BASE_COLUMNS))
+    columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
     header = " " * _TIME_GUTTER + "".join(_shown(fe).center(width) for fe in columns)
     chunks = [header.rstrip() + "\n"]

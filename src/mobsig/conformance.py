@@ -145,14 +145,8 @@ class Verdict:
     detail: str | None = None
 
     def describe(self) -> str:
-        if self.ok:
-            return "conformant"
-        where = ""
-        if self.record is not None and self.record.line:
-            where = f"line {self.record.line}: "
-        elif self.index is not None:
-            where = f"record {self.index}: "
-        return f"{where}{self.detail} [template={self.template} rule={self.rule}]"
+        """A violation, at the trace line of the record that breaks it."""
+        return f"line {self.record.line}: {self.detail} [template={self.template} rule={self.rule}]"
 
 
 @dataclass
@@ -441,8 +435,6 @@ def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
     Raises ValueError, naming the line, for a record whose flow, current or
     target the checker reads but cannot (see segment_contexts).
     """
-    if template != "auto" and template not in TEMPLATES:
-        raise KeyError(f"unknown template {template!r}")
     try:
         contexts = segment_contexts(records)
     except AmbiguousTraceError as exc:

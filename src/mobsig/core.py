@@ -176,13 +176,7 @@ def _codec(tp: Any) -> Callable[[Any], Any]:
         return lambda rating: {**render(rating.access), "rating": rating.path_score}
     if dataclasses.is_dataclass(tp):
         plan = _field_codecs(tp)
-
-        def render_object(value: Any) -> dict[str, Any]:
-            if value is None:
-                raise ValueError(f"a {tp.__name__} field must not be None")
-            return {name: render(getattr(value, name)) for name, render in plan}
-
-        return render_object
+        return lambda value: {name: render(getattr(value, name)) for name, render in plan}
     return _same
 
 
@@ -396,11 +390,3 @@ def _with_codecs(cls: type[Primitive]) -> type[Primitive]:
 PRIMITIVE_TYPES: dict[str, type[Primitive]] = {
     cls.__name__: _with_codecs(cls) for cls in Primitive.__subclasses__()
 }
-
-
-def primitive_name(primitive: Primitive) -> str:
-    """Canonical trace name of a primitive (its variant tag)."""
-    name = type(primitive).__name__
-    if name not in PRIMITIVE_TYPES:
-        raise ValueError(f"unknown primitive type: {name}")
-    return name

@@ -121,10 +121,7 @@ class Environment:
     # -- queries ---------------------------------------------------------------
 
     def cell(self, access: AccessId) -> Cell:
-        try:
-            return self._cells[access]
-        except KeyError:
-            raise ValueError(f"unknown access: {access.key}") from None
+        return self._cells[access]
 
     def scan(self, at_us: SimTime) -> list[tuple[AccessId, float]]:
         """Accesses in range at at_us with linear radio score, sorted by cell_id."""

@@ -64,10 +64,6 @@ class FlowManagement:
 
     def start_flow(self, flow: int) -> None:
         record = self._table.get(flow)
-        if record is None:
-            raise KeyError(f"unknown flow {flow}")
-        if record.state != "new":
-            raise ValueError(f"flow {flow} already started")
         record.state = "pending"
         self._pending_setups.append(flow)
         self._send(
@@ -83,11 +79,7 @@ class FlowManagement:
                 self._on_handover_occurred(payload)
 
     def _on_setup_response(self, response: AccessFlowSetupResponse) -> None:
-        if not self._pending_setups:
-            return  # answer without a question; nothing to update
-        flow = self._pending_setups.popleft()
-        record = self._table.get(flow)
-        assert record is not None
+        record = self._table.get(self._pending_setups.popleft())
         if response.result.ok:
             record.state = "active"
             record.granted_qos = response.granted_qos
@@ -96,13 +88,8 @@ class FlowManagement:
             record.state = "failed"
 
     def _on_handover_occurred(self, indication: HandoverOccurred) -> None:
-        record = self._table.get(indication.flow)
-        if record is None:
-            result = Result.failure("unknown_flow")
-        else:
-            record.provided_qos = indication.provided_qos
-            result = Result.success()
-        self._send(FE_MRRM, HandoverOccurredResponse(result=result))
+        self._table.get(indication.flow).provided_qos = indication.provided_qos
+        self._send(FE_MRRM, HandoverOccurredResponse(result=Result.success()))
 
     def _send(self, receiver: str, payload) -> None:
         self._kernel.schedule(0, FE_FLOW_MANAGEMENT, receiver, payload)

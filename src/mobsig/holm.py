@@ -24,7 +24,8 @@ step records its outcome on the context and starts the next step.
 HOLM runs one handover at a time, so one slot holds the active context and
 one the response type that resumes it. MRRM serializes handovers node-wide;
 a request that arrives while one is under way, for any flow, breaks that
-invariant and ends the run with a SimulationError.
+invariant and ends the run with a SimulationError, and so does a response
+that the step under way does not await.
 
 Interruption is restore minus break. The break is the first detach or switch
 step, else the binding ack; the restore is the tunnel start, else the binding
@@ -107,8 +108,6 @@ def select_tool(request: HOExecutionRequest, target_cell: Cell) -> str:
 
 def interruption_time(ctx: HandoverContext) -> int:
     """Connectivity gap of a successful handover in microseconds."""
-    if ctx.result is None or not ctx.result.ok:
-        raise ValueError("interruption is defined only for a successful handover")
     assert ctx.t_break is not None and ctx.t_restore is not None
     return ctx.t_restore - ctx.t_break
 
@@ -133,11 +132,8 @@ class Holm:
         if isinstance(payload, HOExecutionRequest):
             self._start(payload, event.at)
             return
-        # A response nothing waits for is dropped: a stray one, or a late one
-        # for a context that has already ended.
-        awaiting = self._awaiting
-        if awaiting is None or not isinstance(payload, awaiting):
-            return
+        # Every response answers the one request of the step under way.
+        assert type(payload) is self._awaiting, "a response HOLM never asked for"
         self._awaiting = None
         assert self._active is not None
         self._step_done(self._active, payload.result, payload)

@@ -17,8 +17,8 @@ primitive renders and encodes once in the trace:
   object; path selection then answers flows that request equal QoS with the
   same ConstraintResponse, on this tick and on later ones;
 * from one view and one ConstraintResponse: the CAS, its sorted keys and the
-  weighted path scores, checked once against the DAS; a cycle on them, on any
-  tick, computes only its combined scores and the winning access;
+  weighted path scores; a cycle on them, on any tick, computes only its
+  combined scores and the winning access;
 * from one view, one ConstraintResponse and one winning access: the
   AccessSets and the sorted AAS keys of the snapshot;
 * a flow's snapshot params, while its four key lists are equal.
@@ -74,12 +74,12 @@ ANNOTATION_ACCESS_SETS = "AccessSetsSnapshot"
 class MrrmPolicy:
     """Per-node access selection policy."""
 
-    forbidden_networks: frozenset[str] = frozenset()
-    min_radio_score: float = 0.0
-    hysteresis: float = 0.1
-    weight_radio: float = 0.5
-    weight_path: float = 0.5
-    mbb_capable: bool = True
+    forbidden_networks: frozenset[str]
+    min_radio_score: float
+    hysteresis: float
+    weight_radio: float
+    weight_path: float
+    mbb_capable: bool
 
 
 def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessSets:
@@ -95,16 +95,14 @@ def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessS
 
 
 def derive_cas(
-    policy: MrrmPolicy, das: frozenset[AccessId], ratings: tuple[Rating, ...]
+    policy: MrrmPolicy, ratings: tuple[Rating, ...]
 ) -> tuple[frozenset[AccessId], dict[AccessId, float]]:
     """Derive CAS (usable paths) and each rated access's weighted path score.
 
-    Neither depends on the radio scores, so both hold for every cycle on the
-    same DAS and ratings. Ratings must cover only DAS members.
+    Path selection rates exactly the request's candidates, the DAS. Neither
+    result depends on the radio scores, so both hold for every cycle on the
+    same ratings.
     """
-    for rating in ratings:
-        if rating.access not in das:
-            raise ValueError(f"rating for access outside das: {rating.access.key}")
     cas = frozenset(r.access for r in ratings if r.path_score > 0.0)
     path = {r.access: policy.weight_path * r.path_score for r in ratings}
     return cas, path
@@ -150,8 +148,6 @@ def decide_handover(
     winner = new_aas.active
     if winner is None or winner == incumbent:
         return None
-    if incumbent is None:
-        return winner
     if incumbent not in new_aas.das:
         return winner
     if combined.get(winner, 0.0) > combined.get(incumbent, 0.0) + policy.hysteresis:
@@ -339,7 +335,7 @@ class Mrrm:
             self._rated_view = view
         entry = self._rated.get(id(response))
         if entry is None:
-            cas, path = derive_cas(self.policy, view.sets.das, response.ratings)
+            cas, path = derive_cas(self.policy, response.ratings)
             entry = self._rated[id(response)] = (response, _Rated(
                 cas=cas,
                 path=path,

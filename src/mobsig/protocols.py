@@ -108,13 +108,10 @@ class DaemonHost:
         return Result.success()
 
     def handle(self, event: SimEvent) -> None:
-        """Network replies; one that is not the awaited type and flow is dropped."""
+        """Network replies; each is the one the daemon scheduled and awaits."""
         payload = event.payload
-        if self._waiting is None:
-            return
         reply, ctx, done = self._waiting
-        if not isinstance(payload, reply) or payload.flow != ctx.flow:
-            return
+        assert type(payload) is reply and payload.flow == ctx.flow, "a reply never awaited"
         self._waiting = None
         if isinstance(payload, ProxyRouterAdvertisement):
             if not self._on_old_link(ctx):

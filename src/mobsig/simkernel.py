@@ -14,8 +14,6 @@ from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, NamedTuple
 
-from .core import primitive_name
-
 SimTime = int  # microseconds
 
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
@@ -40,11 +38,9 @@ def _params_encoder() -> Callable[[Any, int], Any]:
                           True, False, True)
 
 
-def _encode_params(params: dict[str, Any], encode: Callable[[Any, int], Any] | None = None) -> str:
-    """json.dumps(params, sort_keys=True, separators=(",", ":")), with encode if
-    given (from _params_encoder), else with an encoder of its own."""
-    if encode is None:
-        encode = _params_encoder()
+def _encode_params(params: dict[str, Any], encode: Callable[[Any, int], Any]) -> str:
+    """json.dumps(params, sort_keys=True, separators=(",", ":")), with an
+    encoder from _params_encoder."""
     return "".join(encode(params, 0))
 
 
@@ -53,11 +49,7 @@ class ConfigurationError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """Raised when an event handler fails; carries the offending delivery."""
-
-    def __init__(self, message: str, event: "SimEvent | None" = None) -> None:
-        super().__init__(message)
-        self.event = event
+    """Raised when an event handler fails; names the offending delivery."""
 
 
 class SimEvent(NamedTuple):
@@ -92,15 +84,11 @@ class TraceRecord:
     params: dict[str, Any]
     line: int | None = None  # 1-based source line when parsed from a file
 
-    def to_json(self, params_json: str | None = None, head_json: str | None = None) -> str:
+    def to_json(self, params_json: str, head_json: str) -> str:
         """The same bytes as json.dumps(separators=(",", ":")) of the head, with
         params key-sorted; params_json is params already encoded that way, and
         head_json is ``head_json()`` of a record with an equal head.
         conformance.parse_trace reads lines in exactly this layout on a fast path."""
-        if params_json is None:
-            params_json = _encode_params(self.params)
-        if head_json is None:
-            head_json = self.head_json()
         return f'{{"t":{self.at},{head_json},"params":{params_json}}}'
 
     def head_json(self) -> str:
@@ -150,7 +138,7 @@ class TraceRecorder:
     def on_delivery(self, event: SimEvent) -> None:
         payload = event.payload
         self.records.append(
-            TraceRecord(event.at, event.sender, event.receiver, primitive_name(payload),
+            TraceRecord(event.at, event.sender, event.receiver, type(payload).__name__,
                         payload.params())
         )
 
@@ -162,22 +150,16 @@ class TraceRecorder:
             TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
         )
 
-    def lines(
-        self, start: int = 0, stop: int | None = None, encoded: _Encodings | None = None
-    ) -> list[str]:
-        """One JSON line per record of ``records[start:stop]`` (all of them by
-        default); each distinct params object and each distinct head is
-        encoded once.
+    def lines(self, start: int, stop: int, encoded: _Encodings) -> list[str]:
+        """One JSON line per record of ``records[start:stop]``; each distinct
+        params object and each distinct head is encoded once.
 
-        ``encoded`` holds the encodings and is filled as it goes; a caller
-        passes the same one to the calls for one trace to encode each params
+        ``encoded`` holds the encodings and is filled as it goes; ``write``
+        passes the same one to its calls for one trace, to encode each params
         object and head once across them. It keys params by their ids, which
         are valid only while the records keep every params object alive, so it
-        must not outlive the calls it was made for; without one, the encodings
-        last this call alone.
+        must not outlive the calls it was made for.
         """
-        if encoded is None:
-            encoded = _Encodings()
         encode, params_by_id, heads = encoded.encode, encoded.params, encoded.heads
         lines = []
         for record in self.records[start:stop]:
@@ -279,11 +261,8 @@ class Kernel:
                 return
             self.recorder.on_delivery(event)
             self._handlers[event.receiver](event)
-        except SimulationError:
-            raise
         except Exception as exc:
             raise SimulationError(
                 f"handler failed at t={event.at} for "
-                f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}",
-                event=event,
+                f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
             ) from exc

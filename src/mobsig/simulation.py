@@ -101,7 +101,7 @@ class Simulation:
         # reference counting rather than by a later cyclic collection.
         self.kernel.drop_handlers()
         return SimulationResult(
-            records=list(self.recorder.records),
+            records=self.recorder.records,
             metrics=build_metrics(self.recorder.records, self.holm.completed),
             final_time_us=final,
         )

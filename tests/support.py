@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -24,7 +27,14 @@ from mobsig.holm import Holm
 from mobsig.mrrm import Mrrm, MrrmPolicy
 from mobsig.path_selection import PathModel, PathSelection
 from mobsig.protocols import DaemonHost
-from mobsig.simkernel import Kernel, TraceRecorder
+from mobsig.simkernel import (
+    Kernel,
+    TraceRecord,
+    TraceRecorder,
+    _encode_params,
+    _Encodings,
+    _params_encoder,
+)
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
 
@@ -35,6 +45,16 @@ json_values = st.recursive(
                                                                 max_size=3),
     max_leaves=8,
 )
+
+
+@functools.cache
+def load_generator():
+    """bench/gen.py, the benchmark's scenario generator, imported read-only."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:
@@ -89,6 +109,30 @@ def still_trajectory(xy: tuple[float, float] = (0.0, 0.0)) -> Trajectory:
     return Trajectory(waypoints=((0, xy),))
 
 
+def make_policy(**fields) -> MrrmPolicy:
+    """A policy with no ban, no radio floor, a 0.1 hysteresis, equal weights
+    and make-before-break, but for the given fields."""
+    return MrrmPolicy(**{
+        "forbidden_networks": frozenset(),
+        "min_radio_score": 0.0,
+        "hysteresis": 0.1,
+        "weight_radio": 0.5,
+        "weight_path": 0.5,
+        "mbb_capable": True,
+        **fields,
+    })
+
+
+def trace_line(record: TraceRecord) -> str:
+    """The line the trace writer writes for one record."""
+    return record.to_json(_encode_params(record.params, _params_encoder()), record.head_json())
+
+
+def trace_lines(recorder: TraceRecorder) -> list[str]:
+    """The lines the trace writer writes for all of a recorder's records."""
+    return recorder.lines(0, len(recorder.records), _Encodings())
+
+
 def default_model() -> PathModel:
     return PathModel(bottleneck_bandwidth_kbps=2000, path_latency_ms=40, policy_allowed=True)
 
@@ -135,7 +179,7 @@ class Node:
         self.path_selection = PathSelection(self.kernel, self.env, path_models, self.table)
         self.flow_management = FlowManagement(self.kernel, self.table)
         self.mrrm = Mrrm(
-            self.kernel, self.recorder, self.env, policy or MrrmPolicy(), self.table
+            self.kernel, self.recorder, self.env, policy or make_policy(), self.table
         )
         self.kernel.register(FE_MRRM, self.mrrm.handle)
         self.kernel.register(FE_HOLM, self.holm.handle)

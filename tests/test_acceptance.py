@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 
 from order_oracle import is_linear_extension
+from support import trace_line
 
 from mobsig.conformance import (
     SEQUENCE_NAMES,
@@ -193,8 +194,8 @@ def test_seed_determinism_and_jitter_variation(bundled_configs, bundled_results,
     with criterion("equal seeds reproduce traces byte for byte; jittered seeds differ but conform"):
         for name, result in bundled_results.items():
             rerun = Simulation(bundled_configs[name]).run()
-            assert [r.to_json() for r in rerun.records] == [
-                r.to_json() for r in result.records
+            assert [trace_line(r) for r in rerun.records] == [
+                trace_line(r) for r in result.records
             ], f"{name}: rerun with the same seed diverged"
 
         document = json.loads(scenario_path("mbb").read_text())
@@ -204,12 +205,12 @@ def test_seed_determinism_and_jitter_variation(bundled_configs, bundled_results,
             config = parse_scenario(copy.deepcopy(document), seed_override=seed)
             jittered = Simulation(config).run()
             assert check_trace(jittered.records).ok
-            lines[seed] = [r.to_json() for r in jittered.records]
+            lines[seed] = [trace_line(r) for r in jittered.records]
 
             replay = Simulation(
                 parse_scenario(copy.deepcopy(document), seed_override=seed)
             ).run()
-            assert [r.to_json() for r in replay.records] == lines[seed]
+            assert [trace_line(r) for r in replay.records] == lines[seed]
         assert lines[101] != lines[202]
 
 

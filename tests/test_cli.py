@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, outputs, and the sequence diagram."""
 
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
@@ -11,7 +14,7 @@ from mobsig.conformance import TEMPLATES, load_trace
 from mobsig.core import FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
-from support import json_values
+from support import json_values, load_generator
 
 
 def run_cli(*argv):
@@ -609,3 +612,50 @@ def test_render_diagram_draws_one_line_per_record(records):
 def test_argv_is_required():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+latencies = st.sampled_from([5_000, 400_000, 4_000_000, 4_000_000]) | st.integers(0, 4_000_000)
+
+
+@st.composite
+def generated_scenarios(draw):
+    """A scenario of the benchmark's family (bench/gen.py) of any handover
+    style and one to three flows, with jitter, signalling of up to 4 s,
+    forbidden networks, and paths that policy bans or that are too slow."""
+    cells = draw(st.integers(2, 6))
+    document = load_generator().scenario(
+        random.Random(draw(st.integers(0, 2**16))),
+        cells=cells,
+        waypoints=draw(st.integers(2, 5)),
+        flows=draw(st.integers(1, 3)),
+        duration_us=draw(st.integers(1, 4)) * cells * 1_000_000,
+        jitter_us=draw(st.sampled_from([0, 20_000])),
+        fmip_share=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        mbb_capable=draw(st.booleans()),
+        flow_stagger_us=draw(st.sampled_from([0, 2_000_000])),
+    )
+    document["latencies"] = {"binding_rtt_us": draw(latencies), "fmip_oneway_us": draw(latencies)}
+    networks = sorted(cell["network_id"] for cell in document["cells"])
+    document["policy"]["forbidden_networks"] = draw(
+        st.lists(st.sampled_from(networks), unique=True, max_size=1))
+    for model in document["path_models"].values():
+        unusable = draw(st.sampled_from([None, None, None, None, "banned", "slow"]))
+        if unusable == "banned":
+            model["policy_allowed"] = False
+        elif unusable == "slow":
+            model["path_latency_ms"] = 200
+    return document
+
+
+@settings(max_examples=60, deadline=None)
+@given(document=generated_scenarios())
+def test_generated_scenarios_run_and_their_single_flow_traces_conform(document):
+    """No run of a valid scenario trips an entity's assert (exit 3), and the
+    checker accepts every single-flow trace the simulator writes."""
+    with tempfile.TemporaryDirectory() as out:
+        scenario, trace = Path(out, "scenario.json"), Path(out, "trace.jsonl")
+        scenario.write_text(json.dumps(document), encoding="utf-8")
+        assert run_cli("run", "--scenario", str(scenario), "--trace", str(trace),
+                       "--metrics", str(Path(out, "metrics.json"))) == 0
+        if len(document["flows"]) == 1:
+            assert run_cli("check", "--trace", str(trace)) == 0

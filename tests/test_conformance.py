@@ -25,7 +25,7 @@ from mobsig.scenario import parse_scenario
 from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation
 
-from support import json_values
+from support import json_values, trace_line
 from variant_oracle import reference_variant
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
@@ -135,7 +135,7 @@ class TestParseTrace:
 
     def test_load_trace_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        path.write_text("".join(r.to_json() + "\n" for r in mbb_slice()))
+        path.write_text("".join(trace_line(r) + "\n" for r in mbb_slice()))
         records = load_trace(str(path))
         assert [r.name for r in records] == [r.name for r in mbb_slice()]
         assert records[0].line == 1
@@ -163,7 +163,7 @@ class TestParseTrace:
     def test_crlf_line_ends_read_as_lf_ones(self, tmp_path, bundled_results):
         for name, result in bundled_results.items():
             # The last line is blank, as CRLF makes it a lone "\r\n".
-            text = "".join(r.to_json() + "\n" for r in result.records) + "\n"
+            text = "".join(trace_line(r) + "\n" for r in result.records) + "\n"
             lf, crlf = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.crlf.jsonl"
             lf.write_bytes(text.encode())
             crlf.write_bytes(text.replace("\n", "\r\n").encode())
@@ -194,13 +194,13 @@ def writer_lines(draw):
     """to_json of a record, its params drawn from a pool that the lines of one
     example share, so that params texts repeat."""
     pool = draw(st.shared(st.lists(params_objects, min_size=1, max_size=3), key="params"))
-    return TraceRecord(
+    return trace_line(TraceRecord(
         at=draw(st.integers() | st.integers(-10**20, 10**20)),
         sender=draw(st.sampled_from(["MRRM", "Env"]) | st.text(max_size=4)),
         receiver=draw(st.sampled_from(["HOLM", 'a"b', "a\\b", "\x01"]) | st.text(max_size=4)),
         name=draw(st.sampled_from(["HOComplete", "\u00e9t\u00e9"]) | st.text(max_size=4)),
         params=draw(st.sampled_from(pool)),
-    ).to_json()
+    ))
 
 
 def _with_head(line, head):
@@ -263,8 +263,8 @@ def test_parse_trace_reads_each_mutation_as_from_json_does(mutate, line):
 
 def test_equal_params_texts_share_one_dict_within_a_call_only():
     shared = {"flow": 1, "result": "success"}
-    lines = [rec("HOComplete", **shared).to_json(), rec("BindingAck", flow=2).to_json(),
-             rec("PathSelected", **shared).to_json()]
+    lines = [trace_line(rec("HOComplete", **shared)), trace_line(rec("BindingAck", flow=2)),
+             trace_line(rec("PathSelected", **shared))]
     first = parse_trace(lines)
     assert first[0].params is first[2].params
     assert first[0].params is not first[1].params
@@ -285,9 +285,9 @@ def _keys(value):
 def test_equal_params_keys_share_one_string_within_a_call_only():
     # Keys of two characters or more: CPython keeps one object for each
     # one-character string, whoever decodes it.
-    lines = [rec("HOComplete", flow=1, result={"flow": 2, "access": [{"flow": 3}]}).to_json(),
-             rec("BindingAck", flow=2, access={"result": "ok"}).to_json(),
-             rec("PathSelected", result=[{"access": {"flow": 4}}]).to_json()]
+    lines = [trace_line(rec("HOComplete", flow=1, result={"flow": 2, "access": [{"flow": 3}]})),
+             trace_line(rec("BindingAck", flow=2, access={"result": "ok"})),
+             trace_line(rec("PathSelected", result=[{"access": {"flow": 4}}]))]
     first, second = parse_trace(lines), parse_trace(lines)
     keys = [key for record in first for key in _keys(record.params)]
     assert set(keys) == {"flow", "result", "access"}
@@ -310,7 +310,7 @@ def test_records_with_equal_heads_share_their_strings(scenario_path):
     document["flows"] = [dict(document["flows"][0], id=flow, start_us=(flow - 1) * 500_000)
                          for flow in (1, 2, 3, 4)]
     result = Simulation(parse_scenario(document)).run()
-    records = parse_trace(record.to_json() for record in result.records)
+    records = parse_trace(trace_line(record) for record in result.records)
     assert {record.params.get("flow") for record in records} >= {1, 2, 3, 4}
     heads = [(record.sender, record.receiver, record.name) for record in records]
     assert len({tuple(map(id, head)) for head in heads}) == len(set(heads))
@@ -508,8 +508,7 @@ class TestCheck:
         assert verdict.index == 5
         assert verdict.record.name == "BindingAck"
         assert "BindingAck precedes BindingUpdate" in verdict.detail
-        assert "record 5:" in verdict.describe()
-        assert "[template=mbb rule=binding-update-before-ack]" in verdict.describe()
+        assert verdict.describe().endswith("[template=mbb rule=binding-update-before-ack]")
 
     def test_forbidden_name_is_flagged(self):
         records = mbb_slice()
@@ -592,11 +591,8 @@ class TestCheckTrace:
             rec("HOExecutionRequest", flow=2, current=ACC_A, target=ACC_B, mbb_flag=True),
             rec("HOComplete", result="success"),
         ]
-        text = check_trace(records).describe()
-        assert text.startswith("record 2: HOComplete carries no flow id")
-        assert text.count("record 2") == 1
         path = tmp_path / "trace.jsonl"
-        path.write_text("".join(r.to_json() + "\n" for r in records), encoding="utf-8")
+        path.write_text("".join(trace_line(r) + "\n" for r in records), encoding="utf-8")
         text = check_trace(load_trace(str(path))).describe()
         assert text.startswith("line 3: HOComplete carries no flow id")
         assert text.count("line 3") == 1

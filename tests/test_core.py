@@ -39,11 +39,10 @@ from mobsig.core import (
     TunnelStart,
     TunnelStop,
     access_sort_key,
-    primitive_name,
 )
 from mobsig.simkernel import TraceRecord
 
-from support import is_nested, qos_satisfies
+from support import is_nested, qos_satisfies, trace_line
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -243,7 +242,7 @@ def test_params_round_trip(sample):
     params = sample.params()
     assert params == expected
 
-    line = TraceRecord(0, "MRRM", "HOLM", primitive_name(sample), params).to_json()
+    line = trace_line(TraceRecord(0, "MRRM", "HOLM", type(sample).__name__, params))
     assert TraceRecord.from_json(line).params == params
     key_orders = []
 
@@ -284,12 +283,3 @@ def test_rating_wire_form_flattens_the_access():
     assert response.params()["ratings"] == [
         {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan", "rating": 0.25}
     ]
-
-
-def test_primitive_name_rejects_foreign_classes():
-    class NotAPrimitive(Primitive):
-        pass
-
-    with pytest.raises(ValueError):
-        primitive_name(NotAPrimitive())
-

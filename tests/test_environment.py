@@ -16,7 +16,7 @@ from mobsig.environment import (
     Trajectory,
     clamp_qos,
 )
-from mobsig.simkernel import Kernel, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 
 from support import REQUESTED, linear_scan, make_cell, qos_satisfies, still_trajectory
 
@@ -218,11 +218,15 @@ class TestScan:
 
     def test_in_range_and_unknown_access(self):
         cells = two_cells()
-        _, _, env = build_env(cells)
+        kernel, _, env = build_env(cells)
         assert env.in_range(cells[0].access, 0)
         assert not env.in_range(cells[1].access, 0)
-        with pytest.raises(ValueError):
-            env.cell(make_cell(cell_id="ghost", network_id="net-0").access)
+        # No scan finds a cell the scenario lacks: asked for one, the run ends.
+        ghost = make_cell(cell_id="ghost", network_id="net-0").access
+        kernel.call_later(0, lambda: env.link_attach(1, ghost, REQUESTED, print), FE_ENVIRONMENT)
+        with pytest.raises(SimulationError, match="ghost") as excinfo:
+            kernel.run_until_quiescent()
+        assert isinstance(excinfo.value.__cause__, KeyError)
 
 
 class TestLinkAttach:

@@ -11,7 +11,7 @@ from mobsig.core import (
     Result,
 )
 from mobsig.flowmgmt import FlowManagement, FlowRecord, FlowTable
-from mobsig.simkernel import Kernel, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 
 from support import REQUESTED
 
@@ -42,15 +42,11 @@ class TestFlowTable:
 
 class TestStartFlow:
     def test_unknown_flow_is_a_key_error(self):
-        _, _, entity, _ = build_entity(1)
-        with pytest.raises(KeyError):
-            entity.start_flow(99)
-
-    def test_restart_is_rejected(self):
-        _, _, entity, _ = build_entity(1)
-        entity.start_flow(1)
-        with pytest.raises(ValueError):
-            entity.start_flow(1)
+        """A flow the table lacks is never started: the run would end (exit 3)."""
+        kernel, _, entity, _ = build_entity(1)
+        kernel.call_later(0, lambda: entity.start_flow(99), FE_FLOW_MANAGEMENT)
+        with pytest.raises(SimulationError):
+            kernel.run_until_quiescent()
 
     def test_start_requests_access(self):
         kernel, table, entity, mrrm_in = build_entity(1)
@@ -111,6 +107,7 @@ class TestSetupResponse:
         assert table.get(2).state == "active"
 
     def test_unsolicited_response_is_ignored(self):
+        """MRRM answers only the setups it was sent; any other answer ends the run."""
         kernel, table, _, _ = build_entity(1)
         kernel.schedule(
             0,
@@ -118,7 +115,8 @@ class TestSetupResponse:
             FE_FLOW_MANAGEMENT,
             AccessFlowSetupResponse(result=Result.success(), granted_qos=REQUESTED),
         )
-        kernel.run_until_quiescent()
+        with pytest.raises(SimulationError, match="AccessFlowSetupResponse"):
+            kernel.run_until_quiescent()
         assert table.get(1).state == "new"
 
 
@@ -134,13 +132,14 @@ class TestHandoverOccurred:
         assert len(mrrm_in) == 1 and mrrm_in[0].result.ok
 
     def test_unknown_flow_is_reported_back(self):
+        """MRRM indicates only its own flows; an unknown one ends the run."""
         kernel, _, entity, mrrm_in = build_entity(1)
         kernel.schedule(
             0, FE_MRRM, FE_FLOW_MANAGEMENT, HandoverOccurred(flow=42, provided_qos=REQUESTED)
         )
-        kernel.run_until_quiescent()
-        assert not mrrm_in[0].result.ok
-        assert mrrm_in[0].result.reason == "unknown_flow"
+        with pytest.raises(SimulationError, match="HandoverOccurred"):
+            kernel.run_until_quiescent()
+        assert not mrrm_in
 
 
 def test_flow_management_sees_only_its_service_boundary(bundled_results):

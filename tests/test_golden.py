@@ -21,7 +21,6 @@ under bench/ are only read.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import tracemalloc
 from collections import defaultdict
@@ -33,16 +32,11 @@ from mobsig import cli
 from mobsig.scenario import load_scenario
 from mobsig.simulation import Simulation
 
+from support import load_generator
+
 BUNDLED = ("mbb", "bbm", "fmip", "multi")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
-
-
-def load_generator():
-    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_digests(scenario: Path, out_dir: Path) -> dict[str, str]:

@@ -26,7 +26,6 @@ from mobsig.environment import Trajectory
 from mobsig.flowmgmt import FlowRecord
 from mobsig.mrrm import (
     ANNOTATION_ACCESS_SETS,
-    MrrmPolicy,
     build_das,
     decide_handover,
     derive_cas,
@@ -37,7 +36,7 @@ from mobsig.path_selection import PathModel
 from mobsig.scenario import parse_scenario
 from mobsig.simkernel import SimulationError
 
-from support import REQUESTED, Node, is_nested, make_cell
+from support import REQUESTED, Node, is_nested, make_cell, make_policy
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -46,20 +45,20 @@ POOL = tuple(AccessId(cell_id=f"cell-{i}", network_id=f"net-{i % 2}", rat="wlan"
 
 class TestBuildDas:
     def test_filters_forbidden_networks_and_weak_radio(self):
-        policy = MrrmPolicy(forbidden_networks=frozenset({"net-2"}), min_radio_score=0.3)
+        policy = make_policy(forbidden_networks=frozenset({"net-2"}), min_radio_score=0.3)
         scan = [(A, 0.9), (B, 0.9), (AccessId("cell-c", "net-3", "wlan"), 0.1)]
         sets = build_das(policy, scan)
         assert sets.scanned == frozenset(a for a, _ in scan)
         assert sets.das == frozenset({A})
 
     def test_radio_floor_is_inclusive(self):
-        sets = build_das(MrrmPolicy(min_radio_score=0.5), [(A, 0.5)])
+        sets = build_das(make_policy(min_radio_score=0.5), [(A, 0.5)])
         assert sets.das == frozenset({A})
 
 
 def select_cas_aas(policy, das_sets, radio, ratings):
     """derive_cas, then select_aas, composed as one MRRM cycle composes them."""
-    cas, path = derive_cas(policy, das_sets.das, ratings)
+    cas, path = derive_cas(policy, ratings)
     winner, combined = select_aas(policy, tuple(sorted(cas, key=access_sort_key)), radio, path)
     aas = frozenset() if winner is None else frozenset({winner})
     return AccessSets(scanned=das_sets.scanned, das=das_sets.das, cas=cas, aas=aas), combined
@@ -69,7 +68,7 @@ class TestSelectCasAas:
     def test_unscanned_access_has_radio_score_zero(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
         _, combined = select_cas_aas(
-            MrrmPolicy(), sets, {A: 0.8}, (Rating(A, 0.5), Rating(B, 0.4))
+            make_policy(), sets, {A: 0.8}, (Rating(A, 0.5), Rating(B, 0.4))
         )
         assert combined == {A: 0.5 * 0.8 + 0.5 * 0.5, B: 0.5 * 0.0 + 0.5 * 0.4}
 
@@ -78,7 +77,7 @@ class TestSelectCasAas:
         radio = {A: 0.9, B: 0.2}
         ratings = (Rating(A, 0.2), Rating(B, 1.0))
         # combined: A = 0.55, B = 0.60
-        selected, combined = select_cas_aas(MrrmPolicy(), sets, radio, ratings)
+        selected, combined = select_cas_aas(make_policy(), sets, radio, ratings)
         assert selected.aas == frozenset({B})
         assert combined[A] == pytest.approx(0.55)
         assert combined[B] == pytest.approx(0.60)
@@ -86,7 +85,7 @@ class TestSelectCasAas:
     def test_zero_path_score_is_not_a_candidate(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
         selected, _ = select_cas_aas(
-            MrrmPolicy(), sets, {A: 1.0, B: 0.0}, (Rating(A, 0.0), Rating(B, 0.5))
+            make_policy(), sets, {A: 1.0, B: 0.0}, (Rating(A, 0.0), Rating(B, 0.5))
         )
         assert selected.cas == frozenset({B})
         assert selected.aas == frozenset({B})
@@ -94,18 +93,13 @@ class TestSelectCasAas:
     def test_ties_break_lexicographically(self):
         sets = AccessSets(scanned=frozenset({A, B}), das=frozenset({A, B}))
         selected, _ = select_cas_aas(
-            MrrmPolicy(), sets, {A: 0.5, B: 0.5}, (Rating(B, 0.5), Rating(A, 0.5))
+            make_policy(), sets, {A: 0.5, B: 0.5}, (Rating(B, 0.5), Rating(A, 0.5))
         )
         assert selected.active == A  # net-1 sorts before net-2
 
-    def test_rating_outside_das_is_rejected(self):
-        sets = AccessSets(scanned=frozenset({A}), das=frozenset({A}))
-        with pytest.raises(ValueError):
-            select_cas_aas(MrrmPolicy(), sets, {B: 0.5}, (Rating(B, 0.5),))
-
     def test_no_candidates_no_active(self):
         sets = AccessSets(scanned=frozenset({A}), das=frozenset({A}))
-        selected, _ = select_cas_aas(MrrmPolicy(), sets, {A: 1.0}, (Rating(A, 0.0),))
+        selected, _ = select_cas_aas(make_policy(), sets, {A: 1.0}, (Rating(A, 0.0),))
         assert selected.cas == frozenset() and selected.active is None
 
     @given(
@@ -124,7 +118,7 @@ class TestSelectCasAas:
         radio = {POOL[i]: score for i, _, score in rated}
         ratings = tuple(Rating(POOL[i], path) for i, path, _ in rated)
         selected, _ = select_cas_aas(
-            MrrmPolicy(), AccessSets(scanned=das, das=das), radio, ratings
+            make_policy(), AccessSets(scanned=das, das=das), radio, ratings
         )
         assert is_nested(selected)
 
@@ -142,7 +136,7 @@ class TestSelectCasAas:
     )
     def test_derive_then_select_equals_the_reference(self, rated, weight_radio):
         # Scores from a few values make ties on the combined score common.
-        policy = MrrmPolicy(weight_radio=weight_radio, weight_path=1.0 - weight_radio)
+        policy = make_policy(weight_radio=weight_radio, weight_path=1.0 - weight_radio)
         das = frozenset(POOL)
         radio = {POOL[i]: score for i, _, score in rated}
         ratings = tuple(Rating(POOL[i], path) for i, path, _ in rated)
@@ -154,7 +148,7 @@ class TestSelectCasAas:
 
 class TestDecideHandover:
     # powers of two keep the comparisons exact
-    POLICY = MrrmPolicy(hysteresis=0.125)
+    POLICY = make_policy(hysteresis=0.125)
 
     @staticmethod
     def sets(das, active):
@@ -289,6 +283,7 @@ class TestMrrmEntity:
 
     def test_attach_relay_reports_coverage_failures(self):
         node = moving_node()
+        node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
         node.kernel.schedule(
             0, FE_HOLM, FE_MRRM, LinkAttachRequest(flow=1, target=B, requested_qos=REQUESTED)
         )
@@ -302,6 +297,7 @@ class TestMrrmEntity:
 
     def test_switch_relay_short_circuits_on_detach_failure(self):
         node = moving_node()
+        node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
         node.kernel.schedule(
             0,
             FE_HOLM,
@@ -436,7 +432,7 @@ class TestSharedOutcomes:
         node = self.established_node(qos_by_flow)
         # The node stands still, so every scan keeps the setups' view: its
         # three QoS classes are derived once each, during the setups.
-        assert len(derived) == 3 and len({id(ratings) for _p, _das, ratings in derived}) == 3
+        assert len(derived) == 3 and len({id(ratings) for _p, ratings in derived}) == 3
         setup_cycles = len(selected)
         ticks = self.tick_snapshots(qos_by_flow, ticks=2, node=node)
         assert [[s.params["flow"] for s in snapshots] for snapshots in ticks] == [[1, 2, 3, 4, 5]] * 2
@@ -496,7 +492,7 @@ class TestViewReuse:
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
                                         rat="cellular", center=(300.0, 0.0)))
         requests, snapshots = self.run_ticks(
-            cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0), (1_000_000, 10_000_000)
+            cells, make_policy(min_radio_score=0.3), (-200.0, 0.0), (1_000_000, 10_000_000)
         )
         setup, held, crossed = requests
         assert setup.candidates == (A, B)
@@ -513,16 +509,18 @@ class TestViewReuse:
         monkeypatch.setattr(mrrm, "derive_cas", lambda *args: derived.append(args) or derive(*args))
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
                                         rat="cellular", center=(300.0, 0.0)))
-        self.run_ticks(cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0),
+        self.run_ticks(cells, make_policy(min_radio_score=0.3), (-200.0, 0.0),
                        (1_000_000, 2_000_000, 10_000_000, 10_500_000))
-        # The setup's view holds for two ticks; cell-b then leaves the DAS.
-        assert [das for _policy, das, _ratings in derived] == [frozenset({A, B}), frozenset({A})]
+        # The setup's view holds for two ticks; cell-b then leaves the DAS,
+        # which path selection rates whole.
+        rated = [frozenset(r.access for r in ratings) for _policy, ratings in derived]
+        assert rated == [frozenset({A, B}), frozenset({A})]
 
     def test_a_flows_request_is_sent_again_while_the_candidates_hold(self):
         cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
                                         rat="cellular", center=(300.0, 0.0)))
         requests, _snapshots = self.run_ticks(
-            cells, MrrmPolicy(min_radio_score=0.3), (-200.0, 0.0),
+            cells, make_policy(min_radio_score=0.3), (-200.0, 0.0),
             (1_000_000, 2_000_000, 10_000_000, 10_500_000),
         )
         setup, held, held_again, crossed, crossed_again = requests
@@ -534,7 +532,7 @@ class TestViewReuse:
         banned = make_cell(cell_id="cell-c", network_id="net-9", center=(900.0, 0.0))
         requests, snapshots = self.run_ticks(
             (make_cell(), banned),
-            MrrmPolicy(forbidden_networks=frozenset({"net-9"})),
+            make_policy(forbidden_networks=frozenset({"net-9"})),
             (400.0, 0.0),
             (1_000_000, 10_000_000),
         )

@@ -17,7 +17,7 @@ from mobsig.core import (
 )
 from mobsig.environment import Environment
 from mobsig.protocols import DaemonHost
-from mobsig.simkernel import Kernel, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 
 from support import REQUESTED, make_cell, still_trajectory
 
@@ -115,9 +115,11 @@ class TestUpdateBinding:
         ids=lambda reply: type(reply).__name__,
     )
     def test_stray_binding_ack_is_ignored(self, reply):
+        """A reply while nothing is awaited ends the run."""
         kernel, recorder, _, daemons, _, _ = build_host()
         kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, reply)
-        kernel.run_until_quiescent()  # nothing waits for flow 9: dropped, no crash
+        with pytest.raises(SimulationError):  # nothing waits for a reply
+            kernel.run_until_quiescent()
         assert names_at(recorder) == [(type(reply).__name__, 0, FE_ENVIRONMENT, FE_DAEMON)]
 
 
@@ -182,7 +184,7 @@ class TestTunnel:
 
 
 class TestOneAwaitedReply:
-    """While a reply is awaited, one of its type for another flow is dropped."""
+    """While a reply is awaited, one of its type for another flow ends the run."""
 
     @pytest.mark.parametrize(
         "stray, at",
@@ -193,24 +195,26 @@ class TestOneAwaitedReply:
         ids=lambda value: type(value).__name__ if not isinstance(value, int) else str(value),
     )
     def test_preparation_ignores_another_flows_reply(self, stray, at):
+        """Another flow's reply during a preparation ends the run."""
         kernel, recorder, env, daemons, a, b = build_host()
         attach(kernel, env, 1, a)
-        t0 = kernel.now
         done = []
         daemons.prepare(Ctx(1, a, b), lambda r: done.append((r, kernel.now)))
         kernel.schedule(at, FE_ENVIRONMENT, FE_DAEMON, stray)
-        kernel.run_until_quiescent()
-        assert done == [(Result.success(), t0 + 3 * 5_000)]
-        assert [r.params["flow"] for r in recorder.records if r.name == "FastBindingUpdate"] == [1]
+        with pytest.raises(SimulationError, match="a reply never awaited"):
+            kernel.run_until_quiescent()
+        assert not done
+        assert recorder.records[-1].params["flow"] == 9
 
     def test_binding_ignores_another_flows_ack(self):
+        """Another flow's ack during a binding ends the run."""
         kernel, _, env, daemons, a, _ = build_host()
         attach(kernel, env, 1, a)
         locator = allocate(kernel, env, 1, a)
-        t0 = kernel.now
         done = []
         daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append((r, kernel.now)))
         stray = BindingAck(flow=9, result=Result.failure("stray"))
         kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, stray)
-        kernel.run_until_quiescent()
-        assert done == [(Result.success(), t0 + 40_000)]
+        with pytest.raises(SimulationError, match="a reply never awaited"):
+            kernel.run_until_quiescent()
+        assert not done

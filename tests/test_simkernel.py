@@ -19,6 +19,8 @@ from mobsig.simkernel import (
     TraceRecorder,
 )
 
+from support import trace_line, trace_lines
+
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 json_values = st.recursive(
@@ -87,9 +89,8 @@ class TestRunUntilQuiescent:
         kernel.schedule(3, "X", "X", TunnelStop(flow=1))
         with pytest.raises(SimulationError) as excinfo:
             kernel.run_until_quiescent()
-        assert excinfo.value.event is not None
-        assert excinfo.value.event.at == 3
-        assert "t=3" in str(excinfo.value)
+        assert "t=3 for X->X TunnelStop: boom" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 class TestCallLater:
@@ -106,7 +107,7 @@ class TestCallLater:
 class TestTraceRecord:
     def test_to_json_field_order_and_compact_separators(self):
         record = TraceRecord(at=5, sender="A", receiver="B", name="TunnelStop", params={"flow": 1})
-        assert record.to_json() == '{"t":5,"from":"A","to":"B","msg":"TunnelStop","params":{"flow":1}}'
+        assert trace_line(record) == '{"t":5,"from":"A","to":"B","msg":"TunnelStop","params":{"flow":1}}'
 
     def test_to_json_sorts_params_recursively(self):
         record = TraceRecord(
@@ -116,7 +117,7 @@ class TestTraceRecord:
             name="X",
             params={"b": 1, "a": {"z": 1, "y": [{"q": 1, "p": 2}]}},
         )
-        assert record.to_json().endswith('"params":{"a":{"y":[{"p":2,"q":1}],"z":1},"b":1}}')
+        assert trace_line(record).endswith('"params":{"a":{"y":[{"p":2,"q":1}],"z":1},"b":1}}')
 
     @given(
         at=st.integers(),
@@ -127,11 +128,11 @@ class TestTraceRecord:
     )
     def test_to_json_equals_json_dumps(self, at, sender, receiver, name, params):
         record = TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
-        assert record.to_json() == _reference_line(record)
+        assert trace_line(record) == _reference_line(record)
 
     def test_from_json_round_trip_keeps_line_number(self):
         original = TraceRecord(at=9, sender="A", receiver="B", name="M", params={"k": None})
-        parsed = TraceRecord.from_json(original.to_json(), lineno=4)
+        parsed = TraceRecord.from_json(trace_line(original), lineno=4)
         assert (parsed.at, parsed.sender, parsed.receiver, parsed.name) == (9, "A", "B", "M")
         assert parsed.params == {"k": None}
         assert parsed.line == 4
@@ -259,7 +260,7 @@ class TestSharedParams:
         # Not monkeypatch: a function-scoped fixture would span every example.
         simkernel._encode_params = lambda params, *rest: encoded.append(params) or encode(params, *rest)
         try:
-            lines = recorder.lines()
+            lines = trace_lines(recorder)
         finally:
             simkernel._encode_params = encode
         assert lines == [_reference_line(r) for r in recorder.records]
@@ -287,28 +288,28 @@ class TestSharedParams:
         assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}] * 2
         assert all(r.params is records[0].params for r in records if r.params["flow"] == 1)
         assert records[6].params is records[2].params
-        assert recorder.lines() == [_reference_line(r) for r in records]
+        assert trace_lines(recorder) == [_reference_line(r) for r in records]
 
     def test_unserializable_params_raise_the_json_type_error(self):
         recorder = TraceRecorder()
         recorder.annotate(0, "X", "X", "Note", {"bad": object()})
         with pytest.raises(TypeError, match="is not JSON serializable"):
-            recorder.lines()
+            trace_lines(recorder)
 
     def test_circular_params_are_refused(self):
         loop = []
         loop.append(loop)
         record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"loop": loop})
         with pytest.raises(ValueError, match="Circular reference"):
-            record.to_json()
+            trace_line(record)
 
     def test_a_failed_encoding_leaves_nothing_behind(self):
         inner = [object()]
         record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"v": inner})
         with pytest.raises(TypeError, match="is not JSON serializable"):
-            record.to_json()
+            trace_line(record)
         inner.clear()  # the same objects again, now encodable
-        assert record.to_json().endswith('"params":{"v":[]}}')
+        assert trace_line(record).endswith('"params":{"v":[]}}')
 
 
 class TestStreamedWrite:
@@ -367,7 +368,7 @@ class TestRecorder:
         path = tmp_path / "trace.jsonl"
         recorder.write(str(path))
         lines = path.read_text().splitlines()
-        assert lines == recorder.lines()
+        assert lines == trace_lines(recorder)
         reparsed = [TraceRecord.from_json(line, i + 1) for i, line in enumerate(lines)]
         assert [r.name for r in reparsed] == ["TunnelStop", "Note"]
 
@@ -378,6 +379,6 @@ class TestRecorder:
             for delay, flow in ((5, 1), (5, 2), (0, 3)):
                 kernel.schedule(delay, "Y", "X", TunnelStop(flow=flow))
             kernel.run_until_quiescent()
-            return recorder.lines()
+            return trace_lines(recorder)
 
         assert run_once() == run_once()

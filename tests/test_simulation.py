@@ -11,6 +11,8 @@ from mobsig.scenario import parse_scenario
 from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation, build_metrics
 
+from support import trace_line
+
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
 
@@ -76,7 +78,7 @@ class TestRunControls:
     def test_same_config_same_trace(self, bundled_configs):
         first = Simulation(bundled_configs["fmip"]).run()
         second = Simulation(bundled_configs["fmip"]).run()
-        assert [r.to_json() for r in first.records] == [r.to_json() for r in second.records]
+        assert [trace_line(r) for r in first.records] == [trace_line(r) for r in second.records]
 
     def test_finished_run_is_freed_without_the_cyclic_collector(self, bundled_configs):
         gc.disable()
