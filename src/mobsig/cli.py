@@ -119,12 +119,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         records = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # check_trace raises ValueError for a params field it reads but cannot.
         verdict = check_trace(records, template=args.template)
-    except ValueError as exc:  # a params field the checker reads, named by its line
+    except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     if verdict.ok:

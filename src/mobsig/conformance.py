@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Any
 
 from .core import PRIMITIVE_TYPES
@@ -97,13 +96,6 @@ _WRITER_LINE = re.compile(
 )
 
 
-@lru_cache(maxsize=1024)
-def _split_head(head: str) -> tuple[str, str, str]:
-    """(from, to, msg) of a head text _WRITER_LINE captured; shared by every
-    call, so a trace's recurring heads are split once per process."""
-    return tuple(head.split('"')[::4])
-
-
 # What errors="surrogateescape" makes of a byte that is not valid UTF-8.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -112,9 +104,8 @@ class AmbiguousTraceError(ValueError):
     """A record without a flow id could belong to more than one open context."""
 
     def __init__(self, record: TraceRecord, index: int) -> None:
-        where = f"line {record.line}" if record.line else f"record {index}"
         self.detail = f"{record.name} carries no flow id while several handovers are open"
-        super().__init__(f"{where}: {self.detail}")
+        super().__init__(f"line {record.line}: {self.detail}")
         self.record = record
         self.index = index
 
@@ -226,19 +217,14 @@ def parse_trace(lines) -> list[TraceRecord]:
                     params, end = decode(params_text)
                 except (ValueError, RecursionError):
                     end = None
-                if end != len(params_text):  # padded, malformed or followed by more
-                    try:
-                        params = json.loads(params_text)
-                    except (ValueError, RecursionError):
-                        params = None  # TraceRecord.from_json words the error
-                if type(params) is dict:
+                if end == len(params_text) and type(params) is dict:
                     params_by_text[params_text] = params
-            if type(params) is dict:
-                # A dict lookup is cheaper than the shared cache's call, which
-                # spares a small trace the splits of heads seen before.
+                else:  # padded, malformed or not one object: from_json reads it
+                    params = None
+            if params is not None:
                 head = heads_by_text.get(head_text)
                 if head is None:
-                    head = heads_by_text[head_text] = _split_head(head_text)
+                    head = heads_by_text[head_text] = tuple(head_text.split('"')[::4])
                 if at_text != last_at_text:
                     last_at_text, at = at_text, int(at_text)
                 records.append(TraceRecord(at, *head, params, lineno))
@@ -280,28 +266,25 @@ _ACCESS_FIELDS = {
 }
 
 
-def _malformed(record: TraceRecord, index: int, problem: str) -> ValueError:
+def _malformed(record: TraceRecord, problem: str) -> ValueError:
     """The error for a params field the checker reads, naming the record's line."""
-    where = f"line {record.line}" if record.line else f"record {index}"
-    return ValueError(f"{where}: {record.name}{problem}")
+    return ValueError(f"line {record.line}: {record.name}{problem}")
 
 
-def _check_access_fields(
-    record: TraceRecord, index: int, fields: tuple[tuple[str, bool], ...]
-) -> None:
+def _check_access_fields(record: TraceRecord, fields: tuple[tuple[str, bool], ...]) -> None:
     """Raise ValueError, naming the line, for an access field the checker reads
     that is missing or is not an object with string network_id and cell_id."""
     params = record.params
     for field, nullable in fields:
         if field not in params:
-            raise _malformed(record, index, f" has no '{field}'")
+            raise _malformed(record, f" has no '{field}'")
         value = params[field]
         if value is None and nullable:
             continue
         if not (type(value) is dict and type(value.get("network_id")) is str
                 and type(value.get("cell_id")) is str):
-            raise _malformed(record, index, f"'s '{field}' needs an access object "
-                                            "with string network_id and cell_id")
+            raise _malformed(record, f"'s '{field}' needs an access object "
+                                     "with string network_id and cell_id")
 
 
 def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
@@ -320,11 +303,11 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
         # must be one; json.loads gives exact types, so a bool is not one.
         flow = record.params.get("flow")
         if type(flow) is not int and (flow is not None or name == "HOExecutionRequest"):
-            raise _malformed(record, index,
+            raise _malformed(record,
                              " has no 'flow'" if flow is None else " needs an integer 'flow'")
         fields = _ACCESS_FIELDS.get(name)
         if name == "HOExecutionRequest":
-            _check_access_fields(record, index, fields)
+            _check_access_fields(record, fields)
             open_contexts.pop(flow, None)
             context = SequenceContext(entries=[(index, record)])
             open_contexts[flow] = context
@@ -340,7 +323,7 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
             context = None  # no open context: pre-handover traffic, nothing to attribute
         if context is not None:
             if fields is not None:
-                _check_access_fields(record, index, fields)
+                _check_access_fields(record, fields)
             context.entries.append((index, record))
     return contexts
 
@@ -375,11 +358,15 @@ def _link_events(records: list[TraceRecord]) -> dict[str, list[tuple[int, str]]]
 
 
 def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
-    """Check one context slice against one template."""
-    checked = [(i, r) for i, r in enumerate(records) if r.name in CHECKED_NAMES]
+    """Check one context slice against one template.
+
+    Every name the check reacts to (a forbidden name, a rule's end, a link
+    request) is in CHECKED_NAMES, so records of any other name, which
+    segment_contexts keeps out of a context, change no verdict.
+    """
     violations: list[tuple[int, str, str]] = []  # (slice index, rule, detail)
 
-    for index, record in checked:
+    for index, record in enumerate(records):
         if record.name in template.forbidden:
             violations.append(
                 (index, f"forbidden:{record.name}", f"{record.name} must not occur here")
@@ -387,7 +374,7 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
             break  # later forbidden hits cannot be the first violation
 
     positions: dict[str, list[int]] = {}
-    for index, record in checked:
+    for index, record in enumerate(records):
         positions.setdefault(record.name, []).append(index)
     for rule in template.rules:
         before = positions.get(rule.before)
@@ -399,20 +386,13 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
                 (min(after), rule.label, f"{rule.after} precedes {rule.before}")
             )
 
-    sequence_records = [r for _, r in checked]
-    for key, events in sorted(_link_events(sequence_records).items()):
+    for key, events in sorted(_link_events(records).items()):
         if not any(kind == "up" for _, kind in events):
             continue  # access was attached before this context started
         expected = "up"
-        for local_index, kind in events:
+        for index, kind in events:
             if kind != expected:
-                violations.append(
-                    (
-                        checked[local_index][0],
-                        "link-alternation",
-                        f"unexpected link-{kind} on {key}",
-                    )
-                )
+                violations.append((index, "link-alternation", f"unexpected link-{kind} on {key}"))
                 break
             expected = "down" if expected == "up" else "up"
 

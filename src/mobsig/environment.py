@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable
 
@@ -190,10 +190,7 @@ class Environment:
                 {
                     "access": target.key,
                     "flow": flow,
-                    "granted_qos": {
-                        "bandwidth_kbps": granted.bandwidth_kbps,
-                        "max_latency_ms": granted.max_latency_ms,
-                    },
+                    "granted_qos": asdict(granted),
                 },
             )
             done(Result.success(), granted)

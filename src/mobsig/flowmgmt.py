@@ -37,26 +37,10 @@ class FlowRecord:
     provided_qos: QosSpec | None = None
 
 
-class FlowTable:
-    """Shared flow registry, keyed by flow id."""
-
-    def __init__(self, records: list[FlowRecord]) -> None:
-        self._records = {record.flow: record for record in records}
-
-    def get(self, flow: int) -> FlowRecord | None:
-        return self._records.get(flow)
-
-    def records(self) -> list[FlowRecord]:
-        return [self._records[flow] for flow in sorted(self._records)]
-
-    def active_records(self) -> list[FlowRecord]:
-        return [r for r in self.records() if r.state == "active"]
-
-
 class FlowManagement:
     """The flow-management functional entity."""
 
-    def __init__(self, kernel: Kernel, flow_table: FlowTable) -> None:
+    def __init__(self, kernel: Kernel, flow_table: dict[int, FlowRecord]) -> None:
         self._kernel = kernel
         self._table = flow_table
         # Setup responses carry no flow id; requests are answered in order.

@@ -6,9 +6,9 @@ ratings, derives the candidate and active sets (CAS / AAS) and decides whether
 to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
 flow's cycle; an establishment cycle scans at its own time. The detected set
-changes only at cell borders, so while a scan finds the same accesses with the
-same DAS membership MRRM keeps the last view (its sets, candidate tuple and key
-lists) as it is, across ticks; each cycle carries its own scan's radio scores.
+changes only at cell borders, so while `build_das` gives equal sets MRRM keeps
+the last view (its sets, candidate tuple and key lists) as it is, across ticks;
+each cycle carries its own scan's radio scores.
 
 What recurs is derived once and sent again as the same object, so each
 primitive renders and encodes once in the trace:
@@ -169,9 +169,9 @@ class _RadioView:
     """A scan's accesses and DAS membership as the decision cycles see them.
 
     Shared read-only by the cycles of a tick, and by the ticks after it while
-    their scans find the same accesses with the same DAS membership. The
-    radio scores belong to one scan and travel in each cycle. The sorted key
-    lists go into every snapshot taken on this view as they are.
+    `build_das` gives equal sets. The radio scores belong to one scan and
+    travel in each cycle. The sorted key lists go into every snapshot taken on
+    this view as they are.
     """
 
     sets: AccessSets
@@ -227,10 +227,8 @@ class Mrrm:
         self._cycles: deque[_CycleState] = deque()
         self._inflight: _PendingHandover | None = None
         self._deferred_setups: deque[AccessFlowSetup] = deque()
-        # The last view built and the scanned accesses with their DAS
-        # membership that it was built from.
+        # The last view built; kept while build_das gives equal sets.
         self._view: _RadioView | None = None
-        self._view_membership: list[tuple[AccessId, bool]] | None = None
         # What _rated_view and each of its responses fix, by the id of the
         # response; the entry holds the response, so its id stays its own.
         self._rated_view: _RadioView | None = None
@@ -261,7 +259,7 @@ class Mrrm:
 
     def tick(self) -> None:
         """Run one periodic decision cycle for every active flow, all on one scan."""
-        records = self._table.active_records()
+        records = [record for record in self._table.values() if record.state == "active"]
         if not records:
             return
         view, radio = self._radio_view()
@@ -271,22 +269,16 @@ class Mrrm:
     # -- decision cycle -------------------------------------------------------------
 
     def _radio_view(self) -> tuple[_RadioView, dict[AccessId, float]]:
-        """Scan now: the view, the last one while its membership holds, and the radio scores."""
+        """Scan now: the view, the last one while its sets hold, and the radio scores."""
         scan = self._env.scan(self._kernel.now)
-        forbidden, floor = self.policy.forbidden_networks, self.policy.min_radio_score
-        membership = [
-            (access, access.network_id not in forbidden and score >= floor)
-            for access, score in scan
-        ]
-        if membership != self._view_membership:
-            sets = build_das(self.policy, scan)
+        sets = build_das(self.policy, scan)
+        if self._view is None or sets != self._view.sets:
             self._view = _RadioView(
                 sets=sets,
                 candidates=tuple(sorted(sets.das, key=access_sort_key)),
                 das_keys=sorted(a.key for a in sets.das),
                 scanned_keys=sorted(a.key for a in sets.scanned),
             )
-            self._view_membership = membership
         return self._view, dict(scan)
 
     def _start_cycle(
@@ -383,7 +375,9 @@ class Mrrm:
         assert pending is not None, "a completion for a request never issued"
         self._inflight = None
         record = self._table.get(pending.flow)
-        succeeded = complete.result.ok and pending.granted is not None
+        # A success ran an attach or switch step, and each captured its grant.
+        succeeded = complete.result.ok
+        assert not succeeded or pending.granted is not None
         if pending.establishing:
             if succeeded:
                 record.current_access = pending.target
@@ -392,9 +386,8 @@ class Mrrm:
                     result=Result.success(), granted_qos=pending.granted
                 )
             else:
-                reason = complete.result.reason or "setup_failed"
                 response = AccessFlowSetupResponse(
-                    result=Result.failure(reason), granted_qos=None
+                    result=Result.failure(complete.result.reason), granted_qos=None
                 )
             self._send(FE_FLOW_MANAGEMENT, response)
         elif succeeded:

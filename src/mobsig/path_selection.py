@@ -31,7 +31,7 @@ from .core import (
     Result,
 )
 from .environment import Environment
-from .flowmgmt import FlowTable
+from .flowmgmt import FlowRecord
 from .simkernel import Kernel, SimEvent
 
 
@@ -63,7 +63,7 @@ class PathSelection:
         kernel: Kernel,
         env: Environment,
         models: dict[AccessId, PathModel],
-        flow_table: FlowTable,
+        flow_table: dict[int, FlowRecord],
     ) -> None:
         self._kernel = kernel
         self._env = env

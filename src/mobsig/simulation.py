@@ -23,7 +23,7 @@ from .core import (
     FE_PATH_SELECTION,
 )
 from .environment import Environment
-from .flowmgmt import FlowManagement, FlowRecord, FlowTable
+from .flowmgmt import FlowManagement, FlowRecord
 from .holm import HandoverContext, Holm, interruption_time
 from .mrrm import Mrrm
 from .path_selection import PathSelection
@@ -54,9 +54,11 @@ class Simulation:
             rng=random.Random(config.seed),
             jitter_us=config.jitter_us,
         )
-        self.flow_table = FlowTable(
-            [FlowRecord(flow=spec.flow, requested=spec.requested) for spec in config.flows]
-        )
+        # In flow-id order, the order in which a tick runs the flows' cycles.
+        self.flow_table = {
+            spec.flow: FlowRecord(flow=spec.flow, requested=spec.requested)
+            for spec in sorted(config.flows, key=lambda spec: spec.flow)
+        }
         self.daemons = DaemonHost(
             self.kernel,
             self.environment,

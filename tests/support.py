@@ -22,7 +22,7 @@ from mobsig.core import (
     QosSpec,
 )
 from mobsig.environment import Cell, Environment, Trajectory
-from mobsig.flowmgmt import FlowManagement, FlowRecord, FlowTable
+from mobsig.flowmgmt import FlowManagement, FlowRecord
 from mobsig.holm import Holm
 from mobsig.mrrm import Mrrm, MrrmPolicy
 from mobsig.path_selection import PathModel, PathSelection
@@ -173,7 +173,8 @@ class Node:
             rng=rng or random.Random(0),
             jitter_us=jitter_us,
         )
-        self.table = FlowTable(list(flows))
+        # In flow-id order, as Simulation builds it.
+        self.table = {record.flow: record for record in sorted(flows, key=lambda r: r.flow)}
         self.daemons = DaemonHost(self.kernel, self.env, binding_rtt_us, fmip_oneway_us)
         self.holm = Holm(self.kernel, self.env, self.daemons, self.table)
         self.path_selection = PathSelection(self.kernel, self.env, path_models, self.table)

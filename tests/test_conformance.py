@@ -304,6 +304,26 @@ def test_padded_params_text_reads_as_from_json_does(params):
     assert repr(record) == repr(TraceRecord.from_json(line, 1))
 
 
+JSON_WHITESPACE = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+@settings(max_examples=30)
+@given(pads=st.data())
+def test_padded_params_of_bundled_lines_read_as_unpadded(bundled_results, pads):
+    """Whitespace around a params value, or before the line's closing brace,
+    reads to an equal record, so the trace keeps its verdict."""
+    name = pads.draw(st.sampled_from(sorted(bundled_results)))
+    plain = [trace_line(record) for record in bundled_results[name].records]
+    padded = list(plain)
+    for index in pads.draw(st.sets(st.integers(0, len(plain) - 1), min_size=1, max_size=8)):
+        head, params_text = plain[index].split('"params":', 1)
+        before, after = pads.draw(JSON_WHITESPACE), pads.draw(JSON_WHITESPACE)
+        padded[index] = f'{head}"params":{before}{params_text[:-1]}{after}}}'
+    expected, records = parse_trace(plain), parse_trace(padded)
+    assert records == expected
+    assert check_trace(records) == check_trace(expected)
+
+
 def test_records_with_equal_heads_share_their_strings(scenario_path):
     """On a simulated multi-flow trace, each distinct head is one set of objects."""
     document = json.loads(scenario_path("multi").read_text(encoding="utf-8"))
@@ -349,8 +369,8 @@ class TestSegmentation:
             rec("HOExecutionRequest", flow=2, current=ACC_A, target=ACC_B, mbb_flag=True),
             rec("HOComplete", result="success"),
         ]
-        with pytest.raises(AmbiguousTraceError, match="record 2"):
-            segment_contexts(records)
+        with pytest.raises(AmbiguousTraceError, match="^line 3: HOComplete carries no flow id"):
+            segment_contexts(parse_trace(trace_line(record) for record in records))
 
     def test_traffic_before_any_request_is_ignored(self):
         records = [rec("BindingAck", flow=1, result="success")] + mbb_slice()
@@ -549,6 +569,39 @@ class TestCheck:
 
     def test_empty_slice_conforms(self):
         assert check([], TEMPLATES["fmip"]).ok
+
+
+# Records that segment_contexts keeps out of every context.
+UNCHECKED = (
+    rec("AccessSetsSnapshot", flow=1, aas=[], cas=[], das=[], scanned=[]),
+    rec("ConstraintRequest", flow=1, candidates=[ACC_A, ACC_B]),
+    rec("ConstraintResponse", ratings=[]),
+    rec("AccessFlowSetup", flow=1, requested_qos=QOS),
+    rec("LinkUp", access="net-2/cell-b", flow=1, granted_qos=QOS),
+)
+
+
+@settings(max_examples=200)
+@given(
+    slice_fn=st.sampled_from([mbb_slice, bbm_slice, fmip_slice, establishment_slice]),
+    swap=st.integers(0, 12),
+    mixed_in=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(UNCHECKED)), max_size=6),
+)
+def test_unchecked_records_mixed_into_a_slice_change_no_verdict(slice_fn, swap, mixed_in):
+    assert not CHECKED_NAMES & {record.name for record in UNCHECKED}
+    records = slice_fn()
+    if swap + 1 < len(records):
+        records[swap], records[swap + 1] = records[swap + 1], records[swap]
+    mixed = list(records)
+    for position, record in mixed_in:
+        mixed.insert(position, record)
+    for template in TEMPLATES.values():
+        expected, verdict = check(records, template), check(mixed, template)
+        assert (verdict.ok, verdict.template, verdict.rule, verdict.detail) == (
+            expected.ok, expected.template, expected.rule, expected.detail)
+        if not verdict.ok:
+            assert verdict.record is expected.record
+            assert mixed[verdict.index] is expected.record
 
 
 class TestCheckTrace:

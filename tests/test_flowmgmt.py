@@ -10,7 +10,7 @@ from mobsig.core import (
     QosSpec,
     Result,
 )
-from mobsig.flowmgmt import FlowManagement, FlowRecord, FlowTable
+from mobsig.flowmgmt import FlowManagement, FlowRecord
 from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 
 from support import REQUESTED
@@ -18,26 +18,12 @@ from support import REQUESTED
 
 def build_entity(*flows):
     kernel = Kernel(recorder=TraceRecorder())
-    table = FlowTable([FlowRecord(flow=f, requested=REQUESTED) for f in flows])
+    table = {f: FlowRecord(flow=f, requested=REQUESTED) for f in sorted(flows)}
     entity = FlowManagement(kernel, table)
     mrrm_in = []
     kernel.register(FE_FLOW_MANAGEMENT, entity.handle)
     kernel.register(FE_MRRM, lambda e: mrrm_in.append(e.payload))
     return kernel, table, entity, mrrm_in
-
-
-class TestFlowTable:
-    def test_lookup_and_sorted_listing(self):
-        table = FlowTable(
-            [FlowRecord(flow=5, requested=REQUESTED), FlowRecord(flow=2, requested=REQUESTED)]
-        )
-        assert table.get(7) is None
-        assert [r.flow for r in table.records()] == [2, 5]
-
-    def test_active_records_filter(self):
-        active = FlowRecord(flow=1, requested=REQUESTED, state="active")
-        table = FlowTable([active, FlowRecord(flow=2, requested=REQUESTED)])
-        assert [r.flow for r in table.active_records()] == [1]
 
 
 class TestStartFlow:

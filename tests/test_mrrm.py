@@ -325,7 +325,7 @@ class TestScanPerTick:
         for flow in (1, 2, 3):
             node.flow_management.start_flow(flow)
         node.run()
-        assert [r.flow for r in node.table.active_records()] == [1, 2, 3]
+        assert [r.flow for r in node.table.values() if r.state == "active"] == [1, 2, 3]
         scans = []
         scan = node.env.scan
 
@@ -364,6 +364,18 @@ class TestScanPerTick:
         assert scans == [tick_at, tick_at]  # the tick's scan, then the setup's
         assert [params["flow"] for params in self.requests_at(node, tick_at)] == [1, 2, 3, 4]
         assert node.table.get(4).state == "active"
+
+    def test_a_flow_that_is_not_active_gets_no_cycle(self):
+        node, scans, tick_at = self.node_with_active_flows()
+        node.table.get(2).state = "failed"
+        node.kernel.call_later(self.DELAY_US, node.mrrm.tick, FE_MRRM)
+        node.run()
+        assert scans == [tick_at]
+        # Flow 4 was never started, and flow 2 is no longer active.
+        assert [params["flow"] for params in self.requests_at(node, tick_at)] == [1, 3]
+        snapshots = [r for r in node.recorder.records
+                     if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
+        assert [r.params["flow"] for r in snapshots] == [1, 3]
 
     def test_tick_without_active_flows_scans_nothing(self):
         node = moving_node()

@@ -15,7 +15,7 @@ from mobsig.core import (
     QosSpec,
 )
 from mobsig.environment import Environment, Trajectory
-from mobsig.flowmgmt import FlowRecord, FlowTable
+from mobsig.flowmgmt import FlowRecord
 from mobsig.path_selection import PathModel, PathSelection, rate_access
 from mobsig import path_selection
 from mobsig.simkernel import Kernel, TraceRecorder
@@ -42,7 +42,7 @@ def build_entity(cells, models=None, flows=None):
         models = {cell.access: default_model() for cell in cells}
     if flows is None:
         flows = {1: REQUESTED, 4: REQUESTED}
-    table = FlowTable([FlowRecord(flow=flow, requested=qos) for flow, qos in flows.items()])
+    table = {flow: FlowRecord(flow=flow, requested=qos) for flow, qos in sorted(flows.items())}
     entity = PathSelection(kernel, env, models, table)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)

@@ -1,6 +1,7 @@
 """Full scenario runs and the metrics report."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -144,6 +145,20 @@ class TestRunControls:
         handovers = result.metrics["handovers"]
         assert [h["variant"] for h in handovers] == ["establishment", "establishment"]
         assert [h["flow"] for h in handovers] == [1, 2]
+
+    def test_a_tick_runs_the_flows_cycles_in_flow_id_order(self, scenario_path):
+        """The scenario lists flow 5 before flow 2; each tick still asks for 2 first."""
+        document = json.loads(scenario_path("multi").read_text(encoding="utf-8"))
+        [spec] = document["flows"]
+        document["flows"] = [dict(spec, id=5, start_us=0), dict(spec, id=2, start_us=100_000)]
+        result = Simulation(parse_scenario(document)).run()
+        flows_at: dict[int, list[int]] = {}
+        for record in result.records:
+            if record.name == "ConstraintRequest":
+                flows_at.setdefault(record.at, []).append(record.params["flow"])
+        ticks = [flows for flows in flows_at.values() if len(flows) > 1]
+        assert len(ticks) > 10
+        assert all(flows == [2, 5] for flows in ticks)
 
 
 def _record(name, at, **params):
