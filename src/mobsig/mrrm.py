@@ -7,23 +7,18 @@ to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
 flow's cycle; an establishment cycle scans at its own time. The detected set
 changes only at cell borders, so while `build_das` gives equal sets MRRM keeps
-the last view (its sets, candidate tuple and key lists) as it is, across ticks;
-each cycle carries its own scan's radio scores.
+the last view as it is, across ticks; each cycle carries its own scan's radio
+scores.
 
-What recurs is derived once and sent again as the same object, so each
-primitive renders and encodes once in the trace:
-
-* a flow's ConstraintRequest, while the view's candidate tuple is the same
-  object; path selection then answers flows that request equal QoS with the
-  same ConstraintResponse, on this tick and on later ones;
-* from one view and one ConstraintResponse: the CAS, its sorted keys and the
-  weighted path scores; a cycle on them, on any tick, computes only its
-  combined scores and the winning access;
-* from one view, one ConstraintResponse and one winning access: the
-  AccessSets and the sorted AAS keys of the snapshot;
-* a flow's snapshot params, while its four key lists are equal.
-
-No two flows share a request or a snapshot, since both carry the flow id.
+What a view derives lives on that view, and goes with it: each flow's
+ConstraintRequest; for each ConstraintResponse, the CAS, its sorted keys and
+the weighted path scores; for each winning access, the AccessSets, the sorted
+AAS keys and each flow's snapshot params. A cycle on them, on any tick,
+computes only its combined scores and the winner, and sends or records again
+the objects derived before, so each primitive renders and encodes once in the
+trace. Path selection answers flows that request equal QoS on one view with
+the same ConstraintResponse. No two flows share a request or a snapshot, since
+both carry the flow id.
 Link commands arriving from the handover orchestrator are relayed to the
 environment, since only MRRM touches radio resources.
 
@@ -35,7 +30,7 @@ arrive meanwhile queue up.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import (
@@ -168,7 +163,7 @@ def notify_flow_management(
 class _RadioView:
     """A scan's accesses and DAS membership as the decision cycles see them.
 
-    Shared read-only by the cycles of a tick, and by the ticks after it while
+    Shared by the cycles of a tick, and by the ticks after it while
     `build_das` gives equal sets. The radio scores belong to one scan and
     travel in each cycle. The sorted key lists go into every snapshot taken on
     this view as they are.
@@ -178,6 +173,11 @@ class _RadioView:
     candidates: tuple[AccessId, ...]
     das_keys: list[str]
     scanned_keys: list[str]
+    # Each flow's request on this view.
+    requests: dict[int, ConstraintRequest] = field(default_factory=dict)
+    # What each response fixes, by the id of the response; the entry holds
+    # the response, so its id stays its own.
+    rated: dict[int, tuple[ConstraintResponse, _Rated]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,9 @@ class _Rated:
     path: dict[AccessId, float]
     cas_order: tuple[AccessId, ...]
     cas_keys: list[str]
-    # The AccessSets and sorted AAS keys of each winning access seen so far.
-    outcomes: dict[AccessId | None, tuple[AccessSets, list[str]]]
+    # The AccessSets, sorted AAS keys and each flow's snapshot params of each
+    # winning access seen so far.
+    outcomes: dict[AccessId | None, tuple[AccessSets, list[str], dict[int, dict]]]
 
 
 @dataclass
@@ -229,13 +230,6 @@ class Mrrm:
         self._deferred_setups: deque[AccessFlowSetup] = deque()
         # The last view built; kept while build_das gives equal sets.
         self._view: _RadioView | None = None
-        # What _rated_view and each of its responses fix, by the id of the
-        # response; the entry holds the response, so its id stays its own.
-        self._rated_view: _RadioView | None = None
-        self._rated: dict[int, tuple[ConstraintResponse, _Rated]] = {}
-        # Each flow's last request and last snapshot params.
-        self._requests: dict[int, ConstraintRequest] = {}
-        self._snapshots: dict[int, dict] = {}
 
     # -- event handling -----------------------------------------------------------
 
@@ -285,10 +279,11 @@ class Mrrm:
         self, flow: int, view: _RadioView, radio: dict[AccessId, float], establishing: bool
     ) -> None:
         self._cycles.append(_CycleState(flow, establishing, view, radio))
-        request = self._requests.get(flow)
-        if request is None or request.candidates is not view.candidates:
-            request = ConstraintRequest(flow=flow, candidates=view.candidates)
-            self._requests[flow] = request
+        request = view.requests.get(flow)
+        if request is None:
+            request = view.requests[flow] = ConstraintRequest(
+                flow=flow, candidates=view.candidates
+            )
         self._send(FE_PATH_SELECTION, request)
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
@@ -306,9 +301,18 @@ class Mrrm:
         if outcome is None:
             aas = frozenset() if winner is None else frozenset({winner})
             sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas, aas=aas)
-            outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas))
-        sets, aas_keys = outcome
-        self._snapshot(cycle.flow, view, aas_keys, rated.cas_keys)
+            outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas), {})
+        sets, aas_keys, snapshots = outcome
+        params = snapshots.get(cycle.flow)
+        if params is None:
+            params = snapshots[cycle.flow] = {
+                "aas": aas_keys,
+                "cas": rated.cas_keys,
+                "das": view.das_keys,
+                "flow": cycle.flow,
+                "scanned": view.scanned_keys,
+            }
+        self._recorder.annotate(self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, params)
         record = self._table.get(cycle.flow)
         if cycle.establishing:
             self._finish_establishment_cycle(record, sets)
@@ -322,13 +326,10 @@ class Mrrm:
 
     def _rate(self, view: _RadioView, response: ConstraintResponse) -> _Rated:
         """What view and response fix for a cycle, derived at their first cycle."""
-        if view is not self._rated_view:
-            self._rated.clear()
-            self._rated_view = view
-        entry = self._rated.get(id(response))
+        entry = view.rated.get(id(response))
         if entry is None:
             cas, path = derive_cas(self.policy, response.ratings)
-            entry = self._rated[id(response)] = (response, _Rated(
+            entry = view.rated[id(response)] = (response, _Rated(
                 cas=cas,
                 path=path,
                 cas_order=tuple(sorted(cas, key=access_sort_key)),
@@ -438,30 +439,6 @@ class Mrrm:
             self._inflight.granted = granted
 
     # -- helpers ---------------------------------------------------------------------
-
-    def _snapshot(
-        self, flow: int, view: _RadioView, aas_keys: list[str], cas_keys: list[str]
-    ) -> None:
-        # The key lists are shared by every snapshot of the same view, response
-        # and winner; the flow's last params are recorded again while they hold.
-        params = self._snapshots.get(flow)
-        if (
-            params is None
-            or params["aas"] != aas_keys
-            or params["cas"] != cas_keys
-            or params["das"] != view.das_keys
-            or params["scanned"] != view.scanned_keys
-        ):
-            params = self._snapshots[flow] = {
-                "aas": aas_keys,
-                "cas": cas_keys,
-                "das": view.das_keys,
-                "flow": flow,
-                "scanned": view.scanned_keys,
-            }
-        self._recorder.annotate(
-            self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, params
-        )
 
     def _send(self, receiver: str, payload) -> None:
         self._kernel.schedule(0, FE_MRRM, receiver, payload)

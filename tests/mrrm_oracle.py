@@ -1,8 +1,9 @@
 """Reference MRRM decision cycle: every cycle derives its sets anew.
 
-MRRM keeps what a view and a ConstraintResponse fix (CAS, weighted path
-scores, the AccessSets of each winner) across cycles and ticks, and computes
-only the combined scores and the winner per cycle. This oracle keeps the
+MRRM keeps what a radio view derives on that view, across cycles and ticks:
+each flow's request; per ConstraintResponse, the CAS and the weighted path
+scores; per winner, the AccessSets and each flow's snapshot params. A cycle
+computes only the combined scores and the winner. This oracle keeps the
 derivation the entity had before that reuse: per cycle, build the DAS from the
 cycle's own scan, then ``select_cas_aas``, then ``decide_handover``, with
 nothing kept from one cycle to the next. A simulation whose MRRM is a

@@ -650,6 +650,25 @@ class TestCheckTrace:
         assert text.startswith("line 3: HOComplete carries no flow id")
         assert text.count("line 3") == 1
 
+    def test_a_rule_end_on_both_sides_of_the_other_is_flagged(self):
+        # The first BindingUpdate precedes the ack, as the rule asks; the
+        # second follows it, so the ack still precedes an update.
+        records = [
+            rec("HOExecutionRequest", flow=1, current=ACC_A, target=ACC_B, mbb_flag=True),
+            rec("BindingUpdate", flow=1, locator=LOC_B),
+            rec("BindingAck", flow=1, result="success"),
+            rec("BindingUpdate", flow=1, locator=LOC_B),
+            rec("HOComplete", result="success"),
+        ]
+        for line, record in enumerate(records, start=1):
+            record.line = line
+        verdict = check_trace(records)
+        assert not verdict.ok
+        assert verdict.describe() == (
+            "line 3: BindingAck precedes BindingUpdate"
+            " [template=generic rule=binding-update-before-ack]"
+        )
+
     def test_line_numbers_surface_in_descriptions(self):
         records = mbb_slice()
         records[5], records[6] = records[6], records[5]

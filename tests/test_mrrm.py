@@ -637,3 +637,37 @@ class TestReuseOracle:
         decisions = self.decisions(config)
         assert decisions == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
         assert any(name == ANNOTATION_ACCESS_SETS for _at, name, _params in decisions)
+
+    def test_a_winner_back_on_the_same_view_records_its_first_params(self):
+        # The walk goes from cell-0's centre to cell-1's and back, each tick
+        # one leg, so both cells stay in the DAS and every cycle is on one
+        # view while the winner goes cell-0, cell-1, cell-0.
+        def cell(index, x, network):
+            return {"cell_id": f"cell-{index}", "network_id": network, "rat": "wlan",
+                    "center": [x, 0.0], "radius_m": 600.0, "link_setup_us": 50_000,
+                    "link_teardown_us": 10_000, "locator_config_us": 100_000,
+                    "supports_fmip": False,
+                    "capacity": {"bandwidth_kbps": 2000, "max_latency_ms": 40}}
+
+        model = {"bottleneck_bandwidth_kbps": 2000, "path_latency_ms": 40, "policy_allowed": True}
+        config = parse_scenario({
+            "seed": 0, "scan_period_us": 5_000_000, "jitter_us": 0,
+            "cells": [cell(0, 0.0, "net-1"), cell(1, 300.0, "net-2")],
+            "trajectory": [{"t_us": t_us, "xy": [x, 0.0]}
+                           for t_us, x in ((0, 0.0), (5_000_000, 300.0), (10_000_000, 0.0))],
+            "policy": {"forbidden_networks": [], "min_radio_score": 0.0, "hysteresis": 0.1,
+                       "weight_radio": 0.5, "weight_path": 0.5, "mbb_capable": True},
+            "path_models": {"net-1/cell-0": model, "net-2/cell-1": model},
+            "latencies": {"binding_rtt_us": 40_000, "fmip_oneway_us": 5_000},
+            "flows": [{"id": 1, "start_us": 0,
+                       "requested_qos": {"bandwidth_kbps": 1000, "max_latency_ms": 80}}],
+        })
+        decisions = self.decisions(config)
+        assert decisions == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
+        snapshots = [params for _at, name, params in decisions if name == ANNOTATION_ACCESS_SETS]
+        assert [params["aas"] for params in snapshots] == [
+            ["net-1/cell-0"], ["net-2/cell-1"], ["net-1/cell-0"]
+        ]
+        assert all(params["das"] == snapshots[0]["das"] for params in snapshots)
+        first, _other, again = snapshots
+        assert again is first
