@@ -211,6 +211,12 @@ def _with_params(line, text):
     return line[: line.index('"params":') + 9] + text
 
 
+def _to_before_from(line):
+    record = json.loads(line)
+    return json.dumps({key: record[key] for key in ("t", "to", "from", "msg", "params")},
+                      separators=(",", ":"))
+
+
 # Each turns a line in the writer's layout into one that may or may not be.
 MUTATIONS = {
     "spaced": lambda line: line.replace('":', '": ').replace(',"', ', "'),
@@ -237,6 +243,11 @@ MUTATIONS = {
     "leading-zero-t": lambda line: _with_head(line, '{"t":007'),
     "19-digit-t": lambda line: _with_head(line, '{"t":' + "9" * 19),
     "25-digit-t": lambda line: _with_head(line, '{"t":-' + "1" * 25),
+    # Each moves one of the reader's separators, `,"from":` and `,"params":`,
+    # or adds a copy of one where the writer puts none.
+    "separators-in-params": lambda line: _with_params(line, '{"a":1,"from":2,"params":{}}}'),
+    "to-before-from": _to_before_from,
+    "escaped-separator-in-msg": lambda line: line.replace('"msg":"', '"msg":"\\",\\"from\\":'),
 }
 
 trace_lines = (
@@ -325,7 +336,8 @@ def test_padded_params_of_bundled_lines_read_as_unpadded(bundled_results, pads):
 
 
 def test_records_with_equal_heads_share_their_strings(scenario_path):
-    """On a simulated multi-flow trace, each distinct head is one set of objects."""
+    """On a simulated multi-flow trace, each distinct head is one set of objects,
+    and so is each distinct params text."""
     document = json.loads(scenario_path("multi").read_text(encoding="utf-8"))
     document["flows"] = [dict(document["flows"][0], id=flow, start_us=(flow - 1) * 500_000)
                          for flow in (1, 2, 3, 4)]
@@ -334,6 +346,11 @@ def test_records_with_equal_heads_share_their_strings(scenario_path):
     assert {record.params.get("flow") for record in records} >= {1, 2, 3, 4}
     heads = [(record.sender, record.receiver, record.name) for record in records]
     assert len({tuple(map(id, head)) for head in heads}) == len(set(heads))
+    # One dict per distinct params text, and one string per distinct key.
+    texts = {json.dumps(record.params, sort_keys=True, separators=(",", ":")) for record in records}
+    assert len({id(record.params) for record in records}) == len(texts)
+    keys = [key for record in records for key in _keys(record.params)]
+    assert len({id(key) for key in keys}) == len(set(keys))
     # The trace is in time order, so records with equal `t` follow each other.
     assert len({id(record.at) for record in records}) == len({record.at for record in records})
 
