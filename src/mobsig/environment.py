@@ -14,15 +14,18 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .core import FE_ENVIRONMENT, AccessId, Locator, QosSpec, Result
+from .core import FE_ENVIRONMENT, AccessId, Locator, QosSpec, Result, _codec
 from .simkernel import Kernel, SimTime, TraceRecorder
 
 ANNOTATION_LINK_UP = "LinkUp"
 ANNOTATION_LINK_DOWN = "LinkDown"
+
+# A LinkUp's granted QoS in the wire form of a primitive's QosSpec field.
+_render_qos = _codec(QosSpec)
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ class Environment:
                 {
                     "access": target.key,
                     "flow": flow,
-                    "granted_qos": asdict(granted),
+                    "granted_qos": _render_qos(granted),
                 },
             )
             done(Result.success(), granted)

@@ -11,14 +11,15 @@ the last view as it is, across ticks; each cycle carries its own scan's radio
 scores.
 
 What a view derives lives on that view, and goes with it: each flow's
-ConstraintRequest; for each ConstraintResponse, the CAS, its sorted keys and
-the weighted path scores; for each winning access, the AccessSets, the sorted
-AAS keys and each flow's snapshot params. A cycle on them, on any tick,
-computes only its combined scores and the winner, and sends or records again
-the objects derived before, so each primitive renders and encodes once in the
-trace. Path selection answers flows that request equal QoS on one view with
-the same ConstraintResponse. No two flows share a request or a snapshot, since
-both carry the flow id.
+ConstraintRequest; for each ConstraintResponse, the CAS, its sorted keys, the
+weighted path scores and the last selection; for each winning access, the
+AccessSets, the sorted AAS keys and each flow's snapshot params. Path
+selection answers flows that request equal QoS on one view with the same
+ConstraintResponse, so the cycles of one tick that got it select once, on
+that tick's radio scores. A cycle, on any tick, sends or records again the
+objects derived before, so each primitive renders and encodes once in the
+trace. No two flows share a request or a snapshot, since both carry the flow
+id.
 Link commands arriving from the handover orchestrator are relayed to the
 environment, since only MRRM touches radio resources.
 
@@ -180,7 +181,10 @@ class _RadioView:
     rated: dict[int, tuple[ConstraintResponse, _Rated]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+_Outcome = tuple[AccessSets, list[str], dict[int, dict]]
+
+
+@dataclass
 class _Rated:
     """What one view and one ConstraintResponse fix for every cycle on them."""
 
@@ -190,7 +194,11 @@ class _Rated:
     cas_keys: list[str]
     # The AccessSets, sorted AAS keys and each flow's snapshot params of each
     # winning access seen so far.
-    outcomes: dict[AccessId | None, tuple[AccessSets, list[str], dict[int, dict]]]
+    outcomes: dict[AccessId | None, _Outcome]
+    # The last selection: its radio scores, the combined scores and the
+    # winner's outcome. The cycles of a tick share the radio scores, so those
+    # that got this response select once.
+    last: tuple[dict[AccessId, float], dict[AccessId, float], _Outcome] | None = None
 
 
 @dataclass
@@ -296,13 +304,17 @@ class Mrrm:
         cycle = self._cycles.popleft()
         view = cycle.view
         rated = self._rate(view, response)
-        winner, combined = select_aas(self.policy, rated.cas_order, cycle.radio, rated.path)
-        outcome = rated.outcomes.get(winner)
-        if outcome is None:
-            aas = frozenset() if winner is None else frozenset({winner})
-            sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas, aas=aas)
-            outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas), {})
-        sets, aas_keys, snapshots = outcome
+        last = rated.last
+        if last is None or last[0] is not cycle.radio:
+            winner, combined = select_aas(self.policy, rated.cas_order, cycle.radio, rated.path)
+            outcome = rated.outcomes.get(winner)
+            if outcome is None:
+                aas = frozenset() if winner is None else frozenset({winner})
+                sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas,
+                                  aas=aas)
+                outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas), {})
+            last = rated.last = (cycle.radio, combined, outcome)
+        _radio, combined, (sets, aas_keys, snapshots) = last
         params = snapshots.get(cycle.flow)
         if params is None:
             params = snapshots[cycle.flow] = {

@@ -3,12 +3,20 @@
 Time is an integer microsecond count. Events are processed in (at, seq) order
 where seq is a global insertion counter, so same-instant deliveries happen in
 scheduling order and a run is fully reproducible.
+
+Most deliveries are same-instant hops between the entities of one node, so a
+zero-delay event skips the heap: it goes on a FIFO of events at the current
+instant. An event on the heap at that instant was scheduled at an earlier
+one, so its seq is lower than any on the FIFO, and the loop takes the heap's
+top first while it is at the current instant; the (at, seq) order is the
+same as with one heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import deque
 from dataclasses import dataclass
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -71,8 +79,10 @@ class TraceRecord:
 
     ``params`` may be shared with other records and is read-only: a recorded
     one with the records of the same answer (see ``TraceRecorder``), a parsed
-    one with every record of the trace whose params text is equal (see
-    ``conformance.parse_trace``). A parsed record also shares its ``sender``,
+    one with every record of the trace whose params tail, the text after
+    ``,"params":`` to the line end, is equal (see ``conformance.parse_trace``),
+    so equal params texts before different trailing whitespace give equal,
+    distinct dicts. A parsed record also shares its ``sender``,
     ``receiver`` and ``name`` strings with every record of equal head, and
     each params key string with every equal key of the trace.
     """
@@ -136,11 +146,12 @@ class TraceRecorder:
         self.records: list[TraceRecord] = []
 
     def on_delivery(self, event: SimEvent) -> None:
-        payload = event.payload
-        self.records.append(
-            TraceRecord(event.at, event.sender, event.receiver, type(payload).__name__,
-                        payload.params())
-        )
+        at, _seq, sender, receiver, payload = event
+        # A primitive's params memo; params() is called only to render them.
+        params = payload._params
+        if params is None:
+            params = payload.params()
+        self.records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
 
     def annotate(
         self, at: SimTime, sender: str, receiver: str, name: str, params: dict[str, Any]
@@ -204,13 +215,17 @@ class _Call:
     fn: Callable[[], None]
 
 
+_new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
+
+
 class Kernel:
     """Event queue plus the FE registry; owns the clock."""
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self._now: SimTime = 0
         self._seq = 0
-        self._queue: list[SimEvent] = []
+        self._queue: list[SimEvent] = []  # a heap of later deliveries
+        self._ready: deque[SimEvent] = deque()  # zero-delay deliveries, at now
         self._handlers: dict[str, Callable[[SimEvent], None]] = {}
         self.recorder = recorder
 
@@ -232,9 +247,11 @@ class Kernel:
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
         self._seq += 1
-        heapq.heappush(
-            self._queue, SimEvent(self._now + delay_us, self._seq, sender, receiver, payload)
-        )
+        event = _new_event(SimEvent, (self._now + delay_us, self._seq, sender, receiver, payload))
+        if delay_us:
+            heapq.heappush(self._queue, event)
+        else:
+            self._ready.append(event)
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
         """Schedule an internal (untraced) call attributed to an FE."""
@@ -246,23 +263,26 @@ class Kernel:
         Returns the time of the last processed event (0 if none).
         """
         last: SimTime = 0
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)
-            self._now = last = event.at
-            self._dispatch(event)
-        return last
-
-    def _dispatch(self, event: SimEvent) -> None:
-        payload = event.payload
-        try:
-            if type(payload) is _Call:
-                payload.fn()
-                return
-            self.recorder.on_delivery(event)
-            self._handlers[event.receiver](event)
-        except Exception as exc:
-            raise SimulationError(
-                f"handler failed at t={event.at} for "
-                f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
-            ) from exc
+        now = self._now
+        queue, ready, handlers, recorder = self._queue, self._ready, self._handlers, self.recorder
+        while True:
+            if ready and not (queue and queue[0].at == now):
+                event = ready.popleft()
+            elif queue:
+                event = heapq.heappop(queue)
+                self._now = now = event.at
+            else:
+                return last
+            last = now
+            payload = event.payload
+            try:
+                if type(payload) is _Call:
+                    payload.fn()
+                else:
+                    recorder.on_delivery(event)
+                    handlers[event.receiver](event)
+            except Exception as exc:
+                raise SimulationError(
+                    f"handler failed at t={event.at} for "
+                    f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
+                ) from exc

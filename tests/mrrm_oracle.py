@@ -1,13 +1,14 @@
 """Reference MRRM decision cycle: every cycle derives its sets anew.
 
 MRRM keeps what a radio view derives on that view, across cycles and ticks:
-each flow's request; per ConstraintResponse, the CAS and the weighted path
-scores; per winner, the AccessSets and each flow's snapshot params. A cycle
-computes only the combined scores and the winner. This oracle keeps the
-derivation the entity had before that reuse: per cycle, build the DAS from the
-cycle's own scan, then ``select_cas_aas``, then ``decide_handover``, with
-nothing kept from one cycle to the next. A simulation whose MRRM is a
-``ReferenceMrrm`` must write the same snapshots and execution requests.
+each flow's request; per ConstraintResponse, the CAS, the weighted path scores
+and the last selection, so the cycles of a tick that got one response select
+once; per winner, the AccessSets and each flow's snapshot params. This oracle
+keeps the derivation the entity had before that reuse: per cycle, build the
+DAS from the cycle's own scan, then ``select_cas_aas``, then
+``decide_handover``, with nothing kept from one cycle to the next. A
+simulation whose MRRM is a ``ReferenceMrrm`` must write the same snapshots and
+execution requests.
 """
 
 from __future__ import annotations

@@ -449,12 +449,15 @@ class TestSharedOutcomes:
         ticks = self.tick_snapshots(qos_by_flow, ticks=2, node=node)
         assert [[s.params["flow"] for s in snapshots] for snapshots in ticks] == [[1, 2, 3, 4, 5]] * 2
         assert len(derived) == 3
-        # Every cycle selects once, on its own tick's radio scores.
+        # A tick selects once per response, on its own radio scores: the five
+        # flows got three responses, one per QoS class, on each of two ticks.
         on_ticks = selected[setup_cycles:]
-        assert len(on_ticks) == 10
+        assert len(on_ticks) == 6
         radios = [radio for _policy, _order, radio, _path in on_ticks]
-        assert all(radio is radios[0] for radio in radios[:5])
-        assert all(radio is radios[5] for radio in radios[5:]) and radios[5] is not radios[0]
+        assert all(radio is radios[0] for radio in radios[:3])
+        assert all(radio is radios[3] for radio in radios[3:]) and radios[3] is not radios[0]
+        paths = [path for _policy, _order, _radio, path in on_ticks]
+        assert len({id(path) for path in paths}) == 3
 
     def test_a_shared_outcome_keeps_each_flows_own_id(self):
         ticks = self.tick_snapshots({flow: REQUESTED for flow in (1, 2, 3)}, ticks=2)
@@ -557,10 +560,10 @@ class TestViewReuse:
 
 
 @st.composite
-def scenario_documents(draw):
+def scenario_documents(draw, min_flows=1):
     """Small scenarios on a coarse grid, so that scans often tie: three networks
     of which some may be forbidden, a radio floor, path models that rule cells
-    out, one to four flows over a few QoS classes, with or without jitter, and
+    out, min_flows to four flows over a few QoS classes, with or without jitter, and
     a binding round trip of 40 ms or of 4 s, which makes handovers fail."""
     networks = ("net-1", "net-2", "net-3")
     spots = st.tuples(st.sampled_from((0.0, 400.0, 800.0, 1200.0)), st.sampled_from((-200.0, 0.0, 200.0)))
@@ -591,7 +594,7 @@ def scenario_documents(draw):
     qos = st.sampled_from(((1000, 80), (1000, 50), (2000, 80)))
     flows = [{"id": flow, "start_us": draw(st.sampled_from((0, 500_000, 2_000_000))),
               "requested_qos": dict(zip(("bandwidth_kbps", "max_latency_ms"), draw(qos)))}
-             for flow in range(1, draw(st.integers(min_value=1, max_value=4)) + 1)]
+             for flow in range(1, draw(st.integers(min_value=min_flows, max_value=4)) + 1)]
     return {
         "seed": draw(st.integers(min_value=0, max_value=3)),
         "scan_period_us": draw(st.sampled_from((250_000, 500_000, 1_000_000))),
@@ -637,6 +640,51 @@ class TestReuseOracle:
         decisions = self.decisions(config)
         assert decisions == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
         assert any(name == ANNOTATION_ACCESS_SETS for _at, name, _params in decisions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(document=scenario_documents(min_flows=3))
+    def test_multi_flow_decisions_equal_the_reference(self, document):
+        # The flows of a tick that get one response share its selection.
+        config = parse_scenario(document)
+        assert self.decisions(config) == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
+
+    def test_a_walk_with_flows_sharing_responses_decides_as_the_reference(self, monkeypatch):
+        # Four flows in two QoS classes walk across three cells; cell-1's
+        # 60 ms path is usable for the 80 ms class only.
+        def cell(index, network):
+            return {"cell_id": f"cell-{index}", "network_id": network, "rat": "wlan",
+                    "center": [index * 500.0, 0.0], "radius_m": 600.0, "link_setup_us": 50_000,
+                    "link_teardown_us": 10_000, "locator_config_us": 100_000,
+                    "supports_fmip": index == 2,
+                    "capacity": {"bandwidth_kbps": 2000, "max_latency_ms": 40}}
+
+        def model(latency_ms):
+            return {"bottleneck_bandwidth_kbps": 2000, "path_latency_ms": latency_ms,
+                    "policy_allowed": True}
+
+        config = parse_scenario({
+            "seed": 0, "scan_period_us": 500_000, "jitter_us": 0,
+            "cells": [cell(0, "net-1"), cell(1, "net-2"), cell(2, "net-3")],
+            "trajectory": [{"t_us": 0, "xy": [0.0, 0.0]}, {"t_us": 10_000_000, "xy": [1000.0, 0.0]}],
+            "policy": {"forbidden_networks": [], "min_radio_score": 0.0, "hysteresis": 0.05,
+                       "weight_radio": 0.5, "weight_path": 0.5, "mbb_capable": False},
+            "path_models": {"net-1/cell-0": model(40), "net-2/cell-1": model(60),
+                            "net-3/cell-2": model(40)},
+            "latencies": {"binding_rtt_us": 40_000, "fmip_oneway_us": 5_000},
+            "flows": [{"id": flow, "start_us": 0,
+                       "requested_qos": {"bandwidth_kbps": 1000, "max_latency_ms": latency}}
+                      for flow, latency in ((1, 80), (2, 50), (3, 80), (4, 50))],
+        })
+        selected = []
+        select = mrrm.select_aas
+        monkeypatch.setattr(mrrm, "select_aas",
+                            lambda *args: selected.append(args) or select(*args))
+        decisions = self.decisions(config)
+        cycles = sum(name == ANNOTATION_ACCESS_SETS for _at, name, _params in decisions)
+        assert 0 < len(selected) < cycles
+        assert any(name == "HOExecutionRequest" and params["current"] is not None
+                   for _at, name, params in decisions)
+        assert decisions == self.decisions(config, entity=mrrm_oracle.ReferenceMrrm)
 
     def test_a_winner_back_on_the_same_view_records_its_first_params(self):
         # The walk goes from cell-0's centre to cell-1's and back, each tick

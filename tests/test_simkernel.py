@@ -1,5 +1,6 @@
 """Event kernel ordering and the JSON-Lines trace format."""
 
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mobsig import simkernel
-from mobsig.core import HOComplete, Result, TunnelStop
+from mobsig.core import HOComplete, Primitive, Result, TunnelStop
 from mobsig.simkernel import (
     TRACE_FIELDS,
     ConfigurationError,
@@ -19,6 +20,7 @@ from mobsig.simkernel import (
     TraceRecorder,
 )
 
+from kernel_oracle import HeapKernel
 from support import trace_line, trace_lines
 
 
@@ -91,6 +93,86 @@ class TestRunUntilQuiescent:
             kernel.run_until_quiescent()
         assert "t=3 for X->X TunnelStop: boom" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+# One program for a kernel: rounds of deliveries scheduled from outside, each
+# followed by a run; the n-th delivery or call of the program does plans[n - 1].
+KERNEL_FES = ("A", "B", "C")
+kernel_delays = st.sampled_from((0, 1, 2, 5))
+kernel_programs = st.fixed_dictionaries({
+    "rounds": st.lists(st.lists(st.tuples(kernel_delays, st.sampled_from(KERNEL_FES)),
+                                min_size=1, max_size=4), min_size=1, max_size=3),
+    "plans": st.lists(st.lists(st.tuples(st.sampled_from(("send", "call")), kernel_delays,
+                                         st.sampled_from(KERNEL_FES)), max_size=3), max_size=60),
+})
+# Payloads are taken in order from one pool, so both kernels deliver the same objects.
+KERNEL_PAYLOADS = tuple(TunnelStop(flow=n) for n in range(250))
+
+
+def run_program(kernel_cls, rounds, plans):
+    """What a kernel delivers for a program, in order: (at, seq, sender,
+    receiver, payload id) of each delivery and (at, call index) of each call;
+    the records; and what each run returned."""
+    recorder = TraceRecorder()
+    kernel = kernel_cls(recorder)
+    payloads, call_ids = iter(KERNEL_PAYLOADS), itertools.count()
+    log = []
+
+    def step():
+        if len(log) <= len(plans):
+            for kind, delay, fe in plans[len(log) - 1]:
+                if kind == "send":
+                    kernel.schedule(delay, "Z", fe, next(payloads))
+                else:
+                    kernel.call_later(delay, make_call(), fe)
+
+    def make_call():
+        index = next(call_ids)
+
+        def call():
+            log.append((kernel.now, "call", index))
+            step()
+
+        return call
+
+    def handler(event):
+        assert event.at == kernel.now
+        log.append((event.at, event.seq, event.sender, event.receiver, id(event.payload)))
+        step()
+
+    for fe in KERNEL_FES:
+        kernel.register(fe, handler)
+    returned = []
+    for deliveries in rounds:
+        for delay, fe in deliveries:
+            kernel.schedule(delay, "Z", fe, next(payloads))
+        returned.append(kernel.run_until_quiescent())
+    records = [(r.at, r.sender, r.receiver, r.name, id(r.params)) for r in recorder.records]
+    return log, records, returned
+
+
+class TestOrderOracle:
+    """The kernel delivers as one heap ordered by (at, seq) does
+    (tests/kernel_oracle.py), zero-delay deliveries and calls included."""
+
+    @given(program=kernel_programs)
+    def test_deliveries_and_returns_equal_the_heap_kernel(self, program):
+        got = run_program(Kernel, **program)
+        assert got == run_program(HeapKernel, **program)
+        log, _records, returned = got
+        assert len(returned) == len(program["rounds"]) and log
+
+    def test_an_earlier_events_instant_goes_before_zero_delay_ones(self):
+        # At t=2 the heap holds A (seq 1, sent at t=0) and C (seq 3, sent by B
+        # at t=1). A sends a zero-delay event (seq 4), which waits for C.
+        program = {"rounds": [[(2, "A"), (1, "B")]],
+                   "plans": [[("send", 1, "C")], [("send", 0, "A")], []]}
+        log, _records, returned = run_program(Kernel, **program)
+        assert [(at, seq, receiver) for at, seq, _s, receiver, _p in log] == [
+            (1, 2, "B"), (2, 1, "A"), (2, 3, "C"), (2, 4, "A")
+        ]
+        assert returned == [2]
+        assert run_program(HeapKernel, **program)[0] == log
 
 
 class TestCallLater:
@@ -289,6 +371,19 @@ class TestSharedParams:
         assert all(r.params is records[0].params for r in records if r.params["flow"] == 1)
         assert records[6].params is records[2].params
         assert trace_lines(recorder) == [_reference_line(r) for r in records]
+
+    def test_the_recorder_calls_params_only_to_render(self, monkeypatch):
+        # The traced benchmark counts params() calls as renders.
+        calls = []
+        params = Primitive.params
+        monkeypatch.setattr(Primitive, "params", lambda self: calls.append(self) or params(self))
+        kernel, _ = make_kernel("X")
+        shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
+        for payload in (shared, other, shared, shared):
+            kernel.schedule(0, "Y", "X", payload)
+        kernel.run_until_quiescent()
+        assert calls == [shared, other]
+        assert [r.params["flow"] for r in kernel.recorder.records] == [1, 2, 1, 1]
 
     def test_unserializable_params_raise_the_json_type_error(self):
         recorder = TraceRecorder()

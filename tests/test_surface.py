@@ -75,7 +75,7 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
     ("simkernel.py", "Kernel.schedule", "if delay_us < 0:"): "a wiring check of the kernel",
     ("simkernel.py", "Kernel.schedule", "if receiver not in self._handlers:"):
         "a wiring check of the kernel",
-    ("simkernel.py", "Kernel._dispatch", "except Exception as exc:"):
+    ("simkernel.py", "Kernel.run_until_quiescent", "except Exception as exc:"):
         "a failing handler ends the run: exit 3",
     ("cli.py", "_cmd_run", "except SimulationError as exc:"): "exit 3 and the partial trace",
     ("cli.py", "", 'if __name__ == "__main__":'): "the entry point of python -m mobsig.cli",
