@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 # Functional-entity identifiers, used for event attribution and diagram columns.
@@ -42,11 +43,16 @@ class AccessId:
     rat: str
 
     def __post_init__(self) -> None:
-        # Sets, dict lookups and trace keys use these on every scan; the fields
-        # never change, so both are computed once. The hash is the one the
-        # dataclass would generate.
+        # Sets, dict lookups and trace keys use these on every scan, and every
+        # primitive that names this access renders its wire form; the fields
+        # never change, so all three are computed once. The hash is the one
+        # the dataclass would generate. Params share the wire dict, so it is
+        # read-only like them.
         object.__setattr__(self, "_hash", hash((self.cell_id, self.network_id, self.rat)))
         object.__setattr__(self, "_key", f"{self.network_id}/{self.cell_id}")
+        object.__setattr__(
+            self, "_wire", {"cell_id": self.cell_id, "network_id": self.network_id, "rat": self.rat}
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -149,7 +155,8 @@ class Result:
 # Parameter rendering. Each primitive class gets one (name, render) pair per
 # field, built once at import from the field's declared type; params() renders
 # the fields into a JSON object. The trace writer sorts its keys. A rendered
-# value may be shared with other params objects, so params are read-only.
+# value may be shared with other params objects, so params are read-only: an
+# AccessId renders as its own wire dict, shared by every params naming it.
 # --------------------------------------------------------------------------
 
 
@@ -161,8 +168,8 @@ def _same(value: Any) -> Any:
 def _codec(tp: Any) -> Callable[[Any], Any]:
     """Renderer from a value of declared type tp to its JSON form.
 
-    tp is a scalar, ``X | None``, ``tuple[X, ...]`` or a dataclass. Rating is
-    the one dataclass with its own wire form.
+    tp is a scalar, ``X | None``, ``tuple[X, ...]`` or a dataclass. AccessId
+    and Rating are the dataclasses with their own wire form.
     """
     args = get_args(tp)
     if type(None) in args:
@@ -171,9 +178,10 @@ def _codec(tp: Any) -> Callable[[Any], Any]:
     if get_origin(tp) is tuple:
         render = _codec(args[0])
         return lambda values: [render(value) for value in values]
+    if tp is AccessId:
+        return attrgetter("_wire")
     if tp is Rating:
-        render = _codec(AccessId)
-        return lambda rating: {**render(rating.access), "rating": rating.path_score}
+        return lambda rating: {**rating.access._wire, "rating": rating.path_score}
     if dataclasses.is_dataclass(tp):
         plan = _field_codecs(tp)
         return lambda value: {name: render(getattr(value, name)) for name, render in plan}
@@ -207,7 +215,11 @@ class Primitive:
         """
         rendered = self._params
         if rendered is None:
-            rendered = {name: render(getattr(self, name)) for name, render in self._codecs}
+            rendered = {}
+            for name, render in self._codecs:
+                value = getattr(self, name)
+                # A scalar renders as itself, without the call.
+                rendered[name] = value if render is _same else render(value)
             if self._has_result:
                 result = self.result
                 rendered["result"] = "success" if result.ok else "failure"

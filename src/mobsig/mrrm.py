@@ -6,9 +6,11 @@ ratings, derives the candidate and active sets (CAS / AAS) and decides whether
 to request a handover. The radio environment belongs to the terminal, not to a
 flow, so a periodic tick scans once and shares that view with every active
 flow's cycle; an establishment cycle scans at its own time. The detected set
-changes only at cell borders, so while `build_das` gives equal sets MRRM keeps
-the last view as it is, across ticks; each cycle carries its own scan's radio
-scores.
+changes only at cell borders, so MRRM keeps the last view as it is, across
+ticks, while a scan finds the same accesses in the same order, each in or out
+of the DAS as before; each cycle carries its own scan's radio scores. The scan
+lists its hits in cell_id rank order, so that check holds exactly when
+`build_das` would give equal sets, and `build_das` runs only on a new view.
 
 What a view derives lives on that view, and goes with it: each flow's
 ConstraintRequest; for each ConstraintResponse, the CAS, its sorted keys, the
@@ -119,9 +121,9 @@ def select_aas(
     lexicographically smallest (network_id, cell_id).
     """
     weight_radio = policy.weight_radio
-    combined = {
-        access: weight_radio * radio.get(access, 0.0) + score for access, score in path.items()
-    }
+    combined = {}
+    for access, score in path.items():
+        combined[access] = weight_radio * radio.get(access, 0.0) + score
     best = None
     for access in cas_order:
         if best is None or combined[access] > combined[best]:
@@ -164,12 +166,14 @@ def notify_flow_management(
 class _RadioView:
     """A scan's accesses and DAS membership as the decision cycles see them.
 
-    Shared by the cycles of a tick, and by the ticks after it while
-    `build_das` gives equal sets. The radio scores belong to one scan and
-    travel in each cycle. The sorted key lists go into every snapshot taken on
-    this view as they are.
+    Shared by the cycles of a tick, and by the ticks after it while their
+    scans give an equal `held`: each scanned access, in scan order, with
+    whether it is in the DAS. The radio scores belong to one scan and travel
+    in each cycle. The sorted key lists go into every snapshot taken on this
+    view as they are.
     """
 
+    held: list[tuple[AccessId, bool]]
     sets: AccessSets
     candidates: tuple[AccessId, ...]
     das_keys: list[str]
@@ -202,14 +206,6 @@ class _Rated:
 
 
 @dataclass
-class _CycleState:
-    flow: int
-    establishing: bool
-    view: _RadioView
-    radio: dict[AccessId, float]
-
-
-@dataclass
 class _PendingHandover:
     flow: int
     establishing: bool
@@ -233,10 +229,11 @@ class Mrrm:
         self._env = env
         self.policy = policy
         self._table = flow_table
-        self._cycles: deque[_CycleState] = deque()
+        # Each cycle in flight: (flow, establishing, view, radio scores).
+        self._cycles: deque[tuple[int, bool, _RadioView, dict[AccessId, float]]] = deque()
         self._inflight: _PendingHandover | None = None
         self._deferred_setups: deque[AccessFlowSetup] = deque()
-        # The last view built; kept while build_das gives equal sets.
+        # The last view built; kept while the scans give an equal `held`.
         self._view: _RadioView | None = None
 
     # -- event handling -----------------------------------------------------------
@@ -261,38 +258,45 @@ class Mrrm:
 
     def tick(self) -> None:
         """Run one periodic decision cycle for every active flow, all on one scan."""
-        records = [record for record in self._table.values() if record.state == "active"]
-        if not records:
-            return
-        view, radio = self._radio_view()
-        for record in records:
-            self._start_cycle(record.flow, view, radio, establishing=False)
+        view = None
+        for record in self._table.values():
+            if record.state == "active":
+                if view is None:
+                    view, radio = self._radio_view()
+                self._start_cycle(record.flow, view, radio, establishing=False)
 
     # -- decision cycle -------------------------------------------------------------
 
     def _radio_view(self) -> tuple[_RadioView, dict[AccessId, float]]:
-        """Scan now: the view, the last one while its sets hold, and the radio scores."""
+        """Scan now: the view, the last one while it holds, and the radio scores."""
         scan = self._env.scan(self._kernel.now)
-        sets = build_das(self.policy, scan)
-        if self._view is None or sets != self._view.sets:
-            self._view = _RadioView(
+        policy = self.policy
+        floor, forbidden = policy.min_radio_score, policy.forbidden_networks
+        held = []
+        for access, score in scan:
+            held.append((access, score >= floor and access.network_id not in forbidden))
+        view = self._view
+        if view is None or held != view.held:
+            sets = build_das(policy, scan)
+            view = self._view = _RadioView(
+                held=held,
                 sets=sets,
                 candidates=tuple(sorted(sets.das, key=access_sort_key)),
                 das_keys=sorted(a.key for a in sets.das),
                 scanned_keys=sorted(a.key for a in sets.scanned),
             )
-        return self._view, dict(scan)
+        return view, dict(scan)
 
     def _start_cycle(
         self, flow: int, view: _RadioView, radio: dict[AccessId, float], establishing: bool
     ) -> None:
-        self._cycles.append(_CycleState(flow, establishing, view, radio))
+        self._cycles.append((flow, establishing, view, radio))
         request = view.requests.get(flow)
         if request is None:
             request = view.requests[flow] = ConstraintRequest(
                 flow=flow, candidates=view.candidates
             )
-        self._send(FE_PATH_SELECTION, request)
+        self._kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, request)
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
         if self._inflight is not None:
@@ -301,32 +305,31 @@ class Mrrm:
         self._start_cycle(setup.flow, *self._radio_view(), establishing=True)
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
-        cycle = self._cycles.popleft()
-        view = cycle.view
+        flow, establishing, view, radio = self._cycles.popleft()
         rated = self._rate(view, response)
         last = rated.last
-        if last is None or last[0] is not cycle.radio:
-            winner, combined = select_aas(self.policy, rated.cas_order, cycle.radio, rated.path)
+        if last is None or last[0] is not radio:
+            winner, combined = select_aas(self.policy, rated.cas_order, radio, rated.path)
             outcome = rated.outcomes.get(winner)
             if outcome is None:
                 aas = frozenset() if winner is None else frozenset({winner})
                 sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas,
                                   aas=aas)
                 outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas), {})
-            last = rated.last = (cycle.radio, combined, outcome)
+            last = rated.last = (radio, combined, outcome)
         _radio, combined, (sets, aas_keys, snapshots) = last
-        params = snapshots.get(cycle.flow)
+        params = snapshots.get(flow)
         if params is None:
-            params = snapshots[cycle.flow] = {
+            params = snapshots[flow] = {
                 "aas": aas_keys,
                 "cas": rated.cas_keys,
                 "das": view.das_keys,
-                "flow": cycle.flow,
+                "flow": flow,
                 "scanned": view.scanned_keys,
             }
         self._recorder.annotate(self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, params)
-        record = self._table.get(cycle.flow)
-        if cycle.establishing:
+        record = self._table.get(flow)
+        if establishing:
             self._finish_establishment_cycle(record, sets)
             return
         if self._inflight is not None or record is None or record.state != "active":

@@ -8,9 +8,11 @@ A scan tick sends every active flow's request with the one candidate tuple of
 that tick, and MRRM keeps that tuple across ticks while the detected set holds,
 so flows that request equal QoS ask the same question, on one tick and on
 later ones. The answers for the current candidate tuple are kept, one per
-requested QoS, until a request brings another tuple: a request with the same
-tuple object and an equal requested QoS gets the same ConstraintResponse object
-back, however the QoS classes of the flows interleave.
+requested (bandwidth, latency) pair, until a request brings another tuple: a
+request with the same tuple object and an equal requested QoS gets the same
+ConstraintResponse object back, however the QoS classes of the flows
+interleave. The pair of ints is the key, not the QosSpec: a dataclass hashes
+and compares in Python, a tuple of ints in C.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ class PathSelection:
         # scenario holds a model for each cell.
         self._models = dict(models)
         self._table = flow_table
-        # The answers for _candidates by requested QoS; see the module docstring.
+        # The answers for _candidates by requested (bandwidth_kbps,
+        # max_latency_ms); see the module docstring.
         self._candidates: tuple[AccessId, ...] | None = None
-        self._answers: dict[QosSpec, ConstraintResponse] = {}
+        self._answers: dict[tuple[int, int], ConstraintResponse] = {}
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -88,9 +91,10 @@ class PathSelection:
         if request.candidates is not self._candidates:
             self._candidates = request.candidates
             self._answers.clear()
-        response = self._answers.get(requested)
+        qos = (requested.bandwidth_kbps, requested.max_latency_ms)
+        response = self._answers.get(qos)
         if response is None:
-            response = self._answers[requested] = ConstraintResponse(
+            response = self._answers[qos] = ConstraintResponse(
                 ratings=tuple(
                     Rating(access=access, path_score=rate_access(self._models[access], requested))
                     for access in request.candidates

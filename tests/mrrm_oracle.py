@@ -75,18 +75,18 @@ class ReferenceMrrm(Mrrm):
     """MRRM whose cycles derive everything from their own scan and response."""
 
     def _on_constraints(self, response: ConstraintResponse) -> None:
-        cycle = self._cycles.popleft()
-        das_sets = build_das(self.policy, list(cycle.radio.items()))
-        sets, combined = select_cas_aas(self.policy, das_sets, cycle.radio, response.ratings)
+        flow, establishing, _view, radio = self._cycles.popleft()
+        das_sets = build_das(self.policy, list(radio.items()))
+        sets, combined = select_cas_aas(self.policy, das_sets, radio, response.ratings)
         self._recorder.annotate(self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, {
             "aas": sorted(a.key for a in sets.aas),
             "cas": sorted(a.key for a in sets.cas),
             "das": sorted(a.key for a in sets.das),
-            "flow": cycle.flow,
+            "flow": flow,
             "scanned": sorted(a.key for a in sets.scanned),
         })
-        record = self._table.get(cycle.flow)
-        if cycle.establishing:
+        record = self._table.get(flow)
+        if establishing:
             self._finish_establishment_cycle(record, sets)
             return
         if self._inflight is not None or record is None or record.state != "active":

@@ -34,7 +34,7 @@ from mobsig.mrrm import (
 )
 from mobsig.path_selection import PathModel
 from mobsig.scenario import parse_scenario
-from mobsig.simkernel import SimulationError
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 
 from support import REQUESTED, Node, is_nested, make_cell, make_policy
 
@@ -557,6 +557,59 @@ class TestViewReuse:
             (["net-1/cell-a"], ["net-1/cell-a"]),
             (["net-1/cell-a", "net-9/cell-c"], ["net-1/cell-a"]),
         ]
+
+    def test_a_tick_on_a_held_view_builds_no_das(self, monkeypatch):
+        built = []
+        build = mrrm.build_das
+        monkeypatch.setattr(mrrm, "build_das", lambda *args: built.append(args) or build(*args))
+        cells = (make_cell(), make_cell(cell_id="cell-b", network_id="net-2",
+                                        rat="cellular", center=(300.0, 0.0)))
+        _requests, snapshots = self.run_ticks(
+            cells, make_policy(min_radio_score=0.3), (-200.0, 0.0),
+            (1_000_000, 2_000_000, 10_000_000, 10_500_000),
+        )
+        # The setup builds the first view and the tick at 10 s, where cell-b
+        # has left the DAS, the second; the other three ticks hold a view.
+        assert len(snapshots) == 5
+        assert [[access for access, _score in scan] for _policy, scan in built] == [[A, B], [A, B]]
+        assert [score >= 0.3 for _access, score in built[1][1]] == [True, False]
+
+
+class _Scans:
+    """An environment whose scans are the given lists, in turn."""
+
+    def __init__(self, *scans):
+        self._scans = iter(scans)
+
+    def scan(self, at_us):
+        return next(self._scans)
+
+
+@st.composite
+def policies_and_scan_pairs(draw):
+    """A policy and two scans in rank order (POOL's order), often of the same
+    accesses, with scores that often sit exactly on the radio floor."""
+    floor = draw(st.sampled_from((0.0, 0.3, 0.5)) | st.floats(min_value=0.0, max_value=0.5))
+    forbidden = draw(st.frozensets(st.sampled_from(("net-0", "net-1", "net-9"))))
+    scores = st.just(floor) | st.floats(min_value=0.0, max_value=1.0)
+    first = [access for access in POOL if draw(st.booleans())]
+    second = first if draw(st.booleans()) else [access for access in POOL if draw(st.booleans())]
+    policy = make_policy(forbidden_networks=forbidden, min_radio_score=floor)
+    return (policy, [(access, draw(scores)) for access in first],
+            [(access, draw(scores)) for access in second])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=policies_and_scan_pairs())
+def test_a_view_is_kept_exactly_when_build_das_gives_equal_sets(case):
+    policy, first, second = case
+    recorder = TraceRecorder()
+    entity = mrrm.Mrrm(Kernel(recorder), recorder, _Scans(first, second), policy, {})
+    view, radio = entity._radio_view()
+    again, radio_again = entity._radio_view()
+    assert (again is view) == (build_das(policy, second) == build_das(policy, first))
+    assert again.sets == build_das(policy, second)
+    assert radio == dict(first) and radio_again == dict(second)
 
 
 @st.composite

@@ -63,6 +63,23 @@ class TestBundledRuns:
         requests = [h["t_request_us"] for h in result.metrics["handovers"] if h["variant"] == "mbb"]
         assert requests == [5_000_000, 13_000_000, 21_000_000]
 
+    def test_params_share_each_access_wire_dict_and_leave_it_whole(
+        self, bundled_configs, bundled_results
+    ):
+        # Every params object that names an access holds that access's own
+        # wire dict, so a write into any params of the run would show here.
+        accesses = {cell.access.key: cell.access for cell in bundled_configs["multi"].cells}
+        for access in accesses.values():
+            assert access._wire == {
+                "cell_id": access.cell_id, "network_id": access.network_id, "rat": access.rat
+            }
+        requests = [r for r in bundled_results["multi"].records if r.name == "ConstraintRequest"]
+        assert requests
+        for record in requests:
+            for candidate in record.params["candidates"]:
+                key = f"{candidate['network_id']}/{candidate['cell_id']}"
+                assert candidate is accesses[key]._wire
+
     def test_totals_are_consistent_with_entries(self, bundled_results):
         for result in bundled_results.values():
             totals = result.metrics["totals"]
