@@ -21,8 +21,6 @@ from .simulation import Simulation
 
 _COLUMN_WIDTH = 12
 _TIME_GUTTER = 12
-# Rows that render_diagram joins into one chunk of its text.
-_DIAGRAM_CHUNK_ROWS = 2048
 
 
 def _shown(name: str) -> str:
@@ -34,53 +32,60 @@ def _shown(name: str) -> str:
 def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> str:
     """Render a trace as a plain-text sequence diagram, one row per message.
 
-    The rows of each _DIAGRAM_CHUNK_ROWS records are joined into one chunk, and
-    the text is one join of the header and the chunks.
+    The text is one join of shared pieces. A row is its time stamp, then its
+    head drawn with the line end, or its head drawn for a flow tag and then
+    that tag.
     """
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
     centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
     header = " " * _TIME_GUTTER + "".join(_shown(fe).center(width) for fe in columns)
-    chunks = [header.rstrip() + "\n"]
-    # A trace has few distinct heads (sender, receiver, name), so each is drawn
-    # once: without a flow tag, stripped as the row's end, and with one. Records
-    # come in time order, so a row mostly repeats the last row's time stamp.
+    pieces = [header.rstrip() + "\n"]
+    append = pieces.append
+    # A trace has few distinct heads (sender, receiver, name) and flow ids, so
+    # each head is drawn once, stripped with the line end and as it is for a
+    # tag, and each int flow id's tag is made once. Records come in time
+    # order, so a row mostly repeats the last row's time stamp.
     heads: dict[tuple[str, str, str], tuple[str, str]] = {}
+    tags: dict[int, str] = {}
     last_at = stamp = None
-    for start in range(0, len(records), _DIAGRAM_CHUNK_ROWS):
-        rows = []
-        for record in records[start:start + _DIAGRAM_CHUNK_ROWS]:
-            head = (record.sender, record.receiver, record.name)
-            drawn = heads.get(head)
-            if drawn is None:
-                row = [" "] * (len(columns) * width)
-                for center in centers.values():
-                    row[center] = "|"
-                src = centers[record.sender]
-                dst = centers[record.receiver]
-                if src == dst:
-                    row[src] = "*"
-                else:
-                    for x in range(min(src, dst) + 1, max(src, dst)):
-                        row[x] = "-"
-                    if dst > src:
-                        row[dst - 1] = ">"
-                    else:
-                        row[dst + 1] = "<"
-                text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
-                drawn = heads[head] = (text.rstrip(), text)
-            if record.at != last_at:
-                last_at = record.at
-                stamp = f"{last_at:>10}"
-            flow = record.params.get("flow")
-            if flow is None:
-                rows.append(f"{stamp}{drawn[0]}\n")
+    for record in records:
+        head = (record.sender, record.receiver, record.name)
+        drawn = heads.get(head)
+        if drawn is None:
+            row = [" "] * (len(columns) * width)
+            for center in centers.values():
+                row[center] = "|"
+            src = centers[record.sender]
+            dst = centers[record.receiver]
+            if src == dst:
+                row[src] = "*"
             else:
-                if type(flow) is not int:  # a bool or any other JSON value, as JSON
-                    flow = json.dumps(flow)
-                rows.append(f"{stamp}{drawn[1]} [flow={flow}]\n")
-        chunks.append("".join(rows))
-    return "".join(chunks)
+                for x in range(min(src, dst) + 1, max(src, dst)):
+                    row[x] = "-"
+                if dst > src:
+                    row[dst - 1] = ">"
+                else:
+                    row[dst + 1] = "<"
+            text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
+            drawn = heads[head] = (text.rstrip() + "\n", text)
+        if record.at != last_at:
+            last_at = record.at
+            stamp = f"{last_at:>10}"
+        append(stamp)
+        flow = record.params.get("flow")
+        if flow is None:
+            append(drawn[0])
+            continue
+        append(drawn[1])
+        if type(flow) is int:
+            tag = tags.get(flow)
+            if tag is None:
+                tag = tags[flow] = f" [flow={flow}]\n"
+        else:  # a bool or any other JSON value, as JSON
+            tag = f" [flow={json.dumps(flow)}]\n"
+        append(tag)
+    return "".join(pieces)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

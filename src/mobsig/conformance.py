@@ -109,7 +109,7 @@ class AmbiguousTraceError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Precedence:
     """Conditional ordering: when both occur, `before` must precede `after`."""
 
@@ -118,8 +118,10 @@ class Precedence:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SequenceTemplate:
+    """The precedence rules and forbidden messages of one handover variant."""
+
     name: str
     rules: tuple[Precedence, ...]
     forbidden: frozenset[str]
@@ -127,6 +129,8 @@ class SequenceTemplate:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A check's outcome: ok, or the first violation with its record and rule."""
+
     ok: bool
     template: str | None = None
     record: TraceRecord | None = None
@@ -139,7 +143,7 @@ class Verdict:
         return f"line {self.record.line}: {self.detail} [template={self.template} rule={self.rule}]"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SequenceContext:
     """One handover execution span inside a trace."""
 

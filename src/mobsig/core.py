@@ -4,6 +4,16 @@ Everything defined here is immutable. The primitive classes map one-to-one onto
 the signaling messages exchanged between the functional entities; a primitive's
 trace name is its class name, and its trace parameters are produced by
 ``Primitive.params()``.
+
+A primitive is a message, so it compares and hashes by identity, like any
+object: two sends of equal fields are two messages. The program never asks
+more of one: MRRM keys a response by its ``id()``, the trace recorder keys
+its rendered params the same way, and one answer object goes to many flows.
+So the primitives get no value ``__eq__``, ``__hash__`` or ``__repr__``,
+which the dataclass decorator would otherwise compile for each class at
+every import. They stay frozen. The value types above them (access ids,
+QoS, locators, ratings, access sets, results) keep value equality, as
+values do; the program compares and keys access ids and QoS specs by value.
 """
 
 from __future__ import annotations
@@ -194,9 +204,12 @@ def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
     return tuple((f.name, _codec(hints[f.name])) for f in dataclasses.fields(cls))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Primitive:
     """Base class for every signaling message; trace name = class name.
+
+    Without ``eq=False`` here every subclass would inherit this class's
+    field-less ``__eq__``, by which any two messages of one type are equal.
 
     A ``result`` field renders flat: ``result`` is "success" or "failure",
     and a failure adds its ``reason``.
@@ -232,83 +245,107 @@ class Primitive:
 # -- Constraint Selection SAP ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConstraintRequest(Primitive):
+    """Constraint Selection SAP, MRRM to PathSelect: rate these candidates for a flow."""
+
     flow: FlowId
     candidates: tuple[AccessId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConstraintResponse(Primitive):
+    """Constraint Selection SAP, PathSelect to MRRM: each candidate's path rating."""
+
     ratings: tuple[Rating, ...]
 
 
 # -- HO Execution SAP -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HOExecutionRequest(Primitive):
+    """HO Execution SAP, MRRM to HOLM: move a flow to the target access."""
+
     flow: FlowId
     current: AccessId | None  # None requests flow establishment
     target: AccessId
     mbb_flag: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HOComplete(Primitive):
+    """HO Execution SAP, HOLM to MRRM: how the requested handover ended."""
+
     result: Result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkAttachRequest(Primitive):
+    """HO Execution SAP, HOLM to MRRM: attach the target access for a flow."""
+
     flow: FlowId
     target: AccessId
     requested_qos: QosSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkSwitchRequest(Primitive):
+    """HO Execution SAP, HOLM to MRRM: switch a flow's link from current to target."""
+
     flow: FlowId
     current: AccessId
     target: AccessId
     requested_qos: QosSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkAttachResponse(Primitive):
+    """HO Execution SAP, MRRM to HOLM: the attach's result and granted QoS."""
+
     result: Result
     granted_qos: QosSpec | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkSwitchResponse(Primitive):
+    """HO Execution SAP, MRRM to HOLM: the switch's result and granted QoS."""
+
     result: Result
     granted_qos: QosSpec | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkDetachRequest(Primitive):
+    """HO Execution SAP, HOLM to MRRM: detach a flow from its current access."""
+
     flow: FlowId
     current: AccessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LinkDetachResponse(Primitive):
+    """HO Execution SAP, MRRM to HOLM: the detach's result."""
+
     result: Result
 
 
 # -- Path Query SAP ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PathSelect(Primitive):
+    """Path Query SAP, HOLM to PathSelect: ask for a locator on the target access."""
+
     flow: FlowId
     target: AccessId
     fmip_flag: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PathSelected(Primitive):
+    """Path Query SAP, PathSelect to HOLM: the new locator, or why there is none."""
+
     result: Result
     new_locator: Locator | None
 
@@ -322,26 +359,34 @@ class PathSelected(Primitive):
 # -- Flow Management SAP ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AccessFlowSetup(Primitive):
+    """Flow Management SAP, FlowMng to MRRM: set up a flow with this QoS."""
+
     flow: FlowId
     requested_qos: QosSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AccessFlowSetupResponse(Primitive):
+    """Flow Management SAP, MRRM to FlowMng: the setup's result and granted QoS."""
+
     result: Result
     granted_qos: QosSpec | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HandoverOccurred(Primitive):
+    """Flow Management SAP, MRRM to FlowMng: a flow's provided QoS changed."""
+
     flow: FlowId
     provided_qos: QosSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HandoverOccurredResponse(Primitive):
+    """Flow Management SAP, FlowMng to MRRM: the indication is taken."""
+
     result: Result
 
 
@@ -350,46 +395,60 @@ class HandoverOccurredResponse(Primitive):
 # and carry a flow id so the daemon can dispatch replies.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProxyRouterAdvertisement(Primitive):
+    """FMIP exchange, Env to Daemon: the target's router advertisement."""
+
     flow: FlowId
     target: AccessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FastBindingUpdate(Primitive):
+    """FMIP exchange, Daemon to Env: bind a flow ahead of its move to target."""
+
     flow: FlowId
     current: AccessId
     target: AccessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FastBindingAck(Primitive):
+    """FMIP exchange, Env to Daemon: the fast binding's result."""
+
     flow: FlowId
     result: Result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BindingUpdate(Primitive):
+    """Mobile IP exchange, Daemon to Env: bind a flow to its new locator."""
+
     flow: FlowId
     locator: Locator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BindingAck(Primitive):
+    """Mobile IP exchange, Env to Daemon: the binding's result."""
+
     flow: FlowId
     result: Result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TunnelStart(Primitive):
+    """FMIP exchange, Daemon to Env: forward a flow from current to target."""
+
     flow: FlowId
     current: AccessId
     target: AccessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TunnelStop(Primitive):
+    """FMIP exchange, Daemon to Env: stop forwarding a flow."""
+
     flow: FlowId
 
 

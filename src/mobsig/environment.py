@@ -28,7 +28,7 @@ ANNOTATION_LINK_DOWN = "LinkDown"
 _render_qos = _codec(QosSpec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cell:
     """Static description of one attachable cell."""
 
@@ -42,7 +42,7 @@ class Cell:
     capacity_qos: QosSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Trajectory:
     """Piecewise-linear terminal path; clamps to the end points outside it."""
 
@@ -74,8 +74,10 @@ def clamp_qos(requested: QosSpec, capacity: QosSpec) -> QosSpec:
     )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _LocatorState:
+    """An allocated locator's access, and whether it awaits its proactive use."""
+
     access: AccessId
     proactive_pending: bool
 

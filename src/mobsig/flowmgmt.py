@@ -25,7 +25,7 @@ from .core import (
 from .simkernel import Kernel, SimEvent
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FlowRecord:
     """Mutable bookkeeping for one data flow."""
 

@@ -58,7 +58,7 @@ from .protocols import DaemonHost
 from .simkernel import Kernel, SimEvent, SimTime
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HandoverContext:
     """One handover, from its execution request to its HOComplete."""
 

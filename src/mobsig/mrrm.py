@@ -68,7 +68,7 @@ from .simkernel import Kernel, SimEvent, TraceRecorder
 ANNOTATION_ACCESS_SETS = "AccessSetsSnapshot"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MrrmPolicy:
     """Per-node access selection policy."""
 
@@ -162,7 +162,7 @@ def notify_flow_management(
     return HandoverOccurred(flow=flow, provided_qos=provided)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _RadioView:
     """A scan's accesses and DAS membership as the decision cycles see them.
 
@@ -188,7 +188,7 @@ class _RadioView:
 _Outcome = tuple[AccessSets, list[str], dict[int, dict]]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _Rated:
     """What one view and one ConstraintResponse fix for every cycle on them."""
 
@@ -205,8 +205,10 @@ class _Rated:
     last: tuple[dict[AccessId, float], dict[AccessId, float], _Outcome] | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _PendingHandover:
+    """The one handover in flight: its flow, kind, target and granted QoS."""
+
     flow: int
     establishing: bool
     target: AccessId

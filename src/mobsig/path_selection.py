@@ -37,7 +37,7 @@ from .flowmgmt import FlowRecord
 from .simkernel import Kernel, SimEvent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PathModel:
     """Static end-to-end path descriptor behind one access."""
 

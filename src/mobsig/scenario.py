@@ -31,15 +31,19 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FlowSpec:
+    """One flow of a scenario: its id, requested QoS and start time."""
+
     flow: int
     requested: QosSpec
     start_us: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ScenarioConfig:
+    """A validated scenario, as the simulation wires it."""
+
     seed: int
     scan_period_us: int
     jitter_us: int

@@ -208,7 +208,7 @@ class _Encodings:
         self.heads: dict[tuple[str, str, str], str] = {}
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _Call:
     """Internal deferred function call; executes at delivery, never traced."""
 

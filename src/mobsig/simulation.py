@@ -32,8 +32,10 @@ from .scenario import ScenarioConfig
 from .simkernel import Kernel, SimTime, TraceRecord, TraceRecorder
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SimulationResult:
+    """A finished run: its trace records, its metrics and its end time."""
+
     records: list[TraceRecord]
     metrics: dict
     final_time_us: SimTime

@@ -580,18 +580,15 @@ diagram_records = st.builds(
     receiver=entities,
     name=padded_names,
     params=st.fixed_dictionaries(
-        {}, optional={"flow": st.none() | st.booleans() | st.integers() | st.text(max_size=3)}
+        {}, optional={"flow": st.none() | st.booleans() | st.integers(0, 2) | st.integers()
+                      | st.text(max_size=3)}
     ),
 )
 
 
-@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14),
-       chunk=st.integers(1, 5))
-def test_render_diagram_equals_row_by_row_drawing(records, width, chunk):
-    # A small chunk makes the rows of one diagram span several chunks.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_DIAGRAM_CHUNK_ROWS", chunk)
-        assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
+@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14))
+def test_render_diagram_equals_row_by_row_drawing(records, width):
+    assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
 
 
 names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()

@@ -1,7 +1,10 @@
-"""Value-type validation and the primitive wire format."""
+"""Value-type validation, the primitive wire format, and which classes compare by value."""
 
 import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given
@@ -28,6 +31,7 @@ from mobsig.core import (
     LinkDetachResponse,
     LinkSwitchRequest,
     LinkSwitchResponse,
+    PRIMITIVE_TYPES,
     Locator,
     PathSelect,
     PathSelected,
@@ -40,6 +44,8 @@ from mobsig.core import (
     TunnelStop,
     access_sort_key,
 )
+import mobsig
+from mobsig.conformance import Verdict
 from mobsig.simkernel import TraceRecord
 
 from support import is_nested, qos_satisfies, trace_line
@@ -256,8 +262,6 @@ def test_params_round_trip(sample):
 
 
 def test_every_primitive_type_sampled():
-    from mobsig.core import PRIMITIVE_TYPES
-
     assert {type(s).__name__ for s in SAMPLES} == set(PRIMITIVE_TYPES)
 
 
@@ -283,3 +287,85 @@ def test_rating_wire_form_flattens_the_access():
     assert response.params()["ratings"] == [
         {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan", "rating": 0.25}
     ]
+
+
+# -- Which classes compare by value ------------------------------------------
+
+# The value types keep the dataclass __eq__; these are built anew on each call.
+VALUE_TYPES = {
+    "AccessId": lambda: AccessId("cell-a", "net-1", "wlan"),
+    "QosSpec": lambda: QosSpec(1000, 80),
+    "Locator": lambda: Locator(
+        "net-2/cell-b/1", AccessId("cell-b", "net-2", "cellular"), "care_of"
+    ),
+    "Rating": lambda: Rating(AccessId("cell-a", "net-1", "wlan"), 0.5),
+    "AccessSets": lambda: AccessSets(
+        frozenset({AccessId("cell-a", "net-1", "wlan")}), frozenset()
+    ),
+    "Result": lambda: Result.failure("busy"),
+    "TraceRecord": lambda: TraceRecord(7, "HOLM", "MRRM", "HOComplete", {"result": "success"}),
+    "Verdict": lambda: Verdict(
+        False, "bbm", TraceRecord(7, "HOLM", "MRRM", "HOComplete", {"result": "success"}),
+        3, "forbidden:HOComplete", "HOComplete must not occur here",
+    ),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_built_apart_compare_equal(make):
+    first, twin = make(), make()
+    assert twin == first and twin is not first
+    assert repr(twin) == repr(first)
+    # A record is mutable: it and a verdict that holds one have no hash.
+    if not isinstance(first, (TraceRecord, Verdict)):
+        assert hash(twin) == hash(first) and {first: 1}[twin] == 1
+
+
+@pytest.mark.parametrize(
+    "cls", [Primitive, *PRIMITIVE_TYPES.values()], ids=lambda cls: cls.__name__
+)
+def test_primitives_are_frozen_messages_compared_by_identity(cls):
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # Its own docstring, not the signature the decorator writes in its place.
+    assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+    message = next((s for s in SAMPLES if type(s) is cls), None) or cls()
+    for name in [f.name for f in dataclasses.fields(cls)] + ["_params"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(message, name, None)
+    twin = dataclasses.replace(message)
+    assert twin != message and twin.params() == message.params()
+    assert len({message, twin}) == 2
+
+
+# The methods that the dataclass decorator compiles at every import (Python
+# 3.11). Only a class that the program compares, hashes or prints by value
+# gets a value __eq__, __hash__ or __repr__.
+GENERATED_FUNCTIONS = 151
+FROZEN_DATACLASSES = 40
+
+
+def _dataclasses():
+    for info in pkgutil.iter_modules(mobsig.__path__):
+        module = importlib.import_module(f"mobsig.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and dataclasses.is_dataclass(value):
+                if value.__module__ == module.__name__:
+                    yield value
+
+
+def _generated(cls):
+    """Names of the methods in cls that the dataclass decorator compiled."""
+    codes = {name: getattr(inspect.unwrap(value), "__code__", None)
+             for name, value in vars(cls).items()}
+    return [name for name, code in codes.items()
+            if code is not None and code.co_filename == "<string>"]
+
+
+def test_import_compiles_only_the_dataclass_methods_the_program_calls():
+    generated = {cls.__qualname__: _generated(cls) for cls in _dataclasses()}
+    by_value = {name: methods for name, methods in generated.items()
+                if {"__eq__", "__hash__", "__repr__"} & set(methods)}
+    assert sum(map(len, generated.values())) == GENERATED_FUNCTIONS, (
+        "classes with a value __eq__, __hash__ or __repr__: " + repr(by_value)
+    )
+    assert sum(cls.__dataclass_params__.frozen for cls in _dataclasses()) == FROZEN_DATACLASSES

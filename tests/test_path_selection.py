@@ -139,14 +139,14 @@ class TestSharedAnswers:
         # Another candidate tuple drops every kept answer.
         entity.rate_accesses(ConstraintRequest(flow=1, candidates=tuple(list(candidates))))
         again = entity.rate_accesses(ConstraintRequest(flow=2, candidates=candidates))
-        assert again is not answers[1] and again == answers[1]
+        assert again is not answers[1] and again.ratings == answers[1].ratings
 
     def test_equal_candidate_tuple_in_a_new_object_is_rated_afresh(self, ratings_made):
         built, (a, b) = self.entity_with_flows(None)
         entity = built[3]
         first = entity.rate_accesses(ConstraintRequest(flow=1, candidates=(a, b)))
         fresh = entity.rate_accesses(ConstraintRequest(flow=4, candidates=tuple([a, b])))
-        assert fresh is not first and fresh == first
+        assert fresh is not first and fresh.ratings == first.ratings
         assert len(ratings_made) == 4
 
 
