@@ -5,6 +5,12 @@ the signaling messages exchanged between the functional entities; a primitive's
 trace name is its class name, and its trace parameters are produced by
 ``Primitive.params()``.
 
+``ENDS`` is the functional architecture as data: the (sender, receiver) of
+each primitive and of the three annotation records, declared once. The kernel
+reads a delivery's ends from its payload's type, and the trace recorder an
+annotation's from its name, so no entity addresses what it sends and none can
+send a message to the wrong entity.
+
 A primitive is a message, so it compares and hashes by identity, like any
 object: two sends of equal fields are two messages. The program never asks
 more of one: MRRM keys a response by its ``id()``, the trace recorder keys
@@ -40,6 +46,43 @@ FUNCTIONAL_ENTITIES = (
     FE_ENVIRONMENT,
     FE_DAEMON,
 )
+
+# The trace records that no primitive carries: MRRM's access-set snapshot of a
+# decision cycle and the environment's completed link transitions.
+ANNOTATION_ACCESS_SETS = "AccessSetsSnapshot"
+ANNOTATION_LINK_UP = "LinkUp"
+ANNOTATION_LINK_DOWN = "LinkDown"
+
+# The (sender, receiver) of each trace name: the primitives below, by SAP and
+# exchange, then the annotations.
+ENDS: dict[str, tuple[str, str]] = {
+    "ConstraintRequest": (FE_MRRM, FE_PATH_SELECTION),
+    "ConstraintResponse": (FE_PATH_SELECTION, FE_MRRM),
+    "HOExecutionRequest": (FE_MRRM, FE_HOLM),
+    "HOComplete": (FE_HOLM, FE_MRRM),
+    "LinkAttachRequest": (FE_HOLM, FE_MRRM),
+    "LinkSwitchRequest": (FE_HOLM, FE_MRRM),
+    "LinkAttachResponse": (FE_MRRM, FE_HOLM),
+    "LinkSwitchResponse": (FE_MRRM, FE_HOLM),
+    "LinkDetachRequest": (FE_HOLM, FE_MRRM),
+    "LinkDetachResponse": (FE_MRRM, FE_HOLM),
+    "PathSelect": (FE_HOLM, FE_PATH_SELECTION),
+    "PathSelected": (FE_PATH_SELECTION, FE_HOLM),
+    "AccessFlowSetup": (FE_FLOW_MANAGEMENT, FE_MRRM),
+    "AccessFlowSetupResponse": (FE_MRRM, FE_FLOW_MANAGEMENT),
+    "HandoverOccurred": (FE_MRRM, FE_FLOW_MANAGEMENT),
+    "HandoverOccurredResponse": (FE_FLOW_MANAGEMENT, FE_MRRM),
+    "ProxyRouterAdvertisement": (FE_ENVIRONMENT, FE_DAEMON),
+    "FastBindingUpdate": (FE_DAEMON, FE_ENVIRONMENT),
+    "FastBindingAck": (FE_ENVIRONMENT, FE_DAEMON),
+    "BindingUpdate": (FE_DAEMON, FE_ENVIRONMENT),
+    "BindingAck": (FE_ENVIRONMENT, FE_DAEMON),
+    "TunnelStart": (FE_DAEMON, FE_ENVIRONMENT),
+    "TunnelStop": (FE_DAEMON, FE_ENVIRONMENT),
+    ANNOTATION_ACCESS_SETS: (FE_MRRM, FE_MRRM),
+    ANNOTATION_LINK_UP: (FE_ENVIRONMENT, FE_ENVIRONMENT),
+    ANNOTATION_LINK_DOWN: (FE_ENVIRONMENT, FE_ENVIRONMENT),
+}
 
 # Flow identifiers are plain non-negative ints, unique per scenario.
 FlowId = int
@@ -215,6 +258,7 @@ class Primitive:
     and a failure adds its ``reason``.
     """
 
+    _ends = ()  # (sender, receiver), from ENDS
     _codecs = ()  # (name, render) of every field but `result`
     _has_result = False
     _params = None  # the rendered params, set on first use
@@ -453,6 +497,7 @@ class TunnelStop(Primitive):
 
 
 def _with_codecs(cls: type[Primitive]) -> type[Primitive]:
+    cls._ends = ENDS[cls.__name__]
     cls._has_result = "result" in cls.__dataclass_fields__
     cls._codecs = tuple(codec for codec in _field_codecs(cls) if codec[0] != "result")
     return cls

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .core import FE_ENVIRONMENT, AccessId, Locator, QosSpec, Result, _codec
+from .core import (ANNOTATION_LINK_DOWN, ANNOTATION_LINK_UP, FE_ENVIRONMENT, AccessId, Locator,
+                   QosSpec, Result, _codec)
 from .simkernel import Kernel, SimTime, TraceRecorder
-
-ANNOTATION_LINK_UP = "LinkUp"
-ANNOTATION_LINK_DOWN = "LinkDown"
 
 # A LinkUp's granted QoS in the wire form of a primitive's QosSpec field.
 _render_qos = _codec(QosSpec)
@@ -187,17 +185,9 @@ class Environment:
             for state in self._locators.values():
                 if state.access == target:
                     state.proactive_pending = False
-            self._recorder.annotate(
-                self._kernel.now,
-                FE_ENVIRONMENT,
-                FE_ENVIRONMENT,
-                ANNOTATION_LINK_UP,
-                {
-                    "access": target.key,
-                    "flow": flow,
-                    "granted_qos": _render_qos(granted),
-                },
-            )
+            self._recorder.annotate(self._kernel.now, ANNOTATION_LINK_UP, {
+                "access": target.key, "flow": flow, "granted_qos": _render_qos(granted)
+            })
             done(Result.success(), granted)
 
         self._later(self.latency(cell.link_setup_us), complete)
@@ -221,11 +211,7 @@ class Environment:
                 ]:
                     del self._locators[address]
             self._recorder.annotate(
-                self._kernel.now,
-                FE_ENVIRONMENT,
-                FE_ENVIRONMENT,
-                ANNOTATION_LINK_DOWN,
-                {"access": current.key, "flow": flow},
+                self._kernel.now, ANNOTATION_LINK_DOWN, {"access": current.key, "flow": flow}
             )
             done(Result.success())
 

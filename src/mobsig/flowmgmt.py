@@ -12,8 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import (
-    FE_FLOW_MANAGEMENT,
-    FE_MRRM,
     AccessFlowSetup,
     AccessFlowSetupResponse,
     AccessId,
@@ -50,9 +48,7 @@ class FlowManagement:
         record = self._table.get(flow)
         record.state = "pending"
         self._pending_setups.append(flow)
-        self._send(
-            FE_MRRM, AccessFlowSetup(flow=flow, requested_qos=record.requested)
-        )
+        self._kernel.schedule(0, AccessFlowSetup(flow=flow, requested_qos=record.requested))
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -73,7 +69,4 @@ class FlowManagement:
 
     def _on_handover_occurred(self, indication: HandoverOccurred) -> None:
         self._table.get(indication.flow).provided_qos = indication.provided_qos
-        self._send(FE_MRRM, HandoverOccurredResponse(result=Result.success()))
-
-    def _send(self, receiver: str, payload) -> None:
-        self._kernel.schedule(0, FE_FLOW_MANAGEMENT, receiver, payload)
+        self._kernel.schedule(0, HandoverOccurredResponse(result=Result.success()))

@@ -35,9 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .core import (
-    FE_HOLM,
-    FE_MRRM,
-    FE_PATH_SELECTION,
     AccessId,
     HOComplete,
     HOExecutionRequest,
@@ -168,14 +165,12 @@ class Holm:
                 requested = self._table.get(ctx.flow).requested
                 self._request(
                     LinkAttachResponse,
-                    FE_MRRM,
                     LinkAttachRequest(flow=ctx.flow, target=ctx.target, requested_qos=requested),
                 )
             case "detach":
                 assert ctx.current is not None
                 self._request(
                     LinkDetachResponse,
-                    FE_MRRM,
                     LinkDetachRequest(flow=ctx.flow, current=ctx.current),
                 )
             case "switch":
@@ -183,7 +178,6 @@ class Holm:
                 requested = self._table.get(ctx.flow).requested
                 self._request(
                     LinkSwitchResponse,
-                    FE_MRRM,
                     LinkSwitchRequest(
                         flow=ctx.flow,
                         current=ctx.current,
@@ -195,7 +189,6 @@ class Holm:
                 fmip = ctx.variant == "fmip"
                 self._request(
                     PathSelected,
-                    FE_PATH_SELECTION,
                     PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
                 )
             case "prepare":
@@ -239,11 +232,8 @@ class Holm:
         ctx.result = result
         self._active = None
         self.completed.append(ctx)
-        self._send(FE_MRRM, HOComplete(result=result))
+        self._kernel.schedule(0, HOComplete(result=result))
 
-    def _request(self, reply: type, receiver: str, message) -> None:
+    def _request(self, reply: type, message) -> None:
         self._awaiting = reply
-        self._send(receiver, message)
-
-    def _send(self, receiver: str, payload) -> None:
-        self._kernel.schedule(0, FE_HOLM, receiver, payload)
+        self._kernel.schedule(0, message)

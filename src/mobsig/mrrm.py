@@ -37,10 +37,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import (
-    FE_FLOW_MANAGEMENT,
-    FE_HOLM,
-    FE_MRRM,
-    FE_PATH_SELECTION,
+    ANNOTATION_ACCESS_SETS,
     AccessFlowSetup,
     AccessFlowSetupResponse,
     AccessId,
@@ -64,8 +61,6 @@ from .core import (
 )
 from .environment import Environment
 from .simkernel import Kernel, SimEvent, TraceRecorder
-
-ANNOTATION_ACCESS_SETS = "AccessSetsSnapshot"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -298,7 +293,7 @@ class Mrrm:
             request = view.requests[flow] = ConstraintRequest(
                 flow=flow, candidates=view.candidates
             )
-        self._kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, request)
+        self._kernel.schedule(0, request)
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
         if self._inflight is not None:
@@ -329,7 +324,7 @@ class Mrrm:
                 "flow": flow,
                 "scanned": view.scanned_keys,
             }
-        self._recorder.annotate(self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, params)
+        self._recorder.annotate(self._kernel.now, ANNOTATION_ACCESS_SETS, params)
         record = self._table.get(flow)
         if establishing:
             self._finish_establishment_cycle(record, sets)
@@ -364,9 +359,8 @@ class Mrrm:
             return
         target = sets.active
         if target is None:
-            self._send(
-                FE_FLOW_MANAGEMENT,
-                AccessFlowSetupResponse(result=Result.failure("no_access"), granted_qos=None),
+            self._kernel.schedule(
+                0, AccessFlowSetupResponse(result=Result.failure("no_access"), granted_qos=None)
             )
             self._drain_deferred()
             return
@@ -378,8 +372,8 @@ class Mrrm:
         self._inflight = _PendingHandover(
             flow=record.flow, establishing=establishing, target=target
         )
-        self._send(
-            FE_HOLM,
+        self._kernel.schedule(
+            0,
             HOExecutionRequest(
                 flow=record.flow,
                 current=current,
@@ -407,14 +401,14 @@ class Mrrm:
                 response = AccessFlowSetupResponse(
                     result=Result.failure(complete.result.reason), granted_qos=None
                 )
-            self._send(FE_FLOW_MANAGEMENT, response)
+            self._kernel.schedule(0, response)
         elif succeeded:
             previous = record.granted_qos
             record.current_access = pending.target
             record.granted_qos = pending.granted
             indication = notify_flow_management(pending.flow, previous, pending.granted)
             if indication is not None:
-                self._send(FE_FLOW_MANAGEMENT, indication)
+                self._kernel.schedule(0, indication)
         self._drain_deferred()
 
     def _drain_deferred(self) -> None:
@@ -427,18 +421,18 @@ class Mrrm:
     def _relay_attach(self, request: LinkAttachRequest) -> None:
         def done(result: Result, granted: QosSpec | None) -> None:
             self._capture_grant(request.flow, result, granted)
-            self._send(FE_HOLM, LinkAttachResponse(result=result, granted_qos=granted))
+            self._kernel.schedule(0, LinkAttachResponse(result=result, granted_qos=granted))
 
         self._env.link_attach(request.flow, request.target, request.requested_qos, done)
 
     def _relay_switch(self, request: LinkSwitchRequest) -> None:
         def attached(result: Result, granted: QosSpec | None) -> None:
             self._capture_grant(request.flow, result, granted)
-            self._send(FE_HOLM, LinkSwitchResponse(result=result, granted_qos=granted))
+            self._kernel.schedule(0, LinkSwitchResponse(result=result, granted_qos=granted))
 
         def detached(result: Result) -> None:
             if not result.ok:
-                self._send(FE_HOLM, LinkSwitchResponse(result=result, granted_qos=None))
+                self._kernel.schedule(0, LinkSwitchResponse(result=result, granted_qos=None))
                 return
             self._env.link_attach(request.flow, request.target, request.requested_qos, attached)
 
@@ -448,14 +442,9 @@ class Mrrm:
         self._env.link_detach(
             request.flow,
             request.current,
-            lambda result: self._send(FE_HOLM, LinkDetachResponse(result=result)),
+            lambda result: self._kernel.schedule(0, LinkDetachResponse(result=result)),
         )
 
     def _capture_grant(self, flow: int, result: Result, granted: QosSpec | None) -> None:
         if result.ok and self._inflight is not None and self._inflight.flow == flow:
             self._inflight.granted = granted
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _send(self, receiver: str, payload) -> None:
-        self._kernel.schedule(0, FE_MRRM, receiver, payload)

@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    FE_HOLM,
-    FE_MRRM,
-    FE_PATH_SELECTION,
     AccessId,
     ConstraintRequest,
     ConstraintResponse,
@@ -81,7 +78,7 @@ class PathSelection:
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
         if isinstance(payload, ConstraintRequest):
-            self._kernel.schedule(0, FE_PATH_SELECTION, FE_MRRM, self.rate_accesses(payload))
+            self._kernel.schedule(0, self.rate_accesses(payload))
         elif isinstance(payload, PathSelect):
             self.select_path(payload)
 
@@ -111,11 +108,6 @@ class PathSelection:
         """
 
         def allocated(result: Result, locator) -> None:
-            self._kernel.schedule(
-                0,
-                FE_PATH_SELECTION,
-                FE_HOLM,
-                PathSelected(result=result, new_locator=locator),
-            )
+            self._kernel.schedule(0, PathSelected(result=result, new_locator=locator))
 
         self._env.allocate_locator(request.flow, request.target, request.fmip_flag, allocated)

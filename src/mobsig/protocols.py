@@ -18,7 +18,6 @@ from typing import Callable, Protocol
 
 from .core import (
     FE_DAEMON,
-    FE_ENVIRONMENT,
     AccessId,
     BindingAck,
     BindingUpdate,
@@ -65,14 +64,10 @@ class DaemonHost:
         if not self._env.locator_valid(new_locator):
             self._kernel.call_later(0, lambda: done(Result.failure("stale_locator")), FE_DAEMON)
             return
-        self._kernel.schedule(
-            0, FE_DAEMON, FE_ENVIRONMENT, BindingUpdate(flow=ctx.flow, locator=new_locator)
-        )
+        self._kernel.schedule(0, BindingUpdate(flow=ctx.flow, locator=new_locator))
         self._waiting = (BindingAck, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._binding_rtt_us),
-            FE_ENVIRONMENT,
-            FE_DAEMON,
             BindingAck(flow=ctx.flow, result=Result.success()),
         )
 
@@ -84,8 +79,6 @@ class DaemonHost:
         self._waiting = (ProxyRouterAdvertisement, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._fmip_oneway_us),
-            FE_ENVIRONMENT,
-            FE_DAEMON,
             ProxyRouterAdvertisement(flow=ctx.flow, target=ctx.target),
         )
 
@@ -95,16 +88,13 @@ class DaemonHost:
             return Result.failure("not_attached")
         assert ctx.current is not None
         self._kernel.schedule(
-            0,
-            FE_DAEMON,
-            FE_ENVIRONMENT,
-            TunnelStart(flow=ctx.flow, current=ctx.current, target=ctx.target),
+            0, TunnelStart(flow=ctx.flow, current=ctx.current, target=ctx.target)
         )
         return Result.success()
 
     def tunnel_stop(self, ctx: HandoverState) -> Result:
         """Stop forwarding; HOLM calls this once the new binding is acked."""
-        self._kernel.schedule(0, FE_DAEMON, FE_ENVIRONMENT, TunnelStop(flow=ctx.flow))
+        self._kernel.schedule(0, TunnelStop(flow=ctx.flow))
         return Result.success()
 
     def handle(self, event: SimEvent) -> None:
@@ -121,14 +111,10 @@ class DaemonHost:
             to_router = self._env.latency(self._fmip_oneway_us)
             self._kernel.schedule(
                 to_router,
-                FE_DAEMON,
-                FE_ENVIRONMENT,
                 FastBindingUpdate(flow=ctx.flow, current=ctx.current, target=ctx.target),
             )
             self._kernel.schedule(
                 to_router + self._env.latency(self._fmip_oneway_us),
-                FE_ENVIRONMENT,
-                FE_DAEMON,
                 FastBindingAck(flow=ctx.flow, result=Result.success()),
             )
             return

@@ -22,6 +22,8 @@ from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, NamedTuple
 
+from .core import ENDS
+
 SimTime = int  # microseconds
 
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
@@ -153,13 +155,11 @@ class TraceRecorder:
             params = payload.params()
         self.records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
 
-    def annotate(
-        self, at: SimTime, sender: str, receiver: str, name: str, params: dict[str, Any]
-    ) -> None:
-        """Append a non-primitive annotation record (set snapshots, link state)."""
-        self.records.append(
-            TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
-        )
+    def annotate(self, at: SimTime, name: str, params: dict[str, Any]) -> None:
+        """Append a non-primitive annotation record (set snapshots, link state)
+        between the ends ``core.ENDS`` declares for its name."""
+        sender, receiver = ENDS[name]
+        self.records.append(TraceRecord(at, sender, receiver, name, params))
 
     def lines(self, start: int, stop: int, encoded: _Encodings) -> list[str]:
         """One JSON line per record of ``records[start:stop]``; each distinct
@@ -213,6 +213,7 @@ class _Call:
     """Internal deferred function call; executes at delivery, never traced."""
 
     fn: Callable[[], None]
+    _ends: tuple[str, str]  # (owner, owner)
 
 
 _new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
@@ -240,10 +241,13 @@ class Kernel:
         """Forget every registered handler; the entities behind them hold this kernel."""
         self._handlers.clear()
 
-    def schedule(self, delay_us: int, sender: str, receiver: str, payload: Any) -> None:
-        """Queue a delivery at now + delay_us; same-time events keep FIFO order."""
+    def schedule(self, delay_us: int, payload: Any) -> None:
+        """Queue a delivery at now + delay_us between the ends ``core.ENDS``
+        declares for the payload's type (a call's owner, twice); same-time
+        events keep FIFO order."""
         if delay_us < 0:
             raise ConfigurationError(f"negative delay: {delay_us}")
+        sender, receiver = payload._ends
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
         self._seq += 1
@@ -255,7 +259,7 @@ class Kernel:
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
         """Schedule an internal (untraced) call attributed to an FE."""
-        self.schedule(delay_us, owner, owner, _Call(fn))
+        self.schedule(delay_us, _Call(fn, (owner, owner)))
 
     def run_until_quiescent(self) -> SimTime:
         """Process events in (at, seq) order until the queue drains.

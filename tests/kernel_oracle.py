@@ -17,8 +17,9 @@ from mobsig.simkernel import ConfigurationError, SimEvent, SimTime, TraceRecorde
 
 
 class _Call:
-    def __init__(self, fn: Callable[[], None]) -> None:
+    def __init__(self, fn: Callable[[], None], owner: str) -> None:
         self.fn = fn
+        self._ends = (owner, owner)
 
 
 class HeapKernel:
@@ -34,16 +35,17 @@ class HeapKernel:
     def register(self, fe_id: str, handler: Callable[[SimEvent], None]) -> None:
         self._handlers[fe_id] = handler
 
-    def schedule(self, delay_us: int, sender: str, receiver: str, payload: Any) -> None:
+    def schedule(self, delay_us: int, payload: Any) -> None:
         if delay_us < 0:
             raise ConfigurationError(f"negative delay: {delay_us}")
+        sender, receiver = payload._ends
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
         self._seq += 1
         heapq.heappush(self._queue, SimEvent(self.now + delay_us, self._seq, sender, receiver, payload))
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
-        self.schedule(delay_us, owner, owner, _Call(fn))
+        self.schedule(delay_us, _Call(fn, owner))
 
     def run_until_quiescent(self) -> SimTime:
         last: SimTime = 0

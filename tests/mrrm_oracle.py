@@ -15,8 +15,15 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from mobsig.core import FE_MRRM, AccessId, AccessSets, ConstraintResponse, Rating, access_sort_key
-from mobsig.mrrm import ANNOTATION_ACCESS_SETS, Mrrm, MrrmPolicy, build_das
+from mobsig.core import (
+    ANNOTATION_ACCESS_SETS,
+    AccessId,
+    AccessSets,
+    ConstraintResponse,
+    Rating,
+    access_sort_key,
+)
+from mobsig.mrrm import Mrrm, MrrmPolicy, build_das
 
 
 def select_cas_aas(
@@ -78,7 +85,7 @@ class ReferenceMrrm(Mrrm):
         flow, establishing, _view, radio = self._cycles.popleft()
         das_sets = build_das(self.policy, list(radio.items()))
         sets, combined = select_cas_aas(self.policy, das_sets, radio, response.ratings)
-        self._recorder.annotate(self._kernel.now, FE_MRRM, FE_MRRM, ANNOTATION_ACCESS_SETS, {
+        self._recorder.annotate(self._kernel.now, ANNOTATION_ACCESS_SETS, {
             "aas": sorted(a.key for a in sets.aas),
             "cas": sorted(a.key for a in sets.cas),
             "das": sorted(a.key for a in sets.das),

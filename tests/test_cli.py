@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
 from mobsig.conformance import TEMPLATES, load_trace
-from mobsig.core import FUNCTIONAL_ENTITIES
+from mobsig.core import ANNOTATION_LINK_DOWN, FUNCTIONAL_ENTITIES
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
 from support import json_values, load_generator
@@ -261,7 +261,7 @@ class TestRun:
         class Doomed:
             def __init__(self, config):
                 self.recorder = TraceRecorder()
-                self.recorder.annotate(0, "Env", "Env", "LastWords", {})
+                self.recorder.annotate(0, ANNOTATION_LINK_DOWN, {"last": "words"})
 
             def run(self):
                 raise SimulationError("deliberate failure")
@@ -275,7 +275,7 @@ class TestRun:
         assert code == 3
         assert "simulation aborted: deliberate failure" in capsys.readouterr().err
         assert trace.exists()
-        assert "LastWords" in trace.read_text()
+        assert '"msg":"LinkDown","params":{"last":"words"}' in trace.read_text()
 
     def test_seed_override_is_accepted(self, tmp_path, scenario_path):
         code = run_cli(

@@ -5,12 +5,18 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mobsig.core import (
+    ANNOTATION_ACCESS_SETS,
+    ANNOTATION_LINK_DOWN,
+    ANNOTATION_LINK_UP,
+    ENDS,
+    FUNCTIONAL_ENTITIES,
     AccessFlowSetup,
     AccessFlowSetupResponse,
     AccessId,
@@ -335,6 +341,19 @@ def test_primitives_are_frozen_messages_compared_by_identity(cls):
     twin = dataclasses.replace(message)
     assert twin != message and twin.params() == message.params()
     assert len({message, twin}) == 2
+
+
+def test_ends_declare_every_trace_name_once_as_its_docstring_names_them():
+    annotations = {ANNOTATION_ACCESS_SETS, ANNOTATION_LINK_UP, ANNOTATION_LINK_DOWN}
+    assert len(annotations) == 3 and not annotations & set(PRIMITIVE_TYPES)
+    assert set(ENDS) == set(PRIMITIVE_TYPES) | annotations
+    assert {end for ends in ENDS.values() for end in ends} <= set(FUNCTIONAL_ENTITIES)
+    # Only an annotation stays within one entity.
+    assert {name for name, (sender, receiver) in ENDS.items() if sender == receiver} == annotations
+    for name, cls in PRIMITIVE_TYPES.items():
+        # "<SAP or exchange>, <sender> to <receiver>: ..."
+        assert re.findall(r", (\S+) to (\S+):", cls.__doc__) == [ENDS[name]], name
+        assert cls._ends is ENDS[name]
 
 
 # The methods that the dataclass decorator compiles at every import (Python

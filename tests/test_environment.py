@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobsig.core import FE_ENVIRONMENT, QosSpec
+from mobsig.core import ANNOTATION_LINK_DOWN, ANNOTATION_LINK_UP, FE_ENVIRONMENT, QosSpec
 from mobsig.environment import (
-    ANNOTATION_LINK_DOWN,
-    ANNOTATION_LINK_UP,
     Cell,
     Environment,
     Trajectory,

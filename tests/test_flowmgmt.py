@@ -48,12 +48,7 @@ class TestSetupResponse:
         kernel, table, entity, _ = build_entity(1)
         entity.start_flow(1)
         granted = QosSpec(800, 90)
-        kernel.schedule(
-            0,
-            FE_MRRM,
-            FE_FLOW_MANAGEMENT,
-            AccessFlowSetupResponse(result=Result.success(), granted_qos=granted),
-        )
+        kernel.schedule(0, AccessFlowSetupResponse(result=Result.success(), granted_qos=granted))
         kernel.run_until_quiescent()
         record = table.get(1)
         assert record.state == "active"
@@ -65,8 +60,6 @@ class TestSetupResponse:
         entity.start_flow(1)
         kernel.schedule(
             0,
-            FE_MRRM,
-            FE_FLOW_MANAGEMENT,
             AccessFlowSetupResponse(result=Result.failure("no_access"), granted_qos=None),
         )
         kernel.run_until_quiescent()
@@ -78,16 +71,9 @@ class TestSetupResponse:
         entity.start_flow(2)
         kernel.schedule(
             0,
-            FE_MRRM,
-            FE_FLOW_MANAGEMENT,
             AccessFlowSetupResponse(result=Result.failure("no_access"), granted_qos=None),
         )
-        kernel.schedule(
-            0,
-            FE_MRRM,
-            FE_FLOW_MANAGEMENT,
-            AccessFlowSetupResponse(result=Result.success(), granted_qos=REQUESTED),
-        )
+        kernel.schedule(0, AccessFlowSetupResponse(result=Result.success(), granted_qos=REQUESTED))
         kernel.run_until_quiescent()
         assert table.get(1).state == "failed"
         assert table.get(2).state == "active"
@@ -95,12 +81,7 @@ class TestSetupResponse:
     def test_unsolicited_response_is_ignored(self):
         """MRRM answers only the setups it was sent; any other answer ends the run."""
         kernel, table, _, _ = build_entity(1)
-        kernel.schedule(
-            0,
-            FE_MRRM,
-            FE_FLOW_MANAGEMENT,
-            AccessFlowSetupResponse(result=Result.success(), granted_qos=REQUESTED),
-        )
+        kernel.schedule(0, AccessFlowSetupResponse(result=Result.success(), granted_qos=REQUESTED))
         with pytest.raises(SimulationError, match="AccessFlowSetupResponse"):
             kernel.run_until_quiescent()
         assert table.get(1).state == "new"
@@ -110,9 +91,7 @@ class TestHandoverOccurred:
     def test_updates_provided_qos_and_acknowledges(self):
         kernel, table, entity, mrrm_in = build_entity(1)
         provided = QosSpec(800, 90)
-        kernel.schedule(
-            0, FE_MRRM, FE_FLOW_MANAGEMENT, HandoverOccurred(flow=1, provided_qos=provided)
-        )
+        kernel.schedule(0, HandoverOccurred(flow=1, provided_qos=provided))
         kernel.run_until_quiescent()
         assert table.get(1).provided_qos == provided
         assert len(mrrm_in) == 1 and mrrm_in[0].result.ok
@@ -120,9 +99,7 @@ class TestHandoverOccurred:
     def test_unknown_flow_is_reported_back(self):
         """MRRM indicates only its own flows; an unknown one ends the run."""
         kernel, _, entity, mrrm_in = build_entity(1)
-        kernel.schedule(
-            0, FE_MRRM, FE_FLOW_MANAGEMENT, HandoverOccurred(flow=42, provided_qos=REQUESTED)
-        )
+        kernel.schedule(0, HandoverOccurred(flow=42, provided_qos=REQUESTED))
         with pytest.raises(SimulationError, match="HandoverOccurred"):
             kernel.run_until_quiescent()
         assert not mrrm_in

@@ -3,9 +3,7 @@
 import pytest
 
 from mobsig.core import (
-    FE_HOLM,
     FE_MRRM,
-    FE_PATH_SELECTION,
     HOComplete,
     HOExecutionRequest,
     LinkAttachResponse,
@@ -98,8 +96,6 @@ def colocated_node(fmip_target=False, target_center=(0.0, 0.0), flows=(1,)):
 def request_handover(node, flow, current, target, mbb_flag):
     node.kernel.schedule(
         0,
-        FE_MRRM,
-        FE_HOLM,
         HOExecutionRequest(flow=flow, current=current, target=target, mbb_flag=mbb_flag),
     )
     return node.run()
@@ -249,7 +245,7 @@ class TestSerialization:
         node.attach_now(2, a)
         for flow in (1, second_flow):
             payload = HOExecutionRequest(flow=flow, current=a, target=b, mbb_flag=True)
-            node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
+            node.kernel.schedule(0, payload)
         with pytest.raises(SimulationError, match="a handover request while another runs"):
             node.run()
         assert not node.holm.completed
@@ -275,12 +271,7 @@ class TestUnexpectedResponses:
         node, a, _ = colocated_node()
         stray = Locator(address="stray", access=a, kind="care_of")
         # arrives while the 50 ms attach is outstanding
-        node.kernel.schedule(
-            10_000,
-            FE_PATH_SELECTION,
-            FE_HOLM,
-            PathSelected(result=Result.success(), new_locator=stray),
-        )
+        node.kernel.schedule(10_000, PathSelected(result=Result.success(), new_locator=stray))
         with pytest.raises(SimulationError, match="a response HOLM never asked for"):
             request_handover(node, 1, current=None, target=a, mbb_flag=False)
         assert node.names(sequence_only=True) == ESTABLISHMENT_SEQUENCE[:2] + ["PathSelected"]
@@ -299,7 +290,7 @@ class TestUnexpectedResponses:
             PathSelected(result=Result.success(), new_locator=Locator("late", b, "care_of")),
         )
         for payload in late:
-            node.kernel.schedule(0, FE_MRRM, FE_HOLM, payload)
+            node.kernel.schedule(0, payload)
         with pytest.raises(SimulationError, match="LinkAttachResponse"):
             node.run()
         names = [record.name for record in node.recorder.records[before:]]

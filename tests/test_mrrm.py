@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import mrrm_oracle
 from mobsig import mrrm, simulation
 from mobsig.core import (
+    ANNOTATION_ACCESS_SETS,
     FE_FLOW_MANAGEMENT,
     FE_HOLM,
     FE_MRRM,
@@ -25,7 +26,6 @@ from mobsig.core import (
 from mobsig.environment import Trajectory
 from mobsig.flowmgmt import FlowRecord
 from mobsig.mrrm import (
-    ANNOTATION_ACCESS_SETS,
     build_das,
     decide_handover,
     derive_cas,
@@ -273,7 +273,7 @@ class TestMrrmEntity:
 
     def test_stray_completion_is_an_error(self):
         node = moving_node()
-        node.kernel.schedule(0, FE_HOLM, FE_MRRM, HOComplete(result=Result.success()))
+        node.kernel.schedule(0, HOComplete(result=Result.success()))
         with pytest.raises(SimulationError, match="a completion for a request never issued"):
             node.run()
         assert not any(
@@ -284,9 +284,7 @@ class TestMrrmEntity:
     def test_attach_relay_reports_coverage_failures(self):
         node = moving_node()
         node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
-        node.kernel.schedule(
-            0, FE_HOLM, FE_MRRM, LinkAttachRequest(flow=1, target=B, requested_qos=REQUESTED)
-        )
+        node.kernel.schedule(0, LinkAttachRequest(flow=1, target=B, requested_qos=REQUESTED))
         node.run()
         responses = [r for r in node.recorder.records if r.name == "LinkAttachResponse"]
         assert responses[0].params == {
@@ -300,8 +298,6 @@ class TestMrrmEntity:
         node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
         node.kernel.schedule(
             0,
-            FE_HOLM,
-            FE_MRRM,
             LinkSwitchRequest(flow=1, current=A, target=B, requested_qos=REQUESTED),
         )
         node.run()

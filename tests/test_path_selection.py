@@ -80,7 +80,7 @@ class TestRateAccesses:
         a, b = (cell.access for cell in cells)
         models = {a: default_model(), b: PathModel(500, 40, True)}
         kernel, _, _, entity, _, mrrm_in = build_entity(cells, models)
-        kernel.schedule(0, FE_MRRM, FE_PATH_SELECTION, ConstraintRequest(flow=1, candidates=(b, a)))
+        kernel.schedule(0, ConstraintRequest(flow=1, candidates=(b, a)))
         kernel.run_until_quiescent()
         ratings = mrrm_in[0].ratings
         assert [r.access for r in ratings] == [b, a]
@@ -152,9 +152,7 @@ class TestSharedAnswers:
 
 class TestSelectPath:
     def run_select(self, kernel, holm_in, flow, target, fmip_flag):
-        kernel.schedule(
-            0, FE_HOLM, FE_PATH_SELECTION, PathSelect(flow=flow, target=target, fmip_flag=fmip_flag)
-        )
+        kernel.schedule(0, PathSelect(flow=flow, target=target, fmip_flag=fmip_flag))
         kernel.run_until_quiescent()
         answer = holm_in[-1]
         assert isinstance(answer, PathSelected)

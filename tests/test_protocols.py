@@ -117,7 +117,7 @@ class TestUpdateBinding:
     def test_stray_binding_ack_is_ignored(self, reply):
         """A reply while nothing is awaited ends the run."""
         kernel, recorder, _, daemons, _, _ = build_host()
-        kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, reply)
+        kernel.schedule(0, reply)
         with pytest.raises(SimulationError):  # nothing waits for a reply
             kernel.run_until_quiescent()
         assert names_at(recorder) == [(type(reply).__name__, 0, FE_ENVIRONMENT, FE_DAEMON)]
@@ -200,7 +200,7 @@ class TestOneAwaitedReply:
         attach(kernel, env, 1, a)
         done = []
         daemons.prepare(Ctx(1, a, b), lambda r: done.append((r, kernel.now)))
-        kernel.schedule(at, FE_ENVIRONMENT, FE_DAEMON, stray)
+        kernel.schedule(at, stray)
         with pytest.raises(SimulationError, match="a reply never awaited"):
             kernel.run_until_quiescent()
         assert not done
@@ -214,7 +214,7 @@ class TestOneAwaitedReply:
         done = []
         daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append((r, kernel.now)))
         stray = BindingAck(flow=9, result=Result.failure("stray"))
-        kernel.schedule(0, FE_ENVIRONMENT, FE_DAEMON, stray)
+        kernel.schedule(0, stray)
         with pytest.raises(SimulationError, match="a reply never awaited"):
             kernel.run_until_quiescent()
         assert not done

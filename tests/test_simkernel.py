@@ -10,7 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mobsig import simkernel
-from mobsig.core import HOComplete, Primitive, Result, TunnelStop
+from mobsig.core import (
+    ANNOTATION_LINK_DOWN,
+    ENDS,
+    FE_DAEMON,
+    FE_ENVIRONMENT,
+    FE_MRRM,
+    BindingAck,
+    HOComplete,
+    Primitive,
+    Result,
+    TunnelStop,
+)
 from mobsig.simkernel import (
     TRACE_FIELDS,
     ConfigurationError,
@@ -46,38 +57,39 @@ def make_kernel(*fe_ids, recorder=None):
 
 class TestScheduling:
     def test_rejects_negative_delay(self):
-        kernel, _ = make_kernel("X")
+        kernel, _ = make_kernel(FE_ENVIRONMENT)
         with pytest.raises(ConfigurationError):
-            kernel.schedule(-1, "X", "X", TunnelStop(flow=1))
+            kernel.schedule(-1, TunnelStop(flow=1))
 
     def test_rejects_unknown_receiver(self):
-        kernel, _ = make_kernel("X")
-        with pytest.raises(ConfigurationError):
-            kernel.schedule(0, "X", "nowhere", TunnelStop(flow=1))
+        # A TunnelStop goes to Env, which has no handler here.
+        kernel, _ = make_kernel(FE_DAEMON)
+        with pytest.raises(ConfigurationError, match="unknown receiver FE: 'Env'"):
+            kernel.schedule(0, TunnelStop(flow=1))
 
     def test_delivers_in_time_order(self):
-        kernel, log = make_kernel("X")
+        kernel, log = make_kernel(FE_ENVIRONMENT)
         for delay in (10, 0, 5):
-            kernel.schedule(delay, "X", "X", TunnelStop(flow=delay))
+            kernel.schedule(delay, TunnelStop(flow=delay))
         kernel.run_until_quiescent()
         assert [at for _, at, _ in log] == [0, 5, 10]
 
     def test_same_time_events_keep_fifo_order(self):
-        kernel, log = make_kernel("X")
+        kernel, log = make_kernel(FE_ENVIRONMENT)
         for flow in (1, 2, 3):
-            kernel.schedule(7, "X", "X", TunnelStop(flow=flow))
+            kernel.schedule(7, TunnelStop(flow=flow))
         kernel.run_until_quiescent()
         assert [payload.flow for _, _, payload in log] == [1, 2, 3]
 
 
 class TestRunUntilQuiescent:
     def test_empty_queue_returns_zero(self):
-        kernel, _ = make_kernel("X")
+        kernel, _ = make_kernel(FE_ENVIRONMENT)
         assert kernel.run_until_quiescent() == 0
 
     def test_returns_time_of_last_event(self):
-        kernel, _ = make_kernel("X")
-        kernel.schedule(42, "X", "X", TunnelStop(flow=1))
+        kernel, _ = make_kernel(FE_ENVIRONMENT)
+        kernel.schedule(42, TunnelStop(flow=1))
         assert kernel.run_until_quiescent() == 42
         assert kernel.now == 42
 
@@ -87,17 +99,19 @@ class TestRunUntilQuiescent:
         def explode(event):
             raise RuntimeError("boom")
 
-        kernel.register("X", explode)
-        kernel.schedule(3, "X", "X", TunnelStop(flow=1))
+        kernel.register(FE_ENVIRONMENT, explode)
+        kernel.schedule(3, TunnelStop(flow=1))
         with pytest.raises(SimulationError) as excinfo:
             kernel.run_until_quiescent()
-        assert "t=3 for X->X TunnelStop: boom" in str(excinfo.value)
+        assert "t=3 for Daemon->Env TunnelStop: boom" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 # One program for a kernel: rounds of deliveries scheduled from outside, each
 # followed by a run; the n-th delivery or call of the program does plans[n - 1].
-KERNEL_FES = ("A", "B", "C")
+# A delivery names its receiver through its payload's type: a TunnelStop goes
+# to Env, a BindingAck to Daemon and an HOComplete to MRRM.
+KERNEL_FES = (FE_ENVIRONMENT, FE_DAEMON, FE_MRRM)
 kernel_delays = st.sampled_from((0, 1, 2, 5))
 kernel_programs = st.fixed_dictionaries({
     "rounds": st.lists(st.lists(st.tuples(kernel_delays, st.sampled_from(KERNEL_FES)),
@@ -105,8 +119,13 @@ kernel_programs = st.fixed_dictionaries({
     "plans": st.lists(st.lists(st.tuples(st.sampled_from(("send", "call")), kernel_delays,
                                          st.sampled_from(KERNEL_FES)), max_size=3), max_size=60),
 })
-# Payloads are taken in order from one pool, so both kernels deliver the same objects.
-KERNEL_PAYLOADS = tuple(TunnelStop(flow=n) for n in range(250))
+# Each receiver's payloads are taken in order from its own pool, so both
+# kernels deliver the same objects.
+KERNEL_PAYLOADS = {
+    FE_ENVIRONMENT: tuple(TunnelStop(flow=n) for n in range(250)),
+    FE_DAEMON: tuple(BindingAck(flow=n, result=Result.success()) for n in range(250)),
+    FE_MRRM: tuple(HOComplete(result=Result.success()) for _ in range(250)),
+}
 
 
 def run_program(kernel_cls, rounds, plans):
@@ -115,14 +134,15 @@ def run_program(kernel_cls, rounds, plans):
     the records; and what each run returned."""
     recorder = TraceRecorder()
     kernel = kernel_cls(recorder)
-    payloads, call_ids = iter(KERNEL_PAYLOADS), itertools.count()
+    payloads = {fe: iter(pool) for fe, pool in KERNEL_PAYLOADS.items()}
+    call_ids = itertools.count()
     log = []
 
     def step():
         if len(log) <= len(plans):
             for kind, delay, fe in plans[len(log) - 1]:
                 if kind == "send":
-                    kernel.schedule(delay, "Z", fe, next(payloads))
+                    kernel.schedule(delay, next(payloads[fe]))
                 else:
                     kernel.call_later(delay, make_call(), fe)
 
@@ -135,17 +155,19 @@ def run_program(kernel_cls, rounds, plans):
 
         return call
 
-    def handler(event):
+    def handler(event, fe):
         assert event.at == kernel.now
+        assert (event.sender, event.receiver) == ENDS[type(event.payload).__name__]
+        assert event.receiver == fe
         log.append((event.at, event.seq, event.sender, event.receiver, id(event.payload)))
         step()
 
     for fe in KERNEL_FES:
-        kernel.register(fe, handler)
+        kernel.register(fe, lambda event, fe=fe: handler(event, fe))
     returned = []
     for deliveries in rounds:
         for delay, fe in deliveries:
-            kernel.schedule(delay, "Z", fe, next(payloads))
+            kernel.schedule(delay, next(payloads[fe]))
         returned.append(kernel.run_until_quiescent())
     records = [(r.at, r.sender, r.receiver, r.name, id(r.params)) for r in recorder.records]
     return log, records, returned
@@ -163,13 +185,14 @@ class TestOrderOracle:
         assert len(returned) == len(program["rounds"]) and log
 
     def test_an_earlier_events_instant_goes_before_zero_delay_ones(self):
-        # At t=2 the heap holds A (seq 1, sent at t=0) and C (seq 3, sent by B
-        # at t=1). A sends a zero-delay event (seq 4), which waits for C.
-        program = {"rounds": [[(2, "A"), (1, "B")]],
-                   "plans": [[("send", 1, "C")], [("send", 0, "A")], []]}
+        # At t=2 the heap holds Env's (seq 1, sent at t=0) and MRRM's (seq 3,
+        # sent by Daemon's at t=1). Env's sends a zero-delay event to Env (seq
+        # 4), which waits for MRRM's.
+        program = {"rounds": [[(2, FE_ENVIRONMENT), (1, FE_DAEMON)]],
+                   "plans": [[("send", 1, FE_MRRM)], [("send", 0, FE_ENVIRONMENT)], []]}
         log, _records, returned = run_program(Kernel, **program)
         assert [(at, seq, receiver) for at, seq, _s, receiver, _p in log] == [
-            (1, 2, "B"), (2, 1, "A"), (2, 3, "C"), (2, 4, "A")
+            (1, 2, FE_DAEMON), (2, 1, FE_ENVIRONMENT), (2, 3, FE_MRRM), (2, 4, FE_ENVIRONMENT)
         ]
         assert returned == [2]
         assert run_program(HeapKernel, **program)[0] == log
@@ -178,9 +201,9 @@ class TestOrderOracle:
 class TestCallLater:
     def test_runs_at_requested_time_without_tracing(self):
         recorder = TraceRecorder()
-        kernel, _ = make_kernel("X", recorder=recorder)
+        kernel, _ = make_kernel(FE_MRRM, recorder=recorder)
         seen = []
-        kernel.call_later(25, lambda: seen.append(kernel.now), owner="X")
+        kernel.call_later(25, lambda: seen.append(kernel.now), owner=FE_MRRM)
         kernel.run_until_quiescent()
         assert seen == [25]
         assert recorder.records == []
@@ -336,7 +359,9 @@ class TestSharedParams:
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=12))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+            recorder.records.append(
+                TraceRecord(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+            )
         encoded = []
         encode = simkernel._encode_params
         # Not monkeypatch: a function-scoped fixture would span every example.
@@ -358,15 +383,15 @@ class TestSharedParams:
             TunnelStop, "_codecs", ((field, lambda v: rendered.append(v) or render(v)),)
         )
         recorder = TraceRecorder()
-        kernel, _ = make_kernel("X", "Y", recorder=recorder)
+        kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
         shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
-        deliveries = (("X", shared), ("Y", shared), ("X", other), ("X", shared))
-        for delay, (receiver, payload) in enumerate(deliveries * 2):
-            kernel.schedule(delay * 1000, "Z", receiver, payload)
+        deliveries = (shared, shared, other, shared)
+        for delay, payload in enumerate(deliveries * 2):
+            kernel.schedule(delay * 1000, payload)
         kernel.run_until_quiescent()
         assert rendered == [1, 2]
         records = recorder.records
-        assert [r.receiver for r in records] == ["X", "Y", "X", "X"] * 2
+        assert [(r.sender, r.receiver) for r in records] == [(FE_DAEMON, FE_ENVIRONMENT)] * 8
         assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}] * 2
         assert all(r.params is records[0].params for r in records if r.params["flow"] == 1)
         assert records[6].params is records[2].params
@@ -377,17 +402,17 @@ class TestSharedParams:
         calls = []
         params = Primitive.params
         monkeypatch.setattr(Primitive, "params", lambda self: calls.append(self) or params(self))
-        kernel, _ = make_kernel("X")
+        kernel, _ = make_kernel(FE_ENVIRONMENT)
         shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
         for payload in (shared, other, shared, shared):
-            kernel.schedule(0, "Y", "X", payload)
+            kernel.schedule(0, payload)
         kernel.run_until_quiescent()
         assert calls == [shared, other]
         assert [r.params["flow"] for r in kernel.recorder.records] == [1, 2, 1, 1]
 
     def test_unserializable_params_raise_the_json_type_error(self):
         recorder = TraceRecorder()
-        recorder.annotate(0, "X", "X", "Note", {"bad": object()})
+        recorder.annotate(0, ANNOTATION_LINK_DOWN, {"bad": object()})
         with pytest.raises(TypeError, match="is not JSON serializable"):
             trace_lines(recorder)
 
@@ -419,7 +444,9 @@ class TestStreamedWrite:
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=14))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.annotate(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+            recorder.records.append(
+                TraceRecord(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
+            )
         encoded, encoders, heads, served = [], [], [], []
         encode, lines = simkernel._encode_params, TraceRecorder.lines
         make_encoder, head_json = simkernel._params_encoder, TraceRecord.head_json
@@ -454,25 +481,28 @@ class TestStreamedWrite:
 class TestRecorder:
     def test_records_deliveries_and_annotations(self, tmp_path):
         recorder = TraceRecorder()
-        kernel, _ = make_kernel("X", recorder=recorder)
-        kernel.schedule(2, "Y", "X", TunnelStop(flow=8))
+        kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
+        kernel.schedule(2, TunnelStop(flow=8))
         kernel.run_until_quiescent()
-        recorder.annotate(3, "X", "X", "Note", {"detail": "extra"})
-        assert [r.name for r in recorder.records] == ["TunnelStop", "Note"]
+        recorder.annotate(3, ANNOTATION_LINK_DOWN, {"detail": "extra"})
+        assert [(r.sender, r.receiver, r.name) for r in recorder.records] == [
+            (FE_DAEMON, FE_ENVIRONMENT, "TunnelStop"),
+            (FE_ENVIRONMENT, FE_ENVIRONMENT, ANNOTATION_LINK_DOWN),
+        ]
         assert recorder.records[0].params == {"flow": 8}
         path = tmp_path / "trace.jsonl"
         recorder.write(str(path))
         lines = path.read_text().splitlines()
         assert lines == trace_lines(recorder)
         reparsed = [TraceRecord.from_json(line, i + 1) for i, line in enumerate(lines)]
-        assert [r.name for r in reparsed] == ["TunnelStop", "Note"]
+        assert [r.name for r in reparsed] == ["TunnelStop", ANNOTATION_LINK_DOWN]
 
     def test_identical_schedules_give_identical_lines(self):
         def run_once():
             recorder = TraceRecorder()
-            kernel, _ = make_kernel("X", recorder=recorder)
+            kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
             for delay, flow in ((5, 1), (5, 2), (0, 3)):
-                kernel.schedule(delay, "Y", "X", TunnelStop(flow=flow))
+                kernel.schedule(delay, TunnelStop(flow=flow))
             kernel.run_until_quiescent()
             return trace_lines(recorder)
 
