@@ -17,9 +17,12 @@ more of one: MRRM keys a response by its ``id()``, the trace recorder keys
 its rendered params the same way, and one answer object goes to many flows.
 So the primitives get no value ``__eq__``, ``__hash__`` or ``__repr__``,
 which the dataclass decorator would otherwise compile for each class at
-every import. They stay frozen. The value types above them (access ids,
-QoS, locators, ratings, access sets, results) keep value equality, as
-values do; the program compares and keys access ids and QoS specs by value.
+every import. They stay frozen. The value types above them keep value
+equality, as values do. Access ids are interned: one object per
+(cell_id, network_id, rat), so their equality is identity, which coincides
+with value equality, and sets and dict keys of them hash in C. QoS specs,
+locators, ratings, access sets and results keep the dataclass ``__eq__``;
+``Result.success()`` is one shared value.
 """
 
 from __future__ import annotations
@@ -87,32 +90,45 @@ ENDS: dict[str, tuple[str, str]] = {
 # Flow identifiers are plain non-negative ints, unique per scenario.
 FlowId = int
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessId:
-    """One attachable radio access: a cell within an access network."""
+    """One attachable radio access: a cell within an access network.
+
+    Interned: building an id from the fields of one already built gives that
+    same object, so equality, hashing, sets and dict keys run as identity in
+    C and agree with value equality. Copies and pickles come back as the
+    interned object too.
+    """
 
     cell_id: str
     network_id: str
     rat: str
 
+    def __new__(cls, cell_id: str, network_id: str, rat: str) -> "AccessId":
+        fields = (cell_id, network_id, rat)
+        access = _ACCESS_IDS.get(fields)
+        if access is None:
+            access = _ACCESS_IDS[fields] = object.__new__(cls)
+        return access
+
     def __post_init__(self) -> None:
-        # Sets, dict lookups and trace keys use these on every scan, and every
-        # primitive that names this access renders its wire form; the fields
-        # never change, so all three are computed once. The hash is the one
-        # the dataclass would generate. Params share the wire dict, so it is
-        # read-only like them.
-        object.__setattr__(self, "_hash", hash((self.cell_id, self.network_id, self.rat)))
-        object.__setattr__(self, "_key", f"{self.network_id}/{self.cell_id}")
+        # Trace keys and every primitive that names this access read these; the
+        # fields never change, so both are computed once per interned id, and
+        # a build that returns an id already set up keeps what it has.
+        # Params share the wire dict, so it is read-only like them.
+        if "key" in self.__dict__:
+            return
+        object.__setattr__(self, "key", f"{self.network_id}/{self.cell_id}")
         object.__setattr__(
             self, "_wire", {"cell_id": self.cell_id, "network_id": self.network_id, "rat": self.rat}
         )
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple[type, tuple[str, str, str]]:
+        return AccessId, (self.cell_id, self.network_id, self.rat)
 
-    @property
-    def key(self) -> str:
-        return self._key
+
+# (cell_id, network_id, rat) -> the one AccessId of those fields.
+_ACCESS_IDS: dict[tuple[str, str, str], AccessId] = {}
 
 
 def access_sort_key(access: AccessId) -> tuple[str, str]:
@@ -195,13 +211,17 @@ class Result:
         if not self.ok and not self.reason:
             raise ValueError("a failure Result needs a non-empty reason")
 
-    @classmethod
-    def success(cls) -> "Result":
-        return cls(True)
+    @staticmethod
+    def success() -> "Result":
+        """The one success value, shared: a Result is frozen."""
+        return _SUCCESS
 
     @classmethod
     def failure(cls, reason: str) -> "Result":
         return cls(False, reason)
+
+
+_SUCCESS = Result(True)
 
 
 # --------------------------------------------------------------------------
@@ -230,13 +250,18 @@ def _codec(tp: Any) -> Callable[[Any], Any]:
         return lambda value: None if value is None else render(value)
     if get_origin(tp) is tuple:
         render = _codec(args[0])
-        return lambda values: [render(value) for value in values]
+        return lambda values: list(map(render, values))
     if tp is AccessId:
         return attrgetter("_wire")
     if tp is Rating:
         return lambda rating: {**rating.access._wire, "rating": rating.path_score}
     if dataclasses.is_dataclass(tp):
         plan = _field_codecs(tp)
+        if len(plan) > 1 and all(render is _same for _name, render in plan):
+            # Every field renders as itself: one C getter fetches them all.
+            names = [name for name, _render in plan]
+            get = attrgetter(*names)
+            return lambda value: dict(zip(names, get(value)))
         return lambda value: {name: render(getattr(value, name)) for name, render in plan}
     return _same
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
 from .core import (
@@ -279,8 +280,8 @@ class Mrrm:
                 held=held,
                 sets=sets,
                 candidates=tuple(sorted(sets.das, key=access_sort_key)),
-                das_keys=sorted(a.key for a in sets.das),
-                scanned_keys=sorted(a.key for a in sets.scanned),
+                das_keys=sorted(map(attrgetter("key"), sets.das)),
+                scanned_keys=sorted(map(attrgetter("key"), sets.scanned)),
             )
         return view, dict(scan)
 
@@ -312,7 +313,7 @@ class Mrrm:
                 aas = frozenset() if winner is None else frozenset({winner})
                 sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas,
                                   aas=aas)
-                outcome = rated.outcomes[winner] = (sets, sorted(a.key for a in aas), {})
+                outcome = rated.outcomes[winner] = (sets, sorted(map(attrgetter("key"), aas)), {})
             last = rated.last = (radio, combined, outcome)
         _radio, combined, (sets, aas_keys, snapshots) = last
         params = snapshots.get(flow)
@@ -345,7 +346,7 @@ class Mrrm:
                 cas=cas,
                 path=path,
                 cas_order=tuple(sorted(cas, key=access_sort_key)),
-                cas_keys=sorted(a.key for a in cas),
+                cas_keys=sorted(map(attrgetter("key"), cas)),
                 outcomes={},
             ))
         return entry[1]

@@ -220,19 +220,19 @@ _new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
 
 
 class Kernel:
-    """Event queue plus the FE registry; owns the clock."""
+    """Event queue plus the FE registry; owns the clock.
+
+    ``now`` is the current instant, a plain attribute that the loop updates
+    and everyone else only reads.
+    """
 
     def __init__(self, recorder: TraceRecorder) -> None:
-        self._now: SimTime = 0
+        self.now: SimTime = 0
         self._seq = 0
         self._queue: list[SimEvent] = []  # a heap of later deliveries
         self._ready: deque[SimEvent] = deque()  # zero-delay deliveries, at now
         self._handlers: dict[str, Callable[[SimEvent], None]] = {}
         self.recorder = recorder
-
-    @property
-    def now(self) -> SimTime:
-        return self._now
 
     def register(self, fe_id: str, handler: Callable[[SimEvent], None]) -> None:
         self._handlers[fe_id] = handler
@@ -250,12 +250,13 @@ class Kernel:
         sender, receiver = payload._ends
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
-        self._seq += 1
-        event = _new_event(SimEvent, (self._now + delay_us, self._seq, sender, receiver, payload))
+        self._seq = seq = self._seq + 1
         if delay_us:
+            event = _new_event(SimEvent, (self.now + delay_us, seq, sender, receiver, payload))
             heapq.heappush(self._queue, event)
         else:
-            self._ready.append(event)
+            # The clock's own int, not now + 0: one instant's records share it.
+            self._ready.append(_new_event(SimEvent, (self.now, seq, sender, receiver, payload)))
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
         """Schedule an internal (untraced) call attributed to an FE."""
@@ -267,14 +268,14 @@ class Kernel:
         Returns the time of the last processed event (0 if none).
         """
         last: SimTime = 0
-        now = self._now
+        now = self.now
         queue, ready, handlers, recorder = self._queue, self._ready, self._handlers, self.recorder
         while True:
             if ready and not (queue and queue[0].at == now):
                 event = ready.popleft()
             elif queue:
                 event = heapq.heappop(queue)
-                self._now = now = event.at
+                self.now = now = event.at
             else:
                 return last
             last = now

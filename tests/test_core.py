@@ -1,9 +1,11 @@
 """Value-type validation, the primitive wire format, and which classes compare by value."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
+import pickle
 import pkgutil
 import re
 
@@ -107,20 +109,33 @@ class TestAccessId:
         rat=st.text(max_size=6),
     )
     def test_equal_ids_share_hash_and_key(self, cell, network, rat):
+        """Equal fields give the one interned id, by position or by name."""
         first = AccessId(cell, network, rat)
         twin = AccessId(cell_id=cell, network_id=network, rat=rat)
-        assert twin == first and twin is not first
-        assert hash(twin) == hash(first) == hash((cell, network, rat))
+        assert twin is first and hash(twin) == hash(first)
         assert twin.key == first.key == f"{network}/{cell}"
         assert {first: 1}[twin] == 1
 
     def test_cached_hash_and_key_leave_the_dataclass_shape_alone(self):
+        """Interning keeps the fields and repr; equality and hash are identity, in C."""
         assert [f.name for f in dataclasses.fields(A)] == ["cell_id", "network_id", "rat"]
         assert repr(A) == "AccessId(cell_id='cell-a', network_id='net-1', rat='wlan')"
+        assert AccessId.__eq__ is object.__eq__ and AccessId.__hash__ is object.__hash__
         assert A != AccessId("cell-a", "net-1", "cellular")
         moved = dataclasses.replace(A, cell_id="cell-q")
+        assert moved is AccessId("cell-q", "net-1", "wlan")
         assert moved.key == "net-1/cell-q"
-        assert hash(moved) == hash(("cell-q", "net-1", "wlan"))
+        assert A.key == "net-1/cell-a"
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_interned_id(self, duplicate):
+        assert duplicate(A) is A
+        # So is the id inside a copied value that holds one.
+        assert duplicate(LOC).access is B
 
 
 class TestLocator:
@@ -297,7 +312,8 @@ def test_rating_wire_form_flattens_the_access():
 
 # -- Which classes compare by value ------------------------------------------
 
-# The value types keep the dataclass __eq__; these are built anew on each call.
+# The value types compare by value; these are built anew on each call. An
+# access id is interned, so building it anew gives the same object.
 VALUE_TYPES = {
     "AccessId": lambda: AccessId("cell-a", "net-1", "wlan"),
     "QosSpec": lambda: QosSpec(1000, 80),
@@ -320,7 +336,7 @@ VALUE_TYPES = {
 @pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES)
 def test_value_types_built_apart_compare_equal(make):
     first, twin = make(), make()
-    assert twin == first and twin is not first
+    assert twin == first and (twin is first) == isinstance(first, AccessId)
     assert repr(twin) == repr(first)
     # A record is mutable: it and a verdict that holds one have no hash.
     if not isinstance(first, (TraceRecord, Verdict)):
@@ -359,7 +375,7 @@ def test_ends_declare_every_trace_name_once_as_its_docstring_names_them():
 # The methods that the dataclass decorator compiles at every import (Python
 # 3.11). Only a class that the program compares, hashes or prints by value
 # gets a value __eq__, __hash__ or __repr__.
-GENERATED_FUNCTIONS = 151
+GENERATED_FUNCTIONS = 150
 FROZEN_DATACLASSES = 40
 
 

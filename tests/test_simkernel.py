@@ -81,6 +81,22 @@ class TestScheduling:
         kernel.run_until_quiescent()
         assert [payload.flow for _, _, payload in log] == [1, 2, 3]
 
+    def test_zero_delay_deliveries_record_the_clocks_own_int(self):
+        """Deliveries made at one instant share its int, not a fresh now + 0 each."""
+        recorder = TraceRecorder()
+        kernel = Kernel(recorder=recorder)
+
+        def handler(event):
+            if event.payload.flow == 0:
+                kernel.schedule(0, TunnelStop(flow=1))
+                kernel.schedule(0, TunnelStop(flow=2))
+
+        kernel.register(FE_ENVIRONMENT, handler)
+        kernel.schedule(1_000_000, TunnelStop(flow=0))
+        kernel.run_until_quiescent()
+        first, second, third = recorder.records
+        assert second.at == 1_000_000 and second.at is third.at is first.at is kernel.now
+
 
 class TestRunUntilQuiescent:
     def test_empty_queue_returns_zero(self):

@@ -67,6 +67,8 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
         _FAILURE + ": a failed establishment",
     ("mrrm.py", "Mrrm._relay_switch.detached", "if not result.ok:"):
         _FAILURE + ": the detach of a switch fails",
+    ("core.py", "AccessId", "def __reduce__(self) -> tuple[type, tuple[str, str, str]]:"):
+        _INVARIANT + ": a copied or unpickled access id is the interned one",
     ("core.py", "Locator", "def __post_init__(self) -> None:"): _INVARIANT,
     ("core.py", "Rating", "def __post_init__(self) -> None:"): _INVARIANT,
     ("core.py", "AccessSets", "def __post_init__(self) -> None:"): _INVARIANT,
