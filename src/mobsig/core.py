@@ -227,22 +227,21 @@ _SUCCESS = Result(True)
 # --------------------------------------------------------------------------
 # Parameter rendering. Each primitive class gets one (name, render) pair per
 # field, built once at import from the field's declared type; params() renders
-# the fields into a JSON object. The trace writer sorts its keys. A rendered
+# the fields into a JSON object, and a scalar field, whose render is None, as
+# itself without a call. The trace writer sorts its keys. A rendered
 # value may be shared with other params objects, so params are read-only: an
 # AccessId renders as its own wire dict, shared by every params naming it.
 # --------------------------------------------------------------------------
 
 
-def _same(value: Any) -> Any:
-    return value
-
-
 @functools.cache
-def _codec(tp: Any) -> Callable[[Any], Any]:
-    """Renderer from a value of declared type tp to its JSON form.
+def _codec(tp: Any) -> Callable[[Any], Any] | None:
+    """Renderer from a value of declared type tp to its JSON form, or None
+    for a scalar, which renders as itself without a call.
 
-    tp is a scalar, ``X | None``, ``tuple[X, ...]`` or a dataclass. AccessId
-    and Rating are the dataclasses with their own wire form.
+    tp is a scalar, a dataclass, or ``X | None`` or ``tuple[X, ...]`` of a
+    dataclass. AccessId and Rating are the dataclasses with their own wire
+    form.
     """
     args = get_args(tp)
     if type(None) in args:
@@ -257,16 +256,19 @@ def _codec(tp: Any) -> Callable[[Any], Any]:
         return lambda rating: {**rating.access._wire, "rating": rating.path_score}
     if dataclasses.is_dataclass(tp):
         plan = _field_codecs(tp)
-        if len(plan) > 1 and all(render is _same for _name, render in plan):
+        if len(plan) > 1 and all(render is None for _name, render in plan):
             # Every field renders as itself: one C getter fetches them all.
             names = [name for name, _render in plan]
             get = attrgetter(*names)
             return lambda value: dict(zip(names, get(value)))
-        return lambda value: {name: render(getattr(value, name)) for name, render in plan}
-    return _same
+        return lambda value: {
+            name: getattr(value, name) if render is None else render(getattr(value, name))
+            for name, render in plan
+        }
+    return None
 
 
-def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
+def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
     # Resolved against this module's namespace: the annotations are strings.
     hints = get_type_hints(cls, globals())
     return tuple((f.name, _codec(hints[f.name])) for f in dataclasses.fields(cls))
@@ -300,8 +302,7 @@ class Primitive:
             rendered = {}
             for name, render in self._codecs:
                 value = getattr(self, name)
-                # A scalar renders as itself, without the call.
-                rendered[name] = value if render is _same else render(value)
+                rendered[name] = value if render is None else render(value)
             if self._has_result:
                 result = self.result
                 rendered["result"] = "success" if result.ok else "failure"

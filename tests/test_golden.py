@@ -13,7 +13,8 @@ were taken before scans skipped cells out of reach and ticks reused the radio
 view. A third variant, slow signalling on the long walk and on the multi-flow
 scenario, fails most of their handovers, so the failure path of every step is
 pinned as well. The diagram
-of each bundled and generated trace is pinned by its digest too, and writing
+of each bundled and generated trace is pinned by its digest too, drawn from
+the same run whose digests are compared, and writing
 the generated multi-flow trace must stay within a memory bound. The files
 under bench/ are only read.
 """
@@ -49,25 +50,41 @@ def run_digests(scenario: Path, out_dir: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_run_matches_golden_digests(name, scenario_path, tmp_path):
-    expected = GOLDEN["workloads"]["sweep-small"][f"bundled-{name}"]
-    assert run_digests(scenario_path(name), tmp_path) == expected
-
-
 def generated_scenario(workload: str, tmp_path: Path) -> Path:
     [scenario] = load_generator().write_workload(workload, GOLDEN["seed"], tmp_path / "scenarios")
     return scenario
 
 
-def test_generated_long_walk_run_matches_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory, scenario_path):
+    """Run a bundled or generated scenario through the CLI once per module:
+    its output directory and the digests of its trace and metrics."""
+    runs = {}
+
+    def run(name: str) -> tuple[Path, dict[str, str]]:
+        if name not in runs:
+            out_dir = tmp_path_factory.mktemp(name)
+            scenario = scenario_path(name) if name in BUNDLED else generated_scenario(name, out_dir)
+            runs[name] = (out_dir, run_digests(scenario, out_dir))
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_matches_golden_digests(name, golden_run):
+    expected = GOLDEN["workloads"]["sweep-small"][f"bundled-{name}"]
+    assert golden_run(name)[1] == expected
+
+
+def test_generated_long_walk_run_matches_golden_digests(golden_run):
     expected = GOLDEN["workloads"]["long-walk"]["long-walk"]
-    assert run_digests(generated_scenario("long-walk", tmp_path), tmp_path) == expected
+    assert golden_run("long-walk")[1] == expected
 
 
-def test_generated_multiflow_run_matches_golden_digests(tmp_path):
+def test_generated_multiflow_run_matches_golden_digests(golden_run):
     expected = GOLDEN["workloads"]["multiflow-dense"]["multiflow-dense"]
-    assert run_digests(generated_scenario("multiflow-dense", tmp_path), tmp_path) == expected
+    assert golden_run("multiflow-dense")[1] == expected
 
 
 def test_writing_the_generated_multiflow_trace_holds_under_its_size(tmp_path):
@@ -101,11 +118,10 @@ DIAGRAM_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", DIAGRAM_DIGESTS)
-def test_diagram_matches_its_pinned_digest(name, scenario_path, tmp_path, capsys):
-    scenario = scenario_path(name) if name in BUNDLED else generated_scenario(name, tmp_path)
-    run_digests(scenario, tmp_path)
+def test_diagram_matches_its_pinned_digest(name, golden_run, capsys):
+    out_dir, _digests = golden_run(name)
     capsys.readouterr()
-    assert cli.main(["diagram", "--trace", str(tmp_path / "trace.jsonl")]) == 0
+    assert cli.main(["diagram", "--trace", str(out_dir / "trace.jsonl")]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIAGRAM_DIGESTS[name]
 
 

@@ -1,14 +1,21 @@
 """Scenario file validation and its field-path error reporting."""
 
 import copy
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scenario_oracle
 from mobsig import cli
 from mobsig.core import AccessId, QosSpec
 from mobsig.scenario import ScenarioError, load_scenario, parse_scenario
+
+from support import load_generator
 
 
 def base_doc():
@@ -263,6 +270,55 @@ ONLY_HERE = {
 }
 
 
+# Where a field no check reads is added to the base document: the keys of the
+# object that gets it, and the path of the field.
+UNKNOWN_FIELDS = [
+    ((), "jiter_us"),
+    (("cells", 0), "cells[0].radius"),
+    (("cells", 0, "capacity"), "cells[0].capacity.latency_ms"),
+    (("trajectory", 1), "trajectory[1].y"),
+    (("policy",), "policy.forbidden_network"),
+    (("path_models", "net-1/cell-a"), "path_models.net-1/cell-a.latency_ms"),
+    (("latencies",), "latencies.binding_rtt"),
+    (("flows", 0), "flows[0].start"),
+    (("flows", 0, "requested_qos"), "flows[0].requested_qos.bandwidth"),
+]
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("keys, field", UNKNOWN_FIELDS, ids=[f for _k, f in UNKNOWN_FIELDS])
+    def test_a_field_no_check_reads_is_rejected(self, keys, field):
+        doc = base_doc()
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[field.rsplit(".", 1)[-1]] = 1
+        expect_error(doc, field, "unknown field")
+
+    def test_the_first_unknown_field_in_sorted_order_is_named(self):
+        doc = base_doc()
+        doc["zeta"] = doc["alpha"] = doc["beta"] = 0
+        error = expect_error(doc, "alpha")
+        assert str(error) == "alpha: unknown field"
+
+    def test_a_misspelled_optional_field_fails_the_run(self, scenario_path, tmp_path, capsys):
+        doc = json.loads(scenario_path("mbb").read_text(encoding="utf-8"))
+        doc["jiter_us"] = 5000
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code = cli.main(["run", "--scenario", str(scenario), "--trace", str(tmp_path / "t.jsonl"),
+                         "--metrics", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "jiter_us: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_every_generated_document_holds_only_fields_the_checks_read(self, seed):
+        generator = load_generator()
+        for workload in generator.WORKLOADS:
+            for _name, doc in generator.generate(workload, seed):
+                parse_scenario(doc)
+
+
 class TestRejectedOnlyHere:
     @pytest.mark.parametrize("case", ONLY_HERE)
     def test_field(self, case):
@@ -296,3 +352,67 @@ class TestLoadScenario:
     def test_seed_override_through_the_loader(self, scenario_path):
         config = load_scenario(str(scenario_path("mbb")), seed_override=1234)
         assert config.seed == 1234
+
+
+# The property below edits one of these: the bundled scenarios and the small
+# generated ones of every handover style.
+EDITED_DOCUMENTS = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(cli.__file__).parent / "scenarios").glob("*.json"))
+] + [doc for _name, doc in load_generator().generate("sweep-small", 1)]
+
+# What an edit sets a field to: every JSON type, and the numbers that sit at
+# the edges of the checks.
+EDIT_VALUES = [None, True, 0, -1, 1.5, math.nan, math.inf, -math.inf, 10**400, "", "x",
+               [], {}, [1], [1, 2, 3], [math.nan, 0]]
+
+
+def _locations(node, parents=()):
+    """The (container keys, key) of every dict field and list item under node."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        yield parents, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value, (*parents, key))
+
+
+@st.composite
+def edited_documents(draw):
+    """A document with one field deleted or set to a drawn value."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(EDITED_DOCUMENTS))))
+    parents, key = draw(st.sampled_from(list(_locations(doc))))
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(EDIT_VALUES))
+    return doc
+
+
+def _fields(value):
+    """A value built by a validator, as nested tuples of type names and fields."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                tuple((f.name, _fields(getattr(value, f.name))) for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return ("dict", tuple((_fields(k), _fields(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(map(_fields, value)))
+    if isinstance(value, frozenset):
+        return ("frozenset", tuple(sorted(value)))
+    return (type(value).__name__, value)
+
+
+def _outcome(parse, doc):
+    try:
+        return ("accepted", _fields(parse(doc)))
+    except ScenarioError as error:
+        return ("rejected", error.message, error.path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=edited_documents())
+def test_one_edit_gets_the_verdict_of_the_reference_validator(doc):
+    assert _outcome(parse_scenario, doc) == _outcome(scenario_oracle.parse_scenario, doc)

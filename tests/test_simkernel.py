@@ -395,9 +395,8 @@ class TestSharedParams:
         # fields are rendered once; the renderer is counted, not params().
         rendered = []
         [(field, render)] = TunnelStop._codecs
-        monkeypatch.setattr(
-            TunnelStop, "_codecs", ((field, lambda v: rendered.append(v) or render(v)),)
-        )
+        assert render is None  # the flow id, a scalar, renders as itself
+        monkeypatch.setattr(TunnelStop, "_codecs", ((field, lambda v: rendered.append(v) or v),))
         recorder = TraceRecorder()
         kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
         shared, other = TunnelStop(flow=1), TunnelStop(flow=2)

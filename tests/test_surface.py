@@ -159,6 +159,7 @@ INVALID_EDITS = [
     {"path_models.net-2/cell-b": DELETE},
     {"flows.1": {"id": 1, "start_us": 0, "requested_qos": {
         "bandwidth_kbps": 1000, "max_latency_ms": 80}}},
+    {"jiter_us": 5_000},
 ]
 
 # Scenario files that hold no JSON object.
