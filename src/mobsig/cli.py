@@ -130,7 +130,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     if verdict.ok:
-        print(f"conformant ({len(records)} records, template={args.template})")
+        count = f"{len(records)} record{'' if len(records) == 1 else 's'}"
+        print(f"conformant ({count}, template={args.template})")
         return 0
     print(f"violation: {verdict.describe()}", file=sys.stderr)
     return 1

@@ -22,6 +22,13 @@ hold a cycle.
 Under "auto" each context is checked against "generic", then against the
 template of its STEPS row, which infer_variant reads from the step table alone.
 
+The forbidden names and the precedence rules read only a context's message
+names and the template, so they run once per distinct (template, name
+sequence) pair: _order_violations keeps the last _ORDER_MEMO results, keyed by
+the template object, so templates built apart that share a name do not share
+results. A long walk's hundreds of contexts repeat a handful of sequences.
+Link alternation reads the accesses, so it runs for every context.
+
 Messages that are not part of the handover signaling vocabulary (scan
 snapshots, rating queries, flow-setup traffic) are ignored by the checker.
 """
@@ -31,6 +38,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any
 
 from .core import PRIMITIVE_TYPES
@@ -94,6 +102,9 @@ _WRITER_HEAD = re.compile(
     '"' + _WRITER_STR + '","to":"' + _WRITER_STR + '","msg":"' + _WRITER_STR + '"'
 )
 
+
+# What parse_trace's memos give for a text they have not read yet.
+_UNREAD = object()
 
 # What errors="surrogateescape" makes of a byte that is not valid UTF-8.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -234,14 +245,13 @@ def parse_trace(lines) -> list[TraceRecord]:
     for lineno, line in enumerate(lines, start=1):
         at_text, _, rest = line.partition(',"from":')
         head_text, _, tail = rest.partition(',"params":')
-        try:
-            params = params_by_tail[tail]
-        except KeyError:
+        # About one line in three misses a memo, too often to pay for a raised KeyError.
+        params = params_by_tail.get(tail, _UNREAD)
+        if params is _UNREAD:
             params = params_by_tail[tail] = read_params(tail)
         if params is not None:
-            try:
-                head = heads_by_text[head_text]
-            except KeyError:
+            head = heads_by_text.get(head_text, _UNREAD)
+            if head is _UNREAD:
                 head = heads_by_text[head_text] = (
                     tuple(head_text.split('"')[1::4]) if _WRITER_HEAD.fullmatch(head_text) else None
                 )
@@ -249,7 +259,7 @@ def parse_trace(lines) -> list[TraceRecord]:
                 last_at_text = at_text
                 at = int(at_text[5:]) if _WRITER_T.fullmatch(at_text) else None
             if head is not None and at is not None:
-                records.append(TraceRecord(at, *head, params, lineno))
+                records.append(TraceRecord(at, head[0], head[1], head[2], params, lineno))
                 continue
         if not line.strip():
             continue
@@ -379,34 +389,58 @@ def _link_events(records: list[TraceRecord]) -> dict[str, list[tuple[int, str]]]
     return events
 
 
-def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
-    """Check one context slice against one template.
+# At most this many (template, name sequence) pairs keep their order
+# violations. The seed-1 bench traces and both slow-signalling ones hold 24
+# such pairs under auto and every template.
+_ORDER_MEMO = 1024
 
-    Every name the check reacts to (a forbidden name, a rule's end, a link
-    request) is in CHECKED_NAMES, so records of any other name, which
-    segment_contexts keeps out of a context, change no verdict.
-    """
-    violations: list[tuple[int, str, str]] = []  # (slice index, rule, detail)
 
-    for index, record in enumerate(records):
-        if record.name in template.forbidden:
-            violations.append(
-                (index, f"forbidden:{record.name}", f"{record.name} must not occur here")
-            )
+@lru_cache(maxsize=_ORDER_MEMO)
+def _order_violations(
+    template: SequenceTemplate, names: tuple[str, ...]
+) -> tuple[tuple[int, str, str], ...]:
+    """The forbidden-name and precedence violations of a context whose
+    records bear `names`, as (slice index, rule, detail) in the order check
+    lists them; one result holds for every such context (module docstring)."""
+    violations = []
+    for index, name in enumerate(names):
+        if name in template.forbidden:
+            violations.append((index, f"forbidden:{name}", f"{name} must not occur here"))
             break  # later forbidden hits cannot be the first violation
 
     positions: dict[str, list[int]] = {}
-    for index, record in enumerate(records):
-        positions.setdefault(record.name, []).append(index)
+    for index, name in enumerate(names):
+        positions.setdefault(name, []).append(index)
     for rule in template.rules:
         before = positions.get(rule.before)
         after = positions.get(rule.after)
         if not before or not after:
             continue
         if max(before) > min(after):
-            violations.append(
-                (min(after), rule.label, f"{rule.after} precedes {rule.before}")
-            )
+            violations.append((min(after), rule.label, f"{rule.after} precedes {rule.before}"))
+    return tuple(violations)
+
+
+@lru_cache(maxsize=64)
+def _passed(template: str) -> Verdict:
+    """The one passing verdict of a template name, shared by every check it passes."""
+    return Verdict(ok=True, template=template)
+
+
+def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
+    """Check one context slice against one template.
+
+    The forbidden names and the precedence rules are checked once per distinct
+    (template, name sequence) pair (see _order_violations, which keeps the
+    last _ORDER_MEMO pairs); link alternation reads the records' accesses, so
+    it runs for every context.
+
+    Every name the check reacts to (a forbidden name, a rule's end, a link
+    request) is in CHECKED_NAMES, so records of any other name, which
+    segment_contexts keeps out of a context, change no verdict.
+    """
+    names = tuple([record.name for record in records])
+    violations = list(_order_violations(template, names))  # the memo's tuple stays as it is
 
     for key, events in sorted(_link_events(records).items()):
         if not any(kind == "up" for _, kind in events):
@@ -419,7 +453,7 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
             expected = "down" if expected == "up" else "up"
 
     if not violations:
-        return Verdict(ok=True, template=template.name)
+        return _passed(template.name)
     index, rule, detail = min(violations, key=lambda v: v[0])
     return Verdict(
         ok=False,

@@ -307,6 +307,17 @@ class TestCheck:
         assert "binding-update-before-ack" in err
         assert f"line {update + 1}:" in err
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_the_record_count_agrees_with_its_noun(self, tmp_path, capsys, count):
+        record = {"t": 0, "from": "MRRM", "to": "HOLM", "msg": "HOExecutionRequest",
+                  "params": {"current": None, "flow": 1, "mbb_flag": True,
+                             "target": {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}}}
+        trace = tmp_path / "short.jsonl"
+        trace.write_text(count * (json.dumps(record) + "\n"))
+        assert run_cli("check", "--trace", str(trace)) == 0
+        noun = "record" if count == 1 else "records"
+        assert capsys.readouterr().out == f"conformant ({count} {noun}, template=auto)\n"
+
     def test_wrong_named_template_exits_1(self, mbb_outputs, capsys):
         trace, _ = mbb_outputs
         assert run_cli("check", "--trace", str(trace), "--template", "fmip") == 1

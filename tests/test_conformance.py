@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from mobsig.conformance import (
     SEQUENCE_NAMES,
     TEMPLATES,
     AmbiguousTraceError,
+    _order_violations,
     check,
     check_trace,
     infer_variant,
@@ -21,11 +23,12 @@ from mobsig.conformance import (
     parse_trace,
     segment_contexts,
 )
-from mobsig.scenario import parse_scenario
+from mobsig.scenario import load_scenario, parse_scenario
 from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation
 
-from support import json_values, trace_line
+import check_oracle
+from support import json_values, load_generator, trace_line
 from variant_oracle import reference_variant
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
@@ -698,3 +701,91 @@ class TestCheckTrace:
         for name, result in bundled_results.items():
             verdict = check_trace(result.records)
             assert verdict.ok, f"{name}: {verdict.describe()}"
+
+
+# The accesses a generated context may use. A context whose current and target
+# keys are equal has the names of one whose keys differ, but it may break link
+# alternation where the other does not.
+ACC_C = {"cell_id": "cell-c", "network_id": "net-3", "rat": "wlan"}
+ACCESSES = (ACC_A, ACC_B, ACC_C)
+
+
+def readdressed(records, current, target):
+    """Fresh records with the names of `records`, each top-level ACC_A field
+    set to `current` and each ACC_B field to `target`."""
+    swap = {id(ACC_A): current, id(ACC_B): target}
+    return [rec(record.name, **{key: swap.get(id(value), value)
+                                for key, value in record.params.items()})
+            for record in records]
+
+
+@st.composite
+def repeated_contexts(draw):
+    """One flow's trace of 1 to 8 contexts drawn from 1 to 3 shapes, so that
+    contexts repeat a name sequence on other accesses. A shape is a canonical
+    slice, maybe notified, with maybe one record after the request swapped
+    with the next, repeated or dropped: many pass auto, many fail."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        slice_fn = draw(st.sampled_from([mbb_slice, bbm_slice, fmip_slice, establishment_slice]))
+        records = notified(slice_fn) if draw(st.booleans()) else slice_fn()
+        at = draw(st.integers(1, len(records) - 1))
+        edit = draw(st.sampled_from(["none", "swap", "repeat", "drop"]))
+        if edit == "swap" and at + 1 < len(records):
+            records[at], records[at + 1] = records[at + 1], records[at]
+        elif edit == "repeat":
+            records.insert(at, records[at])
+        elif edit == "drop":
+            del records[at]
+        shapes.append(records)
+    trace = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(shapes))
+        current, target = draw(st.sampled_from(ACCESSES)), draw(st.sampled_from(ACCESSES))
+        trace += readdressed(shape, current, target)
+    return trace
+
+
+def _seen(verdict):
+    """What a verdict tells, with its record by identity."""
+    return (verdict.ok, verdict.template, verdict.rule, verdict.index, verdict.detail,
+            id(verdict.record))
+
+
+# Every template, each followed by a same-named twin that forbids nothing: a
+# template rebuilt from other step rows may share a name with one in TEMPLATES.
+TEMPLATES_AND_TWINS = [twin for template in TEMPLATES.values()
+                       for twin in (template, replace(template, forbidden=frozenset()))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=repeated_contexts())
+def test_check_and_check_trace_give_the_reference_verdicts(trace):
+    """Equal verdicts, record by identity, with the memo of order violations
+    cleared first and then with every pair of the trace in it."""
+    slices = [context.records for context in segment_contexts(trace)]
+    _order_violations.cache_clear()
+    for _warm in (False, True):
+        for choice in ["auto", *TEMPLATES]:
+            expected = check_oracle.check_trace(trace, choice)
+            assert _seen(check_trace(trace, choice)) == _seen(expected)
+        for records in slices:
+            for template in TEMPLATES_AND_TWINS:
+                expected = check_oracle.check(records, template)
+                assert _seen(check(records, template)) == _seen(expected)
+
+
+def test_check_trace_reads_each_distinct_name_sequence_once(tmp_path):
+    [scenario] = load_generator().write_workload("long-walk", 1, tmp_path)
+    records = Simulation(load_scenario(str(scenario))).run().records
+    _order_violations.cache_clear()
+    assert check_trace(records).ok
+    pairs, checks = set(), 0
+    for context in segment_contexts(records):
+        names = tuple(record.name for record in context.records)
+        variant = infer_variant(context.records)
+        chosen = ["generic", variant] if variant in holm.STEPS else ["generic"]
+        pairs.update((TEMPLATES[name], names) for name in chosen)
+        checks += len(chosen)
+    info = _order_violations.cache_info()
+    assert info.misses == len(pairs) < checks == info.hits + info.misses
