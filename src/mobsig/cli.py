@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--template",
         default="auto",
         choices=["auto"] + sorted(TEMPLATES),
-        help="template name, or 'auto' to match each handover's variant",
+        help="the step row every handover runs, or 'auto' to infer each one's"
+        " (an establishment always runs its own)",
     )
 
     diagram_p = sub.add_parser("diagram", help="render a trace as a sequence diagram")

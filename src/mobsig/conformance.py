@@ -2,32 +2,28 @@
 
 A trace is split into handover contexts, one per HOExecutionRequest, each
 running until the next request for the same flow (or the end of the trace).
-Every context is then checked against sequence templates:
+Each context is then checked by one walk along the chain of one row of HOLM's
+step table: the messages that row's steps exchange (`holm.STEPS` and
+`holm.STEP_MESSAGES`), then HOComplete, then the post-handover notification
+exchange (an establishment, a first attachment, has none to notify).
 
-* precedence rules - "if A and B both occur in the context, every A occurs
-  before every B", each with a stable human-readable label;
-* forbidden names - messages that must not appear for that handover variant;
-* link alternation - attach and detach events on one access must alternate,
-  starting with an attach, for every access that is brought up inside the
-  context (accesses attached before the context started are exempt).
+A context conforms when the names after its request are a prefix of that
+chain. A failed HOComplete may end the steps early, and nothing may follow
+it; a successful one needs every step message before it. The first
+divergence is the verdict:
 
-The templates are not written out: each is derived from one row of HOLM's
-step table. A row's chain is the messages its steps exchange (`holm.STEPS`
-and `holm.STEP_MESSAGES`), then HOComplete, then the post-handover
-notification exchange. The template's rules are the LABELS pairs that occur
-in that order in the chain, and it forbids every other message of the
-vocabulary. A rule can only point forward along its chain, so no template can
-hold a cycle.
+* a name outside the chain is `forbidden:<name>`;
+* a successful HOComplete that comes early is `missing:<expected>`;
+* any other name out of place takes the LABELS label of the (expected, got)
+  pair, or `unexpected:<got>` where none fits;
+* a handover request whose current access is its target is `same-access`, at
+  the request.
 
-Under "auto" each context is checked against "generic", then against the
-template of its STEPS row, which infer_variant reads from the step table alone.
-
-The forbidden names and the precedence rules read only a context's message
-names and the template, so they run once per distinct (template, name
-sequence) pair: _order_violations keeps the last _ORDER_MEMO results, keyed by
-the template object, so templates built apart that share a name do not share
-results. A long walk's hundreds of contexts repeat a handful of sequences.
-Link alternation reads the accesses, so it runs for every context.
+A request with a null current access runs the establishment row, as HOLM
+decides, under "auto" and under a named template alike. Any other context
+runs the named row, or under "auto" the row that infer_variant reads from the
+step table. A context of no row ("unclassified") has an empty chain, so it
+conforms as its request alone or followed by a failed HOComplete.
 
 Messages that are not part of the handover signaling vocabulary (scan
 snapshots, rating queries, flow-setup traffic) are ignored by the checker.
@@ -38,7 +34,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Any
 
 from .core import PRIMITIVE_TYPES
@@ -61,13 +56,12 @@ SEQUENCE_NAMES = frozenset({"HOExecutionRequest", "HOComplete"}).union(*STEP_MES
 # The checker additionally tracks the post-handover notification exchange.
 CHECKED_NAMES = SEQUENCE_NAMES | set(_NOTIFICATION)
 
-# The label of each ordering rule, keyed by (before, after). When two rules
-# are broken at the same record, the one listed first here is reported.
+# The rule of a name found out of place, keyed by (expected, got): the chain's
+# name where the walk stands and the later chain name found there instead.
 LABELS: dict[tuple[str, str], str] = {
     ("PathSelect", "PathSelected"): "path-query-before-answer",
     ("PathSelected", "BindingUpdate"): "locator-before-binding-update",
     ("BindingUpdate", "BindingAck"): "binding-update-before-ack",
-    ("BindingAck", "HOComplete"): "binding-ack-before-completion",
     ("HOComplete", "HandoverOccurred"): "completion-before-indication",
     ("HandoverOccurred", "HandoverOccurredResponse"): "indication-before-its-ack",
     ("LinkAttachRequest", "LinkAttachResponse"): "attach-request-before-response",
@@ -75,7 +69,6 @@ LABELS: dict[tuple[str, str], str] = {
     ("LinkAttachRequest", "LinkDetachRequest"): "attach-before-detach",
     ("LinkAttachResponse", "PathSelect"): "attach-before-path-query",
     ("BindingAck", "LinkDetachRequest"): "rebind-before-old-link-teardown",
-    ("LinkDetachResponse", "HOComplete"): "teardown-before-completion",
     ("LinkDetachRequest", "LinkAttachRequest"): "detach-before-attach",
     ("LinkDetachResponse", "LinkAttachRequest"): "teardown-done-before-attach",
     ("ProxyRouterAdvertisement", "FastBindingUpdate"): "advertisement-before-fast-binding",
@@ -87,7 +80,6 @@ LABELS: dict[tuple[str, str], str] = {
     ("LinkSwitchResponse", "TunnelStart"): "switch-before-tunnel",
     ("TunnelStart", "BindingUpdate"): "tunnel-before-binding-update",
     ("BindingAck", "TunnelStop"): "binding-ack-before-tunnel-stop",
-    ("TunnelStop", "HOComplete"): "tunnel-stop-before-completion",
 }
 
 
@@ -121,21 +113,13 @@ class AmbiguousTraceError(ValueError):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Precedence:
-    """Conditional ordering: when both occur, `before` must precede `after`."""
-
-    before: str
-    after: str
-    label: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class SequenceTemplate:
-    """The precedence rules and forbidden messages of one handover variant."""
+    """The chain of one step row: the names a conformant context bears after
+    its request, in order, of which the first `steps` are step messages."""
 
     name: str
-    rules: tuple[Precedence, ...]
-    forbidden: frozenset[str]
+    chain: tuple[str, ...]
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -167,32 +151,29 @@ class SequenceContext:
 
 def _template(name: str, steps: tuple[str, ...]) -> SequenceTemplate:
     """The template of one step row; see the module docstring."""
-    chain = _messages(steps) + ("HOComplete",)
+    messages = _messages(steps)
+    chain = messages + ("HOComplete",)
     if name != "establishment":  # a first attachment is no handover to notify
         chain += _NOTIFICATION
-    at = {message: index for index, message in enumerate(chain)}
-    rules = tuple(
-        Precedence(before, after, label)
-        for (before, after), label in LABELS.items()
-        if before in at and after in at and at[before] < at[after]
-    )
-    forbidden = CHECKED_NAMES - {"HOExecutionRequest"} - set(chain)
-    return SequenceTemplate(name, rules, forbidden)
+    return SequenceTemplate(name, chain, len(messages))
 
 
 TEMPLATES: dict[str, SequenceTemplate] = {
-    # Only what every variant shares: the path query and the binding.
-    "generic": replace(_template("generic", ("path", "bind")), forbidden=frozenset()),
-    **{variant: _template(variant, steps) for variant, steps in STEPS.items()},
+    row: _template(row, steps) for row, steps in STEPS.items()
 }
 
-# The handover rows (all but establishment) by their opener, the message that
-# opens their first step. A shared opener lists the smallest vocabulary first
-# and goes to the first row whose vocabulary covers the context.
+# The template of a context that runs no row.
+_UNCLASSIFIED = SequenceTemplate("unclassified", (), 0)
+
+# The handover rows (all but establishment) by their opener, the first name
+# of their chain, shortest chain first.
 _BY_OPENER: dict[str, list[SequenceTemplate]] = {}
-for _row in sorted(STEPS, key=lambda row: -len(TEMPLATES[row].forbidden)):
+for _row in sorted(STEPS, key=lambda row: len(TEMPLATES[row].chain)):
     if _row != "establishment":
-        _BY_OPENER.setdefault(STEP_MESSAGES[STEPS[_row][0]][0], []).append(TEMPLATES[_row])
+        _BY_OPENER.setdefault(TEMPLATES[_row].chain[0], []).append(TEMPLATES[_row])
+
+# The names a chain may hold: every checked name but the request that opens a context.
+_CHAINED = CHECKED_NAMES - {"HOExecutionRequest"}
 
 assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from primitives"
 
@@ -288,10 +269,11 @@ def _utf8_lines(lines):
         yield line
 
 
-# The access fields that infer_variant and _link_events read, by message, each
-# with whether it may be null.
+# The access fields segment_contexts holds to access objects, by message, each
+# with whether it may be null: the request's, which infer_variant and check
+# read, and the link requests', as HOLM sends them.
 _ACCESS_FIELDS = {
-    "HOExecutionRequest": (("current", True),),
+    "HOExecutionRequest": (("current", True), ("target", False)),
     "LinkAttachRequest": (("target", False),),
     "LinkSwitchRequest": (("current", False), ("target", False)),
     "LinkDetachRequest": (("current", False),),
@@ -323,7 +305,7 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
     """Split a trace into handover contexts.
 
     Raises AmbiguousTraceError, and ValueError naming the line of a record
-    whose flow, current or target the checker reads but cannot.
+    whose flow, access fields or HOComplete result is missing or malformed.
     """
     contexts: list[SequenceContext] = []
     open_contexts: dict[int, SequenceContext] = {}
@@ -356,120 +338,74 @@ def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
         if context is not None:
             if fields is not None:
                 _check_access_fields(record, fields)
+            elif name == "HOComplete":
+                result = record.params.get("result")
+                if result != "success" and result != "failure":
+                    raise _malformed(record, " has no 'result'" if result is None
+                                     else "'s 'result' must be \"success\" or \"failure\"")
             context.entries.append((index, record))
     return contexts
 
 
 def infer_variant(records: list[TraceRecord]) -> str:
     """The STEPS row a context slice runs: establishment if its request, the
-    first record, has no current access (as in HOLM), else the first opener's."""
+    first record, has no current access (as in HOLM), else the row of the
+    first opener in it, where rows that share an opener go to the shortest
+    chain that holds every other name of the context, then to the shortest."""
     if records[0].params["current"] is None:
         return "establishment"
-    names = [record.name for record in records]
-    for name in names:
-        rows = _BY_OPENER.get(name)
+    names = _CHAINED.intersection([record.name for record in records])
+    for record in records:
+        rows = _BY_OPENER.get(record.name)
         if rows is not None:
-            return next((row.name for row in rows if row.forbidden.isdisjoint(names)), rows[0].name)
+            return next((row.name for row in rows if names.issubset(row.chain)), rows[0].name)
     return "unclassified"
 
 
-def _access_key(rendered: dict) -> str:
-    return f"{rendered['network_id']}/{rendered['cell_id']}"
-
-
-def _link_events(records: list[TraceRecord]) -> dict[str, list[tuple[int, str]]]:
-    events: dict[str, list[tuple[int, str]]] = {}
-    for index, record in enumerate(records):
-        if record.name in ("LinkAttachRequest", "LinkSwitchRequest"):
-            key = _access_key(record.params["target"])
-            events.setdefault(key, []).append((index, "up"))
-        if record.name in ("LinkDetachRequest", "LinkSwitchRequest"):
-            key = _access_key(record.params["current"])
-            events.setdefault(key, []).append((index, "down"))
-    return events
-
-
-# At most this many (template, name sequence) pairs keep their order
-# violations. The seed-1 bench traces and both slow-signalling ones hold 24
-# such pairs under auto and every template.
-_ORDER_MEMO = 1024
-
-
-@lru_cache(maxsize=_ORDER_MEMO)
-def _order_violations(
-    template: SequenceTemplate, names: tuple[str, ...]
-) -> tuple[tuple[int, str, str], ...]:
-    """The forbidden-name and precedence violations of a context whose
-    records bear `names`, as (slice index, rule, detail) in the order check
-    lists them; one result holds for every such context (module docstring)."""
-    violations = []
-    for index, name in enumerate(names):
-        if name in template.forbidden:
-            violations.append((index, f"forbidden:{name}", f"{name} must not occur here"))
-            break  # later forbidden hits cannot be the first violation
-
-    positions: dict[str, list[int]] = {}
-    for index, name in enumerate(names):
-        positions.setdefault(name, []).append(index)
-    for rule in template.rules:
-        before = positions.get(rule.before)
-        after = positions.get(rule.after)
-        if not before or not after:
-            continue
-        if max(before) > min(after):
-            violations.append((min(after), rule.label, f"{rule.after} precedes {rule.before}"))
-    return tuple(violations)
-
-
-@lru_cache(maxsize=64)
-def _passed(template: str) -> Verdict:
-    """The one passing verdict of a template name, shared by every check it passes."""
-    return Verdict(ok=True, template=template)
-
-
 def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
-    """Check one context slice against one template.
-
-    The forbidden names and the precedence rules are checked once per distinct
-    (template, name sequence) pair (see _order_violations, which keeps the
-    last _ORDER_MEMO pairs); link alternation reads the records' accesses, so
-    it runs for every context.
-
-    Every name the check reacts to (a forbidden name, a rule's end, a link
-    request) is in CHECKED_NAMES, so records of any other name, which
-    segment_contexts keeps out of a context, change no verdict.
-    """
-    names = tuple([record.name for record in records])
-    violations = list(_order_violations(template, names))  # the memo's tuple stays as it is
-
-    for key, events in sorted(_link_events(records).items()):
-        if not any(kind == "up" for _, kind in events):
-            continue  # access was attached before this context started
-        expected = "up"
-        for index, kind in events:
-            if kind != expected:
-                violations.append((index, "link-alternation", f"unexpected link-{kind} on {key}"))
-                break
-            expected = "down" if expected == "up" else "up"
-
-    if not violations:
-        return _passed(template.name)
-    index, rule, detail = min(violations, key=lambda v: v[0])
-    return Verdict(
-        ok=False,
-        template=template.name,
-        record=records[index],
-        index=index,
-        rule=rule,
-        detail=detail,
-    )
+    """Walk one context slice, as segment_contexts makes it, along one
+    template's chain; the first divergence is the verdict (module docstring)."""
+    request = records[0]
+    current, target = request.params["current"], request.params["target"]
+    if (current is not None and current["network_id"] == target["network_id"]
+            and current["cell_id"] == target["cell_id"]):
+        access = f"{target['network_id']}/{target['cell_id']}"
+        return Verdict(False, template.name, request, 0, "same-access",
+                       f"{request.name} targets its current access {access}")
+    chain, steps = template.chain, template.steps
+    position, ended = 0, False
+    for index in range(1, len(records)):
+        record = records[index]
+        name = record.name
+        if (name == "HOComplete" and not ended and position <= steps
+                and record.params["result"] == "failure"):
+            ended = True  # the steps end here, and nothing may follow
+            continue
+        expected = None if ended or position == len(chain) else chain[position]
+        if name == expected:
+            position += 1
+            continue
+        if name not in chain and name != "HOComplete":
+            rule, detail = f"forbidden:{name}", f"{name} must not occur here"
+        elif expected is None:
+            rule = f"unexpected:{name}"
+            detail = f"{name} comes after the {template.name} sequence ends"
+        elif name == "HOComplete" and position < steps:
+            rule, detail = f"missing:{expected}", f"HOComplete reports success before {expected}"
+        else:
+            rule = LABELS.get((expected, name), f"unexpected:{name}")
+            detail = f"{name} precedes {expected}"
+        return Verdict(False, template.name, record, index, rule, detail)
+    return Verdict(True, template.name)
 
 
 def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
-    """Check a trace against one named template, or per-variant with "auto".
+    """Check a trace against one named template, or per-variant with "auto";
+    an establishment runs its own row under either.
 
-    Raises ValueError, naming the line, for a record whose flow, current or
-    target the checker reads but cannot (see segment_contexts).
+    Raises ValueError, naming the line, for a record whose flow, access
+    fields or HOComplete result the checker reads but cannot (see
+    segment_contexts).
     """
     try:
         contexts = segment_contexts(records)
@@ -484,14 +420,11 @@ def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
         )
     for context in contexts:
         slice_records = context.records
-        if template == "auto":
-            variant = infer_variant(slice_records)
-            chosen = [TEMPLATES["generic"]] + ([TEMPLATES[variant]] if variant in STEPS else [])
-        else:
-            chosen = [TEMPLATES[template]]
-        for candidate in chosen:
-            verdict = check(slice_records, candidate)
-            if not verdict.ok:
-                # Rewrite the slice-local failure index as a full-trace index.
-                return replace(verdict, index=context.entries[verdict.index][0])
+        row = template
+        if template == "auto" or slice_records[0].params["current"] is None:
+            row = infer_variant(slice_records)
+        verdict = check(slice_records, _UNCLASSIFIED if row == "unclassified" else TEMPLATES[row])
+        if not verdict.ok:
+            # Rewrite the slice-local failure index as a full-trace index.
+            return replace(verdict, index=context.entries[verdict.index][0])
     return Verdict(ok=True, template=template)

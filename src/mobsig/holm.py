@@ -5,8 +5,9 @@ HOComplete: the STEPS row it runs, the index of the step under way, the break
 and restore instants, and the final Result. The signaling exchange is
 generic: STEPS maps each variant to its ordered steps, and one step loop runs
 every row. STEP_MESSAGES names the trace messages each step exchanges; the
-conformance checker builds its templates from the two tables and its own rule
-labels, so a new variant is one STEPS row (plus the messages of any new step).
+conformance checker walks each handover context along the chain the two
+tables give its row, so a new variant is one STEPS row (plus the messages of
+any new step).
 
 * establishment - attach the first link, configure a locator and bind; there
                   is no previous access or binding to tear down.
@@ -81,7 +82,7 @@ STEPS: dict[str, tuple[str, ...]] = {
 }
 
 # The trace messages each step exchanges, in order. The conformance checker
-# derives its vocabulary and sequence templates from these rows and STEPS.
+# derives its vocabulary and each row's chain from these rows and STEPS.
 STEP_MESSAGES: dict[str, tuple[str, ...]] = {
     "attach": ("LinkAttachRequest", "LinkAttachResponse"),
     "detach": ("LinkDetachRequest", "LinkDetachResponse"),

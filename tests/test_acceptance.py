@@ -12,7 +12,7 @@ import json
 import time
 from contextlib import contextmanager
 
-from order_oracle import is_linear_extension
+from order_oracle import accepts
 from support import trace_line
 
 from mobsig.conformance import (
@@ -166,22 +166,28 @@ def test_access_sets_stay_nested_across_scans(bundled_results):
 
 
 def test_checker_matches_order_oracle_on_adjacent_swaps(bundled_results):
-    with criterion("sequence checker agrees with the brute-force order oracle on every adjacent swap"):
+    with criterion("sequence checker agrees with the brute-force acceptor on every adjacent "
+                   "swap, drop and repeat"):
         accepted = rejected = 0
         for result in bundled_results.values():
             for context in segment_contexts(result.records):
-                template = TEMPLATES[infer_variant(context.records)]
+                row = infer_variant(context.records)
+                template = TEMPLATES[row]
                 base = context.records
-                assert check(base, template).ok
+                assert check(base, template).ok and accepts(base, row)
 
-                for i in range(len(base) - 1):
-                    mutated = list(base)
-                    mutated[i], mutated[i + 1] = mutated[i + 1], mutated[i]
+                # Index 0 is the request, which opens the context.
+                mutants = {}
+                for i in range(1, len(base)):
+                    mutants[f"drop {i}"] = base[:i] + base[i + 1:]
+                    mutants[f"repeat {i}"] = base[:i + 1] + base[i:]
+                    if i + 1 < len(base):
+                        mutants[f"swap {i}<->{i + 1}"] = base[:i] + [base[i + 1], base[i]] + base[i + 2:]
+                for mutation, mutated in mutants.items():
                     checker_ok = check(mutated, template).ok
-                    oracle_ok = is_linear_extension(mutated, template)
+                    oracle_ok = accepts(mutated, row)
                     assert checker_ok == oracle_ok, (
-                        f"swap {i}<->{i + 1} of {names_of(base)}: "
-                        f"checker={checker_ok} oracle={oracle_ok}"
+                        f"{mutation} of {names_of(base)}: checker={checker_ok} oracle={oracle_ok}"
                     )
                     if checker_ok:
                         accepted += 1

@@ -12,8 +12,9 @@ The test imports a fresh copy of mobsig under ``sys.settrace`` and drives
   outruns its signalling, so that handovers fail;
 * malformed inputs as data: one scenario mutation per rejection in
   ``mobsig.scenario``, one trace line per reader or field error, tampered
-  traces (adjacent swaps and a repeated line) and a two-flow trace whose
-  handovers overlap.
+  traces (adjacent swaps, a repeated line, handovers to the access they
+  leave and a success that runs no row) and a two-flow trace whose handovers
+  overlap.
 
 Every statement of ``src/mobsig`` must be reached: a line event must land in
 its span, as the AST gives it, so the line tables of different Python
@@ -182,10 +183,22 @@ UNREADABLE_TRACES = [
     ('{"t":0,%s,"params":{"current":null,"flow":"1"}}\n' % _HEAD).encode(),
     ('{"t":0,%s,"params":{"flow":1}}\n' % _HEAD).encode(),
     ('{"t":0,%s,"params":{"current":7,"flow":1}}\n' % _HEAD).encode(),
-    ('{"t":0,%s,"params":{"current":null,"flow":1}}\n' % _HEAD
+    ('{"t":0,%s,"params":{"current":null,"flow":1,"target":null}}\n' % _HEAD).encode(),
+    ('{"t":0,%s,"params":{"current":null,"flow":1,"target":%s}}\n' % (_HEAD, _ACCESS)
      + '{"t":0,"from":"HOLM","to":"MRRM","msg":"LinkAttachRequest","params":{"flow":1}}\n'
      ).encode(),
+    ('{"t":0,%s,"params":{"current":null,"flow":1,"target":%s}}\n' % (_HEAD, _ACCESS)
+     + '{"t":0,"from":"HOLM","to":"MRRM","msg":"HOComplete","params":{"result":"done"}}\n'
+     ).encode(),
 ]
+
+# A handover request answered by a successful HOComplete with no step between,
+# which runs no row: exit 1.
+UNCLASSIFIED_SUCCESS_TRACE = (
+    '{"t":0,%s,"params":{"current":%s,"flow":1,"target":%s}}\n'
+    % (_HEAD, _ACCESS, _ACCESS.replace("cell-a", "cell-b"))
+    + '{"t":1,"from":"HOLM","to":"MRRM","msg":"HOComplete","params":{"result":"success"}}\n'
+)
 
 # A reply before any request, which no context takes; two requests open at
 # once; then a reply without a flow id, which is ambiguous: exit 1. A blank
@@ -249,6 +262,17 @@ def _drive(cli, templates: list[str], scenario_dir: Path, out: Path) -> None:
             repeated = lines[:j] + [lines[i]] + lines[j:]
             (out / "tampered.jsonl").write_text("\n".join(repeated) + "\n", encoding="utf-8")
             assert main("check", "--trace", out / "tampered.jsonl") in (0, 1)
+    # A bbm and an mbb handover, each to the access it leaves.
+    for name in ("mbb", "bbm"):
+        lines = (out / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        handover = [record for record in records if record["msg"] == "HOExecutionRequest"][1]
+        handover["params"]["target"] = handover["params"]["current"]
+        tampered = "".join(json.dumps(record) + "\n" for record in records)
+        (out / "tampered.jsonl").write_text(tampered, encoding="utf-8")
+        assert main("check", "--trace", out / "tampered.jsonl") == 1
+    (out / "unclassified.jsonl").write_text(UNCLASSIFIED_SUCCESS_TRACE, encoding="utf-8")
+    assert main("check", "--trace", out / "unclassified.jsonl") == 1
     (out / "overlapping.jsonl").write_text(OVERLAPPING_TRACE, encoding="utf-8")
     assert main("check", "--trace", out / "overlapping.jsonl") == 1
 
