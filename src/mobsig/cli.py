@@ -114,7 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 3
     totals = result.metrics["totals"]
     print(
-        f"run complete: {len(result.records)} records, "
+        f"run complete: {len(result.events)} records, "
         f"{totals['count']} handovers ({totals['succeeded']} ok, {totals['failed']} failed), "
         f"final t={result.final_time_us}us"
     )

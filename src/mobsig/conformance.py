@@ -83,7 +83,7 @@ LABELS: dict[tuple[str, str], str] = {
 }
 
 
-# The parts of a line as TraceRecord.to_json writes it, split at its two fixed
+# The parts of a line as TraceRecorder.lines writes it, split at its two fixed
 # separators: `t` (short enough that int() reads it as json.loads does), the
 # head of three strings that need no unescaping and hold no '"', and the params
 # tail. So on such a line the first ',"from":' follows `t` and the first
@@ -181,7 +181,7 @@ assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from p
 def parse_trace(lines) -> list[TraceRecord]:
     """Parse JSON-Lines trace text into records; blank lines are skipped.
 
-    A line in the layout ``TraceRecord.to_json`` writes takes a fast path: two
+    A line in the layout ``TraceRecorder.lines`` writes takes a fast path: two
     splits, at ``,"from":`` and at ``,"params":``, cut it into its ``t`` text,
     its head (``from``, ``to`` and ``msg``) and its params tail, and each
     distinct head and params tail is read once per call. Records whose heads

@@ -1,21 +1,23 @@
 """Domain value types and the primitive vocabulary shared by all functional entities.
 
 Everything defined here is immutable. The primitive classes map one-to-one onto
-the signaling messages exchanged between the functional entities; a primitive's
-trace name is its class name, and its trace parameters are produced by
-``Primitive.params()``.
+the signaling messages exchanged between the functional entities. A payload's
+trace name is its class name, and its trace parameters come from its declared
+field types: the trace writer writes their text with ``text_renderer``, and
+``Payload.params()`` gives them as a dict.
 
 ``ENDS`` is the functional architecture as data: the (sender, receiver) of
-each primitive and of the three annotation records, declared once. The kernel
-reads a delivery's ends from its payload's type, and the trace recorder an
-annotation's from its name, so no entity addresses what it sends and none can
-send a message to the wrong entity.
+each primitive and of the three annotation records, declared once. Every trace
+record's content is a payload: a primitive, or one of the three annotation
+types. The kernel reads a delivery's ends from its payload's type, and the
+trace recorder an annotation's the same way, so no entity addresses what it
+sends and none can send a message to the wrong entity.
 
 A primitive is a message, so it compares and hashes by identity, like any
 object: two sends of equal fields are two messages. The program never asks
-more of one: MRRM keys a response by its ``id()``, the trace recorder keys
-its rendered params the same way, and one answer object goes to many flows.
-So the primitives get no value ``__eq__``, ``__hash__`` or ``__repr__``,
+more of one: MRRM keys a response by its ``id()``, the trace writer keys
+each payload's rendered text the same way, and one answer object goes to many
+flows. So the payloads get no value ``__eq__``, ``__hash__`` or ``__repr__``,
 which the dataclass decorator would otherwise compile for each class at
 every import. They stay frozen. The value types above them keep value
 equality, as values do. Access ids are interned: one object per
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
@@ -115,12 +118,17 @@ class AccessId:
         # Trace keys and every primitive that names this access read these; the
         # fields never change, so both are computed once per interned id, and
         # a build that returns an id already set up keeps what it has.
-        # Params share the wire dict, so it is read-only like them.
+        # Params share the wire dict, so it is read-only like them; `_text`
+        # is that dict's canonical JSON text, which trace lines share.
         if "key" in self.__dict__:
             return
         object.__setattr__(self, "key", f"{self.network_id}/{self.cell_id}")
         object.__setattr__(
             self, "_wire", {"cell_id": self.cell_id, "network_id": self.network_id, "rat": self.rat}
+        )
+        object.__setattr__(
+            self, "_text", f'{{"cell_id":{_encode_str(self.cell_id)},'
+            f'"network_id":{_encode_str(self.network_id)},"rat":{_encode_str(self.rat)}}}'
         )
 
     def __reduce__(self) -> tuple[type, tuple[str, str, str]]:
@@ -225,13 +233,30 @@ _SUCCESS = Result(True)
 
 
 # --------------------------------------------------------------------------
-# Parameter rendering. Each primitive class gets one (name, render) pair per
-# field, built once at import from the field's declared type; params() renders
-# the fields into a JSON object, and a scalar field, whose render is None, as
-# itself without a call. The trace writer sorts its keys. A rendered
-# value may be shared with other params objects, so params are read-only: an
-# AccessId renders as its own wire dict, shared by every params naming it.
+# Parameter rendering. Each payload class has one field plan: the name and
+# declared type of each field, resolved once. Two renderers come from it.
+#
+# params() renders the fields into a JSON object, with one (name, render)
+# pair per field built on the class's first render, and a scalar field, whose
+# render is None, as itself without a call. A rendered value may be shared
+# with other params objects, so params are read-only: an AccessId renders as
+# its own wire dict, shared by every params naming it. The records of a
+# finished run carry them.
+#
+# text_renderer(cls) writes the canonical JSON text of those params, keys
+# sorted and separators compact, which is what the trace holds. It is one
+# function per class, compiled from the same plan on the class's first render
+# (not at import), and it builds no dict: an AccessId field is its id's
+# `_text`, and a scalar one goes through its type's entry in _SCALAR_TEXT.
 # --------------------------------------------------------------------------
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, Any], ...]:
+    """The field plan of a dataclass: each field's name and declared type."""
+    # Resolved against this module's namespace: the annotations are strings.
+    hints = get_type_hints(cls, globals())
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 @functools.cache
@@ -239,14 +264,16 @@ def _codec(tp: Any) -> Callable[[Any], Any] | None:
     """Renderer from a value of declared type tp to its JSON form, or None
     for a scalar, which renders as itself without a call.
 
-    tp is a scalar, a dataclass, or ``X | None`` or ``tuple[X, ...]`` of a
-    dataclass. AccessId and Rating are the dataclasses with their own wire
-    form.
+    tp is a scalar, a dataclass, ``X | None`` or ``tuple[X, ...]`` of a
+    dataclass, or a list of scalars, which renders as itself too. AccessId
+    and Rating are the dataclasses with their own wire form.
     """
     args = get_args(tp)
     if type(None) in args:
         render = _codec(next(arg for arg in args if arg is not type(None)))
         return lambda value: None if value is None else render(value)
+    if get_origin(tp) is list and _codec(args[0]) is None:
+        return None
     if get_origin(tp) is tuple:
         render = _codec(args[0])
         return lambda values: list(map(render, values))
@@ -269,47 +296,143 @@ def _codec(tp: Any) -> Callable[[Any], Any] | None:
 
 
 def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
-    # Resolved against this module's namespace: the annotations are strings.
-    hints = get_type_hints(cls, globals())
-    return tuple((f.name, _codec(hints[f.name])) for f in dataclasses.fields(cls))
+    return tuple((name, _codec(tp)) for name, tp in _field_types(cls))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Primitive:
-    """Base class for every signaling message; trace name = class name.
+@functools.cache
+def _params_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
+    """The (name, render) of each field of a payload class but `result`."""
+    return tuple(codec for codec in _field_codecs(cls) if codec[0] != "result")
 
-    Without ``eq=False`` here every subclass would inherit this class's
-    field-less ``__eq__``, by which any two messages of one type are equal.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _rating_text(rating: Rating) -> str:
+    # The access's wire fields, then `rating`, which sorts after them.
+    return f'{rating.access._text[:-1]},"rating":{_float_text(rating.path_score)}}}'
+
+
+# The text of a scalar of each type, as json.dumps writes it. Each raises for
+# a value of another type, but an int field takes a bool, an int subclass,
+# and writes it as 1 or 0, and a bool field takes any value equal to True or
+# False, such as 1 or 0.0, as that bool.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    int: int.__repr__,
+    str: _encode_str,
+    bool: {False: "false", True: "true"}.__getitem__,
+    float: _float_text,
+}
+
+
+@functools.cache
+def _text_codec(tp: Any) -> Callable[[Any], str]:
+    """Renderer from a value of declared type tp to the canonical JSON text
+    of what ``_codec(tp)`` renders it to; tp is not optional (see _text_expr)."""
+    args = get_args(tp)
+    if get_origin(tp) in (tuple, list):
+        render = _text_codec(args[0])
+        return lambda values: f'[{",".join(map(render, values))}]'
+    if tp is AccessId:
+        return attrgetter("_text")
+    if tp is Rating:
+        return _rating_text
+    if dataclasses.is_dataclass(tp):
+        return text_renderer(tp)
+    return _SCALAR_TEXT[tp]
+
+
+def _text_expr(tp: Any, expr: str, namespace: dict[str, Any]) -> str:
+    """Source of the JSON text of ``expr``, a value of declared type tp;
+    namespace receives the renderers the source calls."""
+    args = get_args(tp)
+    if type(None) in args:
+        inner = next(arg for arg in args if arg is not type(None))
+        return f'("null" if {expr} is None else {_text_expr(inner, expr, namespace)})'
+    if tp is AccessId:
+        return f"{expr}._text"
+    name = f"_{len(namespace)}"
+    namespace[name] = _text_codec(tp)
+    return f"{name}({expr})"
+
+
+@functools.cache
+def text_renderer(cls: type) -> Callable[[Any], str]:
+    """The function that writes an instance of the dataclass cls as the
+    canonical JSON text of its params, ``json.dumps(params, sort_keys=True,
+    separators=(",", ":"))``, without building them.
+
+    It is compiled on the first call for cls: one f-string per outcome, with
+    the keys in sorted order and each field's text. A ``result`` field renders
+    flat, as in ``Payload.params``.
+    """
+    namespace: dict[str, Any] = {"_str": _encode_str}
+    parts = {
+        name: "{" + _text_expr(tp, f"value.{name}", namespace) + "}"
+        for name, tp in _field_types(cls) if name != "result"
+    }
+
+    def text(outcome: dict[str, str]) -> str:
+        fields = ",".join(f'"{name}":{part}' for name, part in sorted({**parts, **outcome}.items()))
+        return "f'{{" + fields + "}}'"
+
+    if "result" in cls.__dataclass_fields__:
+        success = text({"result": '"success"'})
+        failure = text({"reason": "{_str(value.result.reason)}", "result": '"failure"'})
+        body = f"    if value.result.ok:\n        return {success}\n    return {failure}\n"
+    else:
+        body = f"    return {text({})}\n"
+    code = compile("def render(value):\n" + body, f"<params text of {cls.__name__}>", "exec")
+    exec(code, namespace)
+    return namespace["render"]
+
+
+class Payload:
+    """What a trace record carries: a primitive, or an annotation of one
+    entity's state. Its trace name is its class name, its ends are
+    ``ENDS[name]``, and its params come from its fields.
 
     A ``result`` field renders flat: ``result`` is "success" or "failure",
     and a failure adds its ``reason``.
     """
 
     _ends = ()  # (sender, receiver), from ENDS
-    _codecs = ()  # (name, render) of every field but `result`
-    _has_result = False
     _params = None  # the rendered params, set on first use
 
     def params(self) -> dict[str, Any]:
         """The trace params, rendered once per instance and shared by every call.
 
-        A primitive that recurs (one answer to many flows, or to one flow on
+        A payload that recurs (one answer to many flows, or to one flow on
         many ticks) is delivered as the same object, so its records share one
-        params dict, which the trace writer then encodes once.
+        params dict.
         """
         rendered = self._params
         if rendered is None:
             rendered = {}
-            for name, render in self._codecs:
+            for name, render in _params_codecs(type(self)):
                 value = getattr(self, name)
                 rendered[name] = value if render is None else render(value)
-            if self._has_result:
+            if "result" in self.__dataclass_fields__:
                 result = self.result
                 rendered["result"] = "success" if result.ok else "failure"
                 if not result.ok:
                     rendered["reason"] = result.reason
             object.__setattr__(self, "_params", rendered)
         return rendered
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Primitive(Payload):
+    """Base class for every signaling message; trace name = class name.
+
+    Without ``eq=False`` here every subclass would inherit this class's
+    field-less ``__eq__``, by which any two messages of one type are equal.
+    """
 
 
 # -- Constraint Selection SAP ----------------------------------------------
@@ -522,13 +645,53 @@ class TunnelStop(Primitive):
     flow: FlowId
 
 
-def _with_codecs(cls: type[Primitive]) -> type[Primitive]:
+# -- Annotations ---------------------------------------------------------------
+# Records of one entity's state, not messages: nothing delivers them, and the
+# trace recorder records each one as it records a delivery. Their fields are
+# declared in their wire order.
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AccessSetsSnapshot(Payload):
+    """MRRM's access sets for one flow at the end of a decision cycle, as
+    sorted access keys. The key lists are shared with the other snapshots of
+    one radio view, so they are read-only."""
+
+    aas: list[str]
+    cas: list[str]
+    das: list[str]
+    flow: FlowId
+    scanned: list[str]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class LinkUp(Payload):
+    """A flow's link to an access came up with this granted QoS."""
+
+    access: str  # the access's key
+    flow: FlowId
+    granted_qos: QosSpec
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class LinkDown(Payload):
+    """A flow's link to an access went down."""
+
+    access: str  # the access's key
+    flow: FlowId
+
+
+def _with_ends(cls: type[Payload]) -> type[Payload]:
     cls._ends = ENDS[cls.__name__]
-    cls._has_result = "result" in cls.__dataclass_fields__
-    cls._codecs = tuple(codec for codec in _field_codecs(cls) if codec[0] != "result")
     return cls
 
 
 PRIMITIVE_TYPES: dict[str, type[Primitive]] = {
-    cls.__name__: _with_codecs(cls) for cls in Primitive.__subclasses__()
+    cls.__name__: _with_ends(cls) for cls in Primitive.__subclasses__()
+}
+
+# The payload type of every trace name: the primitives, then the annotations.
+PAYLOAD_TYPES: dict[str, type[Payload]] = {
+    **PRIMITIVE_TYPES,
+    **{cls.__name__: _with_ends(cls) for cls in (AccessSetsSnapshot, LinkUp, LinkDown)},
 }

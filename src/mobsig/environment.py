@@ -18,12 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .core import (ANNOTATION_LINK_DOWN, ANNOTATION_LINK_UP, FE_ENVIRONMENT, AccessId, Locator,
-                   QosSpec, Result, _codec)
+from .core import FE_ENVIRONMENT, AccessId, LinkDown, LinkUp, Locator, QosSpec, Result
 from .simkernel import Kernel, SimTime, TraceRecorder
-
-# A LinkUp's granted QoS in the wire form of a primitive's QosSpec field.
-_render_qos = _codec(QosSpec)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -67,8 +63,8 @@ class Trajectory:
 def clamp_qos(requested: QosSpec, capacity: QosSpec) -> QosSpec:
     """Grant rule: bandwidth capped by capacity, latency floored by capacity."""
     return QosSpec(
-        bandwidth_kbps=min(requested.bandwidth_kbps, capacity.bandwidth_kbps),
-        max_latency_ms=max(requested.max_latency_ms, capacity.max_latency_ms),
+        min(requested.bandwidth_kbps, capacity.bandwidth_kbps),
+        max(requested.max_latency_ms, capacity.max_latency_ms),
     )
 
 
@@ -185,9 +181,7 @@ class Environment:
             for state in self._locators.values():
                 if state.access == target:
                     state.proactive_pending = False
-            self._recorder.annotate(self._kernel.now, ANNOTATION_LINK_UP, {
-                "access": target.key, "flow": flow, "granted_qos": _render_qos(granted)
-            })
+            self._recorder.annotate(self._kernel.now, LinkUp(target.key, flow, granted))
             done(Result.success(), granted)
 
         self._later(self.latency(cell.link_setup_us), complete)
@@ -210,9 +204,7 @@ class Environment:
                     if state.access == current and not state.proactive_pending
                 ]:
                     del self._locators[address]
-            self._recorder.annotate(
-                self._kernel.now, ANNOTATION_LINK_DOWN, {"access": current.key, "flow": flow}
-            )
+            self._recorder.annotate(self._kernel.now, LinkDown(current.key, flow))
             done(Result.success())
 
         self._later(self.latency(cell.link_teardown_us), complete)
@@ -246,6 +238,6 @@ class Environment:
             address = f"{access.network_id}/{access.cell_id}/{self._locator_counter}"
             pending = proactive and not self.attached(flow, access)
             self._locators[address] = _LocatorState(access=access, proactive_pending=pending)
-            done(Result.success(), Locator(address=address, access=access, kind="care_of"))
+            done(Result.success(), Locator(address, access, "care_of"))
 
         self._later(delay, complete)

@@ -48,7 +48,7 @@ class FlowManagement:
         record = self._table.get(flow)
         record.state = "pending"
         self._pending_setups.append(flow)
-        self._kernel.schedule(0, AccessFlowSetup(flow=flow, requested_qos=record.requested))
+        self._kernel.schedule(0, AccessFlowSetup(flow, record.requested))
 
     def handle(self, event: SimEvent) -> None:
         payload = event.payload
@@ -69,4 +69,4 @@ class FlowManagement:
 
     def _on_handover_occurred(self, indication: HandoverOccurred) -> None:
         self._table.get(indication.flow).provided_qos = indication.provided_qos
-        self._kernel.schedule(0, HandoverOccurredResponse(result=Result.success()))
+        self._kernel.schedule(0, HandoverOccurredResponse(Result.success()))

@@ -166,31 +166,26 @@ class Holm:
                 requested = self._table.get(ctx.flow).requested
                 self._request(
                     LinkAttachResponse,
-                    LinkAttachRequest(flow=ctx.flow, target=ctx.target, requested_qos=requested),
+                    LinkAttachRequest(ctx.flow, ctx.target, requested),
                 )
             case "detach":
                 assert ctx.current is not None
                 self._request(
                     LinkDetachResponse,
-                    LinkDetachRequest(flow=ctx.flow, current=ctx.current),
+                    LinkDetachRequest(ctx.flow, ctx.current),
                 )
             case "switch":
                 assert ctx.current is not None
                 requested = self._table.get(ctx.flow).requested
                 self._request(
                     LinkSwitchResponse,
-                    LinkSwitchRequest(
-                        flow=ctx.flow,
-                        current=ctx.current,
-                        target=ctx.target,
-                        requested_qos=requested,
-                    ),
+                    LinkSwitchRequest(ctx.flow, ctx.current, ctx.target, requested),
                 )
             case "path":
                 fmip = ctx.variant == "fmip"
                 self._request(
                     PathSelected,
-                    PathSelect(flow=ctx.flow, target=ctx.target, fmip_flag=fmip),
+                    PathSelect(ctx.flow, ctx.target, fmip),
                 )
             case "prepare":
                 self._daemons.prepare(ctx, lambda result: self._step_done(ctx, result))
@@ -233,7 +228,7 @@ class Holm:
         ctx.result = result
         self._active = None
         self.completed.append(ctx)
-        self._kernel.schedule(0, HOComplete(result=result))
+        self._kernel.schedule(0, HOComplete(result))
 
     def _request(self, reply: type, message) -> None:
         self._awaiting = reply

@@ -15,13 +15,12 @@ lists its hits in cell_id rank order, so that check holds exactly when
 What a view derives lives on that view, and goes with it: each flow's
 ConstraintRequest; for each ConstraintResponse, the CAS, its sorted keys, the
 weighted path scores and the last selection; for each winning access, the
-AccessSets, the sorted AAS keys and each flow's snapshot params. Path
-selection answers flows that request equal QoS on one view with the same
+AccessSets, the sorted AAS keys and each flow's snapshot. Path selection
+answers flows that request equal QoS on one view with the same
 ConstraintResponse, so the cycles of one tick that got it select once, on
 that tick's radio scores. A cycle, on any tick, sends or records again the
-objects derived before, so each primitive renders and encodes once in the
-trace. No two flows share a request or a snapshot, since both carry the flow
-id.
+objects derived before, so the trace writer renders each of them once. No two
+flows share a request or a snapshot, since both carry the flow id.
 Link commands arriving from the handover orchestrator are relayed to the
 environment, since only MRRM touches radio resources.
 
@@ -38,11 +37,11 @@ from operator import attrgetter
 from typing import Mapping
 
 from .core import (
-    ANNOTATION_ACCESS_SETS,
     AccessFlowSetup,
     AccessFlowSetupResponse,
     AccessId,
     AccessSets,
+    AccessSetsSnapshot,
     ConstraintRequest,
     ConstraintResponse,
     HandoverOccurred,
@@ -85,7 +84,7 @@ def build_das(policy: MrrmPolicy, scan: list[tuple[AccessId, float]]) -> AccessS
         if access.network_id not in policy.forbidden_networks
         and score >= policy.min_radio_score
     )
-    return AccessSets(scanned=scanned, das=das)
+    return AccessSets(scanned, das)
 
 
 def derive_cas(
@@ -155,7 +154,7 @@ def notify_flow_management(
     """QoS-change indication; suppressed when the grant did not change."""
     if previous == provided:
         return None
-    return HandoverOccurred(flow=flow, provided_qos=provided)
+    return HandoverOccurred(flow, provided)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -181,7 +180,7 @@ class _RadioView:
     rated: dict[int, tuple[ConstraintResponse, _Rated]] = field(default_factory=dict)
 
 
-_Outcome = tuple[AccessSets, list[str], dict[int, dict]]
+_Outcome = tuple[AccessSets, list[str], dict[int, AccessSetsSnapshot]]
 
 
 @dataclass(eq=False, repr=False)
@@ -192,7 +191,7 @@ class _Rated:
     path: dict[AccessId, float]
     cas_order: tuple[AccessId, ...]
     cas_keys: list[str]
-    # The AccessSets, sorted AAS keys and each flow's snapshot params of each
+    # The AccessSets, sorted AAS keys and each flow's snapshot of each
     # winning access seen so far.
     outcomes: dict[AccessId | None, _Outcome]
     # The last selection: its radio scores, the combined scores and the
@@ -291,9 +290,7 @@ class Mrrm:
         self._cycles.append((flow, establishing, view, radio))
         request = view.requests.get(flow)
         if request is None:
-            request = view.requests[flow] = ConstraintRequest(
-                flow=flow, candidates=view.candidates
-            )
+            request = view.requests[flow] = ConstraintRequest(flow, view.candidates)
         self._kernel.schedule(0, request)
 
     def _on_flow_setup(self, setup: AccessFlowSetup) -> None:
@@ -311,21 +308,16 @@ class Mrrm:
             outcome = rated.outcomes.get(winner)
             if outcome is None:
                 aas = frozenset() if winner is None else frozenset({winner})
-                sets = AccessSets(scanned=view.sets.scanned, das=view.sets.das, cas=rated.cas,
-                                  aas=aas)
+                sets = AccessSets(view.sets.scanned, view.sets.das, rated.cas, aas)
                 outcome = rated.outcomes[winner] = (sets, sorted(map(attrgetter("key"), aas)), {})
             last = rated.last = (radio, combined, outcome)
         _radio, combined, (sets, aas_keys, snapshots) = last
-        params = snapshots.get(flow)
-        if params is None:
-            params = snapshots[flow] = {
-                "aas": aas_keys,
-                "cas": rated.cas_keys,
-                "das": view.das_keys,
-                "flow": flow,
-                "scanned": view.scanned_keys,
-            }
-        self._recorder.annotate(self._kernel.now, ANNOTATION_ACCESS_SETS, params)
+        snapshot = snapshots.get(flow)
+        if snapshot is None:
+            snapshot = snapshots[flow] = AccessSetsSnapshot(
+                aas_keys, rated.cas_keys, view.das_keys, flow, view.scanned_keys
+            )
+        self._recorder.annotate(self._kernel.now, snapshot)
         record = self._table.get(flow)
         if establishing:
             self._finish_establishment_cycle(record, sets)
@@ -354,15 +346,11 @@ class Mrrm:
     def _finish_establishment_cycle(self, record, sets: AccessSets) -> None:
         if self._inflight is not None:
             # A handover started while this cycle was in flight; try again after it.
-            self._deferred_setups.append(
-                AccessFlowSetup(flow=record.flow, requested_qos=record.requested)
-            )
+            self._deferred_setups.append(AccessFlowSetup(record.flow, record.requested))
             return
         target = sets.active
         if target is None:
-            self._kernel.schedule(
-                0, AccessFlowSetupResponse(result=Result.failure("no_access"), granted_qos=None)
-            )
+            self._kernel.schedule(0, AccessFlowSetupResponse(Result.failure("no_access"), None))
             self._drain_deferred()
             return
         self._emit_request(record, current=None, target=target, establishing=True)
@@ -374,13 +362,7 @@ class Mrrm:
             flow=record.flow, establishing=establishing, target=target
         )
         self._kernel.schedule(
-            0,
-            HOExecutionRequest(
-                flow=record.flow,
-                current=current,
-                target=target,
-                mbb_flag=self.policy.mbb_capable,
-            ),
+            0, HOExecutionRequest(record.flow, current, target, self.policy.mbb_capable)
         )
 
     def _on_ho_complete(self, complete: HOComplete) -> None:
@@ -395,13 +377,9 @@ class Mrrm:
             if succeeded:
                 record.current_access = pending.target
                 record.granted_qos = pending.granted
-                response = AccessFlowSetupResponse(
-                    result=Result.success(), granted_qos=pending.granted
-                )
+                response = AccessFlowSetupResponse(Result.success(), pending.granted)
             else:
-                response = AccessFlowSetupResponse(
-                    result=Result.failure(complete.result.reason), granted_qos=None
-                )
+                response = AccessFlowSetupResponse(Result.failure(complete.result.reason), None)
             self._kernel.schedule(0, response)
         elif succeeded:
             previous = record.granted_qos
@@ -422,18 +400,18 @@ class Mrrm:
     def _relay_attach(self, request: LinkAttachRequest) -> None:
         def done(result: Result, granted: QosSpec | None) -> None:
             self._capture_grant(request.flow, result, granted)
-            self._kernel.schedule(0, LinkAttachResponse(result=result, granted_qos=granted))
+            self._kernel.schedule(0, LinkAttachResponse(result, granted))
 
         self._env.link_attach(request.flow, request.target, request.requested_qos, done)
 
     def _relay_switch(self, request: LinkSwitchRequest) -> None:
         def attached(result: Result, granted: QosSpec | None) -> None:
             self._capture_grant(request.flow, result, granted)
-            self._kernel.schedule(0, LinkSwitchResponse(result=result, granted_qos=granted))
+            self._kernel.schedule(0, LinkSwitchResponse(result, granted))
 
         def detached(result: Result) -> None:
             if not result.ok:
-                self._kernel.schedule(0, LinkSwitchResponse(result=result, granted_qos=None))
+                self._kernel.schedule(0, LinkSwitchResponse(result, None))
                 return
             self._env.link_attach(request.flow, request.target, request.requested_qos, attached)
 
@@ -443,7 +421,7 @@ class Mrrm:
         self._env.link_detach(
             request.flow,
             request.current,
-            lambda result: self._kernel.schedule(0, LinkDetachResponse(result=result)),
+            lambda result: self._kernel.schedule(0, LinkDetachResponse(result)),
         )
 
     def _capture_grant(self, flow: int, result: Result, granted: QosSpec | None) -> None:

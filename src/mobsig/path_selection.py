@@ -93,7 +93,7 @@ class PathSelection:
         if response is None:
             response = self._answers[qos] = ConstraintResponse(
                 ratings=tuple(
-                    Rating(access=access, path_score=rate_access(self._models[access], requested))
+                    Rating(access, rate_access(self._models[access], requested))
                     for access in request.candidates
                 )
             )
@@ -108,6 +108,6 @@ class PathSelection:
         """
 
         def allocated(result: Result, locator) -> None:
-            self._kernel.schedule(0, PathSelected(result=result, new_locator=locator))
+            self._kernel.schedule(0, PathSelected(result, locator))
 
         self._env.allocate_locator(request.flow, request.target, request.fmip_flag, allocated)

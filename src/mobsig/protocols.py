@@ -64,11 +64,11 @@ class DaemonHost:
         if not self._env.locator_valid(new_locator):
             self._kernel.call_later(0, lambda: done(Result.failure("stale_locator")), FE_DAEMON)
             return
-        self._kernel.schedule(0, BindingUpdate(flow=ctx.flow, locator=new_locator))
+        self._kernel.schedule(0, BindingUpdate(ctx.flow, new_locator))
         self._waiting = (BindingAck, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._binding_rtt_us),
-            BindingAck(flow=ctx.flow, result=Result.success()),
+            BindingAck(ctx.flow, Result.success()),
         )
 
     def prepare(self, ctx: HandoverState, done: Callable[[Result], None]) -> None:
@@ -79,7 +79,7 @@ class DaemonHost:
         self._waiting = (ProxyRouterAdvertisement, ctx, done)
         self._kernel.schedule(
             self._env.latency(self._fmip_oneway_us),
-            ProxyRouterAdvertisement(flow=ctx.flow, target=ctx.target),
+            ProxyRouterAdvertisement(ctx.flow, ctx.target),
         )
 
     def tunnel_start(self, ctx: HandoverState) -> Result:
@@ -87,14 +87,12 @@ class DaemonHost:
         if not self._env.attached(ctx.flow, ctx.target):
             return Result.failure("not_attached")
         assert ctx.current is not None
-        self._kernel.schedule(
-            0, TunnelStart(flow=ctx.flow, current=ctx.current, target=ctx.target)
-        )
+        self._kernel.schedule(0, TunnelStart(ctx.flow, ctx.current, ctx.target))
         return Result.success()
 
     def tunnel_stop(self, ctx: HandoverState) -> Result:
         """Stop forwarding; HOLM calls this once the new binding is acked."""
-        self._kernel.schedule(0, TunnelStop(flow=ctx.flow))
+        self._kernel.schedule(0, TunnelStop(ctx.flow))
         return Result.success()
 
     def handle(self, event: SimEvent) -> None:
@@ -111,11 +109,11 @@ class DaemonHost:
             to_router = self._env.latency(self._fmip_oneway_us)
             self._kernel.schedule(
                 to_router,
-                FastBindingUpdate(flow=ctx.flow, current=ctx.current, target=ctx.target),
+                FastBindingUpdate(ctx.flow, ctx.current, ctx.target),
             )
             self._kernel.schedule(
                 to_router + self._env.latency(self._fmip_oneway_us),
-                FastBindingAck(flow=ctx.flow, result=Result.success()),
+                FastBindingAck(ctx.flow, Result.success()),
             )
             return
         result = payload.result

@@ -18,40 +18,18 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
-from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, NamedTuple
 
-from .core import ENDS
+from .core import Payload, text_renderer
 
 SimTime = int  # microseconds
 
 TRACE_FIELDS = ("t", "from", "to", "msg", "params")
 _TRACE_KEYS = frozenset(TRACE_FIELDS)
 
-_raise_unserializable = json.JSONEncoder().default
-
-# Records that TraceRecorder.write encodes and writes at a time.
+# Records that TraceRecorder.write renders and writes at a time.
 _WRITE_CHUNK_RECORDS = 4096
-
-
-def _params_encoder() -> Callable[[Any, int], Any]:
-    """A C encoder for json.dumps(..., sort_keys=True, separators=(",", ":")).
-
-    json.dumps builds an encoder and then a C encoder per call; this builds the
-    C encoder alone, to be used for as many values as its caller likes. Its
-    markers dict keeps the circular-reference check (an encoding that ends
-    removes its own marks), and the stock `default` raises the same TypeError
-    for a value JSON cannot hold.
-    """
-    return c_make_encoder({}, _raise_unserializable, _encode_str, None, ":", ",",
-                          True, False, True)
-
-
-def _encode_params(params: dict[str, Any], encode: Callable[[Any, int], Any]) -> str:
-    """json.dumps(params, sort_keys=True, separators=(",", ":")), with an
-    encoder from _params_encoder."""
-    return "".join(encode(params, 0))
 
 
 class ConfigurationError(RuntimeError):
@@ -75,12 +53,16 @@ class SimEvent(NamedTuple):
     payload: Any
 
 
+_new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One timestamped message occurrence, as written to the JSON-Lines trace.
+    """One timestamped message occurrence, as read from a JSON-Lines trace or
+    built from a recorded event (see ``trace_records``).
 
     ``params`` may be shared with other records and is read-only: a recorded
-    one with the records of the same answer (see ``TraceRecorder``), a parsed
+    one with the records of the same payload, a parsed
     one with every record of the trace whose params tail, the text after
     ``,"params":`` to the line end, is equal (see ``conformance.parse_trace``),
     so equal params texts before different trailing whitespace give equal,
@@ -95,20 +77,6 @@ class TraceRecord:
     name: str
     params: dict[str, Any]
     line: int | None = None  # 1-based source line when parsed from a file
-
-    def to_json(self, params_json: str, head_json: str) -> str:
-        """The same bytes as json.dumps(separators=(",", ":")) of the head, with
-        params key-sorted; params_json is params already encoded that way, and
-        head_json is ``head_json()`` of a record with an equal head.
-        conformance.parse_trace reads lines in exactly this layout on a fast path."""
-        return f'{{"t":{self.at},{head_json},"params":{params_json}}}'
-
-    def head_json(self) -> str:
-        """The from, to and msg fields of this record's line, as to_json lays them out."""
-        return (
-            f'"from":{_encode_str(self.sender)},"to":{_encode_str(self.receiver)},'
-            f'"msg":{_encode_str(self.name)}'
-        )
 
     @classmethod
     def from_json(cls, line: str, lineno: int | None = None) -> "TraceRecord":
@@ -132,80 +100,107 @@ class TraceRecord:
         return cls(obj["t"], obj["from"], obj["to"], obj["msg"], obj["params"], lineno)
 
 
-class TraceRecorder:
-    """Collects TraceRecords in delivery order and serializes them.
+def trace_records(events: list[SimEvent]) -> list[TraceRecord]:
+    """One TraceRecord per recorded event, with its payload's params dict.
 
-    Entities send a recurring answer (one answer to the flows of a scan tick,
-    or one flow's unchanged request on later ticks) as the same primitive, and
-    a primitive renders its params once, so every record of that answer shares
-    one params dict; ``lines`` encodes each shared dict once, and each distinct
-    head (from, to and msg) once, with one C encoder. ``write`` streams: it
-    holds the lines of one chunk of records at a time, and keeps those
-    encodings and that encoder across its chunks.
+    Each distinct payload renders its params once, here or before, and its
+    records share them.
     """
-
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-
-    def on_delivery(self, event: SimEvent) -> None:
-        at, _seq, sender, receiver, payload = event
-        # A primitive's params memo; params() is called only to render them.
+    records = []
+    for at, _seq, sender, receiver, payload in events:
+        # A payload's params memo; params() is called only to render them.
         params = payload._params
         if params is None:
             params = payload.params()
-        self.records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
+        records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
+    return records
 
-    def annotate(self, at: SimTime, name: str, params: dict[str, Any]) -> None:
-        """Append a non-primitive annotation record (set snapshots, link state)
-        between the ends ``core.ENDS`` declares for its name."""
-        sender, receiver = ENDS[name]
-        self.records.append(TraceRecord(at, sender, receiver, name, params))
 
-    def lines(self, start: int, stop: int, encoded: _Encodings) -> list[str]:
-        """One JSON line per record of ``records[start:stop]``; each distinct
-        params object and each distinct head is encoded once.
+class TraceRecorder:
+    """Keeps the delivered events and the annotations in trace order, and
+    writes them as JSON lines.
 
-        ``encoded`` holds the encodings and is filled as it goes; ``write``
-        passes the same one to its calls for one trace, to encode each params
-        object and head once across them. It keys params by their ids, which
-        are valid only while the records keep every params object alive, so it
-        must not outlive the calls it was made for.
+    A delivery is recorded as the event the kernel loop holds, and an
+    annotation as an event of the same shape, so nothing is rendered while
+    the simulation runs. Entities send a recurring answer (one answer to the
+    flows of a scan tick, or one flow's unchanged request on later ticks) as
+    the same payload, and ``lines`` renders each distinct payload once, from
+    its type (see ``core.text_renderer``). ``write`` streams: it holds the
+    lines of one chunk of events at a time, and keeps the rendered texts
+    across its chunks.
+    """
+
+    def __init__(self) -> None:
+        self.events: list[SimEvent] = []
+
+    def on_delivery(self, event: SimEvent) -> None:
+        self.events.append(event)
+
+    def annotate(self, at: SimTime, payload: Payload) -> None:
+        """Record an annotation (a set snapshot or a link state) at ``at``,
+        between the ends ``core.ENDS`` declares for its type. It is recorded,
+        not scheduled, so its seq is 0."""
+        sender, receiver = payload._ends
+        self.events.append(_new_event(SimEvent, (at, 0, sender, receiver, payload)))
+
+    def lines(self, start: int, stop: int, rendered: _Rendered) -> list[str]:
+        """One JSON line per event of ``events[start:stop]``; each distinct
+        payload is rendered once.
+
+        ``rendered`` holds what is rendered and is filled as it goes; ``write``
+        passes the same one to its calls for one trace, to render each payload
+        once across them. It keys each payload's text, from its head on, by
+        the payload's id, which is valid only while the events keep every
+        payload alive, so it must not outlive the calls it was made for. A
+        line's head (from, to and msg) is its payload type's, which is also
+        the event's: the kernel and ``annotate`` address by type.
         """
-        encode, params_by_id, heads = encoded.encode, encoded.params, encoded.heads
+        texts, kinds = rendered.texts, rendered.kinds
         lines = []
-        for record in self.records[start:stop]:
-            params = record.params
-            params_json = params_by_id.get(id(params))
-            if params_json is None:
-                params_json = params_by_id[id(params)] = _encode_params(params, encode)
-            head = (record.sender, record.receiver, record.name)
-            head_json = heads.get(head)
-            if head_json is None:
-                head_json = heads[head] = record.head_json()
-            lines.append(record.to_json(params_json, head_json))
+        append = lines.append
+        last_at = None
+        for at, _seq, _sender, _receiver, payload in self.events[start:stop]:
+            text = texts.get(id(payload))
+            if text is None:
+                kind = type(payload)
+                entry = kinds.get(kind)
+                if entry is None:
+                    sender, receiver = kind._ends
+                    entry = kinds[kind] = (
+                        f'"from":{_encode_str(sender)},"to":{_encode_str(receiver)},'
+                        f'"msg":{_encode_str(kind.__name__)},"params":',
+                        text_renderer(kind),
+                    )
+                head, render = entry
+                text = texts[id(payload)] = f"{head}{render(payload)}}}"
+            # The events of one instant mostly share its int (see Kernel.schedule).
+            if at is not last_at:
+                last_at = at
+                start_text = f'{{"t":{at},'
+            append(start_text + text)
         return lines
 
     def write(self, path: str) -> None:
-        """Write one line per record, each ending in LF on every platform.
+        """Write one line per event, each ending in LF on every platform.
 
-        The records are encoded and written _WRITE_CHUNK_RECORDS at a time, one
-        write call per chunk, with one set of encodings across the chunks, so
-        the text of the whole file is never held.
+        The events are rendered and written _WRITE_CHUNK_RECORDS at a time, one
+        write call per chunk, with one set of rendered texts across the chunks,
+        so the text of the whole file is never held.
         """
-        encoded = _Encodings()
+        rendered = _Rendered()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for start in range(0, len(self.records), _WRITE_CHUNK_RECORDS):
-                fh.write("\n".join(self.lines(start, start + _WRITE_CHUNK_RECORDS, encoded)) + "\n")
+            for start in range(0, len(self.events), _WRITE_CHUNK_RECORDS):
+                fh.write("\n".join(self.lines(start, start + _WRITE_CHUNK_RECORDS, rendered)) + "\n")
 
 
-class _Encodings:
-    """What the ``lines`` calls for one trace share: one params encoder, each
-    params object's encoding by its id, and each head's encoding."""
+class _Rendered:
+    """What the ``lines`` calls for one trace share: each payload's text from
+    its head on, by the payload's id, and each payload type's head and params
+    renderer."""
 
     def __init__(self) -> None:
-        self.encode = _params_encoder()
-        self.params: dict[int, str] = {}
-        self.heads: dict[tuple[str, str, str], str] = {}
+        self.texts: dict[int, str] = {}
+        self.kinds: dict[type, tuple[str, Callable[[Any], str]]] = {}
 
 
 @dataclass(eq=False, repr=False)
@@ -214,9 +209,6 @@ class _Call:
 
     fn: Callable[[], None]
     _ends: tuple[str, str]  # (owner, owner)
-
-
-_new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
 
 
 class Kernel:
@@ -269,7 +261,8 @@ class Kernel:
         """
         last: SimTime = 0
         now = self.now
-        queue, ready, handlers, recorder = self._queue, self._ready, self._handlers, self.recorder
+        queue, ready, handlers = self._queue, self._ready, self._handlers
+        record = self.recorder.on_delivery
         while True:
             if ready and not (queue and queue[0].at == now):
                 event = ready.popleft()
@@ -284,7 +277,7 @@ class Kernel:
                 if type(payload) is _Call:
                     payload.fn()
                 else:
-                    recorder.on_delivery(event)
+                    record(event)
                     handlers[event.receiver](event)
             except Exception as exc:
                 raise SimulationError(

@@ -3,15 +3,17 @@
 `Simulation` connects the six functional entities to one event kernel, drives
 the resource manager's decision cycle at the configured scan period, starts
 each flow at its configured time, and runs the kernel until no work remains.
-The result bundles the recorded trace and a JSON-ready metrics report built
-from the completed handover contexts.
+The result bundles the recorded events and a JSON-ready metrics report built
+from the completed handover contexts; its trace records are built from the
+events on first read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from operator import itemgetter
 
 from .conformance import SEQUENCE_NAMES
 from .core import (
@@ -21,6 +23,8 @@ from .core import (
     FE_HOLM,
     FE_MRRM,
     FE_PATH_SELECTION,
+    PAYLOAD_TYPES,
+    HOExecutionRequest,
 )
 from .environment import Environment
 from .flowmgmt import FlowManagement, FlowRecord
@@ -29,16 +33,24 @@ from .mrrm import Mrrm
 from .path_selection import PathSelection
 from .protocols import DaemonHost
 from .scenario import ScenarioConfig
-from .simkernel import Kernel, SimTime, TraceRecord, TraceRecorder
+from .simkernel import Kernel, SimEvent, SimTime, TraceRecord, TraceRecorder, trace_records
+
+# The payload types of the records a handover's message count covers.
+_SEQUENCE_TYPES = frozenset(PAYLOAD_TYPES[name] for name in SEQUENCE_NAMES)
 
 
 @dataclass(eq=False, repr=False)
 class SimulationResult:
-    """A finished run: its trace records, its metrics and its end time."""
+    """A finished run: its recorded events, its metrics and its end time."""
 
-    records: list[TraceRecord]
+    events: list[SimEvent]
     metrics: dict
     final_time_us: SimTime
+
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        """The trace records of the events, built on first read."""
+        return trace_records(self.events)
 
 
 class Simulation:
@@ -104,27 +116,30 @@ class Simulation:
         # dropping them breaks that cycle, so a finished run is freed by
         # reference counting rather than by a later cyclic collection.
         self.kernel.drop_handlers()
+        events = self.recorder.events
         return SimulationResult(
-            records=self.recorder.records,
-            metrics=build_metrics(self.recorder.records, self.holm.completed),
+            events=events,
+            metrics=build_metrics(events, self.holm.completed),
             final_time_us=final,
         )
 
 
-def build_metrics(records: list[TraceRecord], contexts: list[HandoverContext]) -> dict:
-    """Summarize completed handovers from the trace and orchestration records.
+def build_metrics(events: list[SimEvent], contexts: list[HandoverContext]) -> dict:
+    """Summarize completed handovers from the recorded events and orchestration records.
 
     Each handover spans its HOExecutionRequest up to the next request in the
     trace (handovers on one node never overlap); the message count covers the
     signaling-sequence records inside that span. HOLM completes its requests
     one at a time, in trace order, so the i-th context owns the i-th span.
     """
-    counts: list[int] = []
-    for record in records:
-        if record.name == "HOExecutionRequest":
-            counts.append(0)
-        if counts and record.name in SEQUENCE_NAMES:
+    # The first count is of the sequence records before any request.
+    counts = [0]
+    for kind in map(type, map(itemgetter(4), events)):
+        if kind in _SEQUENCE_TYPES:
+            if kind is HOExecutionRequest:
+                counts.append(0)
             counts[-1] += 1
+    del counts[0]
     handovers = []
     totals_by_variant: dict[str, int] = {}
     succeeded = failed = 0

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from mobsig.core import (
-    ANNOTATION_ACCESS_SETS,
     AccessId,
     AccessSets,
+    AccessSetsSnapshot,
     ConstraintResponse,
     Rating,
     access_sort_key,
@@ -85,13 +85,13 @@ class ReferenceMrrm(Mrrm):
         flow, establishing, _view, radio = self._cycles.popleft()
         das_sets = build_das(self.policy, list(radio.items()))
         sets, combined = select_cas_aas(self.policy, das_sets, radio, response.ratings)
-        self._recorder.annotate(self._kernel.now, ANNOTATION_ACCESS_SETS, {
-            "aas": sorted(a.key for a in sets.aas),
-            "cas": sorted(a.key for a in sets.cas),
-            "das": sorted(a.key for a in sets.das),
-            "flow": flow,
-            "scanned": sorted(a.key for a in sets.scanned),
-        })
+        self._recorder.annotate(self._kernel.now, AccessSetsSnapshot(
+            aas=sorted(a.key for a in sets.aas),
+            cas=sorted(a.key for a in sets.cas),
+            das=sorted(a.key for a in sets.das),
+            flow=flow,
+            scanned=sorted(a.key for a in sets.scanned),
+        ))
         record = self._table.get(flow)
         if establishing:
             self._finish_establishment_cycle(record, sets)

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import math
 import random
+import typing
 from pathlib import Path
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from mobsig import core
 from mobsig.core import (
     FE_DAEMON,
     FE_ENVIRONMENT,
@@ -19,7 +23,10 @@ from mobsig.core import (
     FE_PATH_SELECTION,
     AccessId,
     AccessSets,
+    Locator,
     QosSpec,
+    Rating,
+    Result,
 )
 from mobsig.environment import Cell, Environment, Trajectory
 from mobsig.flowmgmt import FlowManagement, FlowRecord
@@ -27,14 +34,7 @@ from mobsig.holm import Holm
 from mobsig.mrrm import Mrrm, MrrmPolicy
 from mobsig.path_selection import PathModel, PathSelection
 from mobsig.protocols import DaemonHost
-from mobsig.simkernel import (
-    Kernel,
-    TraceRecord,
-    TraceRecorder,
-    _encode_params,
-    _Encodings,
-    _params_encoder,
-)
+from mobsig.simkernel import Kernel, TraceRecord, TraceRecorder, _Rendered, trace_records
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
 
@@ -45,6 +45,50 @@ json_values = st.recursive(
                                                                 max_size=3),
     max_leaves=8,
 )
+
+
+# A value of each declared field type of the payloads: any text, non-ASCII
+# included, any int, and path scores in [0, 1]; results fail half the time.
+_texts = st.text(max_size=6)
+_access_ids = st.builds(AccessId, _texts, _texts, _texts)
+_FIELD_VALUES = {
+    int: st.integers(),
+    bool: st.booleans(),
+    str: _texts,
+    AccessId: _access_ids,
+    QosSpec: st.builds(QosSpec, st.integers(), st.integers()),
+    Locator: st.builds(Locator, st.text(min_size=1, max_size=6), _access_ids, _texts),
+    Rating: st.builds(Rating, _access_ids, st.floats(min_value=0.0, max_value=1.0)),
+    Result: st.just(Result.success()) | st.builds(Result.failure, st.text(min_size=1, max_size=6)),
+}
+
+
+def field_values(tp) -> st.SearchStrategy:
+    """Values of the declared field type tp: ``None`` for an optional half
+    the time, and empty tuples and lists among the others."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return st.none() | field_values(next(arg for arg in args if arg is not type(None)))
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        return st.lists(field_values(args[0]), max_size=3).map(tuple)
+    if origin is list:
+        return st.lists(field_values(args[0]), max_size=3)
+    return _FIELD_VALUES[tp]
+
+
+@st.composite
+def payloads(draw, cls: type) -> core.Payload:
+    """A payload of class cls, built by position from values of its field types."""
+    values = [draw(field_values(tp)) for _name, tp in core._field_types(cls)]
+    try:
+        return cls(*values)
+    except ValueError:  # an invariant of the class, as PathSelected's
+        assume(False)
+
+
+# A payload of any trace name's type.
+any_payload = st.sampled_from(list(core.PAYLOAD_TYPES.values())).flatmap(payloads)
 
 
 @functools.cache
@@ -124,13 +168,20 @@ def make_policy(**fields) -> MrrmPolicy:
 
 
 def trace_line(record: TraceRecord) -> str:
-    """The line the trace writer writes for one record."""
-    return record.to_json(_encode_params(record.params, _params_encoder()), record.head_json())
+    """The canonical line of one record, as the trace writer lays out its
+    payloads' lines: the head fields in order, then params with sorted keys,
+    all with compact separators."""
+    head = json.dumps(
+        {"t": record.at, "from": record.sender, "to": record.receiver, "msg": record.name},
+        separators=(",", ":"),
+    )
+    params = json.dumps(record.params, sort_keys=True, separators=(",", ":"))
+    return f'{head[:-1]},"params":{params}}}'
 
 
 def trace_lines(recorder: TraceRecorder) -> list[str]:
-    """The lines the trace writer writes for all of a recorder's records."""
-    return recorder.lines(0, len(recorder.records), _Encodings())
+    """The lines the trace writer writes for all of a recorder's events."""
+    return recorder.lines(0, len(recorder.events), _Rendered())
 
 
 def default_model() -> PathModel:
@@ -201,8 +252,11 @@ class Node:
         self.run()
         assert outcome and outcome[0].ok, f"attach failed: {outcome}"
 
+    def records(self) -> list[TraceRecord]:
+        return trace_records(self.recorder.events)
+
     def names(self, sequence_only: bool = False) -> list[str]:
-        names = [record.name for record in self.recorder.records]
+        names = [record.name for record in self.records()]
         if sequence_only:
             from mobsig.conformance import SEQUENCE_NAMES
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
 from mobsig.conformance import TEMPLATES, load_trace
-from mobsig.core import ANNOTATION_LINK_DOWN, FUNCTIONAL_ENTITIES
+from mobsig.core import FUNCTIONAL_ENTITIES, LinkDown
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
 from support import json_values, load_generator
@@ -253,7 +253,7 @@ class TestRun:
         class Doomed:
             def __init__(self, config):
                 self.recorder = TraceRecorder()
-                self.recorder.annotate(0, ANNOTATION_LINK_DOWN, {"last": "words"})
+                self.recorder.annotate(0, LinkDown("last/words", 7))
 
             def run(self):
                 raise SimulationError("deliberate failure")
@@ -267,7 +267,7 @@ class TestRun:
         assert code == 3
         assert "simulation aborted: deliberate failure" in capsys.readouterr().err
         assert trace.exists()
-        assert '"msg":"LinkDown","params":{"last":"words"}' in trace.read_text()
+        assert '"msg":"LinkDown","params":{"access":"last/words","flow":7}' in trace.read_text()
 
     def test_seed_override_is_accepted(self, tmp_path, scenario_path):
         code = run_cli(

@@ -191,8 +191,9 @@ params_objects = st.dictionaries(st.text(max_size=4), json_values, max_size=3)
 
 @st.composite
 def writer_lines(draw):
-    """to_json of a record, its params drawn from a pool that the lines of one
-    example share, so that params texts repeat."""
+    """The canonical line of a record, in the writer's layout, its params
+    drawn from a pool that the lines of one example share, so that params
+    texts repeat."""
     pool = draw(st.shared(st.lists(params_objects, min_size=1, max_size=3), key="params"))
     return trace_line(TraceRecord(
         at=draw(st.integers() | st.integers(-10**20, 10**20)),

@@ -5,9 +5,13 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pickle
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +27,7 @@ from mobsig.core import (
     AccessFlowSetupResponse,
     AccessId,
     AccessSets,
+    AccessSetsSnapshot,
     BindingAck,
     BindingUpdate,
     ConstraintRequest,
@@ -37,10 +42,14 @@ from mobsig.core import (
     LinkAttachResponse,
     LinkDetachRequest,
     LinkDetachResponse,
+    LinkDown,
     LinkSwitchRequest,
     LinkSwitchResponse,
+    LinkUp,
+    PAYLOAD_TYPES,
     PRIMITIVE_TYPES,
     Locator,
+    Payload,
     PathSelect,
     PathSelected,
     Primitive,
@@ -51,12 +60,13 @@ from mobsig.core import (
     TunnelStart,
     TunnelStop,
     access_sort_key,
+    text_renderer,
 )
 import mobsig
 from mobsig.conformance import Verdict
 from mobsig.simkernel import TraceRecord
 
-from support import is_nested, qos_satisfies, trace_line
+from support import is_nested, payloads, qos_satisfies, trace_line
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -214,7 +224,7 @@ class TestPathSelectedInvariant:
             PathSelected(result=Result.failure("not_attached"), new_locator=LOC)
 
 
-SAMPLES: list[Primitive] = [
+SAMPLES: list[Payload] = [
     ConstraintRequest(flow=1, candidates=(A, B)),
     ConstraintResponse(ratings=(Rating(A, 0.5), Rating(B, 1.0))),
     HOExecutionRequest(flow=1, current=A, target=B, mbb_flag=True),
@@ -243,6 +253,10 @@ SAMPLES: list[Primitive] = [
     BindingAck(flow=1, result=OK),
     TunnelStart(flow=1, current=A, target=B),
     TunnelStop(flow=1),
+    AccessSetsSnapshot(aas=[B.key], cas=[B.key], das=[A.key, B.key], flow=1,
+                       scanned=[A.key, B.key]),
+    LinkUp(access=B.key, flow=1, granted_qos=QosSpec(800, 90)),
+    LinkDown(access=A.key, flow=1),
 ]
 
 
@@ -283,7 +297,10 @@ def test_params_round_trip(sample):
 
 
 def test_every_primitive_type_sampled():
-    assert {type(s).__name__ for s in SAMPLES} == set(PRIMITIVE_TYPES)
+    assert {type(s).__name__ for s in SAMPLES} == set(PAYLOAD_TYPES) == set(ENDS)
+    assert set(PRIMITIVE_TYPES) == set(PAYLOAD_TYPES) - {
+        ANNOTATION_ACCESS_SETS, ANNOTATION_LINK_UP, ANNOTATION_LINK_DOWN
+    }
 
 
 def test_optional_fields_render_explicit_null():
@@ -308,6 +325,45 @@ def test_rating_wire_form_flattens_the_access():
     assert response.params()["ratings"] == [
         {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan", "rating": 0.25}
     ]
+
+
+def _canonical(params):
+    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("cls", PAYLOAD_TYPES.values(), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_params_text_equals_json_dumps_of_params(cls, data):
+    """The trace writer's text of a payload is the canonical JSON of its params()."""
+    payload = data.draw(payloads(cls))
+    assert text_renderer(cls)(payload) == _canonical(payload.params())
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in PAYLOAD_TYPES.values() if "result" in cls.__dataclass_fields__],
+    ids=lambda cls: cls.__name__,
+)
+def test_a_failed_result_renders_its_reason_in_sorted_place(cls):
+    # A failure of every type with a result, its optional fields None: the
+    # simulator's traces hold none of some of these.
+    failed = Result.failure("réseau ✓")
+    payload = cls(*[{"result": failed, "flow": 7}.get(name) for name in cls.__dataclass_fields__])
+    text = text_renderer(cls)(payload)
+    assert text == _canonical(payload.params())
+    assert '"reason":"r\\u00e9seau \\u2713","result":"failure"}' in text
+
+
+def test_the_text_renderers_are_built_on_first_render():
+    # Import builds the dict renderers only; a class's text renderer is
+    # compiled when the writer first renders one of it.
+    script = (
+        "from mobsig import cli, core\n"
+        "assert core.text_renderer.cache_info().currsize == 0\n"
+        "core.text_renderer(core.HOComplete)\n"
+        "assert core.text_renderer.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(mobsig.__file__).parent.parent)})
 
 
 # -- Which classes compare by value ------------------------------------------
@@ -377,9 +433,10 @@ def test_ends_declare_every_trace_name_once_as_its_docstring_names_them():
 # gets a value __eq__, __hash__ or __repr__. The checker's walk needs no
 # precedence rules, so the frozen conformance.Precedence and its __init__,
 # __setattr__ and __delattr__ are gone: 150 methods of 40 frozen classes
-# became 147 of 39.
-GENERATED_FUNCTIONS = 147
-FROZEN_DATACLASSES = 39
+# became 147 of 39. The three annotations are frozen payload types too, with
+# an __init__, __setattr__ and __delattr__ each: 156 of 42.
+GENERATED_FUNCTIONS = 156
+FROZEN_DATACLASSES = 42
 
 
 def _dataclasses():

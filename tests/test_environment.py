@@ -14,7 +14,7 @@ from mobsig.environment import (
     Trajectory,
     clamp_qos,
 )
-from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder, trace_records
 
 from support import REQUESTED, linear_scan, make_cell, qos_satisfies, still_trajectory
 
@@ -238,7 +238,7 @@ class TestLinkAttach:
         assert result.ok and at == 50_000
         assert granted == QosSpec(bandwidth_kbps=800, max_latency_ms=90)
         assert env.attached(1, cells[0].access)
-        ups = [r for r in recorder.records if r.name == ANNOTATION_LINK_UP]
+        ups = [r for r in trace_records(recorder.events) if r.name == ANNOTATION_LINK_UP]
         assert len(ups) == 1
         assert ups[0].params == {
             "access": "net-1/cell-a",
@@ -296,7 +296,7 @@ class TestLinkDetach:
         assert detach_at[0] == 50_000 + 100_000 + 10_000
         assert not env.attached(1, access)
         assert not env.locator_valid(locator)
-        downs = [r for r in recorder.records if r.name == ANNOTATION_LINK_DOWN]
+        downs = [r for r in trace_records(recorder.events) if r.name == ANNOTATION_LINK_DOWN]
         assert downs[-1].params == {"access": "net-1/cell-a", "flow": 1}
 
     def test_locator_survives_while_another_flow_stays_attached(self):

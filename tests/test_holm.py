@@ -154,7 +154,7 @@ class TestEstablishment:
         request_handover(node, 1, current=None, target=a, mbb_flag=True)
         locator = node.holm.completed[0].new_locator
         assert locator.access == a
-        bound = [r.params["locator"] for r in node.recorder.records if r.name == "BindingUpdate"]
+        bound = [r.params["locator"] for r in node.records() if r.name == "BindingUpdate"]
         assert [entry["address"] for entry in bound] == [locator.address]
 
 
@@ -284,7 +284,7 @@ class TestUnexpectedResponses:
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
         [ctx] = node.holm.completed
         assert not ctx.result.ok
-        before = len(node.recorder.records)
+        before = len(node.recorder.events)
         late = (
             LinkAttachResponse(result=Result.success(), granted_qos=QosSpec(800, 90)),
             PathSelected(result=Result.success(), new_locator=Locator("late", b, "care_of")),
@@ -293,7 +293,7 @@ class TestUnexpectedResponses:
             node.kernel.schedule(0, payload)
         with pytest.raises(SimulationError, match="LinkAttachResponse"):
             node.run()
-        names = [record.name for record in node.recorder.records[before:]]
+        names = [record.name for record in node.records()[before:]]
         assert names == ["LinkAttachResponse"]
         assert node.holm.completed == [ctx]
         assert ctx.result == Result.failure("out_of_coverage")

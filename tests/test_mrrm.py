@@ -216,14 +216,14 @@ class TestMrrmEntity:
         assert record.state == "active"
         assert record.current_access == A
         assert record.granted_qos == REQUESTED  # cell-a capacity is ample
-        responses = [r for r in node.recorder.records if r.name == "AccessFlowSetupResponse"]
+        responses = [r for r in node.records() if r.name == "AccessFlowSetupResponse"]
         assert len(responses) == 1 and responses[0].params["result"] == "success"
 
     def test_snapshot_annotation_lists_sorted_keys(self):
         node = moving_node()
         node.flow_management.start_flow(1)
         node.run()
-        snapshots = [r for r in node.recorder.records if r.name == ANNOTATION_ACCESS_SETS]
+        snapshots = [r for r in node.records() if r.name == ANNOTATION_ACCESS_SETS]
         assert snapshots, "every decision cycle leaves a snapshot"
         params = snapshots[0].params
         assert set(params) == {"aas", "cas", "das", "flow", "scanned"}
@@ -237,17 +237,17 @@ class TestMrrmEntity:
         node.run()
         node.kernel.call_later(6_000_000, node.mrrm.tick, FE_MRRM)
         node.run()
-        requests = [r for r in node.recorder.records if r.name == "HOExecutionRequest"]
+        requests = [r for r in node.records() if r.name == "HOExecutionRequest"]
         assert len(requests) == 2  # establishment plus one handover
         handover = requests[1].params
         assert handover["current"]["cell_id"] == "cell-a"
         assert handover["target"]["cell_id"] == "cell-b"
         assert handover["mbb_flag"] is True
         assert node.table.get(1).current_access == B
-        occurred = [r for r in node.recorder.records if r.name == "HandoverOccurred"]
+        occurred = [r for r in node.records() if r.name == "HandoverOccurred"]
         assert len(occurred) == 1
         assert occurred[0].params["provided_qos"] == {"bandwidth_kbps": 800, "max_latency_ms": 90}
-        acks = [r for r in node.recorder.records if r.name == "HandoverOccurredResponse"]
+        acks = [r for r in node.records() if r.name == "HandoverOccurredResponse"]
         assert len(acks) == 1
 
     def test_indication_suppressed_when_grant_is_unchanged(self):
@@ -257,7 +257,7 @@ class TestMrrmEntity:
         node.kernel.call_later(6_000_000, node.mrrm.tick, FE_MRRM)
         node.run()
         assert node.table.get(1).current_access == B
-        assert not any(r.name == "HandoverOccurred" for r in node.recorder.records)
+        assert not any(r.name == "HandoverOccurred" for r in node.records())
 
     def test_concurrent_setups_are_serialized(self):
         node = moving_node(
@@ -268,7 +268,7 @@ class TestMrrmEntity:
         node.run()
         assert node.table.get(1).state == "active"
         assert node.table.get(2).state == "active"
-        names = [r.name for r in node.recorder.records if r.name in ("HOExecutionRequest", "HOComplete")]
+        names = [r.name for r in node.records() if r.name in ("HOExecutionRequest", "HOComplete")]
         assert names == ["HOExecutionRequest", "HOComplete", "HOExecutionRequest", "HOComplete"]
 
     def test_stray_completion_is_an_error(self):
@@ -278,7 +278,7 @@ class TestMrrmEntity:
             node.run()
         assert not any(
             r.name in ("AccessFlowSetupResponse", "HandoverOccurred")
-            for r in node.recorder.records
+            for r in node.records()
         )
 
     def test_attach_relay_reports_coverage_failures(self):
@@ -286,7 +286,7 @@ class TestMrrmEntity:
         node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
         node.kernel.schedule(0, LinkAttachRequest(flow=1, target=B, requested_qos=REQUESTED))
         node.run()
-        responses = [r for r in node.recorder.records if r.name == "LinkAttachResponse"]
+        responses = [r for r in node.records() if r.name == "LinkAttachResponse"]
         assert responses[0].params == {
             "granted_qos": None,
             "reason": "out_of_coverage",
@@ -301,7 +301,7 @@ class TestMrrmEntity:
             LinkSwitchRequest(flow=1, current=A, target=B, requested_qos=REQUESTED),
         )
         node.run()
-        responses = [r for r in node.recorder.records if r.name == "LinkSwitchResponse"]
+        responses = [r for r in node.records() if r.name == "LinkSwitchResponse"]
         assert responses[0].params["result"] == "failure"
         assert responses[0].params["reason"] == "not_attached"
 
@@ -335,7 +335,7 @@ class TestScanPerTick:
     def requests_at(self, node, at_us):
         return [
             r.params
-            for r in node.recorder.records
+            for r in node.records()
             if r.name == "ConstraintRequest" and r.at == at_us
         ]
 
@@ -369,7 +369,7 @@ class TestScanPerTick:
         assert scans == [tick_at]
         # Flow 4 was never started, and flow 2 is no longer active.
         assert [params["flow"] for params in self.requests_at(node, tick_at)] == [1, 3]
-        snapshots = [r for r in node.recorder.records
+        snapshots = [r for r in node.records()
                      if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
         assert [r.params["flow"] for r in snapshots] == [1, 3]
 
@@ -380,7 +380,7 @@ class TestScanPerTick:
         node.mrrm.tick()
         node.run()
         assert scans == []
-        assert not any(r.name == "ConstraintRequest" for r in node.recorder.records)
+        assert not any(r.name == "ConstraintRequest" for r in node.records())
 
 
 class TestSharedOutcomes:
@@ -414,7 +414,7 @@ class TestSharedOutcomes:
             tick_times.append(node.kernel.now + 1_000_000)
             node.kernel.call_later(1_000_000, node.mrrm.tick, FE_MRRM)
             node.run()
-        return [[r for r in node.recorder.records
+        return [[r for r in node.records()
                  if r.name == ANNOTATION_ACCESS_SETS and r.at == tick_at]
                 for tick_at in tick_times]
 
@@ -493,7 +493,7 @@ class TestViewReuse:
         for at_us in tick_times:
             node.kernel.call_later(at_us - node.kernel.now, node.mrrm.tick, FE_MRRM)
             node.run()
-        snapshots = {r.at: r.params for r in node.recorder.records
+        snapshots = {r.at: r.params for r in node.records()
                      if r.name == ANNOTATION_ACCESS_SETS}
         return requests, snapshots
 

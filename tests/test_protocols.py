@@ -17,7 +17,7 @@ from mobsig.core import (
 )
 from mobsig.environment import Environment
 from mobsig.protocols import DaemonHost
-from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder, trace_records
 
 from support import REQUESTED, make_cell, still_trajectory
 
@@ -60,7 +60,7 @@ def allocate(kernel, env, flow, access):
 
 
 def names_at(recorder):
-    return [(r.name, r.at, r.sender, r.receiver) for r in recorder.records]
+    return [(r.name, r.at, r.sender, r.receiver) for r in trace_records(recorder.events)]
 
 
 class TestUpdateBinding:
@@ -74,7 +74,7 @@ class TestUpdateBinding:
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 40_000
-        assert recorder.records[-2].params["locator"]["address"] == locator.address
+        assert trace_records(recorder.events)[-2].params["locator"]["address"] == locator.address
         tail = names_at(recorder)[-2:]
         assert tail[0][:2] == ("BindingUpdate", t0)
         assert tail[0][2:] == (FE_DAEMON, FE_ENVIRONMENT)
@@ -88,7 +88,7 @@ class TestUpdateBinding:
         daemons.update_binding(Ctx(1, None, a), phantom, lambda r: done.append(r))
         kernel.run_until_quiescent()
         assert done[0].reason == "stale_locator"
-        assert not any(r.name == "BindingUpdate" for r in recorder.records)
+        assert not any(r.name == "BindingUpdate" for r in trace_records(recorder.events))
 
     def test_rebinding_replaces_the_flow_locator(self):
         kernel, recorder, env, daemons, a, b = build_host()
@@ -101,7 +101,7 @@ class TestUpdateBinding:
             daemons.update_binding(Ctx(1, None, a), locator, lambda r: done.append(r))
             kernel.run_until_quiescent()
         assert [r.ok for r in done] == [True, True]
-        updates = [r.params["locator"]["address"] for r in recorder.records
+        updates = [r.params["locator"]["address"] for r in trace_records(recorder.events)
                    if r.name == "BindingUpdate"]
         assert updates == [first.address, second.address]
 
@@ -133,7 +133,7 @@ class TestFmipPrepare:
         kernel.run_until_quiescent()
         result, at = done[0]
         assert result.ok and at == t0 + 3 * 5_000
-        hops = [(r.name, r.at - t0) for r in recorder.records if r.at > t0]
+        hops = [(r.name, r.at - t0) for r in trace_records(recorder.events) if r.at > t0]
         assert hops == [
             ("ProxyRouterAdvertisement", 5_000),
             ("FastBindingUpdate", 10_000),
@@ -174,7 +174,7 @@ class TestTunnel:
         kernel.run_until_quiescent()
         assert daemons.tunnel_stop(ctx).ok
         kernel.run_until_quiescent()
-        tunnel = [(r.name, r.sender, r.receiver) for r in recorder.records
+        tunnel = [(r.name, r.sender, r.receiver) for r in trace_records(recorder.events)
                   if r.name in ("TunnelStart", "BindingAck", "TunnelStop")]
         assert tunnel == [
             ("TunnelStart", FE_DAEMON, FE_ENVIRONMENT),
@@ -204,7 +204,7 @@ class TestOneAwaitedReply:
         with pytest.raises(SimulationError, match="a reply never awaited"):
             kernel.run_until_quiescent()
         assert not done
-        assert recorder.records[-1].params["flow"] == 9
+        assert trace_records(recorder.events)[-1].params["flow"] == 9
 
     def test_binding_ignores_another_flows_ack(self):
         """Another flow's ack during a binding ends the run."""

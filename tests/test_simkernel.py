@@ -16,9 +16,16 @@ from mobsig.core import (
     FE_DAEMON,
     FE_ENVIRONMENT,
     FE_MRRM,
+    AccessId,
+    AccessSetsSnapshot,
     BindingAck,
+    BindingUpdate,
     HOComplete,
+    LinkDown,
+    LinkUp,
+    Locator,
     Primitive,
+    QosSpec,
     Result,
     TunnelStop,
 )
@@ -26,13 +33,16 @@ from mobsig.simkernel import (
     TRACE_FIELDS,
     ConfigurationError,
     Kernel,
+    SimEvent,
     SimulationError,
     TraceRecord,
     TraceRecorder,
+    _Rendered,
+    trace_records,
 )
 
 from kernel_oracle import HeapKernel
-from support import trace_line, trace_lines
+from support import any_payload, trace_line, trace_lines
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -94,7 +104,7 @@ class TestScheduling:
         kernel.register(FE_ENVIRONMENT, handler)
         kernel.schedule(1_000_000, TunnelStop(flow=0))
         kernel.run_until_quiescent()
-        first, second, third = recorder.records
+        first, second, third = recorder.events
         assert second.at == 1_000_000 and second.at is third.at is first.at is kernel.now
 
 
@@ -147,7 +157,7 @@ KERNEL_PAYLOADS = {
 def run_program(kernel_cls, rounds, plans):
     """What a kernel delivers for a program, in order: (at, seq, sender,
     receiver, payload id) of each delivery and (at, call index) of each call;
-    the records; and what each run returned."""
+    the recorded events, with the payload's id; and what each run returned."""
     recorder = TraceRecorder()
     kernel = kernel_cls(recorder)
     payloads = {fe: iter(pool) for fe, pool in KERNEL_PAYLOADS.items()}
@@ -185,7 +195,7 @@ def run_program(kernel_cls, rounds, plans):
         for delay, fe in deliveries:
             kernel.schedule(delay, next(payloads[fe]))
         returned.append(kernel.run_until_quiescent())
-    records = [(r.at, r.sender, r.receiver, r.name, id(r.params)) for r in recorder.records]
+    records = [(*event[:4], id(event.payload)) for event in recorder.events]
     return log, records, returned
 
 
@@ -222,34 +232,40 @@ class TestCallLater:
         kernel.call_later(25, lambda: seen.append(kernel.now), owner=FE_MRRM)
         kernel.run_until_quiescent()
         assert seen == [25]
-        assert recorder.records == []
+        assert recorder.events == []
 
 
 class TestTraceRecord:
-    def test_to_json_field_order_and_compact_separators(self):
-        record = TraceRecord(at=5, sender="A", receiver="B", name="TunnelStop", params={"flow": 1})
-        assert trace_line(record) == '{"t":5,"from":"A","to":"B","msg":"TunnelStop","params":{"flow":1}}'
+    def test_line_field_order_and_compact_separators(self):
+        recorder = TraceRecorder()
+        recorder.on_delivery(SimEvent(5, 1, FE_DAEMON, FE_ENVIRONMENT, TunnelStop(1)))
+        assert trace_lines(recorder) == [
+            '{"t":5,"from":"Daemon","to":"Env","msg":"TunnelStop","params":{"flow":1}}'
+        ]
 
-    def test_to_json_sorts_params_recursively(self):
-        record = TraceRecord(
-            at=0,
-            sender="A",
-            receiver="B",
-            name="X",
-            params={"b": 1, "a": {"z": 1, "y": [{"q": 1, "p": 2}]}},
+    def test_line_sorts_params_recursively(self):
+        # Fields declared flow, locator; a locator's address, access, kind.
+        access = AccessId("cell-b", "net-2", "cellular")
+        recorder = TraceRecorder()
+        recorder.annotate(0, LinkUp("net-2/cell-b", 3, QosSpec(500, 90)))
+        payload = BindingUpdate(3, Locator("net-2/cell-b/1", access, "care_of"))
+        recorder.on_delivery(SimEvent(0, 1, FE_DAEMON, FE_ENVIRONMENT, payload))
+        up, update = trace_lines(recorder)
+        assert up.endswith(
+            '"params":{"access":"net-2/cell-b","flow":3,'
+            '"granted_qos":{"bandwidth_kbps":500,"max_latency_ms":90}}}'
         )
-        assert trace_line(record).endswith('"params":{"a":{"y":[{"p":2,"q":1}],"z":1},"b":1}}')
+        assert update.endswith(
+            '"params":{"flow":3,"locator":{"access":{"cell_id":"cell-b","network_id":"net-2",'
+            '"rat":"cellular"},"address":"net-2/cell-b/1","kind":"care_of"}}}'
+        )
 
-    @given(
-        at=st.integers(),
-        sender=names,
-        receiver=names,
-        name=names,
-        params=st.dictionaries(st.text(max_size=6), json_values, max_size=6),
-    )
-    def test_to_json_equals_json_dumps(self, at, sender, receiver, name, params):
-        record = TraceRecord(at=at, sender=sender, receiver=receiver, name=name, params=params)
-        assert trace_line(record) == _reference_line(record)
+    @given(at=st.integers(), payload=any_payload)
+    def test_line_equals_json_dumps(self, at, payload):
+        recorder = TraceRecorder()
+        recorder.annotate(at, payload)
+        [record] = trace_records(recorder.events)
+        assert trace_lines(recorder) == [trace_line(record)]
 
     def test_from_json_round_trip_keeps_line_number(self):
         original = TraceRecord(at=9, sender="A", receiver="B", name="M", params={"k": None})
@@ -348,123 +364,133 @@ def _set_comparing_from_json(line, lineno):
     )
 
 
-def _reference_line(record):
-    """json.dumps of the record head, then its params with keys sorted."""
-    head = json.dumps(
-        {"t": record.at, "from": record.sender, "to": record.receiver, "msg": record.name},
-        separators=(",", ":"),
-    )
-    body = json.dumps(record.params, sort_keys=True, separators=(",", ":"))
-    return f'{head[:-1]},"params":{body}}}'
+def _counting_renders(patch, rendered):
+    """Make the writer append each payload it renders to ``rendered``."""
+    renderer = simkernel.text_renderer
+
+    def counting(kind):
+        render = renderer(kind)
+        return lambda payload: rendered.append(payload) or render(payload)
+
+    patch.setattr(simkernel, "text_renderer", counting)
 
 
 class TestSharedParams:
-    """Records may share a params object and its nested values; the lines stay the same."""
+    """Records may share a payload, and payloads their field values; the lines stay the same."""
 
     @given(st.data())
     def test_lines_equal_json_dumps_of_every_record(self, data):
-        shared_lists = data.draw(st.lists(st.lists(json_values, max_size=3), min_size=1, max_size=3))
-        pool = []
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            params = data.draw(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
-            # Some params hold one of the shared lists, as snapshots of one tick do.
-            for key in data.draw(st.lists(st.text(max_size=6), max_size=2)):
-                params[key] = data.draw(st.sampled_from(shared_lists))
-            pool.append(params)
+        pool = data.draw(st.lists(any_payload, min_size=1, max_size=4))
         # Indices into the pool: repeats land next to each other and apart.
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=12))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.records.append(
-                TraceRecord(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
-            )
-        encoded = []
-        encode = simkernel._encode_params
-        # Not monkeypatch: a function-scoped fixture would span every example.
-        simkernel._encode_params = lambda params, *rest: encoded.append(params) or encode(params, *rest)
-        try:
+            recorder.annotate(at, pool[index])
+        rendered = []
+        # Not the monkeypatch fixture: a function-scoped fixture would span every example.
+        with pytest.MonkeyPatch.context() as patch:
+            _counting_renders(patch, rendered)
             lines = trace_lines(recorder)
-        finally:
-            simkernel._encode_params = encode
-        assert lines == [_reference_line(r) for r in recorder.records]
-        # Each distinct params object once, in order of first use.
-        assert [id(p) for p in encoded] == list(dict.fromkeys(id(r.params) for r in recorder.records))
+        assert lines == [trace_line(r) for r in trace_records(recorder.events)]
+        # Each distinct payload once, in order of first use.
+        assert [id(p) for p in rendered] == list(dict.fromkeys(id(pool[i]) for i in picks))
 
     def test_a_payload_delivered_twice_in_a_row_renders_once(self, monkeypatch):
         # However often and however far apart a payload is delivered, its
-        # fields are rendered once; the renderer is counted, not params().
+        # text is rendered once per write; the run renders nothing.
         rendered = []
-        [(field, render)] = TunnelStop._codecs
-        assert render is None  # the flow id, a scalar, renders as itself
-        monkeypatch.setattr(TunnelStop, "_codecs", ((field, lambda v: rendered.append(v) or v),))
+        _counting_renders(monkeypatch, rendered)
         recorder = TraceRecorder()
         kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
-        shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
+        shared, other = TunnelStop(1), TunnelStop(2)
         deliveries = (shared, shared, other, shared)
         for delay, payload in enumerate(deliveries * 2):
             kernel.schedule(delay * 1000, payload)
         kernel.run_until_quiescent()
-        assert rendered == [1, 2]
-        records = recorder.records
+        assert rendered == [] and shared._params is None
+        assert [event.payload for event in recorder.events] == list(deliveries * 2)
+        lines = trace_lines(recorder)
+        assert rendered == [shared, other]
+        records = trace_records(recorder.events)
         assert [(r.sender, r.receiver) for r in records] == [(FE_DAEMON, FE_ENVIRONMENT)] * 8
         assert [r.params for r in records] == [{"flow": 1}, {"flow": 1}, {"flow": 2}, {"flow": 1}] * 2
         assert all(r.params is records[0].params for r in records if r.params["flow"] == 1)
         assert records[6].params is records[2].params
-        assert trace_lines(recorder) == [_reference_line(r) for r in records]
+        assert lines == [trace_line(r) for r in records]
 
     def test_the_recorder_calls_params_only_to_render(self, monkeypatch):
-        # The traced benchmark counts params() calls as renders.
+        # The traced benchmark counts params() calls as renders: the run
+        # makes none, and the records make one per distinct payload.
         calls = []
         params = Primitive.params
         monkeypatch.setattr(Primitive, "params", lambda self: calls.append(self) or params(self))
         kernel, _ = make_kernel(FE_ENVIRONMENT)
-        shared, other = TunnelStop(flow=1), TunnelStop(flow=2)
+        shared, other = TunnelStop(1), TunnelStop(2)
         for payload in (shared, other, shared, shared):
             kernel.schedule(0, payload)
         kernel.run_until_quiescent()
+        trace_lines(kernel.recorder)
+        assert calls == []
+        assert [r.params["flow"] for r in trace_records(kernel.recorder.events)] == [1, 2, 1, 1]
         assert calls == [shared, other]
-        assert [r.params["flow"] for r in kernel.recorder.records] == [1, 2, 1, 1]
+        trace_records(kernel.recorder.events)
+        assert calls == [shared, other]
 
     def test_unserializable_params_raise_the_json_type_error(self):
         recorder = TraceRecorder()
-        recorder.annotate(0, ANNOTATION_LINK_DOWN, {"bad": object()})
-        with pytest.raises(TypeError, match="is not JSON serializable"):
+        recorder.annotate(0, LinkDown(object(), 1))
+        with pytest.raises(TypeError, match="must be a string"):
             trace_lines(recorder)
 
     def test_circular_params_are_refused(self):
         loop = []
         loop.append(loop)
-        record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"loop": loop})
-        with pytest.raises(ValueError, match="Circular reference"):
-            trace_line(record)
+        recorder = TraceRecorder()
+        recorder.annotate(0, AccessSetsSnapshot(loop, [], [], 1, []))
+        with pytest.raises(TypeError):
+            trace_lines(recorder)
 
-    def test_a_failed_encoding_leaves_nothing_behind(self):
-        inner = [object()]
-        record = TraceRecord(at=0, sender="X", receiver="X", name="Note", params={"v": inner})
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            trace_line(record)
-        inner.clear()  # the same objects again, now encodable
-        assert trace_line(record).endswith('"params":{"v":[]}}')
+    def test_a_failed_encoding_leaves_nothing_behind(self, tmp_path):
+        # A value that breaks its field's declared type raises, and neither
+        # a text nor a line of it is kept or written.
+        keys = [object()]
+        recorder = TraceRecorder()
+        recorder.annotate(0, AccessSetsSnapshot(keys, [], [], 1, []))
+        rendered = _Rendered()
+        with pytest.raises(TypeError, match="must be a string"):
+            recorder.lines(0, 1, rendered)
+        assert rendered.texts == {}
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(TypeError):
+            recorder.write(str(path))
+        assert path.read_bytes() == b""
+        keys.clear()  # the same objects again, now of their declared types
+        assert recorder.lines(0, 1, rendered)[0].endswith(
+            '"params":{"aas":[],"cas":[],"das":[],"flow":1,"scanned":[]}}'
+        )
+        for wrong in (TunnelStop("1"), TunnelStop(1.0), LinkDown("net-1/cell-a", None),
+                      HOComplete(Result(False, ("no_access",)))):
+            recorder = TraceRecorder()
+            recorder.annotate(0, wrong)
+            with pytest.raises(TypeError):
+                recorder.write(str(path))
+            assert path.read_bytes() == b""
 
 
 class TestStreamedWrite:
-    """write() encodes and writes the records a chunk at a time; the file is the same."""
+    """write() renders and writes the events a chunk at a time; the file is the same."""
 
     @given(chunk=st.integers(min_value=1, max_value=4), data=st.data())
     def test_chunks_write_the_reference_lines_and_encode_each_params_once(self, chunk, data):
-        pool = data.draw(st.lists(st.dictionaries(st.text(max_size=6), json_values, max_size=3),
-                                  min_size=1, max_size=4))
-        # Up to 14 records over chunks of 1 to 4: a params object recurs
-        # within a chunk and across chunk boundaries.
+        pool = data.draw(st.lists(any_payload, min_size=1, max_size=4))
+        # Up to 14 events over chunks of 1 to 4: a payload recurs within a
+        # chunk and across chunk boundaries.
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=14))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.records.append(
-                TraceRecord(at, data.draw(names), data.draw(names), data.draw(names), pool[index])
-            )
-        encoded, encoders, heads, served = [], [], [], []
-        encode, lines = simkernel._encode_params, TraceRecorder.lines
-        make_encoder, head_json = simkernel._params_encoder, TraceRecord.head_json
+            recorder.annotate(at, pool[index])
+        rendered, kinds, served = [], [], []
+        lines, renderer = TraceRecorder.lines, simkernel.text_renderer
 
         def counted_lines(self, *args, **kwargs):
             served.append(lines(self, *args, **kwargs))
@@ -473,22 +499,19 @@ class TestStreamedWrite:
         # Not the monkeypatch fixture: a function-scoped fixture would span every example.
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             patch.setattr(simkernel, "_WRITE_CHUNK_RECORDS", chunk)
-            patch.setattr(simkernel, "_encode_params",
-                          lambda params, *rest: encoded.append(params) or encode(params, *rest))
-            patch.setattr(simkernel, "_params_encoder", lambda: encoders.append(1) or make_encoder())
-            patch.setattr(TraceRecord, "head_json",
-                          lambda record: heads.append((record.sender, record.receiver, record.name))
-                          or head_json(record))
+            _counting_renders(patch, rendered)
+            counting = simkernel.text_renderer
+            patch.setattr(simkernel, "text_renderer", lambda kind: kinds.append(kind) or counting(kind))
             patch.setattr(TraceRecorder, "lines", counted_lines)
             path = Path(tmp) / "trace.jsonl"
             recorder.write(str(path))
             text = path.read_bytes().decode("utf-8")
-        assert text == "".join(_reference_line(r) + "\n" for r in recorder.records)
-        # Each distinct params object and each distinct head once per write, in
-        # order of first use, all params with one encoder.
-        assert [id(p) for p in encoded] == list(dict.fromkeys(id(r.params) for r in recorder.records))
-        assert heads == list(dict.fromkeys((r.sender, r.receiver, r.name) for r in recorder.records))
-        assert len(encoders) == 1
+        assert renderer is simkernel.text_renderer
+        assert text == "".join(trace_line(r) + "\n" for r in trace_records(recorder.events))
+        # Each distinct payload and each payload type's head and renderer once
+        # per write, in order of first use.
+        assert [id(p) for p in rendered] == list(dict.fromkeys(id(pool[i]) for i in picks))
+        assert kinds == list(dict.fromkeys(type(pool[i]) for i in picks))
         assert all(len(part) <= chunk for part in served)
         assert len(served) == -(-len(picks) // chunk)
 
@@ -499,12 +522,13 @@ class TestRecorder:
         kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
         kernel.schedule(2, TunnelStop(flow=8))
         kernel.run_until_quiescent()
-        recorder.annotate(3, ANNOTATION_LINK_DOWN, {"detail": "extra"})
-        assert [(r.sender, r.receiver, r.name) for r in recorder.records] == [
-            (FE_DAEMON, FE_ENVIRONMENT, "TunnelStop"),
-            (FE_ENVIRONMENT, FE_ENVIRONMENT, ANNOTATION_LINK_DOWN),
+        recorder.annotate(3, LinkDown("net-1/cell-a", 8))
+        records = trace_records(recorder.events)
+        assert [(r.at, r.sender, r.receiver, r.name) for r in records] == [
+            (2, FE_DAEMON, FE_ENVIRONMENT, "TunnelStop"),
+            (3, FE_ENVIRONMENT, FE_ENVIRONMENT, ANNOTATION_LINK_DOWN),
         ]
-        assert recorder.records[0].params == {"flow": 8}
+        assert [r.params for r in records] == [{"flow": 8}, {"access": "net-1/cell-a", "flow": 8}]
         path = tmp_path / "trace.jsonl"
         recorder.write(str(path))
         lines = path.read_text().splitlines()

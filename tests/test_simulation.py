@@ -6,10 +6,10 @@ import weakref
 
 import pytest
 
-from mobsig.core import AccessId, Result
+from mobsig.core import AccessId, BindingUpdate, HOComplete, HOExecutionRequest, Locator, Result
 from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
-from mobsig.simkernel import TraceRecord
+from mobsig.simkernel import SimEvent
 from mobsig.simulation import Simulation, build_metrics
 
 from support import trace_line
@@ -178,8 +178,12 @@ class TestRunControls:
         assert all(flows == [2, 5] for flows in ticks)
 
 
-def _record(name, at, **params):
-    return TraceRecord(at=at, sender="X", receiver="Y", name=name, params=params)
+def _event(at, payload):
+    return SimEvent(at, 0, *payload._ends, payload)
+
+
+def _request(at, flow):
+    return _event(at, HOExecutionRequest(flow, None, A, False))
 
 
 def _done_context(flow, t_start, variant="mbb"):
@@ -191,14 +195,14 @@ def _done_context(flow, t_start, variant="mbb"):
 
 class TestBuildMetrics:
     def test_spans_end_at_the_next_request(self):
-        records = [
-            _record("HOExecutionRequest", 0, flow=1),
-            _record("BindingUpdate", 1, flow=1),
-            _record("HOExecutionRequest", 10, flow=2),
-            _record("HOComplete", 11),
+        events = [
+            _request(0, flow=1),
+            _event(1, BindingUpdate(1, Locator("net-1/cell-a/1", A, "care_of"))),
+            _request(10, flow=2),
+            _event(11, HOComplete(Result.success())),
         ]
         contexts = [_done_context(1, 0), _done_context(2, 10)]
-        metrics = build_metrics(records, contexts)
+        metrics = build_metrics(events, contexts)
         assert [h["message_count"] for h in metrics["handovers"]] == [2, 2]
 
     def test_failed_context_reports_reason_and_no_gap(self):
@@ -206,7 +210,7 @@ class TestBuildMetrics:
             flow=1, current=A, target=B, variant="bbm", t_start=5, t_break=5,
             result=Result.failure("out_of_coverage"),
         )
-        metrics = build_metrics([_record("HOExecutionRequest", 5, flow=1)], [ctx])
+        metrics = build_metrics([_request(5, flow=1)], [ctx])
         entry = metrics["handovers"][0]
         assert entry["result"] == "failure"
         assert entry["reason"] == "out_of_coverage"
@@ -218,13 +222,10 @@ class TestBuildMetrics:
         with pytest.raises(ValueError):
             build_metrics([], [_done_context(1, 0)])
         with pytest.raises(ValueError):
-            build_metrics([_record("HOExecutionRequest", 0, flow=1)], [])
+            build_metrics([_request(0, flow=1)], [])
 
     def test_twin_requests_at_the_same_time_pair_one_to_one(self):
-        records = [
-            _record("HOExecutionRequest", 0, flow=1),
-            _record("HOExecutionRequest", 0, flow=1),
-        ]
+        events = [_request(0, flow=1), _request(0, flow=1)]
         contexts = [_done_context(1, 0), _done_context(1, 0)]
-        metrics = build_metrics(records, contexts)
+        metrics = build_metrics(events, contexts)
         assert [h["message_count"] for h in metrics["handovers"]] == [1, 1]

@@ -41,11 +41,14 @@ PACKAGE = Path(mobsig.__file__).parent
 # Statements that the command line cannot reach and that stay, by
 # (module, enclosing function, first line of a statement or except clause):
 # an entry covers the statements inside that one which are not reached. Only
-# three kinds stay: the handling of a failure that a call can answer, the
-# invariants of the value types, and the loud end of a broken run (the
-# kernel's wiring checks and exit 3); and the module entry point.
+# four kinds stay: the handling of a failure that a call can answer, the
+# invariants of the value types, the loud end of a broken run (the kernel's
+# wiring checks and exit 3), and a finished run's records in memory; and the
+# module entry point.
 _FAILURE = "handles a failure that the call can answer"
 _INVARIANT = "an invariant of a value type"
+_RECORDS = ("a run's records in memory, with params dicts: bench/run.py reads them, "
+            "and the command line writes and counts the events without them")
 LINE_EXEMPT: dict[tuple[str, str, str], str] = {
     ("environment.py", "Environment.locator_valid", "if state is None:"):
         _FAILURE + ": an address that was never allocated is not valid",
@@ -81,6 +84,17 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
     ("simkernel.py", "Kernel.run_until_quiescent", "except Exception as exc:"):
         "a failing handler ends the run: exit 3",
     ("cli.py", "_cmd_run", "except SimulationError as exc:"): "exit 3 and the partial trace",
+    ("core.py", "", "def _codec(tp: Any) -> Callable[[Any], Any] | None:"): _RECORDS,
+    ("core.py", "",
+     "def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:"):
+        _RECORDS,
+    ("core.py", "",
+     "def _params_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:"):
+        _RECORDS,
+    ("core.py", "Payload", "def params(self) -> dict[str, Any]:"): _RECORDS,
+    ("simkernel.py", "", "def trace_records(events: list[SimEvent]) -> list[TraceRecord]:"):
+        _RECORDS,
+    ("simulation.py", "SimulationResult", "def records(self) -> list[TraceRecord]:"): _RECORDS,
     ("cli.py", "", 'if __name__ == "__main__":'): "the entry point of python -m mobsig.cli",
 }
 
