@@ -29,7 +29,7 @@ def _shown(name: str) -> str:
     return name if name.isprintable() else json.dumps(name)
 
 
-def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> str:
+def render_diagram(records: list[TraceRecord]) -> str:
     """Render a trace as a plain-text sequence diagram, one row per message.
 
     The text is one join of shared pieces. A row is its time stamp, then its
@@ -38,8 +38,8 @@ def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> st
     """
     seen = {r.sender for r in records} | {r.receiver for r in records}
     columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
-    centers = {fe: i * width + width // 2 for i, fe in enumerate(columns)}
-    header = " " * _TIME_GUTTER + "".join(_shown(fe).center(width) for fe in columns)
+    centers = {fe: i * _COLUMN_WIDTH + _COLUMN_WIDTH // 2 for i, fe in enumerate(columns)}
+    header = " " * _TIME_GUTTER + "".join(_shown(fe).center(_COLUMN_WIDTH) for fe in columns)
     pieces = [header.rstrip() + "\n"]
     append = pieces.append
     # A trace has few distinct heads (sender, receiver, name) and flow ids, so
@@ -53,7 +53,7 @@ def render_diagram(records: list[TraceRecord], width: int = _COLUMN_WIDTH) -> st
         head = (record.sender, record.receiver, record.name)
         drawn = heads.get(head)
         if drawn is None:
-            row = [" "] * (len(columns) * width)
+            row = [" "] * (len(columns) * _COLUMN_WIDTH)
             for center in centers.values():
                 row[center] = "|"
             src = centers[record.sender]

@@ -2,9 +2,10 @@
 
 Everything defined here is immutable. The primitive classes map one-to-one onto
 the signaling messages exchanged between the functional entities. A payload's
-trace name is its class name, and its trace parameters come from its declared
-field types: the trace writer writes their text with ``text_renderer``, and
-``Payload.params()`` gives them as a dict.
+trace name is its class name, and its trace parameters are its fields. The
+trace writer writes their text with ``text_renderer``, a function compiled
+per class from the declared field types, and ``Payload.params()`` gives them
+as a dict by a plain walk of the field values.
 
 ``ENDS`` is the functional architecture as data: the (sender, receiver) of
 each primitive and of the three annotation records, declared once. Every trace
@@ -233,21 +234,19 @@ _SUCCESS = Result(True)
 
 
 # --------------------------------------------------------------------------
-# Parameter rendering. Each payload class has one field plan: the name and
-# declared type of each field, resolved once. Two renderers come from it.
+# Parameter rendering. A payload's params are its fields by name, with a
+# `result` flat. The trace holds their canonical JSON text, keys sorted and
+# separators compact, which text_renderer(cls) writes: one function per class,
+# compiled from the class's field plan (the name and declared type of each
+# field, resolved once) on its first render, not at import. It builds no
+# dict: an AccessId field is its id's `_text`, and a scalar one goes through
+# its type's entry in _SCALAR_TEXT.
 #
-# params() renders the fields into a JSON object, with one (name, render)
-# pair per field built on the class's first render, and a scalar field, whose
-# render is None, as itself without a call. A rendered value may be shared
-# with other params objects, so params are read-only: an AccessId renders as
-# its own wire dict, shared by every params naming it. The records of a
-# finished run carry them.
-#
-# text_renderer(cls) writes the canonical JSON text of those params, keys
-# sorted and separators compact, which is what the trace holds. It is one
-# function per class, compiled from the same plan on the class's first render
-# (not at import), and it builds no dict: an AccessId field is its id's
-# `_text`, and a scalar one goes through its type's entry in _SCALAR_TEXT.
+# params() gives the same params as a dict, for a finished run's records in
+# memory, by a plain walk of the field values. A value in it may be shared
+# with other params objects, so params are read-only: an AccessId is its own
+# wire dict, shared by every params naming it, and a snapshot's key lists are
+# the snapshot's own.
 # --------------------------------------------------------------------------
 
 
@@ -259,63 +258,28 @@ def _field_types(cls: type) -> tuple[tuple[str, Any], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-@functools.cache
-def _codec(tp: Any) -> Callable[[Any], Any] | None:
-    """Renderer from a value of declared type tp to its JSON form, or None
-    for a scalar, which renders as itself without a call.
-
-    tp is a scalar, a dataclass, ``X | None`` or ``tuple[X, ...]`` of a
-    dataclass, or a list of scalars, which renders as itself too. AccessId
-    and Rating are the dataclasses with their own wire form.
-    """
-    args = get_args(tp)
-    if type(None) in args:
-        render = _codec(next(arg for arg in args if arg is not type(None)))
-        return lambda value: None if value is None else render(value)
-    if get_origin(tp) is list and _codec(args[0]) is None:
-        return None
-    if get_origin(tp) is tuple:
-        render = _codec(args[0])
-        return lambda values: list(map(render, values))
-    if tp is AccessId:
-        return attrgetter("_wire")
-    if tp is Rating:
-        return lambda rating: {**rating.access._wire, "rating": rating.path_score}
-    if dataclasses.is_dataclass(tp):
-        plan = _field_codecs(tp)
-        if len(plan) > 1 and all(render is None for _name, render in plan):
-            # Every field renders as itself: one C getter fetches them all.
-            names = [name for name, _render in plan]
-            get = attrgetter(*names)
-            return lambda value: dict(zip(names, get(value)))
-        return lambda value: {
-            name: getattr(value, name) if render is None else render(getattr(value, name))
-            for name, render in plan
-        }
-    return None
-
-
-def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
-    return tuple((name, _codec(tp)) for name, tp in _field_types(cls))
-
-
-@functools.cache
-def _params_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
-    """The (name, render) of each field of a payload class but `result`."""
-    return tuple(codec for codec in _field_codecs(cls) if codec[0] != "result")
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
+def _plain(value: Any) -> Any:
+    """The JSON form of a field value: an AccessId as its wire dict, a Rating
+    as its access's wire fields and its score, a tuple as the list of its
+    items' forms, any other dataclass as the dict of its fields' forms, and
+    anything else (a scalar, None, a list of keys) as itself."""
+    kind = type(value)
+    if kind is AccessId:
+        return value._wire
+    if kind is Rating:
+        return {**value.access._wire, "rating": value.path_score}
+    if kind is tuple:
+        return [_plain(item) for item in value]
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is None:
+        return value
+    return {name: _plain(getattr(value, name)) for name in fields}
 
 
 def _rating_text(rating: Rating) -> str:
-    # The access's wire fields, then `rating`, which sorts after them.
-    return f'{rating.access._text[:-1]},"rating":{_float_text(rating.path_score)}}}'
+    # The access's wire fields, then `rating`, which sorts after them. The
+    # score lies in [0, 1], so its repr is what json.dumps writes.
+    return f'{rating.access._text[:-1]},"rating":{float.__repr__(rating.path_score)}}}'
 
 
 # The text of a scalar of each type, as json.dumps writes it. Each raises for
@@ -326,14 +290,14 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     int: int.__repr__,
     str: _encode_str,
     bool: {False: "false", True: "true"}.__getitem__,
-    float: _float_text,
 }
 
 
 @functools.cache
 def _text_codec(tp: Any) -> Callable[[Any], str]:
-    """Renderer from a value of declared type tp to the canonical JSON text
-    of what ``_codec(tp)`` renders it to; tp is not optional (see _text_expr)."""
+    """Renderer from a value of declared type tp to its canonical JSON text,
+    the text of what ``_plain`` gives for it; tp is not optional (see
+    _text_expr)."""
     args = get_args(tp)
     if get_origin(tp) in (tuple, list):
         render = _text_codec(args[0])
@@ -413,11 +377,8 @@ class Payload:
         """
         rendered = self._params
         if rendered is None:
-            rendered = {}
-            for name, render in _params_codecs(type(self)):
-                value = getattr(self, name)
-                rendered[name] = value if render is None else render(value)
-            if "result" in self.__dataclass_fields__:
+            rendered = _plain(self)
+            if "result" in rendered:
                 result = self.result
                 rendered["result"] = "success" if result.ok else "failure"
                 if not result.ok:

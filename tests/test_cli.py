@@ -594,9 +594,9 @@ diagram_records = st.builds(
 )
 
 
-@given(records=st.lists(diagram_records, max_size=12), width=st.integers(1, 14))
-def test_render_diagram_equals_row_by_row_drawing(records, width):
-    assert cli.render_diagram(records, width) == _row_by_row_diagram(records, width)
+@given(records=st.lists(diagram_records, max_size=12))
+def test_render_diagram_equals_row_by_row_drawing(records):
+    assert cli.render_diagram(records) == _row_by_row_diagram(records)
 
 
 names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()

@@ -1,18 +1,29 @@
 """Full scenario runs and the metrics report."""
 
+import dataclasses
 import gc
 import json
 import weakref
 
 import pytest
 
-from mobsig.core import AccessId, BindingUpdate, HOComplete, HOExecutionRequest, Locator, Result
+from mobsig.conformance import load_trace
+from mobsig.core import (
+    ENDS,
+    AccessId,
+    AccessSetsSnapshot,
+    BindingUpdate,
+    HOComplete,
+    HOExecutionRequest,
+    Locator,
+    Result,
+)
 from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
-from mobsig.simkernel import SimEvent
+from mobsig.simkernel import SimEvent, TraceRecorder
 from mobsig.simulation import Simulation, build_metrics
 
-from support import trace_line
+from support import load_generator, trace_line
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -73,12 +84,31 @@ class TestBundledRuns:
             assert access._wire == {
                 "cell_id": access.cell_id, "network_id": access.network_id, "rat": access.rat
             }
-        requests = [r for r in bundled_results["multi"].records if r.name == "ConstraintRequest"]
-        assert requests
-        for record in requests:
-            for candidate in record.params["candidates"]:
-                key = f"{candidate['network_id']}/{candidate['cell_id']}"
-                assert candidate is accesses[key]._wire
+        result = bundled_results["multi"]
+        named = set()
+        snapshot_lists: dict[int, set[int]] = {}
+        for event, record in zip(result.events, result.records):
+            payload = event[4]
+            if type(payload) is AccessSetsSnapshot:
+                # A snapshot's key lists are its radio view's, shared by every
+                # snapshot of that view.
+                assert record.params["das"] is payload.das
+                assert record.params["scanned"] is payload.scanned
+                snapshot_lists.setdefault(id(payload.das), set()).add(id(payload))
+            for field in dataclasses.fields(payload):
+                value, param = getattr(payload, field.name), record.params[field.name]
+                if type(value) is Locator:
+                    value, param = value.access, param["access"]
+                for access, wire in zip(value, param) if type(value) is tuple else [(value, param)]:
+                    if type(access) is AccessId:
+                        named.add(f"{record.name}.{field.name}")
+                        assert wire is accesses[access.key]._wire
+        assert named >= {
+            "ConstraintRequest.candidates", "HOExecutionRequest.current",
+            "HOExecutionRequest.target", "LinkAttachRequest.target", "LinkDetachRequest.current",
+            "PathSelect.target", "PathSelected.new_locator", "BindingUpdate.locator",
+        }
+        assert max(map(len, snapshot_lists.values())) > 1
 
     def test_totals_are_consistent_with_entries(self, bundled_results):
         for result in bundled_results.values():
@@ -90,6 +120,41 @@ class TestBundledRuns:
             gaps = [e["interruption_us"] for e in entries if e["interruption_us"] is not None]
             assert totals["total_interruption_us"] == sum(gaps)
             assert totals["max_interruption_us"] == (max(gaps) if gaps else 0)
+
+
+SLOW_SIGNALLING = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
+
+
+def _slow_signalling_run(workload):
+    """The seed-1 scenario of a bench workload, run with 4 s signalling, so
+    that most of its handovers fail."""
+    [(_name, document)] = load_generator().generate(workload, 1)
+    document["latencies"].update(SLOW_SIGNALLING)
+    return Simulation(parse_scenario(document)).run()
+
+
+def _contents(record):
+    return record.at, record.sender, record.receiver, record.name, record.params
+
+
+def test_records_in_memory_equal_the_written_trace_read_back(bundled_results, tmp_path):
+    # The records' params come from a walk of the payloads' values, and the
+    # trace's text from renderers compiled from their declared types.
+    results = [*bundled_results.values(),
+               *map(_slow_signalling_run, ("long-walk", "multiflow-dense"))]
+    path = tmp_path / "trace.jsonl"
+    names, failures = set(), 0
+    for result in results:
+        recorder = TraceRecorder()
+        recorder.events = result.events
+        recorder.write(path)
+        read = load_trace(path)
+        assert list(map(_contents, result.records)) == list(map(_contents, read))
+        names.update(record.name for record in read)
+        failures += sum(record.params.get("result") == "failure" and bool(record.params["reason"])
+                        for record in read)
+    assert names == set(ENDS)
+    assert failures
 
 
 class TestRunControls:

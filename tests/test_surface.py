@@ -84,13 +84,7 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
     ("simkernel.py", "Kernel.run_until_quiescent", "except Exception as exc:"):
         "a failing handler ends the run: exit 3",
     ("cli.py", "_cmd_run", "except SimulationError as exc:"): "exit 3 and the partial trace",
-    ("core.py", "", "def _codec(tp: Any) -> Callable[[Any], Any] | None:"): _RECORDS,
-    ("core.py", "",
-     "def _field_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:"):
-        _RECORDS,
-    ("core.py", "",
-     "def _params_codecs(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:"):
-        _RECORDS,
+    ("core.py", "", "def _plain(value: Any) -> Any:"): _RECORDS,
     ("core.py", "Payload", "def params(self) -> dict[str, Any]:"): _RECORDS,
     ("simkernel.py", "", "def trace_records(events: list[SimEvent]) -> list[TraceRecord]:"):
         _RECORDS,
