@@ -38,7 +38,7 @@ from typing import Any
 
 from .core import PRIMITIVE_TYPES
 from .holm import STEP_MESSAGES, STEPS
-from .simkernel import TraceRecord
+from .simkernel import TraceRecord, without_cyclic_gc
 
 # The post-handover notification exchange that follows every HOComplete but an
 # establishment's.
@@ -192,7 +192,8 @@ def parse_trace(lines) -> list[TraceRecord]:
     whitespace after them read to equal, distinct dicts. Equal keys of the
     params dicts, at any depth, are one string per call; values are not
     shared. Any other line goes to ``TraceRecord.from_json``, which accepts,
-    rejects and words its errors as it always has.
+    rejects and words its errors as it always has. The records are built
+    with the cyclic collector held off (``simkernel.without_cyclic_gc``).
     """
     records = []
     heads_by_text: dict[str, tuple[str, str, str] | None] = {}
@@ -223,34 +224,41 @@ def parse_trace(lines) -> list[TraceRecord]:
 
     # Records come in time order, so a record mostly shares the last one's `t`.
     last_at_text = at = None
-    for lineno, line in enumerate(lines, start=1):
-        at_text, _, rest = line.partition(',"from":')
-        head_text, _, tail = rest.partition(',"params":')
-        # About one line in three misses a memo, too often to pay for a raised KeyError.
-        params = params_by_tail.get(tail, _UNREAD)
-        if params is _UNREAD:
-            params = params_by_tail[tail] = read_params(tail)
-        if params is not None:
-            head = heads_by_text.get(head_text, _UNREAD)
-            if head is _UNREAD:
-                head = heads_by_text[head_text] = (
-                    tuple(head_text.split('"')[1::4]) if _WRITER_HEAD.fullmatch(head_text) else None
-                )
-            if at_text != last_at_text:
-                last_at_text = at_text
-                at = int(at_text[5:]) if _WRITER_T.fullmatch(at_text) else None
-            if head is not None and at is not None:
-                records.append(TraceRecord(at, head[0], head[1], head[2], params, lineno))
+    with without_cyclic_gc():
+        for lineno, line in enumerate(lines, start=1):
+            at_text, _, rest = line.partition(',"from":')
+            head_text, _, tail = rest.partition(',"params":')
+            # About one line in three misses a memo, too often to pay for a raised KeyError.
+            params = params_by_tail.get(tail, _UNREAD)
+            if params is _UNREAD:
+                params = params_by_tail[tail] = read_params(tail)
+            if params is not None:
+                head = heads_by_text.get(head_text, _UNREAD)
+                if head is _UNREAD:
+                    head = heads_by_text[head_text] = (
+                        tuple(head_text.split('"')[1::4])
+                        if _WRITER_HEAD.fullmatch(head_text) else None
+                    )
+                if at_text != last_at_text:
+                    last_at_text = at_text
+                    at = int(at_text[5:]) if _WRITER_T.fullmatch(at_text) else None
+                if head is not None and at is not None:
+                    records.append(TraceRecord(at, head[0], head[1], head[2], params, lineno))
+                    continue
+            if not line.strip():
                 continue
-        if not line.strip():
-            continue
-        records.append(TraceRecord.from_json(line, lineno))
+            records.append(TraceRecord.from_json(line, lineno))
     return records
 
 
 def load_trace(path: str) -> list[TraceRecord]:
-    # Lines end at "\n" alone: a raw "\r" is JSON whitespace inside a record,
-    # and one before the "\n" is trailing whitespace of its line.
+    """Read the trace file at ``path`` into records, with ``parse_trace``.
+
+    Lines end at "\\n" alone: a raw "\\r" is JSON whitespace inside a record,
+    and one before the "\\n" is trailing whitespace of its line. A malformed
+    line raises ValueError naming its line number, as does the first line
+    that is not valid UTF-8, unless a malformed line comes before it.
+    """
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         try:
             return parse_trace(handle)

@@ -14,9 +14,12 @@ same as with one heap.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, NamedTuple
@@ -30,6 +33,28 @@ _TRACE_KEYS = frozenset(TRACE_FIELDS)
 
 # Records that TraceRecorder.write renders and writes at a time.
 _WRITE_CHUNK_RECORDS = 4096
+
+
+@contextmanager
+def without_cyclic_gc() -> Iterator[None]:
+    """Hold CPython's cyclic garbage collector off for the block, then restore it.
+
+    The code that makes trace-sized data runs under it: a run's loop, the
+    trace reader and ``trace_records``. Each makes tens of thousands of containers
+    that hold no reference cycle, so reference counting frees them, and every
+    collection their allocations would trigger walks them all and finds
+    nothing. A collector that was off before the block stays off after it,
+    and one that was on is on again, also when the block raises. Its
+    allocation count is not reset, so the first container allocated after
+    the block starts one young-generation pass over what the block kept.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ConfigurationError(RuntimeError):
@@ -107,12 +132,13 @@ def trace_records(events: list[SimEvent]) -> list[TraceRecord]:
     records share them.
     """
     records = []
-    for at, _seq, sender, receiver, payload in events:
-        # A payload's params memo; params() is called only to render them.
-        params = payload._params
-        if params is None:
-            params = payload.params()
-        records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
+    with without_cyclic_gc():
+        for at, _seq, sender, receiver, payload in events:
+            # A payload's params memo; params() is called only to render them.
+            params = payload._params
+            if params is None:
+                params = payload.params()
+            records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
     return records
 
 
@@ -263,24 +289,25 @@ class Kernel:
         now = self.now
         queue, ready, handlers = self._queue, self._ready, self._handlers
         record = self.recorder.on_delivery
-        while True:
-            if ready and not (queue and queue[0].at == now):
-                event = ready.popleft()
-            elif queue:
-                event = heapq.heappop(queue)
-                self.now = now = event.at
-            else:
-                return last
-            last = now
-            payload = event.payload
-            try:
-                if type(payload) is _Call:
-                    payload.fn()
+        with without_cyclic_gc():
+            while True:
+                if ready and not (queue and queue[0].at == now):
+                    event = ready.popleft()
+                elif queue:
+                    event = heapq.heappop(queue)
+                    self.now = now = event.at
                 else:
-                    record(event)
-                    handlers[event.receiver](event)
-            except Exception as exc:
-                raise SimulationError(
-                    f"handler failed at t={event.at} for "
-                    f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
-                ) from exc
+                    return last
+                last = now
+                payload = event.payload
+                try:
+                    if type(payload) is _Call:
+                        payload.fn()
+                    else:
+                        record(event)
+                        handlers[event.receiver](event)
+                except Exception as exc:
+                    raise SimulationError(
+                        f"handler failed at t={event.at} for "
+                        f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
+                    ) from exc

@@ -7,9 +7,11 @@ import weakref
 
 import pytest
 
-from mobsig.conformance import load_trace
+from mobsig.cli import render_diagram
+from mobsig.conformance import check_trace, load_trace
 from mobsig.core import (
     ENDS,
+    FE_HOLM,
     AccessId,
     AccessSetsSnapshot,
     BindingUpdate,
@@ -20,7 +22,7 @@ from mobsig.core import (
 )
 from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
-from mobsig.simkernel import SimEvent, TraceRecorder
+from mobsig.simkernel import Kernel, SimEvent, SimulationError, TraceRecorder
 from mobsig.simulation import Simulation, build_metrics
 
 from support import load_generator, trace_line
@@ -125,12 +127,13 @@ class TestBundledRuns:
 SLOW_SIGNALLING = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
 
 
-def _slow_signalling_run(workload):
-    """The seed-1 scenario of a bench workload, run with 4 s signalling, so
-    that most of its handovers fail."""
+def _generated_config(workload, slow=False):
+    """The seed-1 scenario of a bench workload; a slow one has 4 s
+    signalling, so that most of its handovers fail."""
     [(_name, document)] = load_generator().generate(workload, 1)
-    document["latencies"].update(SLOW_SIGNALLING)
-    return Simulation(parse_scenario(document)).run()
+    if slow:
+        document["latencies"].update(SLOW_SIGNALLING)
+    return parse_scenario(document)
 
 
 def _contents(record):
@@ -141,7 +144,8 @@ def test_records_in_memory_equal_the_written_trace_read_back(bundled_results, tm
     # The records' params come from a walk of the payloads' values, and the
     # trace's text from renderers compiled from their declared types.
     results = [*bundled_results.values(),
-               *map(_slow_signalling_run, ("long-walk", "multiflow-dense"))]
+               *(Simulation(_generated_config(workload, slow=True)).run()
+                 for workload in ("long-walk", "multiflow-dense"))]
     path = tmp_path / "trace.jsonl"
     names, failures = set(), 0
     for result in results:
@@ -168,6 +172,7 @@ class TestRunControls:
         try:
             sim = Simulation(bundled_configs["multi"])
             result = sim.run()
+            assert not gc.isenabled()  # the run's own hold left the caller's setting
             recorder = weakref.ref(sim.recorder)
             del sim
             assert recorder() is None
@@ -241,6 +246,79 @@ class TestRunControls:
         ticks = [flows for flows in flows_at.values() if len(flows) > 1]
         assert len(ticks) > 10
         assert all(flows == [2, 5] for flows in ticks)
+
+
+class TestCyclicCollector:
+    """The code that makes trace-sized data runs with the cyclic collector
+    held off (``simkernel.without_cyclic_gc``), which is safe only while
+    mobsig makes no reference cycle: reference counting must free all it
+    drops."""
+
+    @pytest.mark.parametrize(
+        "name", ["mbb", "bbm", "fmip", "multi", "multiflow-dense", "long-walk-slow"])
+    def test_no_call_leaves_a_reference_cycle(self, name, bundled_configs, tmp_path):
+        config = bundled_configs.get(name) or _generated_config(
+            name.removesuffix("-slow"), slow=name.endswith("-slow"))
+        path = tmp_path / "trace.jsonl"
+        garbage = {}
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulation(config)
+            recorder = sim.recorder
+            result = sim.run()
+            del sim
+            garbage["Simulation.run"] = gc.collect()
+            recorder.write(path)
+            garbage["TraceRecorder.write"] = gc.collect()
+            records = result.records
+            garbage["SimulationResult.records"] = gc.collect()
+            read = load_trace(path)
+            garbage["load_trace"] = gc.collect()
+            check_trace(read, "auto")
+            garbage["check_trace"] = gc.collect()
+            render_diagram(read)
+            garbage["render_diagram"] = gc.collect()
+        finally:
+            gc.enable()
+        assert len(records) == len(read)
+        assert garbage == dict.fromkeys(garbage, 0)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_call_leaves_the_collector_as_it_found_it(
+            self, enabled, bundled_configs, tmp_path):
+        """Returned or raised: an enabled collector is enabled again, and a
+        caller's own gc.disable() stands."""
+        valid = tmp_path / "valid.jsonl"
+        malformed = tmp_path / "malformed.jsonl"
+        undecodable = tmp_path / "undecodable.jsonl"
+        malformed.write_bytes(b'{"t":0}\n')
+        # A good line, then one that is not UTF-8: load_trace reads the file again.
+        undecodable.write_bytes(b'{"t":0,"from":"MRRM","to":"HOLM","msg":"M","params":{}}\n'
+                                b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
+        kernel = Kernel(recorder=TraceRecorder())
+        kernel.register(FE_HOLM, lambda event: 1 / 0)
+        kernel.schedule(0, HOExecutionRequest(1, None, A, False))
+        if not enabled:
+            gc.disable()
+        try:
+            sim = Simulation(bundled_configs["mbb"])
+            result = sim.run()
+            assert gc.isenabled() is enabled
+            sim.recorder.write(valid)
+            assert result.records and gc.isenabled() is enabled
+            assert load_trace(valid) and gc.isenabled() is enabled
+            with pytest.raises(SimulationError):
+                kernel.run_until_quiescent()
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="line 1: trace records need exactly"):
+                load_trace(malformed)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="line 2: not valid UTF-8"):
+                load_trace(undecodable)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 def _event(at, payload):
