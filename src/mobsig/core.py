@@ -10,9 +10,9 @@ as a dict by a plain walk of the field values.
 ``ENDS`` is the functional architecture as data: the (sender, receiver) of
 each primitive and of the three annotation records, declared once. Every trace
 record's content is a payload: a primitive, or one of the three annotation
-types. The kernel reads a delivery's ends from its payload's type, and the
-trace recorder an annotation's the same way, so no entity addresses what it
-sends and none can send a message to the wrong entity.
+types. The kernel delivers a payload to the receiver its type declares, and
+the trace writer reads both ends from the type, so no entity addresses what
+it sends and none can send a message to the wrong entity.
 
 A primitive is a message, so it compares and hashes by identity, like any
 object: two sends of equal fields are two messages. The program never asks
@@ -608,7 +608,7 @@ class TunnelStop(Primitive):
 
 # -- Annotations ---------------------------------------------------------------
 # Records of one entity's state, not messages: nothing delivers them, and the
-# trace recorder records each one as it records a delivery. Their fields are
+# kernel records each one at its clock (Kernel.annotate). Their fields are
 # declared in their wire order.
 
 

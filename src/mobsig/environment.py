@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .core import FE_ENVIRONMENT, AccessId, LinkDown, LinkUp, Locator, QosSpec, Result
-from .simkernel import Kernel, SimTime, TraceRecorder
+from .simkernel import Kernel, SimTime
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -82,14 +82,12 @@ class Environment:
     def __init__(
         self,
         kernel: Kernel,
-        recorder: TraceRecorder,
         cells: tuple[Cell, ...],
         trajectory: Trajectory,
         rng: random.Random,
         jitter_us: int,
     ) -> None:
         self._kernel = kernel
-        self._recorder = recorder
         self._cells = {cell.access: cell for cell in cells}
         # Each cell with its rank in cell_id order, sorted by centre x.
         by_id = sorted(cells, key=lambda c: c.access.cell_id)
@@ -105,7 +103,7 @@ class Environment:
 
     # -- wiring ---------------------------------------------------------------
 
-    def handle(self, event) -> None:
+    def handle(self, payload) -> None:
         """Network-side sink; daemon traffic addressed to Env needs no reaction."""
 
     def latency(self, base_us: int) -> int:
@@ -181,7 +179,7 @@ class Environment:
             for state in self._locators.values():
                 if state.access == target:
                     state.proactive_pending = False
-            self._recorder.annotate(self._kernel.now, LinkUp(target.key, flow, granted))
+            self._kernel.annotate(LinkUp(target.key, flow, granted))
             done(Result.success(), granted)
 
         self._later(self.latency(cell.link_setup_us), complete)
@@ -204,7 +202,7 @@ class Environment:
                     if state.access == current and not state.proactive_pending
                 ]:
                     del self._locators[address]
-            self._recorder.annotate(self._kernel.now, LinkDown(current.key, flow))
+            self._kernel.annotate(LinkDown(current.key, flow))
             done(Result.success())
 
         self._later(self.latency(cell.link_teardown_us), complete)

@@ -20,7 +20,7 @@ from .core import (
     QosSpec,
     Result,
 )
-from .simkernel import Kernel, SimEvent
+from .simkernel import Kernel
 
 
 @dataclass(eq=False, repr=False)
@@ -50,8 +50,7 @@ class FlowManagement:
         self._pending_setups.append(flow)
         self._kernel.schedule(0, AccessFlowSetup(flow, record.requested))
 
-    def handle(self, event: SimEvent) -> None:
-        payload = event.payload
+    def handle(self, payload) -> None:
         match payload:
             case AccessFlowSetupResponse():
                 self._on_setup_response(payload)

@@ -53,7 +53,7 @@ from .core import (
 )
 from .environment import Cell, Environment
 from .protocols import DaemonHost
-from .simkernel import Kernel, SimEvent, SimTime
+from .simkernel import Kernel, SimTime
 
 
 @dataclass(eq=False, repr=False)
@@ -125,10 +125,9 @@ class Holm:
         self._active: HandoverContext | None = None
         self._awaiting: type | None = None
 
-    def handle(self, event: SimEvent) -> None:
-        payload = event.payload
+    def handle(self, payload) -> None:
         if isinstance(payload, HOExecutionRequest):
-            self._start(payload, event.at)
+            self._start(payload)
             return
         # Every response answers the one request of the step under way.
         assert type(payload) is self._awaiting, "a response HOLM never asked for"
@@ -136,7 +135,7 @@ class Holm:
         assert self._active is not None
         self._step_done(self._active, payload.result, payload)
 
-    def _start(self, request: HOExecutionRequest, at: SimTime) -> None:
+    def _start(self, request: HOExecutionRequest) -> None:
         assert self._active is None, "a handover request while another runs"
         if request.current is None:
             variant = "establishment"
@@ -147,7 +146,7 @@ class Holm:
             current=request.current,
             target=request.target,
             variant=variant,
-            t_start=at,
+            t_start=self._kernel.now,
         )
         self._active = ctx
         self._begin(ctx)

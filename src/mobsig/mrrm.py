@@ -60,7 +60,7 @@ from .core import (
     access_sort_key,
 )
 from .environment import Environment
-from .simkernel import Kernel, SimEvent, TraceRecorder
+from .simkernel import Kernel
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -216,13 +216,11 @@ class Mrrm:
     def __init__(
         self,
         kernel: Kernel,
-        recorder: TraceRecorder,
         env: Environment,
         policy: MrrmPolicy,
         flow_table,
     ) -> None:
         self._kernel = kernel
-        self._recorder = recorder
         self._env = env
         self.policy = policy
         self._table = flow_table
@@ -235,8 +233,7 @@ class Mrrm:
 
     # -- event handling -----------------------------------------------------------
 
-    def handle(self, event: SimEvent) -> None:
-        payload = event.payload
+    def handle(self, payload) -> None:
         match payload:
             case AccessFlowSetup():
                 self._on_flow_setup(payload)
@@ -317,7 +314,7 @@ class Mrrm:
             snapshot = snapshots[flow] = AccessSetsSnapshot(
                 aas_keys, rated.cas_keys, view.das_keys, flow, view.scanned_keys
             )
-        self._recorder.annotate(self._kernel.now, snapshot)
+        self._kernel.annotate(snapshot)
         record = self._table.get(flow)
         if establishing:
             self._finish_establishment_cycle(record, sets)

@@ -31,7 +31,7 @@ from .core import (
 )
 from .environment import Environment
 from .flowmgmt import FlowRecord
-from .simkernel import Kernel, SimEvent
+from .simkernel import Kernel
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -75,8 +75,7 @@ class PathSelection:
         self._candidates: tuple[AccessId, ...] | None = None
         self._answers: dict[tuple[int, int], ConstraintResponse] = {}
 
-    def handle(self, event: SimEvent) -> None:
-        payload = event.payload
+    def handle(self, payload) -> None:
         if isinstance(payload, ConstraintRequest):
             self._kernel.schedule(0, self.rate_accesses(payload))
         elif isinstance(payload, PathSelect):

@@ -30,7 +30,7 @@ from .core import (
     TunnelStop,
 )
 from .environment import Environment
-from .simkernel import Kernel, SimEvent
+from .simkernel import Kernel
 
 
 class HandoverState(Protocol):
@@ -95,9 +95,8 @@ class DaemonHost:
         self._kernel.schedule(0, TunnelStop(ctx.flow))
         return Result.success()
 
-    def handle(self, event: SimEvent) -> None:
+    def handle(self, payload) -> None:
         """Network replies; each is the one the daemon scheduled and awaits."""
-        payload = event.payload
         reply, ctx, done = self._waiting
         assert type(payload) is reply and payload.flow == ctx.flow, "a reply never awaited"
         self._waiting = None

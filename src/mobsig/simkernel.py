@@ -1,8 +1,10 @@
 """Deterministic discrete-event kernel: clock, queue, handler registry, trace recording.
 
-Time is an integer microsecond count. Events are processed in (at, seq) order
-where seq is a global insertion counter, so same-instant deliveries happen in
-scheduling order and a run is fully reproducible.
+A delivery is its payload: an event is an ``(at, seq, payload)`` tuple, the
+payload's type holds its ends (``core.ENDS``), and a handler takes the
+payload. Time is an integer microsecond count. Events are processed in (at,
+seq) order where seq is a global insertion counter, so same-instant
+deliveries happen in scheduling order and a run is fully reproducible.
 
 Most deliveries are same-instant hops between the entities of one node, so a
 zero-delay event skips the heap: it goes on a FIFO of events at the current
@@ -22,7 +24,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .core import Payload, text_renderer
 
@@ -65,20 +67,9 @@ class SimulationError(RuntimeError):
     """Raised when an event handler fails; names the offending delivery."""
 
 
-class SimEvent(NamedTuple):
-    """One scheduled delivery; the queue orders deliveries as tuples by (at, seq).
-
-    seq is unique, so two events never compare their later fields.
-    """
-
-    at: SimTime
-    seq: int
-    sender: str
-    receiver: str
-    payload: Any
-
-
-_new_event = tuple.__new__  # SimEvent's own __new__ is a Python-level call
+# One scheduled delivery or recorded annotation: (at, seq, payload). The queue
+# orders events as tuples; seq is unique, so two never compare their payloads.
+SimEvent = tuple[SimTime, int, Any]
 
 
 @dataclass(slots=True)
@@ -133,12 +124,13 @@ def trace_records(events: list[SimEvent]) -> list[TraceRecord]:
     """
     records = []
     with without_cyclic_gc():
-        for at, _seq, sender, receiver, payload in events:
+        for at, _seq, payload in events:
             # A payload's params memo; params() is called only to render them.
             params = payload._params
             if params is None:
                 params = payload.params()
-            records.append(TraceRecord(at, sender, receiver, type(payload).__name__, params))
+            kind = type(payload)
+            records.append(TraceRecord(at, *kind._ends, kind.__name__, params))
     return records
 
 
@@ -147,13 +139,13 @@ class TraceRecorder:
     writes them as JSON lines.
 
     A delivery is recorded as the event the kernel loop holds, and an
-    annotation as an event of the same shape, so nothing is rendered while
-    the simulation runs. Entities send a recurring answer (one answer to the
-    flows of a scan tick, or one flow's unchanged request on later ticks) as
-    the same payload, and ``lines`` renders each distinct payload once, from
-    its type (see ``core.text_renderer``). ``write`` streams: it holds the
-    lines of one chunk of events at a time, and keeps the rendered texts
-    across its chunks.
+    annotation (``Kernel.annotate``) as one with seq 0, so nothing is
+    rendered while the simulation runs. Entities send a recurring answer (one
+    answer to the flows of a scan tick, or one flow's unchanged request on
+    later ticks) as the same payload, and ``lines`` renders each distinct
+    payload once, from its type (see ``core.text_renderer``). ``write``
+    streams: it holds the lines of one chunk of events at a time, and keeps
+    the rendered texts across its chunks.
     """
 
     def __init__(self) -> None:
@@ -161,13 +153,6 @@ class TraceRecorder:
 
     def on_delivery(self, event: SimEvent) -> None:
         self.events.append(event)
-
-    def annotate(self, at: SimTime, payload: Payload) -> None:
-        """Record an annotation (a set snapshot or a link state) at ``at``,
-        between the ends ``core.ENDS`` declares for its type. It is recorded,
-        not scheduled, so its seq is 0."""
-        sender, receiver = payload._ends
-        self.events.append(_new_event(SimEvent, (at, 0, sender, receiver, payload)))
 
     def lines(self, start: int, stop: int, rendered: _Rendered) -> list[str]:
         """One JSON line per event of ``events[start:stop]``; each distinct
@@ -178,14 +163,13 @@ class TraceRecorder:
         once across them. It keys each payload's text, from its head on, by
         the payload's id, which is valid only while the events keep every
         payload alive, so it must not outlive the calls it was made for. A
-        line's head (from, to and msg) is its payload type's, which is also
-        the event's: the kernel and ``annotate`` address by type.
+        line's head (from, to and msg) is its payload type's.
         """
         texts, kinds = rendered.texts, rendered.kinds
         lines = []
         append = lines.append
         last_at = None
-        for at, _seq, _sender, _receiver, payload in self.events[start:stop]:
+        for at, _seq, payload in self.events[start:stop]:
             text = texts.get(id(payload))
             if text is None:
                 kind = type(payload)
@@ -241,7 +225,7 @@ class Kernel:
     """Event queue plus the FE registry; owns the clock.
 
     ``now`` is the current instant, a plain attribute that the loop updates
-    and everyone else only reads.
+    and everyone else only reads; it is a delivery's time when its handler runs.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:
@@ -249,10 +233,10 @@ class Kernel:
         self._seq = 0
         self._queue: list[SimEvent] = []  # a heap of later deliveries
         self._ready: deque[SimEvent] = deque()  # zero-delay deliveries, at now
-        self._handlers: dict[str, Callable[[SimEvent], None]] = {}
+        self._handlers: dict[str, Callable[[Any], None]] = {}
         self.recorder = recorder
 
-    def register(self, fe_id: str, handler: Callable[[SimEvent], None]) -> None:
+    def register(self, fe_id: str, handler: Callable[[Any], None]) -> None:
         self._handlers[fe_id] = handler
 
     def drop_handlers(self) -> None:
@@ -265,16 +249,20 @@ class Kernel:
         events keep FIFO order."""
         if delay_us < 0:
             raise ConfigurationError(f"negative delay: {delay_us}")
-        sender, receiver = payload._ends
+        receiver = payload._ends[1]
         if receiver not in self._handlers:
             raise ConfigurationError(f"unknown receiver FE: {receiver!r}")
         self._seq = seq = self._seq + 1
         if delay_us:
-            event = _new_event(SimEvent, (self.now + delay_us, seq, sender, receiver, payload))
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (self.now + delay_us, seq, payload))
         else:
             # The clock's own int, not now + 0: one instant's records share it.
-            self._ready.append(_new_event(SimEvent, (self.now, seq, sender, receiver, payload)))
+            self._ready.append((self.now, seq, payload))
+
+    def annotate(self, payload: Payload) -> None:
+        """Record an annotation (a set snapshot or a link state) now. It is
+        recorded, not scheduled, so its seq is 0."""
+        self.recorder.events.append((self.now, 0, payload))
 
     def call_later(self, delay_us: int, fn: Callable[[], None], owner: str) -> None:
         """Schedule an internal (untraced) call attributed to an FE."""
@@ -291,23 +279,23 @@ class Kernel:
         record = self.recorder.on_delivery
         with without_cyclic_gc():
             while True:
-                if ready and not (queue and queue[0].at == now):
+                if ready and not (queue and queue[0][0] == now):
                     event = ready.popleft()
                 elif queue:
                     event = heapq.heappop(queue)
-                    self.now = now = event.at
+                    self.now = now = event[0]
                 else:
                     return last
                 last = now
-                payload = event.payload
+                payload = event[2]
                 try:
                     if type(payload) is _Call:
                         payload.fn()
                     else:
                         record(event)
-                        handlers[event.receiver](event)
+                        handlers[payload._ends[1]](payload)
                 except Exception as exc:
                     raise SimulationError(
-                        f"handler failed at t={event.at} for "
-                        f"{event.sender}->{event.receiver} {type(event.payload).__name__}: {exc}"
+                        f"handler failed at t={now} for "
+                        f"{'->'.join(payload._ends)} {type(payload).__name__}: {exc}"
                     ) from exc

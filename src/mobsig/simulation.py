@@ -62,7 +62,6 @@ class Simulation:
         self.kernel = Kernel(recorder=self.recorder)
         self.environment = Environment(
             self.kernel,
-            self.recorder,
             config.cells,
             config.trajectory,
             rng=random.Random(config.seed),
@@ -84,9 +83,7 @@ class Simulation:
             self.kernel, self.environment, config.path_models, self.flow_table
         )
         self.flow_management = FlowManagement(self.kernel, self.flow_table)
-        self.mrrm = Mrrm(
-            self.kernel, self.recorder, self.environment, config.policy, self.flow_table
-        )
+        self.mrrm = Mrrm(self.kernel, self.environment, config.policy, self.flow_table)
 
         self.kernel.register(FE_MRRM, self.mrrm.handle)
         self.kernel.register(FE_HOLM, self.holm.handle)
@@ -134,7 +131,7 @@ def build_metrics(events: list[SimEvent], contexts: list[HandoverContext]) -> di
     """
     # The first count is of the sequence records before any request.
     counts = [0]
-    for kind in map(type, map(itemgetter(4), events)):
+    for kind in map(type, map(itemgetter(2), events)):
         if kind in _SEQUENCE_TYPES:
             if kind is HOExecutionRequest:
                 counts.append(0)

@@ -6,9 +6,10 @@ and the last selection, so the cycles of a tick that got one response select
 once; per winner, the AccessSets and each flow's snapshot params. This oracle
 keeps the derivation the entity had before that reuse: per cycle, build the
 DAS from the cycle's own scan, then ``select_cas_aas``, then
-``decide_handover``, with nothing kept from one cycle to the next. A
-simulation whose MRRM is a ``ReferenceMrrm`` must write the same snapshots and
-execution requests.
+``decide_handover``, with nothing kept from one cycle to the next. It records
+its snapshots as MRRM does, through ``Kernel.annotate``. A simulation whose
+MRRM is a ``ReferenceMrrm`` must write the same snapshots and execution
+requests.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class ReferenceMrrm(Mrrm):
         flow, establishing, _view, radio = self._cycles.popleft()
         das_sets = build_das(self.policy, list(radio.items()))
         sets, combined = select_cas_aas(self.policy, das_sets, radio, response.ratings)
-        self._recorder.annotate(self._kernel.now, AccessSetsSnapshot(
+        self._kernel.annotate(AccessSetsSnapshot(
             aas=sorted(a.key for a in sets.aas),
             cas=sorted(a.key for a in sets.cas),
             das=sorted(a.key for a in sets.das),

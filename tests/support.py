@@ -179,6 +179,14 @@ def trace_line(record: TraceRecord) -> str:
     return f'{head[:-1]},"params":{params}}}'
 
 
+def annotate(recorder: TraceRecorder, at: int, payload) -> None:
+    """Record an annotation into ``recorder`` as ``Kernel.annotate`` does, at
+    time ``at``."""
+    kernel = Kernel(recorder)
+    kernel.now = at
+    kernel.annotate(payload)
+
+
 def trace_lines(recorder: TraceRecorder) -> list[str]:
     """The lines the trace writer writes for all of a recorder's events."""
     return recorder.lines(0, len(recorder.events), _Rendered())
@@ -218,7 +226,6 @@ class Node:
         self.kernel = Kernel(recorder=self.recorder)
         self.env = Environment(
             self.kernel,
-            self.recorder,
             cells,
             trajectory or still_trajectory(),
             rng=rng or random.Random(0),
@@ -230,9 +237,7 @@ class Node:
         self.holm = Holm(self.kernel, self.env, self.daemons, self.table)
         self.path_selection = PathSelection(self.kernel, self.env, path_models, self.table)
         self.flow_management = FlowManagement(self.kernel, self.table)
-        self.mrrm = Mrrm(
-            self.kernel, self.recorder, self.env, policy or make_policy(), self.table
-        )
+        self.mrrm = Mrrm(self.kernel, self.env, policy or make_policy(), self.table)
         self.kernel.register(FE_MRRM, self.mrrm.handle)
         self.kernel.register(FE_HOLM, self.holm.handle)
         self.kernel.register(FE_PATH_SELECTION, self.path_selection.handle)

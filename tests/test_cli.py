@@ -14,7 +14,7 @@ from mobsig.conformance import TEMPLATES, load_trace
 from mobsig.core import FUNCTIONAL_ENTITIES, LinkDown
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
-from support import json_values, load_generator
+from support import annotate, json_values, load_generator
 
 
 def run_cli(*argv):
@@ -253,7 +253,7 @@ class TestRun:
         class Doomed:
             def __init__(self, config):
                 self.recorder = TraceRecorder()
-                self.recorder.annotate(0, LinkDown("last/words", 7))
+                annotate(self.recorder, 0, LinkDown("last/words", 7))
 
             def run(self):
                 raise SimulationError("deliberate failure")

@@ -104,7 +104,6 @@ def build_env(cells, trajectory=None, rng=None, jitter_us=0):
     kernel = Kernel(recorder=recorder)
     env = Environment(
         kernel,
-        recorder,
         cells,
         trajectory or still_trajectory(),
         rng=rng or random.Random(0),

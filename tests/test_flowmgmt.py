@@ -22,7 +22,7 @@ def build_entity(*flows):
     entity = FlowManagement(kernel, table)
     mrrm_in = []
     kernel.register(FE_FLOW_MANAGEMENT, entity.handle)
-    kernel.register(FE_MRRM, lambda e: mrrm_in.append(e.payload))
+    kernel.register(FE_MRRM, mrrm_in.append)
     return kernel, table, entity, mrrm_in
 
 

@@ -88,7 +88,7 @@ def colocated_node(fmip_target=False, target_center=(0.0, 0.0), flows=(1,)):
     # The tests, not MRRM, send the requests, so MRRM never sees a completion.
     relay = node.mrrm.handle
     node.kernel.register(
-        FE_MRRM, lambda event: None if isinstance(event.payload, HOComplete) else relay(event)
+        FE_MRRM, lambda payload: None if isinstance(payload, HOComplete) else relay(payload)
     )
     return node, cells[0].access, cells[1].access
 

@@ -283,7 +283,7 @@ class TestMrrmEntity:
 
     def test_attach_relay_reports_coverage_failures(self):
         node = moving_node()
-        node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
+        node.kernel.register(FE_HOLM, lambda payload: None)  # it sent no request
         node.kernel.schedule(0, LinkAttachRequest(flow=1, target=B, requested_qos=REQUESTED))
         node.run()
         responses = [r for r in node.records() if r.name == "LinkAttachResponse"]
@@ -295,7 +295,7 @@ class TestMrrmEntity:
 
     def test_switch_relay_short_circuits_on_detach_failure(self):
         node = moving_node()
-        node.kernel.register(FE_HOLM, lambda event: None)  # it sent no request
+        node.kernel.register(FE_HOLM, lambda payload: None)  # it sent no request
         node.kernel.schedule(
             0,
             LinkSwitchRequest(flow=1, current=A, target=B, requested_qos=REQUESTED),
@@ -482,10 +482,10 @@ class TestViewReuse:
         requests = []
         rate = node.path_selection.handle
 
-        def captured(event):
-            if isinstance(event.payload, ConstraintRequest):
-                requests.append(event.payload)
-            rate(event)
+        def captured(payload):
+            if isinstance(payload, ConstraintRequest):
+                requests.append(payload)
+            rate(payload)
 
         node.kernel.register(FE_PATH_SELECTION, captured)
         node.flow_management.start_flow(1)
@@ -599,8 +599,7 @@ def policies_and_scan_pairs(draw):
 @given(case=policies_and_scan_pairs())
 def test_a_view_is_kept_exactly_when_build_das_gives_equal_sets(case):
     policy, first, second = case
-    recorder = TraceRecorder()
-    entity = mrrm.Mrrm(Kernel(recorder), recorder, _Scans(first, second), policy, {})
+    entity = mrrm.Mrrm(Kernel(TraceRecorder()), _Scans(first, second), policy, {})
     view, radio = entity._radio_view()
     again, radio_again = entity._radio_view()
     assert (again is view) == (build_das(policy, second) == build_das(policy, first))

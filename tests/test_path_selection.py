@@ -32,7 +32,6 @@ def build_entity(cells, models=None, flows=None):
     kernel = Kernel(recorder=recorder)
     env = Environment(
         kernel,
-        recorder,
         cells,
         Trajectory(waypoints=((0, (0.0, 0.0)),)),
         rng=random.Random(0),
@@ -46,8 +45,8 @@ def build_entity(cells, models=None, flows=None):
     entity = PathSelection(kernel, env, models, table)
     holm_in, mrrm_in = [], []
     kernel.register(FE_PATH_SELECTION, entity.handle)
-    kernel.register(FE_HOLM, lambda e: holm_in.append(e.payload))
-    kernel.register(FE_MRRM, lambda e: mrrm_in.append(e.payload))
+    kernel.register(FE_HOLM, holm_in.append)
+    kernel.register(FE_MRRM, mrrm_in.append)
     kernel.register(FE_ENVIRONMENT, env.handle)
     return kernel, recorder, env, entity, holm_in, mrrm_in
 

@@ -38,9 +38,7 @@ def build_host():
         make_cell(),  # cell-a, no FMIP
         make_cell(cell_id="cell-b", network_id="net-2", rat="cellular", supports_fmip=True),
     )
-    env = Environment(
-        kernel, recorder, cells, still_trajectory(), rng=random.Random(0), jitter_us=0
-    )
+    env = Environment(kernel, cells, still_trajectory(), rng=random.Random(0), jitter_us=0)
     daemons = DaemonHost(kernel, env, binding_rtt_us=40_000, fmip_oneway_us=5_000)
     kernel.register(FE_ENVIRONMENT, env.handle)
     kernel.register(FE_DAEMON, daemons.handle)

@@ -33,7 +33,6 @@ from mobsig.simkernel import (
     TRACE_FIELDS,
     ConfigurationError,
     Kernel,
-    SimEvent,
     SimulationError,
     TraceRecord,
     TraceRecorder,
@@ -42,7 +41,7 @@ from mobsig.simkernel import (
 )
 
 from kernel_oracle import HeapKernel
-from support import any_payload, trace_line, trace_lines
+from support import annotate, any_payload, trace_line, trace_lines
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -59,8 +58,8 @@ def make_kernel(*fe_ids, recorder=None):
     kernel = Kernel(recorder=recorder or TraceRecorder())
     log = []
     for fe_id in fe_ids:
-        def handler(event, _fe=fe_id):
-            log.append((_fe, event.at, event.payload))
+        def handler(payload, _fe=fe_id):
+            log.append((_fe, kernel.now, payload))
         kernel.register(_fe := fe_id, handler)
     return kernel, log
 
@@ -96,16 +95,16 @@ class TestScheduling:
         recorder = TraceRecorder()
         kernel = Kernel(recorder=recorder)
 
-        def handler(event):
-            if event.payload.flow == 0:
+        def handler(payload):
+            if payload.flow == 0:
                 kernel.schedule(0, TunnelStop(flow=1))
                 kernel.schedule(0, TunnelStop(flow=2))
 
         kernel.register(FE_ENVIRONMENT, handler)
         kernel.schedule(1_000_000, TunnelStop(flow=0))
         kernel.run_until_quiescent()
-        first, second, third = recorder.events
-        assert second.at == 1_000_000 and second.at is third.at is first.at is kernel.now
+        (first, _, _), (second, _, _), (third, _, _) = recorder.events
+        assert second == 1_000_000 and second is third is first is kernel.now
 
 
 class TestRunUntilQuiescent:
@@ -122,7 +121,7 @@ class TestRunUntilQuiescent:
     def test_handler_failure_wraps_event(self):
         kernel = Kernel(recorder=TraceRecorder())
 
-        def explode(event):
+        def explode(payload):
             raise RuntimeError("boom")
 
         kernel.register(FE_ENVIRONMENT, explode)
@@ -155,9 +154,10 @@ KERNEL_PAYLOADS = {
 
 
 def run_program(kernel_cls, rounds, plans):
-    """What a kernel delivers for a program, in order: (at, seq, sender,
-    receiver, payload id) of each delivery and (at, call index) of each call;
-    the recorded events, with the payload's id; and what each run returned."""
+    """What a kernel delivers for a program, in order: (at, sender, receiver,
+    payload id) of each delivery and (at, call index) of each call; the
+    recorded events as (at, seq, sender, receiver, payload id); and what each
+    run returned."""
     recorder = TraceRecorder()
     kernel = kernel_cls(recorder)
     payloads = {fe: iter(pool) for fe, pool in KERNEL_PAYLOADS.items()}
@@ -181,21 +181,20 @@ def run_program(kernel_cls, rounds, plans):
 
         return call
 
-    def handler(event, fe):
-        assert event.at == kernel.now
-        assert (event.sender, event.receiver) == ENDS[type(event.payload).__name__]
-        assert event.receiver == fe
-        log.append((event.at, event.seq, event.sender, event.receiver, id(event.payload)))
+    def handler(payload, fe):
+        assert payload._ends == ENDS[type(payload).__name__]
+        assert payload._ends[1] == fe
+        log.append((kernel.now, *payload._ends, id(payload)))
         step()
 
     for fe in KERNEL_FES:
-        kernel.register(fe, lambda event, fe=fe: handler(event, fe))
+        kernel.register(fe, lambda payload, fe=fe: handler(payload, fe))
     returned = []
     for deliveries in rounds:
         for delay, fe in deliveries:
             kernel.schedule(delay, next(payloads[fe]))
         returned.append(kernel.run_until_quiescent())
-    records = [(*event[:4], id(event.payload)) for event in recorder.events]
+    records = [(at, seq, *payload._ends, id(payload)) for at, seq, payload in recorder.events]
     return log, records, returned
 
 
@@ -216,12 +215,13 @@ class TestOrderOracle:
         # 4), which waits for MRRM's.
         program = {"rounds": [[(2, FE_ENVIRONMENT), (1, FE_DAEMON)]],
                    "plans": [[("send", 1, FE_MRRM)], [("send", 0, FE_ENVIRONMENT)], []]}
-        log, _records, returned = run_program(Kernel, **program)
-        assert [(at, seq, receiver) for at, seq, _s, receiver, _p in log] == [
+        log, records, returned = run_program(Kernel, **program)
+        assert [(at, seq, receiver) for at, seq, _s, receiver, _p in records] == [
             (1, 2, FE_DAEMON), (2, 1, FE_ENVIRONMENT), (2, 3, FE_MRRM), (2, 4, FE_ENVIRONMENT)
         ]
+        assert log == [(at, *rest) for at, _seq, *rest in records]
         assert returned == [2]
-        assert run_program(HeapKernel, **program)[0] == log
+        assert run_program(HeapKernel, **program)[:2] == (log, records)
 
 
 class TestCallLater:
@@ -238,7 +238,7 @@ class TestCallLater:
 class TestTraceRecord:
     def test_line_field_order_and_compact_separators(self):
         recorder = TraceRecorder()
-        recorder.on_delivery(SimEvent(5, 1, FE_DAEMON, FE_ENVIRONMENT, TunnelStop(1)))
+        recorder.on_delivery((5, 1, TunnelStop(1)))
         assert trace_lines(recorder) == [
             '{"t":5,"from":"Daemon","to":"Env","msg":"TunnelStop","params":{"flow":1}}'
         ]
@@ -247,9 +247,9 @@ class TestTraceRecord:
         # Fields declared flow, locator; a locator's address, access, kind.
         access = AccessId("cell-b", "net-2", "cellular")
         recorder = TraceRecorder()
-        recorder.annotate(0, LinkUp("net-2/cell-b", 3, QosSpec(500, 90)))
+        annotate(recorder, 0, LinkUp("net-2/cell-b", 3, QosSpec(500, 90)))
         payload = BindingUpdate(3, Locator("net-2/cell-b/1", access, "care_of"))
-        recorder.on_delivery(SimEvent(0, 1, FE_DAEMON, FE_ENVIRONMENT, payload))
+        recorder.on_delivery((0, 1, payload))
         up, update = trace_lines(recorder)
         assert up.endswith(
             '"params":{"access":"net-2/cell-b","flow":3,'
@@ -263,7 +263,7 @@ class TestTraceRecord:
     @given(at=st.integers(), payload=any_payload)
     def test_line_equals_json_dumps(self, at, payload):
         recorder = TraceRecorder()
-        recorder.annotate(at, payload)
+        annotate(recorder, at, payload)
         [record] = trace_records(recorder.events)
         assert trace_lines(recorder) == [trace_line(record)]
 
@@ -385,7 +385,7 @@ class TestSharedParams:
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=12))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.annotate(at, pool[index])
+            annotate(recorder, at, pool[index])
         rendered = []
         # Not the monkeypatch fixture: a function-scoped fixture would span every example.
         with pytest.MonkeyPatch.context() as patch:
@@ -408,7 +408,7 @@ class TestSharedParams:
             kernel.schedule(delay * 1000, payload)
         kernel.run_until_quiescent()
         assert rendered == [] and shared._params is None
-        assert [event.payload for event in recorder.events] == list(deliveries * 2)
+        assert [payload for _at, _seq, payload in recorder.events] == list(deliveries * 2)
         lines = trace_lines(recorder)
         assert rendered == [shared, other]
         records = trace_records(recorder.events)
@@ -438,7 +438,7 @@ class TestSharedParams:
 
     def test_unserializable_params_raise_the_json_type_error(self):
         recorder = TraceRecorder()
-        recorder.annotate(0, LinkDown(object(), 1))
+        annotate(recorder, 0, LinkDown(object(), 1))
         with pytest.raises(TypeError, match="must be a string"):
             trace_lines(recorder)
 
@@ -446,7 +446,7 @@ class TestSharedParams:
         loop = []
         loop.append(loop)
         recorder = TraceRecorder()
-        recorder.annotate(0, AccessSetsSnapshot(loop, [], [], 1, []))
+        annotate(recorder, 0, AccessSetsSnapshot(loop, [], [], 1, []))
         with pytest.raises(TypeError):
             trace_lines(recorder)
 
@@ -455,7 +455,7 @@ class TestSharedParams:
         # a text nor a line of it is kept or written.
         keys = [object()]
         recorder = TraceRecorder()
-        recorder.annotate(0, AccessSetsSnapshot(keys, [], [], 1, []))
+        annotate(recorder, 0, AccessSetsSnapshot(keys, [], [], 1, []))
         rendered = _Rendered()
         with pytest.raises(TypeError, match="must be a string"):
             recorder.lines(0, 1, rendered)
@@ -471,7 +471,7 @@ class TestSharedParams:
         for wrong in (TunnelStop("1"), TunnelStop(1.0), LinkDown("net-1/cell-a", None),
                       HOComplete(Result(False, ("no_access",)))):
             recorder = TraceRecorder()
-            recorder.annotate(0, wrong)
+            annotate(recorder, 0, wrong)
             with pytest.raises(TypeError):
                 recorder.write(str(path))
             assert path.read_bytes() == b""
@@ -488,7 +488,7 @@ class TestStreamedWrite:
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=14))
         recorder = TraceRecorder()
         for at, index in enumerate(picks):
-            recorder.annotate(at, pool[index])
+            annotate(recorder, at, pool[index])
         rendered, kinds, served = [], [], []
         lines, renderer = TraceRecorder.lines, simkernel.text_renderer
 
@@ -521,8 +521,8 @@ class TestRecorder:
         recorder = TraceRecorder()
         kernel, _ = make_kernel(FE_ENVIRONMENT, recorder=recorder)
         kernel.schedule(2, TunnelStop(flow=8))
+        kernel.call_later(3, lambda: kernel.annotate(LinkDown("net-1/cell-a", 8)), FE_ENVIRONMENT)
         kernel.run_until_quiescent()
-        recorder.annotate(3, LinkDown("net-1/cell-a", 8))
         records = trace_records(recorder.events)
         assert [(r.at, r.sender, r.receiver, r.name) for r in records] == [
             (2, FE_DAEMON, FE_ENVIRONMENT, "TunnelStop"),

@@ -22,7 +22,7 @@ from mobsig.core import (
 )
 from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
-from mobsig.simkernel import Kernel, SimEvent, SimulationError, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 from mobsig.simulation import Simulation, build_metrics
 
 from support import load_generator, trace_line
@@ -90,7 +90,7 @@ class TestBundledRuns:
         named = set()
         snapshot_lists: dict[int, set[int]] = {}
         for event, record in zip(result.events, result.records):
-            payload = event[4]
+            payload = event[2]
             if type(payload) is AccessSetsSnapshot:
                 # A snapshot's key lists are its radio view's, shared by every
                 # snapshot of that view.
@@ -297,7 +297,7 @@ class TestCyclicCollector:
         undecodable.write_bytes(b'{"t":0,"from":"MRRM","to":"HOLM","msg":"M","params":{}}\n'
                                 b'{"t":1,"from":"MRRM","to":"HOLM","msg":"\xff","params":{}}\n')
         kernel = Kernel(recorder=TraceRecorder())
-        kernel.register(FE_HOLM, lambda event: 1 / 0)
+        kernel.register(FE_HOLM, lambda payload: 1 / 0)
         kernel.schedule(0, HOExecutionRequest(1, None, A, False))
         if not enabled:
             gc.disable()
@@ -322,7 +322,7 @@ class TestCyclicCollector:
 
 
 def _event(at, payload):
-    return SimEvent(at, 0, *payload._ends, payload)
+    return (at, 0, payload)
 
 
 def _request(at, flow):
