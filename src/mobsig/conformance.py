@@ -17,7 +17,11 @@ divergence is the verdict:
 * any other name out of place takes the LABELS label of the (expected, got)
   pair, or `unexpected:<got>` where none fits;
 * a handover request whose current access is its target is `same-access`, at
-  the request.
+  the request;
+* a chain message whose `current` or `target` is not its request's field of
+  that name is `access-mismatch:<name>.<field>`, at that message.
+
+Accesses compare by network_id and cell_id.
 
 A request with a null current access runs the establishment row, as HOLM
 decides, under "auto" and under a named template alike. Any other context
@@ -279,12 +283,17 @@ def _utf8_lines(lines):
 
 # The access fields segment_contexts holds to access objects, by message, each
 # with whether it may be null: the request's, which infer_variant and check
-# read, and the link requests', as HOLM sends them.
+# read, and those of the chain messages, which check compares with the
+# request's fields of the same names.
 _ACCESS_FIELDS = {
     "HOExecutionRequest": (("current", True), ("target", False)),
     "LinkAttachRequest": (("target", False),),
     "LinkSwitchRequest": (("current", False), ("target", False)),
     "LinkDetachRequest": (("current", False),),
+    "PathSelect": (("target", False),),
+    "ProxyRouterAdvertisement": (("target", False),),
+    "FastBindingUpdate": (("current", False), ("target", False)),
+    "TunnelStart": (("current", False), ("target", False)),
 }
 
 
@@ -370,14 +379,19 @@ def infer_variant(records: list[TraceRecord]) -> str:
     return "unclassified"
 
 
+def _access(value: dict[str, Any] | None) -> tuple[str, str] | None:
+    """What an access field compares by: its (network_id, cell_id), or None."""
+    return None if value is None else (value["network_id"], value["cell_id"])
+
+
 def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
     """Walk one context slice, as segment_contexts makes it, along one
     template's chain; the first divergence is the verdict (module docstring)."""
     request = records[0]
-    current, target = request.params["current"], request.params["target"]
-    if (current is not None and current["network_id"] == target["network_id"]
-            and current["cell_id"] == target["cell_id"]):
-        access = f"{target['network_id']}/{target['cell_id']}"
+    accesses = {"current": _access(request.params["current"]),
+                "target": _access(request.params["target"])}
+    if accesses["current"] == accesses["target"]:
+        access = "/".join(accesses["target"])
         return Verdict(False, template.name, request, 0, "same-access",
                        f"{request.name} targets its current access {access}")
     chain, steps = template.chain, template.steps
@@ -391,6 +405,12 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
             continue
         expected = None if ended or position == len(chain) else chain[position]
         if name == expected:
+            for field, _nullable in _ACCESS_FIELDS.get(name, ()):
+                access = _access(record.params[field])
+                if access != accesses[field]:
+                    return Verdict(False, template.name, record, index,
+                                   f"access-mismatch:{name}.{field}",
+                                   f"{name}'s {field} {'/'.join(access)} is not its request's")
             position += 1
             continue
         if name not in chain and name != "HOComplete":

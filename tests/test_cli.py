@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, outputs, and the sequence diagram."""
 
+import contextlib
+import io
 import json
 import random
 import tempfile
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
-from mobsig.conformance import TEMPLATES, load_trace
-from mobsig.core import FUNCTIONAL_ENTITIES, LinkDown
+from mobsig.conformance import CHECKED_NAMES, TEMPLATES, load_trace
+from mobsig.core import ENDS, FUNCTIONAL_ENTITIES, LinkDown
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
 from support import annotate, json_values, load_generator
@@ -612,6 +614,53 @@ names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()
 )))
 def test_render_diagram_draws_one_line_per_record(records):
     assert cli.render_diagram(records).count("\n") == len(records) + 1
+
+
+# Values of the params fields the checker reads: valid ones, and ones of
+# the wrong type, an access object with no network_id and an access key.
+CELL_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
+CELL_B = {"cell_id": "cell-b", "network_id": "net-2", "rat": "cellular"}
+valid_params = st.fixed_dictionaries({
+    "flow": st.sampled_from([1, 2]),
+    "current": st.sampled_from([CELL_A, CELL_B, None]),
+    "target": st.sampled_from([CELL_A, CELL_B]),
+    "result": st.sampled_from(["success", "failure"]),
+})
+access_values = st.sampled_from([CELL_A, CELL_B, None, {"cell_id": "cell-a"}, "net-1/cell-a"])
+# Params with every field the checker reads, each valid or not, mostly all
+# valid; or with some of them, each any JSON value too.
+checked_params = valid_params | valid_params | st.fixed_dictionaries({
+    "flow": st.sampled_from([1, 2, True, "1", None]),
+    "current": access_values,
+    "target": access_values,
+    "result": st.sampled_from(["success", "failure", "done", None]),
+}) | st.fixed_dictionaries({}, optional={
+    "flow": st.sampled_from([1, 2]) | json_values,
+    "current": access_values | json_values,
+    "target": access_values | json_values,
+    "result": st.sampled_from(["success", "failure"]) | json_values,
+})
+# A record's msg: mostly one the checker reads, often the request that opens
+# a context, or any name ENDS declares.
+head_names = (st.just("HOExecutionRequest") | st.sampled_from(sorted(CHECKED_NAMES))
+              | st.sampled_from(sorted(ENDS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(st.tuples(head_names, st.integers(0, 3), checked_params), max_size=14))
+def test_check_and_diagram_keep_their_exit_codes_on_any_params(records):
+    """`check`, under every --template, exits 0, 1 or 2 and `diagram` 0 or 2,
+    and neither raises, whatever the fields the checker reads hold."""
+    text = "".join(json.dumps({"t": at, "from": ENDS[name][0], "to": ENDS[name][1], "msg": name,
+                               "params": params}) + "\n"
+                   for name, at, params in records)
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        trace = Path(out, "trace.jsonl")
+        trace.write_text(text, encoding="utf-8")
+        for template in ["auto", *sorted(TEMPLATES)]:
+            assert run_cli("check", "--trace", str(trace), "--template", template) in (0, 1, 2)
+        assert run_cli("diagram", "--trace", str(trace)) in (0, 2)
 
 
 def test_argv_is_required():

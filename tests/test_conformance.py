@@ -1,5 +1,6 @@
 """Trace segmentation, variant inference, and template checking."""
 
+import dataclasses
 import importlib.util
 import json
 
@@ -26,7 +27,7 @@ from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation
 
 import check_oracle
-from support import json_values, trace_line
+from support import json_values, load_generator, trace_line
 from variant_oracle import reference_variant
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
@@ -755,6 +756,126 @@ class TestCheckTrace:
         for name, result in bundled_results.items():
             verdict = check_trace(result.records)
             assert verdict.ok, f"{name}: {verdict.describe()}"
+
+
+# The access fields of the chain messages, each of which must be its
+# request's field of the same name.
+CHAINED_ACCESS_FIELDS = {
+    "LinkAttachRequest": ("target",),
+    "LinkSwitchRequest": ("current", "target"),
+    "LinkDetachRequest": ("current",),
+    "PathSelect": ("target",),
+    "ProxyRouterAdvertisement": ("target",),
+    "FastBindingUpdate": ("current", "target"),
+    "TunnelStart": ("current", "target"),
+}
+
+# An access that no bundled or generated scenario holds.
+ELSEWHERE = {"cell_id": "cell-zzz", "network_id": "net-zzz", "rat": "wlan"}
+
+
+def reaimed(record, field, access):
+    """A copy of `record` whose `field` is `access`; the params stay unshared."""
+    return dataclasses.replace(record, params={**record.params, field: access})
+
+
+def other_accesses(access, request):
+    """Accesses that are not `access`: one of no scenario, one that differs
+    only in its cell_id, one that differs only in its network_id, and the
+    request's other access where it has one."""
+    others = [ELSEWHERE, {**access, "cell_id": "cell-zzz"}, {**access, "network_id": "net-zzz"}]
+    others += [value for value in (request.params["current"], request.params["target"])
+               if value is not None and (value["network_id"], value["cell_id"])
+               != (access["network_id"], access["cell_id"])]
+    return others
+
+
+def slow_long_walk_records():
+    """The records of the long-walk bench scenario at seed 1 under 4 s
+    signalling: thousands of contexts, most of them failed handovers."""
+    [(_name, document)] = load_generator().generate("long-walk", 1)
+    document["latencies"].update(binding_rtt_us=4_000_000, fmip_oneway_us=4_000_000)
+    return Simulation(parse_scenario(document)).run().records
+
+
+class TestAccessMismatch:
+    """Every chain message acts on its request's accesses."""
+
+    @pytest.mark.parametrize("slice_fn", [mbb_slice, bbm_slice, fmip_slice, establishment_slice])
+    def test_each_reaimed_field_of_a_canonical_slice_is_named(self, slice_fn):
+        records = notified(slice_fn)
+        for index, record in enumerate(records):
+            for field in CHAINED_ACCESS_FIELDS.get(record.name, ()):
+                tampered = records.copy()
+                tampered[index] = reaimed(record, field, ACC_C)
+                verdict = check_trace(tampered)
+                assert (verdict.ok, verdict.index, verdict.rule) == (
+                    False, index, f"access-mismatch:{record.name}.{field}")
+                assert verdict.record is tampered[index]
+                assert verdict.detail == (
+                    f"{record.name}'s {field} net-3/cell-c is not its request's")
+
+    def test_accesses_compare_by_network_and_cell(self):
+        # An equal access in another object, and one that differs in its rat
+        # alone, are the request's access.
+        records = bbm_slice()
+        records[1] = reaimed(records[1], "current", dict(ACC_A))
+        records[3] = reaimed(records[3], "target", {**ACC_B, "rat": "wlan"})
+        assert check_trace(records).ok
+        for edit in ({"cell_id": "cell-z"}, {"network_id": "net-z"}):
+            records[5] = reaimed(records[5], "target", {**ACC_B, **edit})
+            verdict = check_trace(records)
+            assert (verdict.index, verdict.rule) == (5, "access-mismatch:PathSelect.target")
+
+    def test_an_order_violation_before_a_mismatch_wins(self):
+        records = bbm_slice()
+        records[3], records[4] = records[4], records[3]
+        records[5] = reaimed(records[5], "target", ACC_C)
+        verdict = check_trace(records)
+        assert (verdict.index, verdict.rule) == (3, "attach-request-before-response")
+
+    @pytest.mark.parametrize("name, field", [
+        (name, field) for name, fields in CHAINED_ACCESS_FIELDS.items() for field in fields])
+    def test_a_chained_access_field_is_read_as_an_access(self, name, field):
+        records = {"LinkAttachRequest": mbb_slice, "LinkSwitchRequest": fmip_slice,
+                   "LinkDetachRequest": bbm_slice, "PathSelect": mbb_slice,
+                   "ProxyRouterAdvertisement": fmip_slice, "FastBindingUpdate": fmip_slice,
+                   "TunnelStart": fmip_slice}[name]()
+        index = next(i for i, record in enumerate(records) if record.name == name)
+        for value, problem in (("net-2/cell-b", f"{name}'s '{field}' needs an access object"),
+                               (None, f"{name}'s '{field}' needs an access object")):
+            records[index] = reaimed(records[index], field, value)
+            with pytest.raises(ValueError, match=problem):
+                check_trace(records)
+        del records[index].params[field]
+        with pytest.raises(ValueError, match=f"{name} has no '{field}'"):
+            check_trace(records)
+
+    def test_every_reaimed_access_field_of_a_simulated_trace_is_rejected(self, bundled_results):
+        """Each context of the bundled traces and of the slow long walk, with
+        one access field of one chain message re-aimed, fails at that field."""
+        traces = {name: result.records for name, result in bundled_results.items()}
+        traces["slow-signalling"] = slow_long_walk_records()
+        mutated = set()
+        for name, records in traces.items():
+            assert check_trace(records).ok, name
+            whole = name in bundled_results  # small enough to check whole per mutant
+            for context in segment_contexts(records):
+                slice_records = context.records
+                for position, (index, record) in enumerate(context.entries[1:], start=1):
+                    for field in CHAINED_ACCESS_FIELDS.get(record.name, ()):
+                        for access in other_accesses(record.params[field], slice_records[0]):
+                            tampered, at = (records, index) if whole else (slice_records, position)
+                            tampered = tampered.copy()
+                            tampered[at] = mutant = reaimed(record, field, access)
+                            verdict = check_trace(tampered)
+                            assert (verdict.ok, verdict.index, verdict.rule) == (
+                                False, at, f"access-mismatch:{record.name}.{field}"
+                            ), (name, record.line, access)
+                            assert verdict.record is mutant
+                            mutated.add((record.name, field))
+        assert mutated == {(name, field) for name, fields in CHAINED_ACCESS_FIELDS.items()
+                           for field in fields}
 
 
 # The accesses a generated context may use. A context whose current and target

@@ -523,6 +523,7 @@ class TestRecorder:
         kernel.schedule(2, TunnelStop(flow=8))
         kernel.call_later(3, lambda: kernel.annotate(LinkDown("net-1/cell-a", 8)), FE_ENVIRONMENT)
         kernel.run_until_quiescent()
+        assert [event[:2] for event in recorder.events] == [(2, 1), (3, 0)]  # recorded, not scheduled
         records = trace_records(recorder.events)
         assert [(r.at, r.sender, r.receiver, r.name) for r in records] == [
             (2, FE_DAEMON, FE_ENVIRONMENT, "TunnelStop"),

@@ -13,8 +13,8 @@ The test imports a fresh copy of mobsig under ``sys.settrace`` and drives
 * malformed inputs as data: one scenario mutation per rejection in
   ``mobsig.scenario``, one trace line per reader or field error, tampered
   traces (adjacent swaps, a repeated line, handovers to the access they
-  leave and a success that runs no row) and a two-flow trace whose handovers
-  overlap.
+  leave, a link request re-aimed at an access its handover does not name and
+  a success that runs no row) and a two-flow trace whose handovers overlap.
 
 Every statement of ``src/mobsig`` must be reached: a line event must land in
 its span, as the AST gives it, so the line tables of different Python
@@ -279,6 +279,15 @@ def _drive(cli, templates: list[str], scenario_dir: Path, out: Path) -> None:
         tampered = "".join(json.dumps(record) + "\n" for record in records)
         (out / "tampered.jsonl").write_text(tampered, encoding="utf-8")
         assert main("check", "--trace", out / "tampered.jsonl") == 1
+    # The second bbm handover's detach, re-aimed at an access its request does not name.
+    lines = (out / "bbm.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    second = [i for i, record in enumerate(records) if record["msg"] == "HOExecutionRequest"][1]
+    detach = next(record for record in records[second:] if record["msg"] == "LinkDetachRequest")
+    detach["params"]["current"] = {"cell_id": "cell-zzz", "network_id": "net-zzz", "rat": "wlan"}
+    tampered = "".join(json.dumps(record) + "\n" for record in records)
+    (out / "tampered.jsonl").write_text(tampered, encoding="utf-8")
+    assert main("check", "--trace", out / "tampered.jsonl") == 1
     (out / "unclassified.jsonl").write_text(UNCLASSIFIED_SUCCESS_TRACE, encoding="utf-8")
     assert main("check", "--trace", out / "unclassified.jsonl") == 1
     (out / "overlapping.jsonl").write_text(OVERLAPPING_TRACE, encoding="utf-8")
