@@ -2,21 +2,28 @@
 
 Exit codes
     run      0 success; 2 scenario invalid (no trace written); 3 simulation
-             aborted at runtime (partial trace written for post-mortem).
-    check    0 conformant; 1 violation found; 2 trace unreadable.
-    diagram  0 rendered; 2 trace unreadable.
+             aborted at runtime (partial trace written for post-mortem), or
+             an output file or stdout cannot be written.
+    check    0 conformant; 1 violation found; 2 trace unreadable; 3 stdout
+             cannot be written.
+    diagram  0 rendered; 2 trace unreadable; 3 stdout cannot be written.
+
+Each command writes its stdout and flushes it in one step, so an unwritable
+stdout gives ``cannot write output: …`` on stderr and exit 3, not a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from operator import itemgetter
 
 from .conformance import TEMPLATES, check_trace, load_trace
 from .core import FUNCTIONAL_ENTITIES
 from .scenario import ScenarioError, load_scenario
-from .simkernel import SimulationError, TraceRecord
+from .simkernel import Head, SimulationError, Trace
 from .simulation import Simulation
 
 _COLUMN_WIDTH = 12
@@ -29,55 +36,59 @@ def _shown(name: str) -> str:
     return name if name.isprintable() else json.dumps(name)
 
 
-def render_diagram(records: list[TraceRecord]) -> str:
+def _draw(head: Head, centers: dict[str, int], width: int) -> tuple[str, str]:
+    """One head's row after its time stamp: with the line end, and as it is
+    for a flow tag to follow."""
+    sender, receiver, name = head
+    row = [" "] * width
+    for center in centers.values():
+        row[center] = "|"
+    src = centers[sender]
+    dst = centers[receiver]
+    if src == dst:
+        row[src] = "*"
+    else:
+        for x in range(min(src, dst) + 1, max(src, dst)):
+            row[x] = "-"
+        if dst > src:
+            row[dst - 1] = ">"
+        else:
+            row[dst + 1] = "<"
+    text = f"  {''.join(row).rstrip()}  {_shown(name)}"
+    return text.rstrip() + "\n", text
+
+
+def render_diagram(trace: Trace) -> str:
     """Render a trace as a plain-text sequence diagram, one row per message.
 
-    The text is one join of shared pieces. A row is its time stamp, then its
-    head drawn with the line end, or its head drawn for a flow tag and then
-    that tag.
+    It reads the trace's rows and builds no record. The entity columns come
+    from the trace's distinct heads (sender, receiver, name), a few dozen on
+    any run, and each is drawn once, with the line end and as it is for a
+    flow tag. The text is one join of shared pieces: a row is its time stamp,
+    then its drawn head with the line end, or its drawn head and then its
+    flow tag, each int flow id's tag made once. Records come in time order,
+    so a row mostly repeats the last row's time stamp.
     """
-    seen = {r.sender for r in records} | {r.receiver for r in records}
+    distinct = set(map(itemgetter(1), trace.rows()))
+    seen = {sender for sender, _, _ in distinct} | {receiver for _, receiver, _ in distinct}
     columns = list(FUNCTIONAL_ENTITIES) + sorted(seen - set(FUNCTIONAL_ENTITIES))
     centers = {fe: i * _COLUMN_WIDTH + _COLUMN_WIDTH // 2 for i, fe in enumerate(columns)}
     header = " " * _TIME_GUTTER + "".join(_shown(fe).center(_COLUMN_WIDTH) for fe in columns)
+    drawn = {head: _draw(head, centers, len(columns) * _COLUMN_WIDTH) for head in distinct}
     pieces = [header.rstrip() + "\n"]
     append = pieces.append
-    # A trace has few distinct heads (sender, receiver, name) and flow ids, so
-    # each head is drawn once, stripped with the line end and as it is for a
-    # tag, and each int flow id's tag is made once. Records come in time
-    # order, so a row mostly repeats the last row's time stamp.
-    heads: dict[tuple[str, str, str], tuple[str, str]] = {}
     tags: dict[int, str] = {}
     last_at = stamp = None
-    for record in records:
-        head = (record.sender, record.receiver, record.name)
-        drawn = heads.get(head)
-        if drawn is None:
-            row = [" "] * (len(columns) * _COLUMN_WIDTH)
-            for center in centers.values():
-                row[center] = "|"
-            src = centers[record.sender]
-            dst = centers[record.receiver]
-            if src == dst:
-                row[src] = "*"
-            else:
-                for x in range(min(src, dst) + 1, max(src, dst)):
-                    row[x] = "-"
-                if dst > src:
-                    row[dst - 1] = ">"
-                else:
-                    row[dst + 1] = "<"
-            text = f"  {''.join(row).rstrip()}  {_shown(record.name)}"
-            drawn = heads[head] = (text.rstrip() + "\n", text)
-        if record.at != last_at:
-            last_at = record.at
-            stamp = f"{last_at:>10}"
+    for at, head, params in trace.rows():
+        if at != last_at:
+            last_at = at
+            stamp = f"{at:>10}"
         append(stamp)
-        flow = record.params.get("flow")
+        flow = params.get("flow")
         if flow is None:
-            append(drawn[0])
+            append(drawn[head][0])
             continue
-        append(drawn[1])
+        append(drawn[head][1])
         if type(flow) is int:
             tag = tags.get(flow)
             if tag is None:
@@ -86,6 +97,24 @@ def render_diagram(records: list[TraceRecord]) -> str:
             tag = f" [flow={json.dumps(flow)}]\n"
         append(tag)
     return "".join(pieces)
+
+
+def _write_out(text: str) -> int:
+    """Write text to stdout and flush it: 0, or 3 with the error on stderr
+    when stdout cannot take it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit: what is still buffered goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 3
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -113,38 +142,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
     totals = result.metrics["totals"]
-    print(
+    return _write_out(
         f"run complete: {len(result.events)} records, "
         f"{totals['count']} handovers ({totals['succeeded']} ok, {totals['failed']} failed), "
-        f"final t={result.final_time_us}us"
+        f"final t={result.final_time_us}us\n"
     )
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        records = load_trace(args.trace)
+        trace = load_trace(args.trace)
         # check_trace raises ValueError for a params field it reads but cannot.
-        verdict = check_trace(records, template=args.template)
+        verdict = check_trace(trace, template=args.template)
     except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     if verdict.ok:
-        count = f"{len(records)} record{'' if len(records) == 1 else 's'}"
-        print(f"conformant ({count}, template={args.template})")
-        return 0
+        count = f"{len(trace)} record{'' if len(trace) == 1 else 's'}"
+        return _write_out(f"conformant ({count}, template={args.template})\n")
     print(f"violation: {verdict.describe()}", file=sys.stderr)
     return 1
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     try:
-        records = load_trace(args.trace)
+        trace = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_diagram(records))
-    return 0
+    return _write_out(render_diagram(trace))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,7 @@ from typing import Any
 
 from .core import PRIMITIVE_TYPES
 from .holm import STEP_MESSAGES, STEPS
-from .simkernel import TraceRecord, without_cyclic_gc
+from .simkernel import Head, Trace, TraceRecord, without_cyclic_gc
 
 # The post-handover notification exchange that follows every HOComplete but an
 # establishment's.
@@ -182,25 +182,32 @@ _CHAINED = CHECKED_NAMES - {"HOExecutionRequest"}
 assert CHECKED_NAMES <= set(PRIMITIVE_TYPES), "checker vocabulary drifted from primitives"
 
 
-def parse_trace(lines) -> list[TraceRecord]:
-    """Parse JSON-Lines trace text into records; blank lines are skipped.
+def parse_trace(lines) -> Trace:
+    """Parse JSON-Lines trace text into a ``Trace``; blank lines are skipped.
 
-    A line in the layout ``TraceRecorder.lines`` writes takes a fast path: two
-    splits, at ``,"from":`` and at ``,"params":``, cut it into its ``t`` text,
-    its head (``from``, ``to`` and ``msg``) and its params tail, and each
-    distinct head and params tail is read once per call. Records whose heads
-    are equal share their three strings, records whose params tails are equal
-    share one read-only dict, and a run of records with equal ``t`` shares one
-    int. The writer ends every line alike, so its records share a dict exactly
-    when their params texts are equal; params that differ only in the
-    whitespace after them read to equal, distinct dicts. Equal keys of the
-    params dicts, at any depth, are one string per call; values are not
+    No object is made per line: each line adds its ``t``, its head and its
+    params dict to the trace's lists, and a ``TraceRecord`` is built only
+    when a record is read. A line in the layout ``TraceRecorder.lines``
+    writes takes a fast path: two splits, at ``,"from":`` and at
+    ``,"params":``, cut it into its ``t`` text, its head (``from``, ``to``
+    and ``msg``) and its params tail, and each distinct head and params tail
+    is read once per call. Records whose heads are equal share one
+    (sender, receiver, name) tuple, records whose params tails are equal
+    share one read-only dict, and a run of records with equal ``t`` shares
+    one int. The writer ends every line alike, so its records share a dict
+    exactly when their params texts are equal; params that differ only in
+    the whitespace after them read to equal, distinct dicts. Equal keys of
+    the params dicts, at any depth, are one string per call; values are not
     shared. Any other line goes to ``TraceRecord.from_json``, which accepts,
-    rejects and words its errors as it always has. The records are built
-    with the cyclic collector held off (``simkernel.without_cyclic_gc``).
+    rejects and words its errors as it always has. A record's line number
+    counts the blank lines before it. The lists are built with the cyclic
+    collector held off (``simkernel.without_cyclic_gc``).
     """
-    records = []
-    heads_by_text: dict[str, tuple[str, str, str] | None] = {}
+    at_column: list[int] = []
+    heads: list[Head] = []
+    params_column: list[dict[str, Any]] = []
+    blank: set[int] = set()  # the line numbers of skipped blank lines
+    heads_by_text: dict[str, Head | None] = {}
     params_by_tail: dict[str, dict[str, Any] | None] = {}
     share_key = {}.setdefault  # one string per distinct key, for this call alone
 
@@ -226,6 +233,7 @@ def parse_trace(lines) -> list[TraceRecord]:
             return None
         return params if end == len(text) and type(params) is dict else None
 
+    add_at, add_head, add_params = at_column.append, heads.append, params_column.append
     # Records come in time order, so a record mostly shares the last one's `t`.
     last_at_text = at = None
     with without_cyclic_gc():
@@ -247,16 +255,26 @@ def parse_trace(lines) -> list[TraceRecord]:
                     last_at_text = at_text
                     at = int(at_text[5:]) if _WRITER_T.fullmatch(at_text) else None
                 if head is not None and at is not None:
-                    records.append(TraceRecord(at, head[0], head[1], head[2], params, lineno))
+                    add_at(at)
+                    add_head(head)
+                    add_params(params)
                     continue
             if not line.strip():
+                blank.add(lineno)
                 continue
-            records.append(TraceRecord.from_json(line, lineno))
-    return records
+            record = TraceRecord.from_json(line, lineno)
+            add_at(record.at)
+            add_head((record.sender, record.receiver, record.name))
+            add_params(record.params)
+    count = len(at_column)
+    line_numbers = range(1, count + 1)
+    if blank:
+        line_numbers = [n for n in range(1, count + len(blank) + 1) if n not in blank]
+    return Trace(at_column, heads, params_column, line_numbers)
 
 
-def load_trace(path: str) -> list[TraceRecord]:
-    """Read the trace file at ``path`` into records, with ``parse_trace``.
+def load_trace(path: str) -> Trace:
+    """Read the trace file at ``path`` into a ``Trace``, with ``parse_trace``.
 
     Lines end at "\\n" alone: a raw "\\r" is JSON whitespace inside a record,
     and one before the "\\n" is trailing whitespace of its line. A malformed
@@ -318,18 +336,21 @@ def _check_access_fields(record: TraceRecord, fields: tuple[tuple[str, bool], ..
                                      "with string network_id and cell_id")
 
 
-def segment_contexts(records: list[TraceRecord]) -> list[SequenceContext]:
+def segment_contexts(trace: Trace) -> list[SequenceContext]:
     """Split a trace into handover contexts.
 
+    It reads each record's name from the trace's heads, and builds a
+    ``TraceRecord`` only for a record whose name is checked.
     Raises AmbiguousTraceError, and ValueError naming the line of a record
     whose flow, access fields or HOComplete result is missing or malformed.
     """
     contexts: list[SequenceContext] = []
     open_contexts: dict[int, SequenceContext] = {}
-    for index, record in enumerate(records):
-        name = record.name
+    for index, (_at, head, _params) in enumerate(trace.rows()):
+        name = head[2]
         if name not in CHECKED_NAMES:
             continue
+        record = trace[index]
         # A request needs an integer flow id, and any other record's flow id
         # must be one; json.loads gives exact types, so a bool is not one.
         flow = record.params.get("flow")
@@ -427,7 +448,7 @@ def check(records: list[TraceRecord], template: SequenceTemplate) -> Verdict:
     return Verdict(True, template.name)
 
 
-def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
+def check_trace(trace: Trace, template: str = "auto") -> Verdict:
     """Check a trace against one named template, or per-variant with "auto";
     an establishment runs its own row under either.
 
@@ -436,7 +457,7 @@ def check_trace(records: list[TraceRecord], template: str = "auto") -> Verdict:
     segment_contexts).
     """
     try:
-        contexts = segment_contexts(records)
+        contexts = segment_contexts(trace)
     except AmbiguousTraceError as exc:
         return Verdict(
             ok=False,

@@ -20,7 +20,7 @@ import gc
 import heapq
 import json
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -74,8 +74,8 @@ SimEvent = tuple[SimTime, int, Any]
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One timestamped message occurrence, as read from a JSON-Lines trace or
-    built from a recorded event (see ``trace_records``).
+    """One timestamped message occurrence: a row of a ``Trace``, built when the
+    row is read, or a line read by ``from_json``.
 
     ``params`` may be shared with other records and is read-only: a recorded
     one with the records of the same payload, a parsed
@@ -116,13 +116,49 @@ class TraceRecord:
         return cls(obj["t"], obj["from"], obj["to"], obj["msg"], obj["params"], lineno)
 
 
-def trace_records(events: list[SimEvent]) -> list[TraceRecord]:
-    """One TraceRecord per recorded event, with its payload's params dict.
+# A record's head: its (sender, receiver, name).
+Head = tuple[str, str, str]
+
+
+class Trace(Sequence[TraceRecord]):
+    """A trace in memory, one list per field: each record's ``t``, its head,
+    its params dict and its line number (None for a recorded one).
+
+    The lists hold what readers and ``trace_records`` share, so a record adds
+    a pointer to each and no object of its own: one head tuple per distinct
+    head, the params dicts ``TraceRecord`` describes, and for a parsed trace
+    with no blank line a ``range`` for its line numbers. ``len``, indexing
+    and iteration give ``TraceRecord`` rows, each built when it is read, and
+    ``rows`` gives every record's (t, head, params) without building one.
+    """
+
+    __slots__ = ("_at", "_heads", "_params", "_lines")
+
+    def __init__(self, at: list[SimTime], heads: list[Head], params: list[dict[str, Any]],
+                 lines: Sequence[int | None]) -> None:
+        self._at, self._heads, self._params, self._lines = at, heads, params, lines
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        sender, receiver, name = self._heads[index]
+        return TraceRecord(self._at[index], sender, receiver, name, self._params[index],
+                           self._lines[index])
+
+    def rows(self) -> Iterator[tuple[SimTime, Head, dict[str, Any]]]:
+        """Each record's (t, head, params), in trace order."""
+        return zip(self._at, self._heads, self._params)
+
+
+def trace_records(events: list[SimEvent]) -> Trace:
+    """The trace of the recorded events, with each payload's params dict.
 
     Each distinct payload renders its params once, here or before, and its
-    records share them.
+    records share them; the records of one payload type share its head.
     """
-    records = []
+    at_column, heads, params_column = [], [], []
+    heads_by_kind: dict[type, Head] = {}
     with without_cyclic_gc():
         for at, _seq, payload in events:
             # A payload's params memo; params() is called only to render them.
@@ -130,8 +166,13 @@ def trace_records(events: list[SimEvent]) -> list[TraceRecord]:
             if params is None:
                 params = payload.params()
             kind = type(payload)
-            records.append(TraceRecord(at, *kind._ends, kind.__name__, params))
-    return records
+            head = heads_by_kind.get(kind)
+            if head is None:
+                head = heads_by_kind[kind] = (*kind._ends, kind.__name__)
+            at_column.append(at)
+            heads.append(head)
+            params_column.append(params)
+    return Trace(at_column, heads, params_column, [None] * len(at_column))
 
 
 class TraceRecorder:

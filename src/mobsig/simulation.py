@@ -4,8 +4,8 @@
 the resource manager's decision cycle at the configured scan period, starts
 each flow at its configured time, and runs the kernel until no work remains.
 The result bundles the recorded events and a JSON-ready metrics report built
-from the completed handover contexts; its trace records are built from the
-events on first read.
+from the completed handover contexts; its trace (a `simkernel.Trace`) is
+built from the events on first read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .mrrm import Mrrm
 from .path_selection import PathSelection
 from .protocols import DaemonHost
 from .scenario import ScenarioConfig
-from .simkernel import Kernel, SimEvent, SimTime, TraceRecord, TraceRecorder, trace_records
+from .simkernel import Kernel, SimEvent, SimTime, Trace, TraceRecorder, trace_records
 
 # The payload types of the records a handover's message count covers.
 _SEQUENCE_TYPES = frozenset(PAYLOAD_TYPES[name] for name in SEQUENCE_NAMES)
@@ -48,8 +48,8 @@ class SimulationResult:
     final_time_us: SimTime
 
     @cached_property
-    def records(self) -> list[TraceRecord]:
-        """The trace records of the events, built on first read."""
+    def records(self) -> Trace:
+        """The trace of the events, built on first read."""
         return trace_records(self.events)
 
 

@@ -34,7 +34,7 @@ from mobsig.holm import Holm
 from mobsig.mrrm import Mrrm, MrrmPolicy
 from mobsig.path_selection import PathModel, PathSelection
 from mobsig.protocols import DaemonHost
-from mobsig.simkernel import Kernel, TraceRecord, TraceRecorder, _Rendered, trace_records
+from mobsig.simkernel import Kernel, Trace, TraceRecord, TraceRecorder, _Rendered, trace_records
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
 
@@ -177,6 +177,17 @@ def trace_line(record: TraceRecord) -> str:
     )
     params = json.dumps(record.params, sort_keys=True, separators=(",", ":"))
     return f'{head[:-1]},"params":{params}}}'
+
+
+def as_trace(records) -> Trace:
+    """A Trace whose rows equal the given records, line numbers included, for
+    the readers of a trace (``check_trace``, ``segment_contexts`` and
+    ``render_diagram``) to take a list of records built by hand."""
+    records = list(records)
+    return Trace([record.at for record in records],
+                 [(record.sender, record.receiver, record.name) for record in records],
+                 [record.params for record in records],
+                 [record.line for record in records])
 
 
 def annotate(recorder: TraceRecorder, at: int, payload) -> None:

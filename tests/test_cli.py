@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
-from mobsig.conformance import CHECKED_NAMES, TEMPLATES, load_trace
+from mobsig.conformance import CHECKED_NAMES, TEMPLATES, load_trace, parse_trace
 from mobsig.core import ENDS, FUNCTIONAL_ENTITIES, LinkDown
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
 
-from support import annotate, json_values, load_generator
+from support import annotate, as_trace, json_values, load_generator, trace_line
 
 
 def run_cli(*argv):
@@ -529,17 +532,69 @@ class TestDiagram:
         assert capsys.readouterr().out == first
 
 
+class TestUnwritableStdout:
+    """Each command writes and flushes its stdout in one step: a stdout that
+    takes nothing gives exit 3 and one line on stderr, never a traceback."""
+
+    @staticmethod
+    def commands(scenario_path, out: Path) -> dict[str, list[str]]:
+        trace = str(out / "t.jsonl")
+        return {
+            "run": ["run", "--scenario", str(scenario_path("mbb")), "--trace", trace,
+                    "--metrics", str(out / "m.json")],
+            "check": ["check", "--trace", trace],
+            "diagram": ["diagram", "--trace", trace],
+        }
+
+    def test_each_command_exits_3_in_process(self, tmp_path, scenario_path, capsys):
+        for name, argv in self.commands(scenario_path, tmp_path).items():
+            with open("/dev/full", "w", encoding="utf-8") as full, \
+                    contextlib.redirect_stdout(full):
+                assert run_cli(*argv) == 3, name
+            err = capsys.readouterr().err
+            assert err == "cannot write output: [Errno 28] No space left on device\n", name
+        # The run wrote its files before its summary line failed.
+        assert run_cli("check", "--trace", str(tmp_path / "t.jsonl")) == 0
+
+    @pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_each_command_exits_3_as_a_process(self, tmp_path, scenario_path, buffering):
+        """Python flushes stdout once more at exit; that flush finds nothing
+        left to write, so the exit code stays 3 ("Exception ignored" and 120
+        otherwise)."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for name, argv in self.commands(scenario_path, tmp_path).items():
+            with open("/dev/full", "w") as full:
+                done = subprocess.run([sys.executable, *buffering, "-m", "mobsig.cli", *argv],
+                                      stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+            assert (done.returncode, done.stderr) == (
+                3, "cannot write output: [Errno 28] No space left on device\n"), name
+
+    def test_a_pipe_closed_by_its_reader_exits_3(self, tmp_path, scenario_path):
+        """As when the diagram is piped to a reader that stops early."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = self.commands(scenario_path, tmp_path)
+        assert run_cli(*argv["run"]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "mobsig.cli", *argv["diagram"]],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (3, "cannot write output: [Errno 32] Broken pipe\n")
+
+
 class TestRenderDiagram:
     def test_self_message_is_a_star(self):
         record = TraceRecord(at=3, sender="Env", receiver="Env", name="LinkUp", params={})
-        out = cli.render_diagram([record])
+        out = cli.render_diagram(as_trace([record]))
         row = out.splitlines()[1]
         assert "*" in row and ">" not in row
         assert row.endswith("LinkUp")
 
     def test_unknown_entities_get_extra_columns(self):
         record = TraceRecord(at=0, sender="Alien", receiver="MRRM", name="Ping", params={})
-        out = cli.render_diagram([record])
+        out = cli.render_diagram(as_trace([record]))
         assert "Alien" in out.splitlines()[0]
         assert "<" in out.splitlines()[1]  # arrow pointing left toward MRRM
 
@@ -598,7 +653,7 @@ diagram_records = st.builds(
 
 @given(records=st.lists(diagram_records, max_size=12))
 def test_render_diagram_equals_row_by_row_drawing(records):
-    assert cli.render_diagram(records) == _row_by_row_diagram(records)
+    assert cli.render_diagram(as_trace(records)) == _row_by_row_diagram(records)
 
 
 names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()
@@ -613,7 +668,60 @@ names = st.sampled_from(FUNCTIONAL_ENTITIES) | st.text()
     params=st.fixed_dictionaries({}, optional={"flow": json_values}),
 )))
 def test_render_diagram_draws_one_line_per_record(records):
-    assert cli.render_diagram(records).count("\n") == len(records) + 1
+    assert cli.render_diagram(as_trace(records)).count("\n") == len(records) + 1
+
+
+# The heads of the primitives and annotations a run writes.
+REAL_HEADS = sorted((sender, receiver, name) for name, (sender, receiver) in ENDS.items())
+# Params values that equal themselves (no NaN), an access object among them.
+column_params = st.dictionaries(
+    st.sampled_from(["flow", "target", "result", "k"]),
+    st.none() | st.booleans() | st.integers(0, 3) | st.integers() | st.text(max_size=3)
+    | st.just({"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}),
+    max_size=3,
+)
+
+
+@st.composite
+def column_reader_lines(draw):
+    """Trace lines under real heads, each ending in LF: params drawn from a
+    small pool the lines share, or afresh; blank lines; a CR before the line
+    end; and lines re-serialized by json.dumps, which the general reader
+    takes, or with padded params."""
+    pool = draw(st.lists(column_params, min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])) + "\n")
+            continue
+        sender, receiver, name = draw(st.sampled_from(REAL_HEADS))
+        params = draw(st.sampled_from(pool) | column_params)
+        at = draw(st.integers(0, 3) | st.integers(-10**20, 10**20))
+        line = trace_line(TraceRecord(at, sender, receiver, name, params))
+        form = draw(st.sampled_from(["writer", "writer", "dumps", "padded"]))
+        if form == "dumps":
+            line = json.dumps(json.loads(line))
+        elif form == "padded":
+            head, params_text = line.split('"params":', 1)
+            line = f'{head}"params": {params_text[:-1]} }}'
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=column_reader_lines())
+def test_the_column_reader_equals_the_reference_reader(lines):
+    """Each row of parse_trace equals TraceRecord.from_json of its non-blank
+    line, field by field, line number included; the trace counts those lines,
+    and its diagram is the row-by-row drawing of those records."""
+    reference = [TraceRecord.from_json(line, lineno)
+                 for lineno, line in enumerate(lines, start=1) if line.strip()]
+    trace = parse_trace(lines)
+    assert len(trace) == len(reference)
+    assert list(trace) == reference
+    assert repr(list(trace)) == repr(reference)  # a bool is no int, nor an int a float
+    assert [trace[index] for index in range(-len(trace), 0)] == reference
+    assert cli.render_diagram(trace) == _row_by_row_diagram(reference)
 
 
 # Values of the params fields the checker reads: valid ones, and ones of

@@ -27,7 +27,7 @@ from mobsig.simkernel import TraceRecord
 from mobsig.simulation import Simulation
 
 import check_oracle
-from support import json_values, load_generator, trace_line
+from support import as_trace, json_values, load_generator, trace_line
 from variant_oracle import reference_variant
 
 ACC_A = {"cell_id": "cell-a", "network_id": "net-1", "rat": "wlan"}
@@ -169,7 +169,7 @@ class TestParseTrace:
             lf.write_bytes(text.encode())
             crlf.write_bytes(text.replace("\n", "\r\n").encode())
             expected, records = load_trace(str(lf)), load_trace(str(crlf))
-            assert repr(records) == repr(expected)
+            assert repr(list(records)) == repr(list(expected))
             assert check_trace(records) == check_trace(expected)
 
 
@@ -182,7 +182,7 @@ def _read_line_by_line(lines):
 def _outcome(read, lines):
     # repr, not ==, because a NaN in params never equals itself.
     try:
-        return repr(read(lines))
+        return repr(list(read(lines)))
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -333,7 +333,7 @@ def test_padded_params_of_bundled_lines_read_as_unpadded(bundled_results, pads):
         before, after = pads.draw(JSON_WHITESPACE), pads.draw(JSON_WHITESPACE)
         padded[index] = f'{head}"params":{before}{params_text[:-1]}{after}}}'
     expected, records = parse_trace(plain), parse_trace(padded)
-    assert records == expected
+    assert list(records) == list(expected)
     assert check_trace(records) == check_trace(expected)
 
 
@@ -360,7 +360,7 @@ def test_records_with_equal_heads_share_their_strings(scenario_path):
 class TestSegmentation:
     def test_new_request_for_the_same_flow_closes_the_span(self):
         records = establishment_slice(flow=1) + mbb_slice(flow=1)
-        contexts = segment_contexts(records)
+        contexts = segment_contexts(as_trace(records))
         assert len(contexts) == 2
         assert [len(c.entries) for c in contexts] == [8, 10]
         assert [c.entries[0][0] for c in contexts] == [0, 8]
@@ -372,13 +372,13 @@ class TestSegmentation:
             rec("BindingUpdate", flow=2, locator=LOC_B),
             rec("BindingUpdate", flow=1, locator=LOC_B),
         ]
-        contexts = segment_contexts(records)
+        contexts = segment_contexts(as_trace(records))
         assert [c.records[0].params["flow"] for c in contexts] == [1, 2]
         assert [index for index, _ in contexts[0].entries] == [0, 3]
         assert [index for index, _ in contexts[1].entries] == [1, 2]
 
     def test_flowless_record_with_one_open_context_is_attributed(self):
-        contexts = segment_contexts(mbb_slice())
+        contexts = segment_contexts(as_trace(mbb_slice()))
         assert len(contexts) == 1
         assert len(contexts[0].entries) == 10
 
@@ -393,7 +393,7 @@ class TestSegmentation:
 
     def test_traffic_before_any_request_is_ignored(self):
         records = [rec("BindingAck", flow=1, result="success")] + mbb_slice()
-        contexts = segment_contexts(records)
+        contexts = segment_contexts(as_trace(records))
         assert len(contexts) == 1
         assert contexts[0].entries[0][0] == 1
 
@@ -401,7 +401,7 @@ class TestSegmentation:
         records = mbb_slice()
         records.insert(3, rec("AccessSetsSnapshot", flow=1))
         records.insert(0, rec("ConstraintRequest", flow=1, candidates=[]))
-        contexts = segment_contexts(records)
+        contexts = segment_contexts(as_trace(records))
         assert len(contexts[0].entries) == 10
 
 
@@ -435,7 +435,7 @@ class TestInferVariant:
                 if record.name not in ("BindingUpdate", "BindingAck")]
         assert fresh.infer_variant(pmip) == "pmip"
         assert fresh.infer_variant(notified(mbb_slice)) == "mbb"
-        assert fresh.check_trace(establishment_slice() + pmip + notified(mbb_slice)).ok
+        assert fresh.check_trace(as_trace(establishment_slice() + pmip + notified(mbb_slice))).ok
         assert infer_variant(pmip) == "mbb"  # the checker as imported knows no pmip row
 
 
@@ -586,28 +586,28 @@ class TestCheck:
         records = mbb_slice()
         records.insert(2, rec("AccessFlowSetup", flow=1, requested_qos=QOS))
         records.insert(7, rec("ConstraintResponse", ratings=[]))
-        assert check_trace(records, "mbb").ok
+        assert check_trace(as_trace(records), "mbb").ok
 
     def test_empty_slice_conforms(self):
         """The request alone is the empty prefix of every chain."""
         for records in (mbb_slice()[:1], establishment_slice()[:1]):
             for template in TEMPLATES.values():
                 assert check(records, template).ok
-            assert check_trace(records).ok
+            assert check_trace(as_trace(records)).ok
 
     @pytest.mark.parametrize("slice_fn", [mbb_slice, bbm_slice, fmip_slice, establishment_slice])
     def test_a_failed_completion_may_end_the_steps_anywhere(self, slice_fn):
         records = slice_fn()
         failed = rec("HOComplete", result="failure", reason="link_lost")
         for end in range(1, len(records)):
-            assert check_trace(records[:end] + [failed]).ok, end
+            assert check_trace(as_trace(records[:end] + [failed])).ok, end
 
     def test_nothing_may_follow_a_failed_completion(self):
         records = mbb_slice()[:3] + [
             rec("HOComplete", result="failure", reason="link_lost"),
             rec("PathSelect", flow=1, target=ACC_B, fmip_flag=False),
         ]
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert (verdict.index, verdict.rule) == (4, "unexpected:PathSelect")
         assert verdict.detail == "PathSelect comes after the mbb sequence ends"
 
@@ -619,7 +619,7 @@ class TestCheck:
     def test_a_bbm_handover_without_its_binding_is_missing_it(self):
         """A success needs every step message before it, the binding exchange too."""
         records = [r for r in bbm_slice() if r.name not in ("BindingUpdate", "BindingAck")]
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert not verdict.ok
         assert (verdict.index, verdict.rule, verdict.template) == (7, "missing:BindingUpdate", "bbm")
         assert verdict.detail == "HOComplete reports success before BindingUpdate"
@@ -627,18 +627,19 @@ class TestCheck:
     @pytest.mark.parametrize("slice_fn", [mbb_slice, bbm_slice, fmip_slice])
     def test_a_handover_to_its_current_access_is_same_access(self, slice_fn):
         records = readdressed(slice_fn(), ACC_B, ACC_B)
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert (verdict.ok, verdict.index, verdict.rule) == (False, 0, "same-access")
         assert verdict.detail == "HOExecutionRequest targets its current access net-2/cell-b"
 
     def test_an_unclassified_context_conforms_only_as_the_empty_prefix(self):
         request = rec("HOExecutionRequest", flow=1, current=ACC_A, target=ACC_B, mbb_flag=False)
         assert infer_variant([request]) == "unclassified"
-        assert check_trace([request, rec("HOComplete", result="failure", reason="link_lost")]).ok
-        verdict = check_trace([request, rec("HOComplete", result="success")])
+        assert check_trace(as_trace([request, rec("HOComplete", result="failure",
+                                                  reason="link_lost")])).ok
+        verdict = check_trace(as_trace([request, rec("HOComplete", result="success")]))
         assert (verdict.template, verdict.index, verdict.rule) == (
             "unclassified", 1, "unexpected:HOComplete")
-        verdict = check_trace([request, rec("BindingAck", flow=1, result="success")])
+        verdict = check_trace(as_trace([request, rec("BindingAck", flow=1, result="success")]))
         assert (verdict.template, verdict.rule) == ("unclassified", "forbidden:BindingAck")
 
 
@@ -667,45 +668,47 @@ def test_unchecked_records_mixed_into_a_slice_change_no_verdict(slice_fn, swap, 
     for position, record in mixed_in:
         mixed.insert(position, record)
     for template in ["auto", *TEMPLATES]:
-        expected, verdict = check_trace(records, template), check_trace(mixed, template)
+        expected = check_trace(as_trace(records), template)
+        verdict = check_trace(as_trace(mixed), template)
         assert (verdict.ok, verdict.template, verdict.rule, verdict.detail) == (
             expected.ok, expected.template, expected.rule, expected.detail)
         if not verdict.ok:
-            assert verdict.record is expected.record
-            assert mixed[verdict.index] is expected.record
+            assert verdict.record == expected.record
+            assert mixed[verdict.index] is records[expected.index]
 
 
 class TestCheckTrace:
     def test_auto_checks_each_context_with_its_variant(self):
         records = establishment_slice() + mbb_slice() + fmip_slice()
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert verdict.ok and verdict.template == "auto"
 
     def test_auto_reports_global_indices(self):
         records = establishment_slice() + mbb_slice()
         records[13], records[14] = records[14], records[13]  # swap inside the mbb span
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert not verdict.ok
         assert verdict.index == 13
         assert verdict.rule == "binding-update-before-ack"
 
     def test_named_template_applies_to_every_context(self):
-        verdict = check_trace(establishment_slice() + mbb_slice(), template="fmip")
+        verdict = check_trace(as_trace(establishment_slice() + mbb_slice()), template="fmip")
         assert not verdict.ok
         assert verdict.rule.startswith("forbidden:LinkAttach")
         assert verdict.index == 9  # in the handover: the establishment runs its own row
 
     @pytest.mark.parametrize("template", sorted(TEMPLATES))
     def test_an_establishment_runs_its_own_row_under_every_template(self, template):
-        assert check_trace(establishment_slice() + CANONICAL[template](), template=template).ok
+        assert check_trace(as_trace(establishment_slice() + CANONICAL[template]()),
+                           template=template).ok
         records = establishment_slice()
         del records[5]  # its BindingUpdate
-        verdict = check_trace(records, template=template)
+        verdict = check_trace(as_trace(records), template=template)
         assert (verdict.template, verdict.rule) == ("establishment", "binding-update-before-ack")
 
     def test_unknown_template_name(self):
         with pytest.raises(KeyError):
-            check_trace(mbb_slice(), template="imaginary")
+            check_trace(as_trace(mbb_slice()), template="imaginary")
 
     def test_ambiguity_is_a_verdict_not_a_crash(self):
         records = [
@@ -714,7 +717,7 @@ class TestCheckTrace:
             rec("HOComplete", result="success"),
         ]
         for template in ("auto", "mbb"):
-            verdict = check_trace(records, template=template)
+            verdict = check_trace(as_trace(records), template=template)
             assert not verdict.ok
             assert verdict.rule == "ambiguous-attribution"
 
@@ -737,7 +740,7 @@ class TestCheckTrace:
         records.insert(7, rec("BindingUpdate", flow=1, locator=LOC_B))
         for line, record in enumerate(records, start=1):
             record.line = line
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert not verdict.ok
         assert verdict.describe() == (
             "line 8: BindingUpdate precedes LinkDetachRequest"
@@ -749,7 +752,7 @@ class TestCheckTrace:
         records[5], records[6] = records[6], records[5]
         for offset, record in enumerate(records):
             record.line = offset + 1
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert verdict.describe().startswith("line 6:")
 
     def test_bundled_traces_conform(self, bundled_results):
@@ -808,10 +811,10 @@ class TestAccessMismatch:
             for field in CHAINED_ACCESS_FIELDS.get(record.name, ()):
                 tampered = records.copy()
                 tampered[index] = reaimed(record, field, ACC_C)
-                verdict = check_trace(tampered)
+                verdict = check_trace(as_trace(tampered))
                 assert (verdict.ok, verdict.index, verdict.rule) == (
                     False, index, f"access-mismatch:{record.name}.{field}")
-                assert verdict.record is tampered[index]
+                assert verdict.record == tampered[index]
                 assert verdict.detail == (
                     f"{record.name}'s {field} net-3/cell-c is not its request's")
 
@@ -821,17 +824,17 @@ class TestAccessMismatch:
         records = bbm_slice()
         records[1] = reaimed(records[1], "current", dict(ACC_A))
         records[3] = reaimed(records[3], "target", {**ACC_B, "rat": "wlan"})
-        assert check_trace(records).ok
+        assert check_trace(as_trace(records)).ok
         for edit in ({"cell_id": "cell-z"}, {"network_id": "net-z"}):
             records[5] = reaimed(records[5], "target", {**ACC_B, **edit})
-            verdict = check_trace(records)
+            verdict = check_trace(as_trace(records))
             assert (verdict.index, verdict.rule) == (5, "access-mismatch:PathSelect.target")
 
     def test_an_order_violation_before_a_mismatch_wins(self):
         records = bbm_slice()
         records[3], records[4] = records[4], records[3]
         records[5] = reaimed(records[5], "target", ACC_C)
-        verdict = check_trace(records)
+        verdict = check_trace(as_trace(records))
         assert (verdict.index, verdict.rule) == (3, "attach-request-before-response")
 
     @pytest.mark.parametrize("name, field", [
@@ -846,10 +849,10 @@ class TestAccessMismatch:
                                (None, f"{name}'s '{field}' needs an access object")):
             records[index] = reaimed(records[index], field, value)
             with pytest.raises(ValueError, match=problem):
-                check_trace(records)
+                check_trace(as_trace(records))
         del records[index].params[field]
         with pytest.raises(ValueError, match=f"{name} has no '{field}'"):
-            check_trace(records)
+            check_trace(as_trace(records))
 
     def test_every_reaimed_access_field_of_a_simulated_trace_is_rejected(self, bundled_results):
         """Each context of the bundled traces and of the slow long walk, with
@@ -866,13 +869,13 @@ class TestAccessMismatch:
                     for field in CHAINED_ACCESS_FIELDS.get(record.name, ()):
                         for access in other_accesses(record.params[field], slice_records[0]):
                             tampered, at = (records, index) if whole else (slice_records, position)
-                            tampered = tampered.copy()
+                            tampered = list(tampered)
                             tampered[at] = mutant = reaimed(record, field, access)
-                            verdict = check_trace(tampered)
+                            verdict = check_trace(as_trace(tampered))
                             assert (verdict.ok, verdict.index, verdict.rule) == (
                                 False, at, f"access-mismatch:{record.name}.{field}"
                             ), (name, record.line, access)
-                            assert verdict.record is mutant
+                            assert verdict.record == mutant
                             mutated.add((record.name, field))
         assert mutated == {(name, field) for name, fields in CHAINED_ACCESS_FIELDS.items()
                            for field in fields}
@@ -922,9 +925,9 @@ def repeated_contexts(draw):
 
 
 def _seen(verdict):
-    """What a verdict tells, with its record by identity."""
+    """What a verdict tells, its record included."""
     return (verdict.ok, verdict.template, verdict.rule, verdict.index, verdict.detail,
-            id(verdict.record))
+            verdict.record)
 
 
 def _context_of(trace, index):
@@ -936,6 +939,7 @@ def _context_of(trace, index):
 @settings(max_examples=300, deadline=None)
 @given(trace=repeated_contexts())
 def test_auto_rejects_what_the_reference_rejects(trace):
+    trace = as_trace(trace)
     if not check_oracle.check_trace(trace, "auto").ok:
         assert not check_trace(trace, "auto").ok
 
@@ -944,6 +948,7 @@ def test_auto_rejects_what_the_reference_rejects(trace):
 @given(trace=repeated_contexts())
 def test_a_named_row_rejects_what_the_reference_rejects_outside_establishments(trace):
     """The reference forced a named template onto an establishment too."""
+    trace = as_trace(trace)
     for choice in TEMPLATES:
         expected = check_oracle.check_trace(trace, choice)
         if expected.ok or _context_of(trace, expected.index)[0].params["current"] is None:
@@ -955,8 +960,8 @@ def test_a_named_row_rejects_what_the_reference_rejects_outside_establishments(t
 @given(document=slow_walks())
 def test_check_and_check_trace_give_the_reference_verdicts(document):
     """On simulated traces, where failed handovers abound, every verdict under
-    auto and under a named row but fmip is the reference's, record by
-    identity; the reference applied fmip to establishments too."""
+    auto and under a named row but fmip is the reference's, record and
+    index included; the reference applied fmip to establishments too."""
     records = Simulation(parse_scenario(document)).run().records
     for choice in ("auto", "bbm", "establishment", "mbb"):
         assert _seen(check_trace(records, choice)) == _seen(check_oracle.check_trace(records, choice))

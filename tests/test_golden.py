@@ -14,13 +14,14 @@ view. A third variant, slow signalling on the long walk and on the multi-flow
 scenario, fails most of their handovers, so the failure path of every step is
 pinned as well. The diagram
 of each bundled and generated trace is pinned by its digest too, drawn from
-the same run whose digests are compared, and writing
-the generated multi-flow trace must stay within a memory bound. The files
-under bench/ are only read.
+the same run whose digests are compared. Writing the generated multi-flow
+trace must stay within a memory bound, and so must reading it, which may
+also make no object per line. The files under bench/ are only read.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from mobsig import cli
+from mobsig.conformance import load_trace
 from mobsig.scenario import load_scenario
 from mobsig.simulation import Simulation
 
@@ -102,6 +104,36 @@ def test_writing_the_generated_multiflow_trace_holds_under_its_size(tmp_path):
         tracemalloc.stop()
     size = trace.stat().st_size
     assert peak < 0.75 * size, f"writing peaked at {peak / size:.2f} times the trace's {size} bytes"
+
+
+def test_reading_the_generated_multiflow_trace_makes_no_object_per_line(golden_run):
+    """The reader holds a trace as one list per field, so what it adds to the
+    objects the cyclic collector tracks is the distinct params dicts and
+    what they hold: 0.55 per record on this trace's 48 289. A slotted
+    record per line made it 1.55 per record."""
+    trace = golden_run("multiflow-dense")[0] / "trace.jsonl"
+    gc.collect()
+    before = len(gc.get_objects())
+    records = load_trace(str(trace))
+    rise = len(gc.get_objects()) - before
+    assert rise < len(records), f"reading {len(records)} records added {rise} tracked objects"
+
+
+def test_reading_the_generated_multiflow_trace_holds_under_its_size(golden_run):
+    """What the read trace holds stays below 1.25 times the file it was read
+    from: 1.03 times with one list per field, 1.50 times with a record per
+    line."""
+    trace = golden_run("multiflow-dense")[0] / "trace.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = load_trace(str(trace))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = trace.stat().st_size
+    assert len(records) and held < 1.25 * size, (
+        f"the read trace holds {held / size:.2f} times the trace's {size} bytes")
 
 
 # The SHA-256 of what `mobsig diagram` prints for each trace above, taken

@@ -293,7 +293,7 @@ class TestUnexpectedResponses:
             node.kernel.schedule(0, payload)
         with pytest.raises(SimulationError, match="LinkAttachResponse"):
             node.run()
-        names = [record.name for record in node.records()[before:]]
+        names = node.names()[before:]
         assert names == ["LinkAttachResponse"]
         assert node.holm.completed == [ctx]
         assert ctx.result == Result.failure("out_of_coverage")

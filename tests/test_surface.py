@@ -14,7 +14,8 @@ The test imports a fresh copy of mobsig under ``sys.settrace`` and drives
   ``mobsig.scenario``, one trace line per reader or field error, tampered
   traces (adjacent swaps, a repeated line, handovers to the access they
   leave, a link request re-aimed at an access its handover does not name and
-  a success that runs no row) and a two-flow trace whose handovers overlap.
+  a success that runs no row) and a two-flow trace whose handovers overlap;
+* ``run``, ``check`` and ``diagram`` with stdout on a full device.
 
 Every statement of ``src/mobsig`` must be reached: a line event must land in
 its span, as the AST gives it, so the line tables of different Python
@@ -28,6 +29,7 @@ the test too.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
 import json
 import pkgutil
@@ -86,9 +88,8 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
     ("cli.py", "_cmd_run", "except SimulationError as exc:"): "exit 3 and the partial trace",
     ("core.py", "", "def _plain(value: Any) -> Any:"): _RECORDS,
     ("core.py", "Payload", "def params(self) -> dict[str, Any]:"): _RECORDS,
-    ("simkernel.py", "", "def trace_records(events: list[SimEvent]) -> list[TraceRecord]:"):
-        _RECORDS,
-    ("simulation.py", "SimulationResult", "def records(self) -> list[TraceRecord]:"): _RECORDS,
+    ("simkernel.py", "", "def trace_records(events: list[SimEvent]) -> Trace:"): _RECORDS,
+    ("simulation.py", "SimulationResult", "def records(self) -> Trace:"): _RECORDS,
     ("cli.py", "", 'if __name__ == "__main__":'): "the entry point of python -m mobsig.cli",
 }
 
@@ -314,6 +315,13 @@ def _drive(cli, templates: list[str], scenario_dir: Path, out: Path) -> None:
         assert main("diagram", "--trace", out / f"unreadable-{index}.jsonl") in (0, 2)
     assert main("check", "--trace", out / "missing.jsonl") == 2
     assert main("diagram", "--trace", out / "missing.jsonl") == 2
+
+    # Stdout that takes nothing: each command does its work, then exits 3.
+    for argv in (("run", "--scenario", scenario_dir / "mbb.json", "--trace", out / "full.jsonl",
+                  "--metrics", out / "full.json"),
+                 ("check", "--trace", out / "full.jsonl"), ("diagram", "--trace", out / "full.jsonl")):
+        with open("/dev/full", "w", encoding="utf-8") as full, contextlib.redirect_stdout(full):
+            assert main(*argv) == 3, argv[0]
 
 
 def _traced(drive) -> tuple[dict[str, set[int]], set[tuple[str, int]]]:
