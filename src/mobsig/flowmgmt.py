@@ -32,7 +32,6 @@ class FlowRecord:
     state: str = "new"  # then "pending", and "active" or "failed"
     current_access: AccessId | None = None
     granted_qos: QosSpec | None = None
-    provided_qos: QosSpec | None = None
 
 
 class FlowManagement:
@@ -62,10 +61,9 @@ class FlowManagement:
         if response.result.ok:
             record.state = "active"
             record.granted_qos = response.granted_qos
-            record.provided_qos = response.granted_qos
         else:
             record.state = "failed"
 
     def _on_handover_occurred(self, indication: HandoverOccurred) -> None:
-        self._table.get(indication.flow).provided_qos = indication.provided_qos
+        assert indication.flow in self._table, "a handover of a flow FlowMng does not know"
         self._kernel.schedule(0, HandoverOccurredResponse(Result.success()))

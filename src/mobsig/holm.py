@@ -1,13 +1,12 @@
 """Handover orchestration: tool selection and the step table every variant runs.
 
 One HandoverContext tracks each execution request from arrival to its single
-HOComplete: the STEPS row it runs, the index of the step under way, the break
-and restore instants, and the final Result. The signaling exchange is
-generic: STEPS maps each variant to its ordered steps, and one step loop runs
-every row. STEP_MESSAGES names the trace messages each step exchanges; the
-conformance checker walks each handover context along the chain the two
-tables give its row, so a new variant is one STEPS row (plus the messages of
-any new step).
+HOComplete: the STEPS row it runs and the index of the step under way. The
+signaling exchange is generic: STEPS maps each variant to its ordered steps,
+and one step loop runs every row. STEP_MESSAGES names the trace messages each
+step exchanges; the conformance checker walks each handover context along
+the chain the two tables give its row, so a new variant is one STEPS row
+(plus the messages of any new step).
 
 * establishment - attach the first link, configure a locator and bind; there
                   is no previous access or binding to tear down.
@@ -27,10 +26,6 @@ one the response type that resumes it. MRRM serializes handovers node-wide;
 a request that arrives while one is under way, for any flow, breaks that
 invariant and ends the run with a SimulationError, and so does a response
 that the step under way does not await.
-
-Interruption is restore minus break. The break is the first detach or switch
-step, else the binding ack; the restore is the tunnel start, else the binding
-ack. So make-before-break and establishment have no gap.
 """
 from __future__ import annotations
 
@@ -53,7 +48,7 @@ from .core import (
 )
 from .environment import Cell, Environment
 from .protocols import DaemonHost
-from .simkernel import Kernel, SimTime
+from .simkernel import Kernel
 
 
 @dataclass(eq=False, repr=False)
@@ -64,12 +59,8 @@ class HandoverContext:
     current: AccessId | None
     target: AccessId
     variant: str  # the STEPS row it runs
-    t_start: SimTime
-    t_break: SimTime | None = None
-    t_restore: SimTime | None = None
     new_locator: Locator | None = None
     step: int = 0  # index into STEPS[variant] of the step under way
-    result: Result | None = None  # set when the handover completes
 
 
 # The ordered steps of each variant. Holm._begin starts a step; Holm._step_done
@@ -96,18 +87,16 @@ STEP_MESSAGES: dict[str, tuple[str, ...]] = {
 
 
 def select_tool(request: HOExecutionRequest, target_cell: Cell) -> str:
-    """Cheapest capable tool: seamless if the device can, else FMIP, else plain."""
+    """The STEPS row a request runs: establishment without a current access,
+    else the cheapest capable tool: seamless if the device can, else FMIP,
+    else plain."""
+    if request.current is None:
+        return "establishment"
     if request.mbb_flag:
         return "mbb"
     if target_cell.supports_fmip:
         return "fmip"
     return "bbm"
-
-
-def interruption_time(ctx: HandoverContext) -> int:
-    """Connectivity gap of a successful handover in microseconds."""
-    assert ctx.t_break is not None and ctx.t_restore is not None
-    return ctx.t_restore - ctx.t_break
 
 
 class Holm:
@@ -120,7 +109,6 @@ class Holm:
         self._env = env
         self._daemons = daemons
         self._table = flow_table
-        self.completed: list[HandoverContext] = []
         # The handover under way, and the response type that resumes it.
         self._active: HandoverContext | None = None
         self._awaiting: type | None = None
@@ -137,16 +125,11 @@ class Holm:
 
     def _start(self, request: HOExecutionRequest) -> None:
         assert self._active is None, "a handover request while another runs"
-        if request.current is None:
-            variant = "establishment"
-        else:
-            variant = select_tool(request, self._env.cell(request.target))
         ctx = HandoverContext(
             flow=request.flow,
             current=request.current,
             target=request.target,
-            variant=variant,
-            t_start=self._kernel.now,
+            variant=select_tool(request, self._env.cell(request.target)),
         )
         self._active = ctx
         self._begin(ctx)
@@ -155,12 +138,9 @@ class Holm:
         """Start the context's next step, or complete it after its last one."""
         steps = STEPS[ctx.variant]
         if ctx.step == len(steps):
-            self._finish(ctx, Result.success())
+            self._finish(Result.success())
             return
-        step = steps[ctx.step]
-        if step in ("detach", "switch") and ctx.t_break is None:
-            ctx.t_break = self._kernel.now
-        match step:
+        match steps[ctx.step]:
             case "attach":
                 requested = self._table.get(ctx.flow).requested
                 self._request(
@@ -203,30 +183,16 @@ class Holm:
     ) -> None:
         """Fail the handover on a failed step; else record the outcome and go on."""
         if not result.ok:
-            self._finish(ctx, result)
+            self._finish(result)
             return
-        now = self._kernel.now
-        match STEPS[ctx.variant][ctx.step]:
-            case "path":
-                assert isinstance(reply, PathSelected)
-                ctx.new_locator = reply.new_locator
-            case "tunnel_start":
-                # Forwarding over the tunnel restores service at attach time.
-                ctx.t_restore = now
-            case "bind":
-                # Without an earlier break or tunnel, the locator switch is the
-                # service hand-off instant: the old link is still up, so no gap.
-                if ctx.t_break is None:
-                    ctx.t_break = now
-                if ctx.t_restore is None:
-                    ctx.t_restore = now
+        if STEPS[ctx.variant][ctx.step] == "path":
+            assert isinstance(reply, PathSelected)
+            ctx.new_locator = reply.new_locator
         ctx.step += 1
         self._begin(ctx)
 
-    def _finish(self, ctx: HandoverContext, result: Result) -> None:
-        ctx.result = result
+    def _finish(self, result: Result) -> None:
         self._active = None
-        self.completed.append(ctx)
         self._kernel.schedule(0, HOComplete(result))
 
     def _request(self, reply: type, message) -> None:

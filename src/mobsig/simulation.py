@@ -3,17 +3,20 @@
 `Simulation` connects the six functional entities to one event kernel, drives
 the resource manager's decision cycle at the configured scan period, starts
 each flow at its configured time, and runs the kernel until no work remains.
-The result bundles the recorded events and a JSON-ready metrics report built
-from the completed handover contexts; its trace (a `simkernel.Trace`) is
-built from the events on first read.
+The result bundles the recorded events and a JSON-ready metrics report read
+from those events; its trace (a `simkernel.Trace`) is built from the events
+on first read.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import compress
 from operator import itemgetter
+from typing import Callable
 
 from .conformance import SEQUENCE_NAMES
 from .core import (
@@ -24,11 +27,17 @@ from .core import (
     FE_MRRM,
     FE_PATH_SELECTION,
     PAYLOAD_TYPES,
+    AccessId,
+    BindingAck,
+    HOComplete,
     HOExecutionRequest,
+    LinkDetachRequest,
+    LinkSwitchRequest,
+    TunnelStart,
 )
-from .environment import Environment
+from .environment import Cell, Environment
 from .flowmgmt import FlowManagement, FlowRecord
-from .holm import HandoverContext, Holm, interruption_time
+from .holm import Holm, select_tool
 from .mrrm import Mrrm
 from .path_selection import PathSelection
 from .protocols import DaemonHost
@@ -116,62 +125,75 @@ class Simulation:
         events = self.recorder.events
         return SimulationResult(
             events=events,
-            metrics=build_metrics(events, self.holm.completed),
+            metrics=build_metrics(events, self.environment.cell),
             final_time_us=final,
         )
 
 
-def build_metrics(events: list[SimEvent], contexts: list[HandoverContext]) -> dict:
-    """Summarize completed handovers from the recorded events and orchestration records.
+def build_metrics(events: list[SimEvent], cell: Callable[[AccessId], Cell]) -> dict:
+    """Summarize the completed handovers of a run from its recorded events.
 
     Each handover spans its HOExecutionRequest up to the next request in the
     trace (handovers on one node never overlap); the message count covers the
-    signaling-sequence records inside that span. HOLM completes its requests
-    one at a time, in trace order, so the i-th context owns the i-th span.
+    signaling-sequence records inside that span, and its HOComplete gives the
+    result. A request without its HOComplete is not reported. The variant is
+    the STEPS row HOLM runs for the request: ``select_tool`` on it and on its
+    target's cell, which ``cell`` looks up, so a handover that failed before
+    its first step message names it too.
+
+    Interruption is restore minus break. The break is the handover's first
+    detach request, switch request or binding ack, and the restore its first
+    tunnel start or binding ack. So make-before-break, whose detach follows
+    the ack, and establishment have no gap.
     """
-    # The first count is of the sequence records before any request.
-    counts = [0]
-    for kind in map(type, map(itemgetter(2), events)):
-        if kind in _SEQUENCE_TYPES:
-            if kind is HOExecutionRequest:
-                counts.append(0)
-            counts[-1] += 1
-    del counts[0]
     handovers = []
-    totals_by_variant: dict[str, int] = {}
-    succeeded = failed = 0
-    total_interruption = 0
-    max_interruption = 0
+    gaps = []
+    # The sequence records before the first request count toward no handover.
+    entry: dict = {"message_count": 0}
+    t_break = t_restore = None
+    kinds = map(type, map(itemgetter(2), events))
+    for at, _seq, payload in compress(events, map(_SEQUENCE_TYPES.__contains__, kinds)):
+        kind = type(payload)
+        if kind is HOExecutionRequest:
+            entry = {
+                "flow": payload.flow,
+                "variant": select_tool(payload, cell(payload.target)),
+                "t_request_us": at,
+                "interruption_us": None,
+                "message_count": 0,
+            }
+            t_break = t_restore = None
+        elif kind is LinkDetachRequest or kind is LinkSwitchRequest:
+            if t_break is None:
+                t_break = at
+        elif kind is BindingAck:
+            if t_break is None:
+                t_break = at
+            if t_restore is None:
+                t_restore = at
+        elif kind is TunnelStart:
+            t_restore = at
+        elif kind is HOComplete:
+            result = payload.result
+            if result.ok:
+                entry["interruption_us"] = t_restore - t_break
+                entry["result"] = "success"
+                gaps.append(entry["interruption_us"])
+            else:
+                entry["result"] = "failure"
+                entry["reason"] = result.reason
+            handovers.append(entry)
+        entry["message_count"] += 1
 
-    for ctx, message_count in zip(contexts, counts, strict=True):
-        entry = {
-            "flow": ctx.flow,
-            "variant": ctx.variant,
-            "t_request_us": ctx.t_start,
-            "interruption_us": None,
-            "message_count": message_count,
-            "result": "success" if ctx.result.ok else "failure",
-        }
-        if ctx.result.ok:
-            gap = interruption_time(ctx)
-            entry["interruption_us"] = gap
-            succeeded += 1
-            total_interruption += gap
-            max_interruption = max(max_interruption, gap)
-        else:
-            entry["reason"] = ctx.result.reason
-            failed += 1
-        totals_by_variant[ctx.variant] = totals_by_variant.get(ctx.variant, 0) + 1
-        handovers.append(entry)
-
+    by_variant = Counter(entry["variant"] for entry in handovers)
     return {
         "handovers": handovers,
         "totals": {
             "count": len(handovers),
-            "succeeded": succeeded,
-            "failed": failed,
-            "by_variant": dict(sorted(totals_by_variant.items())),
-            "total_interruption_us": total_interruption,
-            "max_interruption_us": max_interruption,
+            "succeeded": len(gaps),
+            "failed": len(handovers) - len(gaps),
+            "by_variant": dict(sorted(by_variant.items())),
+            "total_interruption_us": sum(gaps),
+            "max_interruption_us": max(gaps, default=0),
         },
     }

@@ -35,6 +35,7 @@ from mobsig.mrrm import Mrrm, MrrmPolicy
 from mobsig.path_selection import PathModel, PathSelection
 from mobsig.protocols import DaemonHost
 from mobsig.simkernel import Kernel, Trace, TraceRecord, TraceRecorder, _Rendered, trace_records
+from mobsig.simulation import build_metrics
 
 REQUESTED = QosSpec(bandwidth_kbps=1000, max_latency_ms=80)
 
@@ -99,6 +100,23 @@ def load_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def expected_interruption_us(config, variant, old_key, new_key):
+    """Interruption oracle built only from scenario latencies."""
+    cells = {cell.access.key: cell for cell in config.cells}
+    if variant == "mbb":
+        return 0
+    if variant == "bbm":
+        return (
+            cells[old_key].link_teardown_us
+            + cells[new_key].link_setup_us
+            + cells[new_key].locator_config_us
+            + config.binding_rtt_us
+        )
+    if variant == "fmip":
+        return cells[old_key].link_teardown_us + cells[new_key].link_setup_us
+    raise AssertionError(f"no oracle for variant {variant!r}")
 
 
 def qos_satisfies(granted: QosSpec, requested: QosSpec) -> bool:
@@ -270,6 +288,10 @@ class Node:
 
     def records(self) -> list[TraceRecord]:
         return trace_records(self.recorder.events)
+
+    def metrics(self) -> dict:
+        """The metrics report of the events so far, as a run builds it."""
+        return build_metrics(self.recorder.events, self.env.cell)
 
     def names(self, sequence_only: bool = False) -> list[str]:
         names = [record.name for record in self.records()]

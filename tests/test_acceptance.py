@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 
 from order_oracle import accepts
-from support import trace_line
+from support import expected_interruption_us, trace_line
 
 from mobsig.conformance import (
     SEQUENCE_NAMES,
@@ -68,23 +68,6 @@ def handover_endpoints(slice_records):
             new = access_key(record.params["target"])
     assert old is not None and new is not None
     return old, new
-
-
-def expected_interruption_us(config, variant, old_key, new_key):
-    """Interruption oracle built only from scenario latencies."""
-    cells = {cell.access.key: cell for cell in config.cells}
-    if variant == "mbb":
-        return 0
-    if variant == "bbm":
-        return (
-            cells[old_key].link_teardown_us
-            + cells[new_key].link_setup_us
-            + cells[new_key].locator_config_us
-            + config.binding_rtt_us
-        )
-    if variant == "fmip":
-        return cells[old_key].link_teardown_us + cells[new_key].link_setup_us
-    raise AssertionError(f"no oracle for variant {variant!r}")
 
 
 def test_bundled_traces_conform_to_their_templates(bundled_configs):

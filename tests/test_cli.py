@@ -15,11 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsig import cli, simkernel
-from mobsig.conformance import CHECKED_NAMES, TEMPLATES, load_trace, parse_trace
+from mobsig.conformance import (
+    CHECKED_NAMES,
+    SEQUENCE_NAMES,
+    TEMPLATES,
+    load_trace,
+    parse_trace,
+    segment_contexts,
+)
 from mobsig.core import ENDS, FUNCTIONAL_ENTITIES, LinkDown
+from mobsig.scenario import parse_scenario
 from mobsig.simkernel import SimulationError, TraceRecord, TraceRecorder
+from mobsig.simulation import Simulation
 
-from support import annotate, as_trace, json_values, load_generator, trace_line
+from support import (
+    annotate,
+    as_trace,
+    expected_interruption_us,
+    json_values,
+    load_generator,
+    trace_line,
+)
 
 
 def run_cli(*argv):
@@ -560,11 +576,13 @@ class TestUnwritableStdout:
     def test_each_command_exits_3_as_a_process(self, tmp_path, scenario_path, buffering):
         """Python flushes stdout once more at exit; that flush finds nothing
         left to write, so the exit code stays 3 ("Exception ignored" and 120
-        otherwise)."""
+        otherwise). Under -X dev -W error, a warning, such as a
+        ResourceWarning for a file never closed, would fail it too."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         for name, argv in self.commands(scenario_path, tmp_path).items():
             with open("/dev/full", "w") as full:
-                done = subprocess.run([sys.executable, *buffering, "-m", "mobsig.cli", *argv],
+                done = subprocess.run([sys.executable, *buffering, "-X", "dev", "-W", "error",
+                                       "-m", "mobsig.cli", *argv],
                                       stdout=full, stderr=subprocess.PIPE, text=True, env=env)
             assert (done.returncode, done.stderr) == (
                 3, "cannot write output: [Errno 28] No space left on device\n"), name
@@ -780,16 +798,17 @@ latencies = st.sampled_from([5_000, 400_000, 4_000_000, 4_000_000]) | st.integer
 
 
 @st.composite
-def generated_scenarios(draw):
+def generated_scenarios(draw, flows=st.integers(1, 3)):
     """A scenario of the benchmark's family (bench/gen.py) of any handover
-    style and one to three flows, with jitter, signalling of up to 4 s,
-    forbidden networks, and paths that policy bans or that are too slow."""
+    style and one to three flows (as ``flows`` draws them), with jitter,
+    signalling of up to 4 s, forbidden networks, and paths that policy bans
+    or that are too slow."""
     cells = draw(st.integers(2, 6))
     document = load_generator().scenario(
         random.Random(draw(st.integers(0, 2**16))),
         cells=cells,
         waypoints=draw(st.integers(2, 5)),
-        flows=draw(st.integers(1, 3)),
+        flows=draw(flows),
         duration_us=draw(st.integers(1, 4)) * cells * 1_000_000,
         jitter_us=draw(st.sampled_from([0, 20_000])),
         fmip_share=draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -821,3 +840,31 @@ def test_generated_scenarios_run_and_their_single_flow_traces_conform(document):
                        "--metrics", str(Path(out, "metrics.json"))) == 0
         if len(document["flows"]) == 1:
             assert run_cli("check", "--trace", str(trace)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(document=generated_scenarios(flows=st.just(1)))
+def test_single_flow_metrics_agree_with_the_checkers_contexts(document):
+    """Each metrics entry of a one-flow run has the flow, request time,
+    message count, result and reason of its handover context as the checker
+    cuts it from the trace; without jitter, each successful handover's
+    interruption is the latency-sum oracle's."""
+    config = parse_scenario(document)
+    result = Simulation(config).run()
+    contexts = segment_contexts(result.records)
+    handovers = result.metrics["handovers"]
+    assert len(handovers) == len(contexts)
+    for entry, context in zip(handovers, contexts):
+        request = context.records[0]
+        [done] = [record for record in context.records if record.name == "HOComplete"]
+        assert (entry["flow"], entry["t_request_us"], entry["message_count"], entry["result"],
+                entry.get("reason")) == (
+            request.params["flow"], request.at,
+            sum(record.name in SEQUENCE_NAMES for record in context.records),
+            done.params["result"], done.params.get("reason"))
+        if config.jitter_us == 0 and entry["result"] == "success" \
+                and entry["variant"] != "establishment":
+            old, new = (f"{request.params[field]['network_id']}/{request.params[field]['cell_id']}"
+                        for field in ("current", "target"))
+            assert entry["interruption_us"] == expected_interruption_us(
+                config, entry["variant"], old, new)

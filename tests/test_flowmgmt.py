@@ -11,7 +11,7 @@ from mobsig.core import (
     Result,
 )
 from mobsig.flowmgmt import FlowManagement, FlowRecord
-from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
+from mobsig.simkernel import Kernel, SimulationError, TraceRecorder, trace_records
 
 from support import REQUESTED
 
@@ -53,7 +53,10 @@ class TestSetupResponse:
         record = table.get(1)
         assert record.state == "active"
         assert record.granted_qos == granted
-        assert record.provided_qos == granted
+        # what FlowMng was told is the trace's record
+        [told] = [r for r in trace_records(kernel.recorder.events)
+                  if r.name == "AccessFlowSetupResponse"]
+        assert told.params["granted_qos"] == {"bandwidth_kbps": 800, "max_latency_ms": 90}
 
     def test_failure_marks_the_flow_failed(self):
         kernel, table, entity, _ = build_entity(1)
@@ -88,12 +91,13 @@ class TestSetupResponse:
 
 
 class TestHandoverOccurred:
-    def test_updates_provided_qos_and_acknowledges(self):
-        kernel, table, entity, mrrm_in = build_entity(1)
-        provided = QosSpec(800, 90)
-        kernel.schedule(0, HandoverOccurred(flow=1, provided_qos=provided))
+    def test_acknowledges_and_the_trace_holds_the_provided_qos(self):
+        kernel, _, _, mrrm_in = build_entity(1)
+        kernel.schedule(0, HandoverOccurred(flow=1, provided_qos=QosSpec(800, 90)))
         kernel.run_until_quiescent()
-        assert table.get(1).provided_qos == provided
+        [told] = [r for r in trace_records(kernel.recorder.events) if r.name == "HandoverOccurred"]
+        assert told.params == {"flow": 1,
+                               "provided_qos": {"bandwidth_kbps": 800, "max_latency_ms": 90}}
         assert len(mrrm_in) == 1 and mrrm_in[0].result.ok
 
     def test_unknown_flow_is_reported_back(self):

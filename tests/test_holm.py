@@ -1,4 +1,5 @@
-"""Handover orchestration: tool choice, signaling order, interruption marks."""
+"""Handover orchestration: tool choice, signaling order, and the interruption
+the metrics read from its messages."""
 
 import pytest
 
@@ -13,8 +14,9 @@ from mobsig.core import (
     Result,
 )
 from mobsig.flowmgmt import FlowRecord
-from mobsig.holm import HandoverContext, interruption_time, select_tool
+from mobsig.holm import select_tool
 from mobsig.simkernel import SimulationError
+from mobsig.simulation import build_metrics
 
 from support import REQUESTED, Node, make_cell
 
@@ -101,18 +103,34 @@ def request_handover(node, flow, current, target, mbb_flag):
     return node.run()
 
 
+def times_of(node, name):
+    """The times of the node's records named name."""
+    return [record.at for record in node.records() if record.name == name]
+
+
 class TestSelectTool:
+    CURRENT = make_cell(cell_id="cell-b").access
+
     def test_mbb_capable_always_wins(self):
-        request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=True)
+        request = HOExecutionRequest(flow=1, current=self.CURRENT, target=make_cell().access,
+                                     mbb_flag=True)
         assert select_tool(request, make_cell(supports_fmip=True)) == "mbb"
 
     def test_fmip_when_target_supports_it(self):
-        request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=False)
+        request = HOExecutionRequest(flow=1, current=self.CURRENT, target=make_cell().access,
+                                     mbb_flag=False)
         assert select_tool(request, make_cell(supports_fmip=True)) == "fmip"
 
     def test_plain_bbm_as_the_fallback(self):
-        request = HOExecutionRequest(flow=1, current=None, target=make_cell().access, mbb_flag=False)
+        request = HOExecutionRequest(flow=1, current=self.CURRENT, target=make_cell().access,
+                                     mbb_flag=False)
         assert select_tool(request, make_cell(supports_fmip=False)) == "bbm"
+
+    @pytest.mark.parametrize("mbb_flag", [True, False])
+    def test_no_current_access_establishes_whatever_the_tool(self, mbb_flag):
+        request = HOExecutionRequest(flow=1, current=None, target=make_cell().access,
+                                     mbb_flag=mbb_flag)
+        assert select_tool(request, make_cell(supports_fmip=True)) == "establishment"
 
 
 class TestHandoverContext:
@@ -122,19 +140,23 @@ class TestHandoverContext:
         request_handover(node, 1, current=None, target=b, mbb_flag=True)
         request_handover(node, 1, current=b, target=a, mbb_flag=True)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
-        assert [ctx.variant for ctx in node.holm.completed] == ["establishment", "mbb", "fmip"]
-        assert all(ctx.result.ok for ctx in node.holm.completed)
+        handovers = node.metrics()["handovers"]
+        assert [h["variant"] for h in handovers] == ["establishment", "mbb", "fmip"]
+        assert [h["result"] for h in handovers] == ["success"] * 3
+        assert node.names().count("HOExecutionRequest") == 3
 
     def test_interruption_undefined_until_done(self):
-        ctx = HandoverContext(
-            flow=1, current=None, target=make_cell().access, variant="bbm", t_start=0
-        )
-        with pytest.raises(AssertionError):
-            interruption_time(ctx)
-        ctx.t_break = 0
-        ctx.result = Result.failure("link_lost")
-        with pytest.raises(AssertionError):
-            interruption_time(ctx)
+        """A handover is reported once it completes, and one that broke service
+        and then failed has no interruption."""
+        node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
+        node.attach_now(1, a)
+        request_handover(node, 1, current=a, target=b, mbb_flag=False)
+        events = node.recorder.events
+        done = [type(payload) for _at, _seq, payload in events].index(HOComplete)
+        assert build_metrics(events[:done], node.env.cell)["handovers"] == []
+        [entry] = build_metrics(events, node.env.cell)["handovers"]
+        assert (entry["result"], entry["reason"]) == ("failure", "out_of_coverage")
+        assert entry["interruption_us"] is None
 
 
 class TestEstablishment:
@@ -143,19 +165,21 @@ class TestEstablishment:
         final = request_handover(node, 1, current=None, target=a, mbb_flag=False)
         assert node.names(sequence_only=True) == ESTABLISHMENT_SEQUENCE
         assert final == 190_000  # attach 50 ms, locator 100 ms, binding 40 ms
-        ctx = node.holm.completed[0]
-        assert ctx.variant == "establishment"
-        assert ctx.result.ok
-        assert interruption_time(ctx) == 0
-        assert ctx.t_break == ctx.t_restore == 190_000  # marked at the binding ack
+        [entry] = node.metrics()["handovers"]
+        assert entry["variant"] == "establishment"
+        assert entry["result"] == "success"
+        assert entry["interruption_us"] == 0
+        assert times_of(node, "BindingAck") == [190_000]  # both marks fall on the ack
+        assert not times_of(node, "LinkDetachRequest") + times_of(node, "TunnelStart")
 
     def test_locator_registered_with_the_daemon(self):
         node, a, _ = colocated_node()
         request_handover(node, 1, current=None, target=a, mbb_flag=True)
-        locator = node.holm.completed[0].new_locator
-        assert locator.access == a
-        bound = [r.params["locator"] for r in node.records() if r.name == "BindingUpdate"]
-        assert [entry["address"] for entry in bound] == [locator.address]
+        records = node.records()
+        [locator] = [r.params["new_locator"] for r in records if r.name == "PathSelected"]
+        assert locator["access"] == a._wire
+        bound = [r.params["locator"] for r in records if r.name == "BindingUpdate"]
+        assert bound == [locator]
 
 
 class TestMakeBeforeBreak:
@@ -165,11 +189,12 @@ class TestMakeBeforeBreak:
         final = request_handover(node, 1, current=a, target=b, mbb_flag=True)
         assert node.names(sequence_only=True) == MBB_HANDOVER_SEQUENCE
         assert final == 50_000 + 200_000
-        ctx = node.holm.completed[0]
-        assert ctx.variant == "mbb"
-        assert interruption_time(ctx) == 0
-        assert ctx.t_break == ctx.t_restore  # hand-off happens at the binding ack
-        assert ctx.result.ok
+        [entry] = node.metrics()["handovers"]
+        assert entry["variant"] == "mbb"
+        assert entry["interruption_us"] == 0
+        # the hand-off happens at the binding ack; the detach follows it
+        assert times_of(node, "BindingAck") == times_of(node, "LinkDetachRequest") == [240_000]
+        assert entry["result"] == "success"
 
     def test_old_link_is_released(self):
         node, a, b = colocated_node()
@@ -185,22 +210,24 @@ class TestBreakBeforeMake:
         node.attach_now(1, a)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
         assert node.names(sequence_only=True) == BBM_HANDOVER_SEQUENCE
-        ctx = node.holm.completed[0]
-        assert ctx.variant == "bbm"
-        assert ctx.t_break == 50_000  # the moment the request was accepted
+        [entry] = node.metrics()["handovers"]
+        assert entry["variant"] == "bbm"
+        assert times_of(node, "LinkDetachRequest") == [50_000]  # the moment the request was accepted
         # teardown 10 + setup 50 + locator 100 + binding rtt 40 (ms)
-        assert ctx.t_restore == 50_000 + 200_000  # the binding ack
-        assert interruption_time(ctx) == 200_000
-        assert ctx.result.ok
+        assert times_of(node, "BindingAck") == [50_000 + 200_000]
+        assert entry["interruption_us"] == 200_000
+        assert entry["result"] == "success"
 
     def test_attach_failure_leaves_the_flow_unconnected(self):
         node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
         node.attach_now(1, a)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
-        ctx = node.holm.completed[0]
-        assert ctx.result == Result.failure("out_of_coverage")
-        assert ctx.step == 1  # the attach, after the detach
-        assert ctx.t_break == 50_000 and ctx.t_restore is None
+        [entry] = node.metrics()["handovers"]
+        assert (entry["result"], entry["reason"]) == ("failure", "out_of_coverage")
+        assert entry["interruption_us"] is None
+        # the attach, after the detach, failed
+        assert node.names(sequence_only=True) == BBM_HANDOVER_SEQUENCE[:5] + ["HOComplete"]
+        assert times_of(node, "LinkDetachRequest") == [50_000] and not times_of(node, "BindingAck")
         # the old link was already torn down and no rollback is attempted
         assert not node.env.attached(1, a)
         assert not node.env.attached(1, b)
@@ -216,24 +243,27 @@ class TestFmip:
         node.attach_now(1, a)
         final = request_handover(node, 1, current=a, target=b, mbb_flag=False)
         assert node.names(sequence_only=True) == FMIP_HANDOVER_SEQUENCE
-        ctx = node.holm.completed[0]
-        assert ctx.variant == "fmip"
+        [entry] = node.metrics()["handovers"]
+        assert entry["variant"] == "fmip"
         # the gap is only the radio switch: teardown 10 ms + setup 50 ms
-        assert interruption_time(ctx) == 60_000
-        assert ctx.t_break == 50_000 + 15_000  # after the three preparation hops
-        assert ctx.t_restore == ctx.t_break + 60_000  # the tunnel starts at attach time
-        assert ctx.result.ok
+        assert entry["interruption_us"] == 60_000
+        t_break = 50_000 + 15_000  # after the three preparation hops
+        assert times_of(node, "LinkSwitchRequest") == [t_break]
+        assert times_of(node, "TunnelStart") == [t_break + 60_000]  # at attach time
+        assert times_of(node, "BindingAck") == [t_break + 60_000 + 40_000]
+        assert entry["result"] == "success"
         assert final == 50_000 + 15_000 + 60_000 + 40_000
 
     def test_failure_when_preparation_is_impossible(self):
         node, a, b = colocated_node(fmip_target=True)
         # never attached to a: preparation runs over the old link and fails
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
-        ctx = node.holm.completed[0]
-        assert ctx.result == Result.failure("link_lost")
-        assert ctx.step == 0  # the preparation
-        assert ctx.t_break is None and ctx.t_restore is None
-        assert "PathSelect" not in node.names()
+        [entry] = node.metrics()["handovers"]
+        assert (entry["result"], entry["reason"]) == ("failure", "link_lost")
+        # the preparation failed before it sent anything; the variant is still fmip's
+        assert node.names(sequence_only=True) == ["HOExecutionRequest", "HOComplete"]
+        assert entry["variant"] == "fmip"
+        assert entry["interruption_us"] is None
 
 
 class TestSerialization:
@@ -248,7 +278,7 @@ class TestSerialization:
             node.kernel.schedule(0, payload)
         with pytest.raises(SimulationError, match="a handover request while another runs"):
             node.run()
-        assert not node.holm.completed
+        assert not node.metrics()["handovers"]
         assert "HOComplete" not in node.names()
 
     def test_mbb_and_fmip_interruption_ranking(self):
@@ -258,7 +288,9 @@ class TestSerialization:
             node, a, b = colocated_node(fmip_target=fmip)
             node.attach_now(1, a)
             request_handover(node, 1, current=a, target=b, mbb_flag=mbb_flag)
-            gaps[variant] = interruption_time(node.holm.completed[0])
+            [entry] = node.metrics()["handovers"]
+            assert entry["variant"] == variant
+            gaps[variant] = entry["interruption_us"]
         assert gaps["mbb"] == 0
         assert gaps["mbb"] < gaps["fmip"] < gaps["bbm"]
 
@@ -275,15 +307,15 @@ class TestUnexpectedResponses:
         with pytest.raises(SimulationError, match="a response HOLM never asked for"):
             request_handover(node, 1, current=None, target=a, mbb_flag=False)
         assert node.names(sequence_only=True) == ESTABLISHMENT_SEQUENCE[:2] + ["PathSelected"]
-        assert not node.holm.completed
+        assert not node.metrics()["handovers"]
 
     def test_response_after_its_context_failed_is_ignored(self):
         """A response after its handover ended answers nothing: the run ends."""
         node, a, b = colocated_node(fmip_target=False, target_center=(5000.0, 0.0))
         node.attach_now(1, a)
         request_handover(node, 1, current=a, target=b, mbb_flag=False)
-        [ctx] = node.holm.completed
-        assert not ctx.result.ok
+        [entry] = node.metrics()["handovers"]
+        assert entry["result"] == "failure"
         before = len(node.recorder.events)
         late = (
             LinkAttachResponse(result=Result.success(), granted_qos=QosSpec(800, 90)),
@@ -295,5 +327,7 @@ class TestUnexpectedResponses:
             node.run()
         names = node.names()[before:]
         assert names == ["LinkAttachResponse"]
-        assert node.holm.completed == [ctx]
-        assert ctx.result == Result.failure("out_of_coverage")
+        # no second handover completes, and the late response falls in the span
+        [after] = node.metrics()["handovers"]
+        assert (after["result"], after["reason"]) == ("failure", "out_of_coverage")
+        assert after["message_count"] == entry["message_count"] + 1

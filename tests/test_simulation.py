@@ -14,18 +14,23 @@ from mobsig.core import (
     FE_HOLM,
     AccessId,
     AccessSetsSnapshot,
+    BindingAck,
     BindingUpdate,
+    HandoverOccurred,
     HOComplete,
     HOExecutionRequest,
+    LinkDetachRequest,
+    LinkSwitchRequest,
     Locator,
+    QosSpec,
     Result,
+    TunnelStart,
 )
-from mobsig.holm import HandoverContext
 from mobsig.scenario import parse_scenario
 from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 from mobsig.simulation import Simulation, build_metrics
 
-from support import load_generator, trace_line
+from support import load_generator, make_cell, trace_line
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -325,15 +330,27 @@ def _event(at, payload):
     return (at, 0, payload)
 
 
-def _request(at, flow):
-    return _event(at, HOExecutionRequest(flow, None, A, False))
+def _request(at, flow, current=None, target=A, mbb_flag=False):
+    return _event(at, HOExecutionRequest(flow, current, target, mbb_flag))
 
 
-def _done_context(flow, t_start, variant="mbb"):
-    return HandoverContext(
-        flow=flow, current=A, target=B, variant=variant, t_start=t_start,
-        t_break=t_start, t_restore=t_start, result=Result.success(),
-    )
+def _complete(at, result=Result.success()):
+    return _event(at, HOComplete(result))
+
+
+def _bound(at):
+    """The binding ack that a successful handover holds, as its restore."""
+    return _event(at, BindingAck(1, Result.success()))
+
+
+# A's cell, and B's, which supports FMIP.
+CELLS = {cell.access: cell for cell in (
+    make_cell(), make_cell(cell_id="cell-b", network_id="net-2", rat="cellular",
+                           supports_fmip=True))}
+
+
+def _metrics(events):
+    return build_metrics(events, CELLS.__getitem__)
 
 
 class TestBuildMetrics:
@@ -341,19 +358,30 @@ class TestBuildMetrics:
         events = [
             _request(0, flow=1),
             _event(1, BindingUpdate(1, Locator("net-1/cell-a/1", A, "care_of"))),
+            _bound(2),
+            _complete(2),
+            _event(3, HandoverOccurred(1, QosSpec(800, 90))),  # no sequence record
+            _event(4, BindingUpdate(1, Locator("net-1/cell-a/1", A, "care_of"))),
             _request(10, flow=2),
-            _event(11, HOComplete(Result.success())),
+            _bound(11),
+            _complete(11),
         ]
-        contexts = [_done_context(1, 0), _done_context(2, 10)]
-        metrics = build_metrics(events, contexts)
-        assert [h["message_count"] for h in metrics["handovers"]] == [2, 2]
+        metrics = _metrics(events)
+        assert [h["message_count"] for h in metrics["handovers"]] == [5, 3]
+        assert [(h["flow"], h["t_request_us"]) for h in metrics["handovers"]] == [(1, 0), (2, 10)]
+
+    def test_records_before_the_first_request_count_toward_none(self):
+        events = [_event(0, BindingUpdate(1, Locator("net-1/cell-a/1", A, "care_of"))),
+                  _request(1, flow=1), _bound(2), _complete(2)]
+        assert [h["message_count"] for h in _metrics(events)["handovers"]] == [3]
 
     def test_failed_context_reports_reason_and_no_gap(self):
-        ctx = HandoverContext(
-            flow=1, current=A, target=B, variant="bbm", t_start=5, t_break=5,
-            result=Result.failure("out_of_coverage"),
-        )
-        metrics = build_metrics([_request(5, flow=1)], [ctx])
+        events = [
+            _request(5, flow=1, current=A, target=B),
+            _event(5, LinkDetachRequest(1, A)),
+            _complete(60, Result.failure("out_of_coverage")),
+        ]
+        metrics = _metrics(events)
         entry = metrics["handovers"][0]
         assert entry["result"] == "failure"
         assert entry["reason"] == "out_of_coverage"
@@ -361,14 +389,37 @@ class TestBuildMetrics:
         assert metrics["totals"]["failed"] == 1
         assert metrics["totals"]["total_interruption_us"] == 0
 
-    def test_context_without_a_matching_request_raises(self):
-        with pytest.raises(ValueError):
-            build_metrics([], [_done_context(1, 0)])
-        with pytest.raises(ValueError):
-            build_metrics([_request(0, flow=1)], [])
+    def test_fmip_failed_at_prepare_keeps_its_variant(self):
+        """The prepare step failed before it sent a message: the variant is
+        still what HOLM chose for the request and the target's cell."""
+        events = [_request(0, flow=1, current=A, target=B),
+                  _complete(0, Result.failure("link_lost"))]
+        [entry] = _metrics(events)["handovers"]
+        assert (entry["variant"], entry["result"], entry["reason"]) == ("fmip", "failure", "link_lost")
+        assert entry["message_count"] == 2
+
+    @pytest.mark.parametrize("marks, gap", [
+        # break before make: the detach breaks service, the binding ack restores it
+        ([(50, LinkDetachRequest(1, A)), (250, BindingAck(1, Result.success()))], 200),
+        # fast handover: the switch breaks service, the tunnel restores it
+        ([(65, LinkSwitchRequest(1, A, B, QosSpec(800, 90))), (125, TunnelStart(1, A, B)),
+          (165, BindingAck(1, Result.success()))], 60),
+        # make before break: the hand-off is the ack; the detach follows it
+        ([(240, BindingAck(1, Result.success())), (240, LinkDetachRequest(1, A))], 0),
+    ], ids=["bbm", "fmip", "mbb"])
+    def test_interruption_is_read_from_the_event_times(self, marks, gap):
+        events = [_request(0, flow=1, current=A, target=B, mbb_flag=True),
+                  *(_event(at, payload) for at, payload in marks), _complete(300)]
+        metrics = _metrics(events)
+        assert metrics["handovers"][0]["interruption_us"] == gap
+        assert metrics["totals"]["max_interruption_us"] == gap
+
+    def test_a_request_without_its_completion_is_not_reported(self):
+        metrics = _metrics([_request(0, flow=1), _bound(1), _complete(1), _request(2, flow=1)])
+        assert metrics["totals"]["count"] == 1
 
     def test_twin_requests_at_the_same_time_pair_one_to_one(self):
-        events = [_request(0, flow=1), _request(0, flow=1)]
-        contexts = [_done_context(1, 0), _done_context(1, 0)]
-        metrics = build_metrics(events, contexts)
-        assert [h["message_count"] for h in metrics["handovers"]] == [1, 1]
+        events = [_request(0, flow=1), _bound(0), _complete(0)] * 2
+        metrics = _metrics(events)
+        assert [h["message_count"] for h in metrics["handovers"]] == [3, 3]
+        assert metrics["totals"]["by_variant"] == {"establishment": 2}
