@@ -60,7 +60,6 @@ class FlowManagement:
         record = self._table.get(self._pending_setups.popleft())
         if response.result.ok:
             record.state = "active"
-            record.granted_qos = response.granted_qos
         else:
             record.state = "failed"
 

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
 import importlib.util
+import io
 import json
 import math
 import random
+import re
 import typing
 from pathlib import Path
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from mobsig import core
+from mobsig import cli, core
 from mobsig.core import (
     FE_DAEMON,
     FE_ENVIRONMENT,
@@ -100,6 +104,51 @@ def load_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# A binding round trip and an FMIP hop of 4 s outlast a generated walk's stay
+# in a cell, so almost every handover fails and every step's failure path runs.
+SLOW_SIGNALLING = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
+
+
+def generated_scenarios(workload: str, out_dir: Path, seed: int = 1, slow: bool = False) -> list[Path]:
+    """The scenario files of a bench workload at a seed, written into out_dir
+    by bench/gen.py's write_workload, in the order bench/run.py runs them.
+    Slowed ones have SLOW_SIGNALLING."""
+    generator = load_generator()
+    paths = generator.write_workload(workload, seed, out_dir,
+                                     bundled_dir=Path(core.__file__).parent / "scenarios")
+    if slow:
+        for path in paths:
+            document = json.loads(path.read_text(encoding="utf-8"))
+            document["latencies"].update(SLOW_SIGNALLING)
+            path.write_text(generator.dumps(document), encoding="utf-8")
+    return paths
+
+
+class Run(typing.NamedTuple):
+    """What `mobsig run` made of one scenario: its trace and metrics files,
+    and the number of records it reported."""
+
+    trace: Path
+    metrics: Path
+    events: int
+
+
+def cli_run(scenario: Path, out_dir: Path) -> Run:
+    """Run a scenario file through `mobsig run`; its outputs take its name."""
+    trace, metrics = out_dir / f"{scenario.stem}.jsonl", out_dir / f"{scenario.stem}.metrics.json"
+    argv = ["run", "--scenario", str(scenario), "--trace", str(trace), "--metrics", str(metrics)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, scenario
+    [events] = re.findall(r"^run complete: (\d+) records,", out.getvalue(), re.MULTILINE)
+    return Run(trace, metrics, int(events))
+
+
+def digests(run: Run) -> dict[str, str]:
+    """The SHA-256 of a run's trace and metrics files."""
+    return {"trace": hashlib.sha256(run.trace.read_bytes()).hexdigest(),
+            "metrics": hashlib.sha256(run.metrics.read_bytes()).hexdigest()}
 
 
 def expected_interruption_us(config, variant, old_key, new_key):

@@ -1,6 +1,7 @@
 """Trace segmentation, variant inference, and template checking."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 
@@ -793,14 +794,6 @@ def other_accesses(access, request):
     return others
 
 
-def slow_long_walk_records():
-    """The records of the long-walk bench scenario at seed 1 under 4 s
-    signalling: thousands of contexts, most of them failed handovers."""
-    [(_name, document)] = load_generator().generate("long-walk", 1)
-    document["latencies"].update(binding_rtt_us=4_000_000, fmip_oneway_us=4_000_000)
-    return Simulation(parse_scenario(document)).run().records
-
-
 class TestAccessMismatch:
     """Every chain message acts on its request's accesses."""
 
@@ -854,11 +847,14 @@ class TestAccessMismatch:
         with pytest.raises(ValueError, match=f"{name} has no '{field}'"):
             check_trace(as_trace(records))
 
-    def test_every_reaimed_access_field_of_a_simulated_trace_is_rejected(self, bundled_results):
-        """Each context of the bundled traces and of the slow long walk, with
-        one access field of one chain message re-aimed, fails at that field."""
+    def test_every_reaimed_access_field_of_a_simulated_trace_is_rejected(self, bundled_results,
+                                                                          reader_traces):
+        """Each context of the bundled traces and of the long walk under slow
+        signalling (thousands of contexts, most of them failed handovers),
+        with one access field of one chain message re-aimed, fails at that
+        field."""
         traces = {name: result.records for name, result in bundled_results.items()}
-        traces["slow-signalling"] = slow_long_walk_records()
+        traces["slow-signalling"] = load_trace(str(reader_traces["slow-signalling"]))
         mutated = set()
         for name, records in traces.items():
             assert check_trace(records).ok, name
@@ -965,3 +961,37 @@ def test_check_and_check_trace_give_the_reference_verdicts(document):
     records = Simulation(parse_scenario(document)).run().records
     for choice in ("auto", "bbm", "establishment", "mbb"):
         assert _seen(check_trace(records, choice)) == _seen(check_oracle.check_trace(records, choice))
+
+
+# The SHA-256 over (file, template choice, ok, template, rule, index, detail,
+# record line) of check_trace's verdict under each choice, on every trace
+# named below. A file is named as bench/run.py names its output, under its
+# workload's directory, and the slowed traces under slow/.
+VERDICTS_SHA256 = "12a7bb900a212f01ac25cf1b45ade15f3362a9e40aebd984f3746d276d900241"
+
+
+def test_checker_verdicts_match_their_pinned_hash(generated_runs):
+    """The verdicts on the seed-1 traces of the three bench workloads and on
+    the long walk and multiflow-dense under slow signalling, whose thousands
+    of failed and prefix contexts repeat a few name sequences, hash to the
+    pinned digest. Under auto, bbm, establishment and mbb each verdict is
+    also the reference's, record and index included; under fmip the two
+    differ, as the reference forced a named template onto establishment
+    contexts too, where the walk runs the establishment row."""
+    traces = {(workload, f"{name}.jsonl"): run.trace for workload in load_generator().WORKLOADS
+              for name, run in generated_runs(workload).items()}
+    for workload, name in (("long-walk", "slow-signalling"),
+                           ("multiflow-dense", "multiflow-slow-signalling")):
+        traces["slow", f"{name}.jsonl"] = generated_runs(workload, slow=True)[workload].trace
+    digest = hashlib.sha256()
+    for file in sorted(traces):
+        records = load_trace(str(traces[file]))
+        for choice in ["auto", *sorted(TEMPLATES)]:
+            verdict = check_trace(records, choice)
+            if choice != "fmip":
+                assert _seen(verdict) == _seen(check_oracle.check_trace(records, choice)), (
+                    file, choice)
+            line = verdict.record.line if verdict.record is not None else None
+            digest.update(f"{'/'.join(file)}\t{choice}\t{verdict.ok}\t{verdict.template}\t"
+                          f"{verdict.rule}\t{verdict.index}\t{verdict.detail}\t{line}\n".encode())
+    assert digest.hexdigest() == VERDICTS_SHA256

@@ -218,6 +218,8 @@ class TestMrrmEntity:
         assert record.granted_qos == REQUESTED  # cell-a capacity is ample
         responses = [r for r in node.records() if r.name == "AccessFlowSetupResponse"]
         assert len(responses) == 1 and responses[0].params["result"] == "success"
+        # The grant FlowMng is told is the one MRRM set on the flow.
+        assert responses[0].params["granted_qos"] == {"bandwidth_kbps": 1000, "max_latency_ms": 80}
 
     def test_snapshot_annotation_lists_sorted_keys(self):
         node = moving_node()

@@ -1,12 +1,15 @@
 """Full scenario runs and the metrics report."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import weakref
 
 import pytest
 
+from mobsig import cli
 from mobsig.cli import render_diagram
 from mobsig.conformance import check_trace, load_trace
 from mobsig.core import (
@@ -26,11 +29,11 @@ from mobsig.core import (
     Result,
     TunnelStart,
 )
-from mobsig.scenario import parse_scenario
+from mobsig.scenario import load_scenario, parse_scenario
 from mobsig.simkernel import Kernel, SimulationError, TraceRecorder
 from mobsig.simulation import Simulation, build_metrics
 
-from support import load_generator, make_cell, trace_line
+from support import generated_scenarios, make_cell, trace_line
 
 A = AccessId(cell_id="cell-a", network_id="net-1", rat="wlan")
 B = AccessId(cell_id="cell-b", network_id="net-2", rat="cellular")
@@ -129,18 +132,6 @@ class TestBundledRuns:
             assert totals["max_interruption_us"] == (max(gaps) if gaps else 0)
 
 
-SLOW_SIGNALLING = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
-
-
-def _generated_config(workload, slow=False):
-    """The seed-1 scenario of a bench workload; a slow one has 4 s
-    signalling, so that most of its handovers fail."""
-    [(_name, document)] = load_generator().generate(workload, 1)
-    if slow:
-        document["latencies"].update(SLOW_SIGNALLING)
-    return parse_scenario(document)
-
-
 def _contents(record):
     return record.at, record.sender, record.receiver, record.name, record.params
 
@@ -149,8 +140,9 @@ def test_records_in_memory_equal_the_written_trace_read_back(bundled_results, tm
     # The records' params come from a walk of the payloads' values, and the
     # trace's text from renderers compiled from their declared types.
     results = [*bundled_results.values(),
-               *(Simulation(_generated_config(workload, slow=True)).run()
-                 for workload in ("long-walk", "multiflow-dense"))]
+               *(Simulation(load_scenario(str(scenario))).run()
+                 for workload in ("long-walk", "multiflow-dense")
+                 for scenario in generated_scenarios(workload, tmp_path / workload, slow=True))]
     path = tmp_path / "trace.jsonl"
     names, failures = set(), 0
     for result in results:
@@ -253,23 +245,67 @@ class TestRunControls:
         assert all(flows == [2, 5] for flows in ticks)
 
 
+def _cycles(objects: list) -> list[list]:
+    """The objects the collector found, joined into cycles: a union-find over
+    their references to each other."""
+    found = {id(obj): obj for obj in objects}
+    parent = {key: key for key in found}
+
+    def root(key):
+        while parent[key] != key:
+            parent[key] = key = parent[parent[key]]
+        return key
+
+    for key, obj in found.items():
+        for ref in gc.get_referents(obj):
+            if id(ref) in found:
+                parent[root(id(ref))] = root(key)
+    cycles: dict[int, list] = {}
+    for key, obj in found.items():
+        cycles.setdefault(root(key), []).append(obj)
+    return list(cycles.values())
+
+
+def _of_argparse_or_json(obj) -> bool:
+    function = callable(obj) and not isinstance(obj, type)
+    module = getattr(obj, "__module__", None) if function else type(obj).__module__
+    return module in ("argparse", "json.encoder")
+
+
+# The generated scenarios of TestCyclicCollector: (workload, seed, slowed).
+CYCLE_SCENARIOS = {"multiflow-dense": ("multiflow-dense", 1, False),
+                   "long-walk-slow": ("long-walk", 1, True),
+                   "long-walk-seed3": ("long-walk", 3, False),
+                   "multiflow-dense-seed3": ("multiflow-dense", 3, False)}
+# Those whose `run`, `check` and `diagram` also go through the command line.
+THROUGH_THE_CLI = ("long-walk-seed3", "multiflow-dense-seed3")
+
+
 class TestCyclicCollector:
     """The code that makes trace-sized data runs with the cyclic collector
     held off (``simkernel.without_cyclic_gc``), which is safe only while
     mobsig makes no reference cycle: reference counting must free all it
     drops."""
 
-    @pytest.mark.parametrize(
-        "name", ["mbb", "bbm", "fmip", "multi", "multiflow-dense", "long-walk-slow"])
-    def test_no_call_leaves_a_reference_cycle(self, name, bundled_configs, tmp_path):
-        config = bundled_configs.get(name) or _generated_config(
-            name.removesuffix("-slow"), slow=name.endswith("-slow"))
+    @pytest.mark.parametrize("name", ["mbb", "bbm", "fmip", "multi", *CYCLE_SCENARIOS])
+    def test_no_call_leaves_a_reference_cycle(self, name, scenario_path, tmp_path):
+        """Each call leaves no garbage. Then, on THROUGH_THE_CLI, every object
+        the collector finds through one `run`, `check` and `diagram` of the
+        command line is kept (gc.DEBUG_SAVEALL), and each cycle found must
+        hold an object of argparse's parser or of json's indenting encoder,
+        which writes the metrics file: both make cycles of their own on every
+        call. The commands exit 0, but `check` exits with check_trace's
+        verdict."""
+        scenario = scenario_path(name)
+        if name in CYCLE_SCENARIOS:
+            workload, seed, slow = CYCLE_SCENARIOS[name]
+            [scenario] = generated_scenarios(workload, tmp_path / "scenarios", seed, slow)
         path = tmp_path / "trace.jsonl"
         garbage = {}
         gc.collect()
         gc.disable()
         try:
-            sim = Simulation(config)
+            sim = Simulation(load_scenario(str(scenario)))
             recorder = sim.recorder
             result = sim.run()
             del sim
@@ -280,7 +316,7 @@ class TestCyclicCollector:
             garbage["SimulationResult.records"] = gc.collect()
             read = load_trace(path)
             garbage["load_trace"] = gc.collect()
-            check_trace(read, "auto")
+            verdict = check_trace(read, "auto")
             garbage["check_trace"] = gc.collect()
             render_diagram(read)
             garbage["render_diagram"] = gc.collect()
@@ -288,6 +324,27 @@ class TestCyclicCollector:
             gc.enable()
         assert len(records) == len(read)
         assert garbage == dict.fromkeys(garbage, 0)
+        if name not in THROUGH_THE_CLI:
+            return
+
+        trace = str(tmp_path / "cli.jsonl")
+        commands = (["run", "--scenario", str(scenario), "--trace", trace,
+                     "--metrics", str(tmp_path / "metrics.json")],
+                    ["check", "--trace", trace], ["diagram", "--trace", trace])
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv) for argv in commands]
+            gc.collect()
+            foreign = [sorted({type(obj).__qualname__ for obj in cycle})
+                       for cycle in _cycles(gc.garbage)
+                       if not any(map(_of_argparse_or_json, cycle))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert codes == [0, 0 if verdict.ok else 1, 0]
+        assert not foreign, f"cycles of neither argparse nor json: {foreign}"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_every_call_leaves_the_collector_as_it_found_it(

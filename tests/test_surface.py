@@ -38,6 +38,8 @@ from pathlib import Path
 
 import mobsig
 
+from support import SLOW_SIGNALLING
+
 PACKAGE = Path(mobsig.__file__).parent
 
 # Statements that the command line cannot reach and that stay, by
@@ -94,7 +96,6 @@ LINE_EXEMPT: dict[tuple[str, str, str], str] = {
 }
 
 BUNDLED = ("mbb", "bbm", "fmip", "multi")
-SLOW = {"binding_rtt_us": 4_000_000, "fmip_oneway_us": 4_000_000}
 DELETE = object()
 
 
@@ -131,7 +132,7 @@ VALID_EDITS = {
     # The walk outruns 4 s signalling: an fmip handover fails out_of_coverage
     # and strands the flow, so bbm ones fail not_attached and fmip ones
     # link_lost.
-    "stranded": ("multi", {"latencies": SLOW, "policy.mbb_capable": False,
+    "stranded": ("multi", {"latencies": SLOW_SIGNALLING, "policy.mbb_capable": False,
                            "cells.1.supports_fmip": True, "cells.3.supports_fmip": True}),
     "all-forbidden": ("bbm", {"policy.forbidden_networks": ["net-1", "net-2"]}),
     "unusable-paths": ("multi", {
@@ -243,7 +244,7 @@ def _drive(cli, templates: list[str], scenario_dir: Path, out: Path) -> None:
     for name, document in bundled.items():
         trace = run(name, document)
         assert check_and_draw(trace)[0] == 0, name
-        slow = run(f"{name}-slow", _edited(document, {"latencies": SLOW}))
+        slow = run(f"{name}-slow", _edited(document, {"latencies": SLOW_SIGNALLING}))
         assert check_and_draw(slow)[0] == 0, name
     for name, (base, edits) in VALID_EDITS.items():
         document = _edited(bundled[base], edits)
